@@ -12,6 +12,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/perfmodel"
+	"repro/internal/sched"
 	"repro/internal/simgrid"
 	"repro/internal/stats"
 	"repro/internal/tgrid"
@@ -136,15 +137,23 @@ func (e *Engine) RunCellIndex(ctx context.Context, p *Prepared, index int) (Cell
 		Service:   make([]float64, len(plan.Times)),
 	}
 	study := "arrival/" + env + "/" + algo
+	timing := tgrid.Timing(tgrid.ModelTiming{Model: model})
+	homogeneous := part.Cluster.IsHomogeneous()
 	runner := experiments.Runner{Workers: e.Workers, Seed: plan.Spec.Seed, Em: em, Ctx: ctx}
 	err = runner.Run(study, len(plan.Times), func(j int, sess *cluster.Session) error {
 		class := plan.Classes[j%len(plan.Classes)]
-		s, err := campaign.BuildSchedule(algo, class.Graph, part.Cluster, cost, comm)
+		var sc *sched.Scratch
+		if homogeneous {
+			sc = sched.AcquireScratch()
+			defer sched.ReleaseScratch(sc)
+			sc.Bind(class.Graph, part.Cluster.Nodes, cost)
+		}
+		s, err := campaign.BuildScheduleScratch(sc, algo, class.Graph, part.Cluster, cost, comm)
 		if err != nil {
 			return fmt.Errorf("arrival: %s: %s on %s: %w", study, algo, class.Name, err)
 		}
 		s.Model = plan.Model
-		simRes, err := tgrid.Run(net, s, tgrid.ModelTiming{Model: model})
+		pred, err := tgrid.Makespan(net, s, timing)
 		if err != nil {
 			return fmt.Errorf("arrival: simulate %s: %s on %s: %w", study, algo, class.Name, err)
 		}
@@ -152,7 +161,7 @@ func (e *Engine) RunCellIndex(ctx context.Context, p *Prepared, index int) (Cell
 		if err != nil {
 			return fmt.Errorf("arrival: execute %s: %s on %s: %w", study, algo, class.Name, err)
 		}
-		cell.Pred[j], cell.Service[j] = simRes.Makespan, exp
+		cell.Pred[j], cell.Service[j] = pred, exp
 		return nil
 	})
 	if err != nil {

@@ -3,7 +3,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/dag"
@@ -18,19 +17,11 @@ import (
 )
 
 // Campaign telemetry: grid cells completed (one cell = one platform ×
-// workload × model point scored over its whole suite) and scheduling-scratch
-// pool traffic. Counters never feed back into reports — campaign output is
-// byte-identical with or without anyone scraping them.
-var (
-	cellsCompleted = obs.Default.Counter("repro_campaign_cells_completed_total",
-		"Campaign grid cells fully scored.")
-	scratchAcquires = obs.Default.Counter("repro_pool_acquires_total",
-		"Pool acquisitions, by pool.", obs.L("pool", "campaign_scratch"))
-	scratchReleases = obs.Default.Counter("repro_pool_releases_total",
-		"Pool releases, by pool.", obs.L("pool", "campaign_scratch"))
-	scratchNews = obs.Default.Counter("repro_pool_news_total",
-		"Pool misses that built a fresh object, by pool.", obs.L("pool", "campaign_scratch"))
-)
+// workload × model point scored over its whole suite). The counter never
+// feeds back into reports — campaign output is byte-identical with or
+// without anyone scraping it.
+var cellsCompleted = obs.Default.Counter("repro_campaign_cells_completed_total",
+	"Campaign grid cells fully scored.")
 
 // ModelSource is the fit-once model registry the engine executes against
 // (service.ModelRegistry implements it). Derived platforms are registered
@@ -73,9 +64,6 @@ type Engine struct {
 	// reporting. It is write-only: nothing the engine reports through it
 	// feeds back into the campaign's results.
 	Progress *obs.Progress
-
-	// scratch pools per-worker scheduling scratch structs across cells.
-	scratch sync.Pool
 }
 
 // AlgoScore summarises one algorithm over one grid cell's suite.
@@ -266,6 +254,7 @@ func (e *Engine) runCell(ctx context.Context, plan *Plan, pt PlatformPoint, wp W
 	}
 	outs := make([]cellOut, len(suite))
 	homogeneous := truth.Cluster.IsHomogeneous()
+	timing := tgrid.Timing(tgrid.ModelTiming{Model: model})
 	runner := experiments.Runner{Workers: e.Workers, Seed: plan.Spec.Seed, Em: em, Ctx: ctx}
 	err := runner.Run(study, len(suite), func(i int, sess *cluster.Session) error {
 		o := cellOut{sim: make([]float64, len(algos)), exp: make([]float64, len(algos))}
@@ -274,8 +263,8 @@ func (e *Engine) runCell(ctx context.Context, plan *Plan, pt PlatformPoint, wp W
 		}
 		var sc *sched.Scratch
 		if homogeneous {
-			sc = e.acquireScratch()
-			defer e.releaseScratch(sc)
+			sc = sched.AcquireScratch()
+			defer sched.ReleaseScratch(sc)
 			sc.Bind(suite[i].Graph, truth.Cluster.Nodes, cost)
 		}
 		for ai, name := range algos {
@@ -284,7 +273,7 @@ func (e *Engine) runCell(ctx context.Context, plan *Plan, pt PlatformPoint, wp W
 				return fmt.Errorf("campaign: %s: %s on %s: %w", study, name, suite[i].Name(), err)
 			}
 			s.Model = kind
-			simRes, err := tgrid.Run(net, s, tgrid.ModelTiming{Model: model})
+			sim, err := tgrid.Makespan(net, s, timing)
 			if err != nil {
 				return fmt.Errorf("campaign: simulate %s: %s on %s: %w", study, name, suite[i].Name(), err)
 			}
@@ -292,7 +281,7 @@ func (e *Engine) runCell(ctx context.Context, plan *Plan, pt PlatformPoint, wp W
 			if err != nil {
 				return fmt.Errorf("campaign: execute %s: %s on %s: %w", study, name, suite[i].Name(), err)
 			}
-			o.sim[ai], o.exp[ai] = simRes.Makespan, exp
+			o.sim[ai], o.exp[ai] = sim, exp
 			if o.schedules != nil {
 				o.schedules[ai] = s.Clone()
 			}
@@ -392,22 +381,6 @@ func deriveHidden(base *cluster.Hidden, pt PlatformPoint) *cluster.Hidden {
 	c.Name = pt.Env
 	h.Cluster = c
 	return &h
-}
-
-// acquireScratch hands out a pooled scheduling scratch (one per concurrent
-// worker in steady state).
-func (e *Engine) acquireScratch() *sched.Scratch {
-	scratchAcquires.Inc()
-	if sc, ok := e.scratch.Get().(*sched.Scratch); ok {
-		return sc
-	}
-	scratchNews.Inc()
-	return sched.NewScratch()
-}
-
-func (e *Engine) releaseScratch(sc *sched.Scratch) {
-	scratchReleases.Inc()
-	e.scratch.Put(sc)
 }
 
 // BuildScheduleScratch is BuildSchedule through a reusable scheduling

@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/perfmodel"
+	"repro/internal/platform"
 	"repro/internal/sched"
+	"repro/internal/tgrid"
 )
 
 func mulTask(n int) *dag.Task { return &dag.Task{Kernel: dag.KernelMul, N: n} }
@@ -286,5 +288,69 @@ func TestMeasureProbesPositive(t *testing.T) {
 	}
 	if v := em.MeasureTask(dag.KernelAdd, 3000, 32); v <= 0 {
 		t.Errorf("MeasureTask = %g", v)
+	}
+}
+
+// TestMeasureMakespanMatchesExecute pins the pooled replay behind
+// MeasureMakespan to the full executions it replaces: on two identically
+// seeded sessions, the mean over three trials equals the mean of three
+// Execute makespans bit for bit, and the sessions' next noise draws agree —
+// so the replay consumed the same number of draws in the same order. The
+// straggler and two-speed environments make the kernel time depend on which
+// hosts a task got, not just how many; the emulator's shared stream is
+// checked the same way.
+func TestMeasureMakespanMatchesExecute(t *testing.T) {
+	straggler := Bayreuth()
+	straggler.StragglerHost, straggler.StragglerFactor = 13, 3
+	twoSpeed := Bayreuth()
+	powers := make([]float64, 32)
+	for i := range powers {
+		powers[i] = 250e6 * float64(1+i/16)
+	}
+	twoSpeed.Cluster = platform.NewHeterogeneous("two-speed", powers, 125e6, 100e-6)
+
+	for name, h := range map[string]*Hidden{"bayreuth": Bayreuth(), "straggler": straggler, "two-speed": twoSpeed} {
+		model := perfmodel.NewAnalytic(Bayreuth().Cluster)
+		cost, comm := perfmodel.CostFunc(model), perfmodel.CommFunc(model, Bayreuth().Cluster)
+		for seed := int64(1); seed <= 3; seed++ {
+			g := dag.MustGenerate(dag.GenParams{Tasks: 10, InputMatrices: 4, AddRatio: 0.5, N: 2000, Seed: seed})
+			s, err := sched.Build(sched.MCPA{}, g, 32, cost, comm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			em, err := NewEmulator(h, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := NewEmulator(h, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type env interface {
+				Execute(*sched.Schedule) (*tgrid.Result, error)
+				MeasureMakespan(*sched.Schedule, int) (float64, error)
+				MeasureStartup(int) float64
+			}
+			for _, pair := range [][2]env{{em.Session(seed), ref.Session(seed)}, {em, ref}} {
+				got, err := pair[0].MeasureMakespan(s, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := 0.0
+				for i := 0; i < 3; i++ {
+					res, err := pair[1].Execute(s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sum += res.Makespan
+				}
+				if want := sum / 3; got != want {
+					t.Errorf("%s dag %d: MeasureMakespan %v != mean of Execute %v", name, seed, got, want)
+				}
+				if a, b := pair[0].MeasureStartup(4), pair[1].MeasureStartup(4); a != b {
+					t.Errorf("%s dag %d: noise streams diverged after measuring (%v vs %v)", name, seed, a, b)
+				}
+			}
+		}
 	}
 }

@@ -72,17 +72,39 @@ func execute(net *simgrid.Net, h *Hidden, src noiseSource, s *sched.Schedule) (*
 	return tgrid.Run(net, s, truthTiming{h: h, src: src})
 }
 
+// quiet is the noise source of a perfectly repeatable environment.
+type quiet struct{}
+
+func (quiet) noise() float64 { return 1 }
+
+// measureMakespan averages trials executions' makespans. Only the makespans
+// are read, so the executions go through a pooled replayer instead of
+// execute: bound once against the noiseless truth (binding evaluates the
+// timing, and must not consume noise), then replayed under the noisy one.
+// A replay draws noise exactly as execute's Run does — startup then kernel
+// per task launch, overhead per started edge, in event order — and evaluates
+// the kernel time at launch on the task's real hosts, so every makespan, and
+// the state the noise stream is left in, equal execute's bit for bit.
 func measureMakespan(net *simgrid.Net, h *Hidden, src noiseSource, s *sched.Schedule, trials int) (float64, error) {
 	if trials < 1 {
 		trials = 1
 	}
+	if err := s.Validate(net.Cluster.Nodes); err != nil {
+		return 0, fmt.Errorf("cluster: invalid schedule: %w", err)
+	}
+	rep := tgrid.AcquireReplayer()
+	defer tgrid.ReleaseReplayer(rep)
+	if err := rep.Bind(net, s, truthTiming{h: h, src: quiet{}}); err != nil {
+		return 0, err
+	}
+	noisy := tgrid.Unscaled{Timing: truthTiming{h: h, src: src}}
 	sum := 0.0
 	for i := 0; i < trials; i++ {
-		res, err := execute(net, h, src, s)
+		makespan, err := rep.Replay(net, noisy)
 		if err != nil {
 			return 0, err
 		}
-		sum += res.Makespan
+		sum += makespan
 	}
 	return sum / float64(trials), nil
 }

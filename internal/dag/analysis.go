@@ -138,8 +138,10 @@ func (g *Graph) Width() int {
 	return w
 }
 
+// mustTopo returns the shared memoised order (read-only), panicking on a
+// cyclic graph.
 func (g *Graph) mustTopo() []int {
-	order, err := g.TopoOrder()
+	order, err := g.topoOrder()
 	if err != nil {
 		panic(err)
 	}

@@ -12,6 +12,7 @@ package dag
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Kernel identifies the computational kernel a task executes.
@@ -110,6 +111,14 @@ type Graph struct {
 	Name string
 	// Tasks holds the nodes indexed by Task.ID.
 	Tasks []*Task
+
+	// topo memoises the topological order: every analysis (bottom and top
+	// levels, critical paths, precedence levels) starts from it, and the
+	// CPA-family allocation loops run those analyses once per iteration.
+	// AddTask and AddEdge drop it. The slice behind the pointer is never
+	// written after it is stored and never handed out, so concurrent
+	// readers — study cells sharing one suite — need no lock.
+	topo atomic.Pointer[[]int]
 }
 
 // New returns an empty graph with the given name.
@@ -124,6 +133,7 @@ func (g *Graph) AddTask(kernel Kernel, n int) *Task {
 		N:      n,
 	}
 	g.Tasks = append(g.Tasks, t)
+	g.topo.Store(nil)
 	return t
 }
 
@@ -142,6 +152,7 @@ func (g *Graph) AddEdge(src, dst int) {
 	}
 	s.succs = append(s.succs, dst)
 	d.preds = append(d.preds, src)
+	g.topo.Store(nil)
 }
 
 // Task returns the task with the given ID, panicking if out of range.
@@ -216,10 +227,8 @@ func (g *Graph) Validate() error {
 			}
 		}
 	}
-	if _, err := g.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
+	_, err := g.topoOrder()
+	return err
 }
 
 func contains(xs []int, x int) bool {
@@ -233,8 +242,30 @@ func contains(xs []int, x int) bool {
 
 // TopoOrder returns the task IDs in a deterministic topological order
 // (Kahn's algorithm with smallest-ID-first tie-breaking), or an error if the
-// graph has a cycle.
+// graph has a cycle. The returned slice is the caller's own.
 func (g *Graph) TopoOrder() ([]int, error) {
+	order, err := g.topoOrder()
+	if err != nil {
+		return nil, err
+	}
+	return append([]int(nil), order...), nil
+}
+
+// topoOrder returns the memoised order, computing it on first use. The
+// result is shared: callers must not modify it.
+func (g *Graph) topoOrder() ([]int, error) {
+	if p := g.topo.Load(); p != nil {
+		return *p, nil
+	}
+	order, err := g.computeTopoOrder()
+	if err != nil {
+		return nil, err // a cyclic graph is not memoised; an AddEdge cannot fix it anyway
+	}
+	g.topo.Store(&order)
+	return order, nil
+}
+
+func (g *Graph) computeTopoOrder() ([]int, error) {
 	indeg := make([]int, len(g.Tasks))
 	for _, t := range g.Tasks {
 		indeg[t.ID] = len(t.preds)
@@ -293,10 +324,7 @@ func merge(a, b []int) []int {
 // 0 and every other task is 1 + max(level of predecessors). MCPA constrains
 // allocations per level. The second return value is the number of levels.
 func (g *Graph) Levels() ([]int, int) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		panic(err) // callers validate first; a cycle here is a programming error
-	}
+	order := g.mustTopo() // callers validate first; a cycle here is a programming error
 	level := make([]int, len(g.Tasks))
 	maxLevel := 0
 	for _, id := range order {

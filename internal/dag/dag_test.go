@@ -1,7 +1,9 @@
 package dag
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -105,6 +107,67 @@ func TestTopoOrderDetectsCycle(t *testing.T) {
 	}
 	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Fatalf("Validate error = %v, want cycle error", err)
+	}
+}
+
+// TestTopoOrderMemo pins the memoised order's contract: a caller may scribble
+// on what TopoOrder returns without corrupting later analyses, growing the
+// graph invalidates the memo — including an edge that closes a cycle after a
+// successful order was memoised — and analyses on one graph from many
+// goroutines agree with a fresh graph's (run under -race in CI).
+func TestTopoOrderMemo(t *testing.T) {
+	g := diamond(t)
+	first, err := g.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]int(nil), first...)
+	for i := range first {
+		first[i] = -1
+	}
+	if again, _ := g.TopoOrder(); !slices.Equal(again, want) {
+		t.Fatalf("order after the caller overwrote its copy = %v, want %v", again, want)
+	}
+
+	late := g.AddTask(KernelAdd, 10)
+	g.AddEdge(late.ID, 0) // a new entry feeding the old one
+	grown, err := g.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(grown) != g.Len() || grown[0] != late.ID {
+		t.Fatalf("order after AddTask/AddEdge = %v, want %d tasks starting at %d", grown, g.Len(), late.ID)
+	}
+	if level, _ := g.Levels(); level[0] != 1 {
+		t.Errorf("old entry's level = %d after gaining a predecessor, want 1", level[0])
+	}
+
+	cost := func(t *Task, p int) float64 { return float64(t.ID + 1) }
+	alloc := make([]int, g.Len())
+	ref := g.Clone()
+	wantBL := ref.BottomLevels(alloc, cost, nil)
+	wantCP := ref.CriticalPath(alloc, cost, nil)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if bl := g.BottomLevels(alloc, cost, nil); !slices.Equal(bl, wantBL) {
+					t.Errorf("concurrent BottomLevels = %v, want %v", bl, wantBL)
+				}
+				if cp := g.CriticalPath(alloc, cost, nil); !slices.Equal(cp, wantCP) {
+					t.Errorf("concurrent CriticalPath = %v, want %v", cp, wantCP)
+				}
+				g.Levels()
+			}
+		}()
+	}
+	wg.Wait()
+
+	g.AddEdge(3, late.ID) // exit back to the new entry: a cycle
+	if _, err := g.TopoOrder(); err == nil {
+		t.Fatal("cycle closed after a memoised order went undetected")
 	}
 }
 

@@ -62,7 +62,8 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	if err := out.Validate(); err != nil {
 		return err
 	}
-	*g = *out
+	g.Name, g.Tasks = out.Name, out.Tasks
+	g.topo.Store(out.topo.Load()) // Validate computed it; the order is immutable
 	return nil
 }
 

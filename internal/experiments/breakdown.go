@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dag"
-	"repro/internal/perfmodel"
-	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/tgrid"
 )
@@ -29,8 +27,7 @@ type BreakdownRow struct {
 // schedules whose execution the paper analyses in §V-C), executes them on
 // the emulated cluster and reports where the time goes per algorithm.
 func (l *Lab) TimeBreakdown() ([]BreakdownRow, error) {
-	cost := perfmodel.CostFunc(l.Analytic)
-	comm := perfmodel.CommFunc(l.Analytic, l.Cluster())
+	builder := buildWith(l.Analytic, l.Cluster())
 	var rows []BreakdownRow
 	for _, algo := range ComparedAlgorithms() {
 		type cellOut struct {
@@ -39,7 +36,9 @@ func (l *Lab) TimeBreakdown() ([]BreakdownRow, error) {
 		}
 		cells := make([]cellOut, len(l.Suite))
 		err := l.runner().Run("breakdown/"+algo.Name(), len(l.Suite), func(i int, sess *cluster.Session) error {
-			s, err := sched.Build(algo, l.Suite[i].Graph, l.Cluster().Nodes, cost, comm)
+			build := builder.bind(l.Suite[i].Graph)
+			defer build.release()
+			s, err := build.build(algo)
 			if err != nil {
 				return err
 			}
@@ -111,35 +110,31 @@ func (l *Lab) ShapeStudy() ([]ShapeRow, error) {
 		dag.Diamond(2000),
 	}
 	rows := make([]ShapeRow, len(shapes))
+	builder := buildWith(l.Profile, l.Cluster())
+	timing := tgrid.Timing(tgrid.ModelTiming{Model: l.Profile})
 	err := l.runner().Run("shapes", len(shapes), func(i int, sess *cluster.Session) error {
 		g := shapes[i]
 		row := ShapeRow{Shape: g.Name, Tasks: g.Len(), Width: g.Width()}
-		model := l.Profile
-		cost := perfmodel.CostFunc(model)
-		comm := perfmodel.CommFunc(model, l.Cluster())
-		sim := map[string]float64{}
-		exp := map[string]float64{}
-		for _, algo := range ComparedAlgorithms() {
-			s, err := sched.Build(algo, g, l.Cluster().Nodes, cost, comm)
+		build := builder.bind(g)
+		defer build.release()
+		var sim, exp [2]float64
+		for ai, algo := range ComparedAlgorithms() {
+			s, err := build.build(algo)
 			if err != nil {
 				return err
 			}
-			simRes, err := tgrid.Run(l.Net, s, tgrid.ModelTiming{Model: model})
-			if err != nil {
+			if sim[ai], err = tgrid.Makespan(l.Net, s, timing); err != nil {
 				return err
 			}
-			measured, err := sess.MeasureMakespan(s, l.Cfg.ExpTrials)
-			if err != nil {
+			if exp[ai], err = sess.MeasureMakespan(s, l.Cfg.ExpTrials); err != nil {
 				return err
 			}
-			sim[algo.Name()] = simRes.Makespan
-			exp[algo.Name()] = measured
 		}
 		row.BestAlgoSim, row.BestAlgoExp = "HCPA", "HCPA"
-		if sim["MCPA"] < sim["HCPA"] {
+		if sim[mcpa] < sim[hcpa] {
 			row.BestAlgoSim = "MCPA"
 		}
-		if exp["MCPA"] < exp["HCPA"] {
+		if exp[mcpa] < exp[hcpa] {
 			row.BestAlgoExp = "MCPA"
 		}
 		row.ProfileAgree = row.BestAlgoSim == row.BestAlgoExp

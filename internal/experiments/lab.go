@@ -190,6 +190,9 @@ func ComparedAlgorithms() []sched.Algorithm {
 	return []sched.Algorithm{sched.HCPA{}, sched.MCPA{}}
 }
 
+// Positions of the two algorithms in ComparedAlgorithms.
+const hcpa, mcpa = 0, 1
+
 // RunSuite pushes the whole 54-DAG suite through the pipeline with the
 // given model: schedule (per algorithm) → simulate → execute on the
 // emulated cluster. Instances run as independent cells on the study engine;
@@ -239,8 +242,8 @@ func (l *Lab) runSuite(modelName string) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	cost := perfmodel.CostFunc(model)
-	comm := perfmodel.CommFunc(model, l.Cluster())
+	builder := buildWith(model, l.Cluster())
+	timing := tgrid.Timing(tgrid.ModelTiming{Model: model})
 	algos := ComparedAlgorithms()
 
 	recs := make([]Record, len(l.Suite))
@@ -251,14 +254,15 @@ func (l *Lab) runSuite(modelName string) ([]Record, error) {
 			Sim:      make(map[string]float64, len(algos)),
 			Exp:      make(map[string]float64, len(algos)),
 		}
+		build := builder.bind(inst.Graph)
+		defer build.release()
 		for _, algo := range algos {
-			s, err := sched.Build(algo, inst.Graph, l.Cluster().Nodes, cost, comm)
+			s, err := build.build(algo)
 			if err != nil {
 				return fmt.Errorf("experiments: %s/%s on %s: %w",
 					modelName, algo.Name(), inst.Params.Name(), err)
 			}
-			s.Model = modelName
-			simRes, err := tgrid.Run(l.Net, s, tgrid.ModelTiming{Model: model})
+			sim, err := tgrid.Makespan(l.Net, s, timing)
 			if err != nil {
 				return fmt.Errorf("experiments: simulate %s/%s on %s: %w",
 					modelName, algo.Name(), inst.Params.Name(), err)
@@ -268,7 +272,7 @@ func (l *Lab) runSuite(modelName string) ([]Record, error) {
 				return fmt.Errorf("experiments: execute %s/%s on %s: %w",
 					modelName, algo.Name(), inst.Params.Name(), err)
 			}
-			rec.Sim[algo.Name()] = simRes.Makespan
+			rec.Sim[algo.Name()] = sim
 			rec.Exp[algo.Name()] = exp
 		}
 		recs[i] = rec

@@ -30,26 +30,57 @@ import (
 // instance, scheduled onto a bounded worker pool, with per-cell
 // deterministic noise sessions and stable-order aggregation.
 
-// scheduleBuilder produces the schedule of one algorithm for one DAG.
-type scheduleBuilder func(algo sched.Algorithm, g *dag.Graph) (*sched.Schedule, error)
+// cellBuilder builds one cell's schedules: every compared algorithm for one
+// DAG under one model. Homogeneous clusters build in a pooled sched.Scratch,
+// bound once per cell so the algorithms share its cost memo and per-graph
+// analyses; the heterogeneous mapping has no scratch form and goes through
+// sched.BuildHetero.
+type cellBuilder struct {
+	cluster platform.Cluster
+	cost    dag.CostFunc
+	comm    dag.CommFunc
+	hetero  bool
+	g       *dag.Graph     // the bound cell's DAG
+	sc      *sched.Scratch // its pooled scratch; nil on the heterogeneous path
+}
 
 // buildWith returns the homogeneous-mapping builder of a model on a cluster.
-func buildWith(model perfmodel.Model, c platform.Cluster) scheduleBuilder {
-	cost := perfmodel.CostFunc(model)
-	comm := perfmodel.CommFunc(model, c)
-	return func(algo sched.Algorithm, g *dag.Graph) (*sched.Schedule, error) {
-		return sched.Build(algo, g, c.Nodes, cost, comm)
-	}
+func buildWith(model perfmodel.Model, c platform.Cluster) cellBuilder {
+	return cellBuilder{cluster: c, cost: perfmodel.CostFunc(model), comm: perfmodel.CommFunc(model, c)}
 }
 
 // buildHeteroWith returns the heterogeneous-mapping builder (allocation on
 // the reference cluster, speed-vs-availability mapping).
-func buildHeteroWith(model perfmodel.Model, c platform.Cluster) scheduleBuilder {
-	cost := perfmodel.CostFunc(model)
-	comm := perfmodel.CommFunc(model, c)
-	return func(algo sched.Algorithm, g *dag.Graph) (*sched.Schedule, error) {
-		return sched.BuildHetero(algo, g, c, cost, comm)
+func buildHeteroWith(model perfmodel.Model, c platform.Cluster) cellBuilder {
+	b := buildWith(model, c)
+	b.hetero = true
+	return b
+}
+
+// bind returns the builder readied for one cell's DAG; release it when the
+// cell's last schedule has been consumed.
+func (b cellBuilder) bind(g *dag.Graph) cellBuilder {
+	b.g = g
+	if !b.hetero {
+		b.sc = sched.AcquireScratch()
+		b.sc.Bind(g, b.cluster.Nodes, b.cost)
 	}
+	return b
+}
+
+func (b cellBuilder) release() {
+	if b.sc != nil {
+		sched.ReleaseScratch(b.sc)
+	}
+}
+
+// build schedules the bound DAG with one algorithm. On the scratch path the
+// schedule is valid until the next build.
+func (b cellBuilder) build(algo sched.Algorithm) (*sched.Schedule, error) {
+	if b.hetero {
+		return sched.BuildHetero(algo, b.g, b.cluster, b.cost, b.comm)
+	}
+	return b.sc.Build(algo, b.comm)
 }
 
 // pairStudy is one (model, environment) scoring pass over a suite: each
@@ -62,7 +93,7 @@ type pairStudy struct {
 	net    *simgrid.Net
 	model  perfmodel.Model
 	trials int
-	build  scheduleBuilder
+	build  cellBuilder
 }
 
 // pairSeries is a pairStudy's aggregated outcome, in suite order (and, per
@@ -79,29 +110,28 @@ func (ps pairStudy) execute() (pairSeries, error) {
 		errs           []float64
 	}
 	cells := make([]cellOut, len(ps.suite))
+	timing := tgrid.Timing(tgrid.ModelTiming{Model: ps.model})
+	algos := ComparedAlgorithms()
 	err := ps.run.Run(ps.study, len(ps.suite), func(i int, sess *cluster.Session) error {
-		sim := map[string]float64{}
-		exp := map[string]float64{}
-		var out cellOut
-		for _, algo := range ComparedAlgorithms() {
-			s, err := ps.build(algo, ps.suite[i].Graph)
+		build := ps.build.bind(ps.suite[i].Graph)
+		defer build.release()
+		var sim, exp [2]float64
+		out := cellOut{errs: make([]float64, len(algos))}
+		for ai, algo := range algos {
+			s, err := build.build(algo)
 			if err != nil {
 				return err
 			}
-			simRes, err := tgrid.Run(ps.net, s, tgrid.ModelTiming{Model: ps.model})
-			if err != nil {
+			if sim[ai], err = tgrid.Makespan(ps.net, s, timing); err != nil {
 				return err
 			}
-			measured, err := sess.MeasureMakespan(s, ps.trials)
-			if err != nil {
+			if exp[ai], err = sess.MeasureMakespan(s, ps.trials); err != nil {
 				return err
 			}
-			sim[algo.Name()] = simRes.Makespan
-			exp[algo.Name()] = measured
-			out.errs = append(out.errs, stats.SimErrPct(simRes.Makespan, measured))
+			out.errs[ai] = stats.SimErrPct(sim[ai], exp[ai])
 		}
-		out.simRel = stats.RelDiff(sim["HCPA"], sim["MCPA"])
-		out.expRel = stats.RelDiff(exp["HCPA"], exp["MCPA"])
+		out.simRel = stats.RelDiff(sim[hcpa], sim[mcpa])
+		out.expRel = stats.RelDiff(exp[hcpa], exp[mcpa])
 		cells[i] = out
 		return nil
 	})

@@ -124,6 +124,33 @@ func CommMatrix(src, dst Dist) ([][]int64, error) {
 	return out, nil
 }
 
+// Message is one nonzero cell of a communication matrix: source processor
+// Src sends Bytes to destination processor Dst.
+type Message struct {
+	Src, Dst int
+	Bytes    int64
+}
+
+// Messages returns the nonzero cells of CommMatrix(src, dst) in row-major
+// order without building the matrix. Blocks are contiguous column intervals,
+// so source processor i overlaps only the destination processors owning its
+// first through last column: at most src.P+dst.P−1 messages in total, found
+// in that many steps.
+func Messages(src, dst Dist) ([]Message, error) {
+	if src.N != dst.N {
+		return nil, fmt.Errorf("redist: distribution sizes differ: %d vs %d", src.N, dst.N)
+	}
+	out := make([]Message, 0, src.P+dst.P-1)
+	for i := 0; i < src.P; i++ {
+		slo, shi := src.Block(i)
+		for j := dst.Owner(slo); j <= dst.Owner(shi-1); j++ {
+			dlo, dhi := dst.Block(j)
+			out = append(out, Message{Src: i, Dst: j, Bytes: int64(overlap(slo, shi, dlo, dhi)) * int64(src.N) * 8})
+		}
+	}
+	return out, nil
+}
+
 // TotalBytes sums a communication matrix.
 func TotalBytes(m [][]int64) int64 {
 	var total int64

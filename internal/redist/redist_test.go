@@ -2,6 +2,7 @@ package redist
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -128,6 +129,52 @@ func TestCommMatrixSizeMismatch(t *testing.T) {
 	b, _ := NewDist(200, 2)
 	if _, err := CommMatrix(a, b); err == nil {
 		t.Fatal("size mismatch accepted")
+	}
+	if _, err := Messages(a, b); err == nil {
+		t.Fatal("size mismatch accepted by Messages")
+	}
+}
+
+// TestMessagesAreTheNonzeroCells pins the sparse plan to the dense one,
+// exhaustively over small shapes (every remainder pattern, p up to n) and
+// over the case study's sizes at every processor-count pair of the cluster.
+func TestMessagesAreTheNonzeroCells(t *testing.T) {
+	check := func(n, ps, pd int) {
+		src, _ := NewDist(n, ps)
+		dst, _ := NewDist(n, pd)
+		m, err := CommMatrix(src, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []Message
+		for i, row := range m {
+			for j, b := range row {
+				if b != 0 {
+					want = append(want, Message{Src: i, Dst: j, Bytes: b})
+				}
+			}
+		}
+		got, err := Messages(src, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) > ps+pd-1 || !slices.Equal(got, want) {
+			t.Fatalf("n=%d %d->%d: messages = %v, want %v", n, ps, pd, got, want)
+		}
+	}
+	for n := 1; n <= 12; n++ {
+		for ps := 1; ps <= n; ps++ {
+			for pd := 1; pd <= n; pd++ {
+				check(n, ps, pd)
+			}
+		}
+	}
+	for _, n := range []int{2000, 3000} {
+		for ps := 1; ps <= 32; ps++ {
+			for pd := 1; pd <= 32; pd++ {
+				check(n, ps, pd)
+			}
+		}
 	}
 }
 

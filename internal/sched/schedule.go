@@ -69,25 +69,13 @@ func (s *Schedule) Order() []int {
 
 // Validate checks the schedule against the cluster size: allocation bounds,
 // host-set shapes, precedence feasibility of the estimated timeline, and
-// that tasks overlapping in estimated time never share a processor.
+// that tasks overlapping in estimated time never share a processor. It
+// allocates nothing for schedules whose host sets are listed in ascending
+// order, which is how every builder in this package emits them.
 func (s *Schedule) Validate(clusterSize int) error {
-	return s.validate(clusterSize, nil)
-}
-
-// validate is Validate with an optional scratch supplying the duplicate-host
-// check's storage (an epoch-stamped array instead of a per-task map), so the
-// scratch build path validates without allocating.
-func (s *Schedule) validate(clusterSize int, sc *Scratch) error {
 	n := s.Graph.Len()
 	if len(s.Alloc) != n || len(s.Hosts) != n || len(s.EstStart) != n || len(s.EstFinish) != n {
 		return fmt.Errorf("sched %s: field lengths inconsistent with %d tasks", s.Algorithm, n)
-	}
-	var seen map[int]bool
-	if sc != nil {
-		if cap(sc.seenHost) < clusterSize {
-			sc.seenHost = make([]uint64, clusterSize)
-		}
-		sc.seenHost = sc.seenHost[:clusterSize]
 	}
 	for t := 0; t < n; t++ {
 		if s.Alloc[t] < 1 || s.Alloc[t] > clusterSize {
@@ -98,21 +86,17 @@ func (s *Schedule) validate(clusterSize int, sc *Scratch) error {
 			return fmt.Errorf("sched %s: task %d has %d hosts but allocation %d",
 				s.Algorithm, t, len(s.Hosts[t]), s.Alloc[t])
 		}
-		if sc != nil {
-			sc.seenEpoch++
-		} else {
+		// A strictly ascending host list cannot repeat a host; only other
+		// orders need the set.
+		var seen map[int]bool
+		if !strictlyAscending(s.Hosts[t]) {
 			seen = make(map[int]bool, len(s.Hosts[t]))
 		}
 		for _, h := range s.Hosts[t] {
 			if h < 0 || h >= clusterSize {
 				return fmt.Errorf("sched %s: task %d uses host %d out of range", s.Algorithm, t, h)
 			}
-			if sc != nil {
-				if sc.seenHost[h] == sc.seenEpoch {
-					return fmt.Errorf("sched %s: task %d uses host %d twice", s.Algorithm, t, h)
-				}
-				sc.seenHost[h] = sc.seenEpoch
-			} else {
+			if seen != nil {
 				if seen[h] {
 					return fmt.Errorf("sched %s: task %d uses host %d twice", s.Algorithm, t, h)
 				}
@@ -146,6 +130,15 @@ func (s *Schedule) validate(clusterSize int, sc *Scratch) error {
 		}
 	}
 	return nil
+}
+
+func strictlyAscending(hosts []int) bool {
+	for i := 1; i < len(hosts); i++ {
+		if hosts[i] <= hosts[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // Clone returns a deep copy of the schedule sharing only the immutable

@@ -3,16 +3,18 @@ package sched
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/dag"
+	"repro/internal/obs"
 )
 
 // Scratch is the allocation-free scheduling path: it owns every buffer the
-// CPA-family allocation loops, the M-HEFT one-phase scheduler, the shared
-// mapping phase and schedule validation need, so repeated builds — the
-// robustness engine's Monte Carlo trials, campaign cells, service requests —
-// reuse storage instead of allocating it per schedule (the internal/simgrid
-// solver pattern, one layer up).
+// CPA-family allocation loops, the M-HEFT one-phase scheduler and the shared
+// mapping phase need, so repeated builds — the robustness engine's Monte
+// Carlo trials, study, campaign and arrival cells, service requests — reuse
+// storage instead of allocating it per schedule (the internal/simgrid solver
+// pattern, one layer up).
 //
 // A Scratch additionally memoizes the bound cost function per (task, p):
 // CPA-family allocation loops evaluate the same configurations thousands of
@@ -25,7 +27,8 @@ import (
 // any number of algorithms against it — the memo persists across builds of
 // the same binding. The returned schedule aliases the scratch's buffers and
 // is invalidated by the next Build; callers that retain schedules must
-// Clone them. A Scratch is not safe for concurrent use; pool one per worker.
+// Clone them. A Scratch is not safe for concurrent use; AcquireScratch pools
+// one per worker.
 type Scratch struct {
 	g    *dag.Graph
 	p    int // cluster size
@@ -56,10 +59,6 @@ type Scratch struct {
 	hostsAt    []hostAvail
 	hostsFlat  []int
 
-	// validation
-	seenHost  []uint64
-	seenEpoch uint64
-
 	// output schedule, reused across builds
 	out Schedule
 }
@@ -74,6 +73,38 @@ func NewScratch() *Scratch {
 	sc := &Scratch{}
 	sc.memoCost = sc.lookupCost
 	return sc
+}
+
+// Scratch-pool telemetry, alongside the engine pool's (internal/simgrid).
+var (
+	scratchAcquires = obs.Default.Counter("repro_pool_acquires_total",
+		"Pool acquisitions, by pool.", obs.L("pool", "scratch"))
+	scratchReleases = obs.Default.Counter("repro_pool_releases_total",
+		"Pool releases, by pool.", obs.L("pool", "scratch"))
+	scratchNews = obs.Default.Counter("repro_pool_news_total",
+		"Pool misses that built a fresh object, by pool.", obs.L("pool", "scratch"))
+
+	scratches = sync.Pool{New: func() any {
+		scratchNews.Inc()
+		return NewScratch()
+	}}
+)
+
+// AcquireScratch returns a scratch from the process-wide pool — one warm
+// scratch per concurrent worker in steady state, shared by every caller that
+// builds schedules cell by cell or request by request. Bind it before use
+// and pair the acquire with ReleaseScratch once the built schedule has been
+// consumed (or Cloned).
+func AcquireScratch() *Scratch {
+	scratchAcquires.Inc()
+	return scratches.Get().(*Scratch)
+}
+
+// ReleaseScratch returns a scratch to the pool; schedules it built are
+// invalid from here on.
+func ReleaseScratch(sc *Scratch) {
+	scratchReleases.Inc()
+	scratches.Put(sc)
 }
 
 // Bind sets the scheduling context. The cost memo is invalidated; per-graph
@@ -150,7 +181,7 @@ func (sc *Scratch) Build(algo Algorithm, comm dag.CommFunc) (*Schedule, error) {
 	}
 	s := sc.mapInto(alloc, comm)
 	s.Algorithm = algo.Name()
-	if err := s.validate(sc.p, sc); err != nil {
+	if err := s.Validate(sc.p); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -592,7 +623,7 @@ func (sc *Scratch) BuildMHEFT(m MHEFT, comm dag.CommFunc) (*Schedule, error) {
 		}
 	}
 	sc.ready = ready[:0]
-	if err := s.validate(clusterSize, sc); err != nil {
+	if err := s.Validate(clusterSize); err != nil {
 		return nil, err
 	}
 	return s, nil

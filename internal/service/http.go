@@ -166,7 +166,7 @@ func (s *Service) handleSchedule(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// One endpoint, two shapes: "dag" simulates a single application,
 	// "dags" serves the whole array as a batch that shares one registry
-	// resolution and the environment's engine pool. DAGs is a pointer so a
+	// resolution and one network. DAGs is a pointer so a
 	// present-but-empty "dags" key still selects the batch shape (and is
 	// rejected as an empty batch) instead of silently degrading to the
 	// single path.

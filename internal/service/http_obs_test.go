@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/obs"
+	"repro/internal/robust"
 )
 
 // TestErrorEnvelopeEverywhere pins the error contract: every failure a
@@ -304,6 +306,79 @@ func TestHTTPCampaignWatchProgress(t *testing.T) {
 		}
 		if cur.State == JobFailed || cur.State == JobCancelled {
 			t.Fatalf("campaign ended %s: %s", cur.State, cur.Error)
+		}
+	}
+}
+
+// TestJobDurationSeriesPerFamily pins the kind label of
+// repro_job_duration_seconds: one job of each of the four families — and an
+// arrival job on the durable manager, which observes through the same
+// mapping — must each land in its own family's series. Arrival jobs used to
+// be filed under kind="study".
+func TestJobDurationSeriesPerFamily(t *testing.T) {
+	svc := New(DefaultOptions())
+	defer svc.Close(context.Background())
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	counts := func() map[string]int {
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]int{}
+		for _, line := range strings.Split(string(body), "\n") {
+			var n int
+			for _, kind := range []string{"study", "campaign", "robust", "arrival"} {
+				if _, err := fmt.Sscanf(line, `repro_job_duration_seconds_count{kind="`+kind+`"} %d`, &n); err == nil {
+					out[kind] = n
+				}
+			}
+		}
+		return out
+	}
+	before := counts()
+
+	tiny := campaign.Spec{
+		Name:       "tiny",
+		Platforms:  campaign.PlatformAxis{Nodes: []int{6}},
+		Workloads:  campaign.WorkloadAxis{Shapes: []string{"diamond"}, Sizes: []int{2000}},
+		Algorithms: []string{"HCPA", "MCPA"},
+		Models:     []string{"analytic"},
+	}
+	submit := func(job JobStatus, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job.ID
+	}
+	ids := []string{
+		submit(svc.SubmitStudy(StudyRequest{Study: "table1"})),
+		submit(svc.SubmitCampaign(tiny)),
+		submit(svc.SubmitRobustness(robust.Spec{Spec: tiny, Robustness: robust.Axis{Trials: 1, Levels: []float64{0.1}}})),
+		submit(svc.SubmitArrival(onlineSpec())),
+	}
+	for _, id := range ids {
+		if done := waitServiceJob(t, svc, id); done.State != JobDone {
+			t.Fatalf("job %s (%s) ended %s: %s", id, done.Kind, done.State, done.Error)
+		}
+	}
+	durable := durableService(t, t.TempDir(), "a", false)
+	id := submit(durable.SubmitArrival(arrivalShardSpec()))
+	if done := waitServiceJob(t, durable, id); done.State != JobDone {
+		t.Fatalf("durable arrival job ended %s: %s", done.State, done.Error)
+	}
+
+	after := counts()
+	for kind, want := range map[string]int{"study": 1, "campaign": 1, "robust": 1, "arrival": 2} {
+		if got := after[kind] - before[kind]; got != want {
+			t.Errorf(`repro_job_duration_seconds_count{kind=%q} rose by %d, want %d`, kind, got, want)
 		}
 	}
 }

@@ -35,6 +35,8 @@ var (
 		"Job wall-clock duration, by job family.", obs.FitBuckets, obs.L("kind", "campaign"))
 	jobDurRobust = obs.Default.Histogram("repro_job_duration_seconds",
 		"Job wall-clock duration, by job family.", obs.FitBuckets, obs.L("kind", "robust"))
+	jobDurArrival = obs.Default.Histogram("repro_job_duration_seconds",
+		"Job wall-clock duration, by job family.", obs.FitBuckets, obs.L("kind", "arrival"))
 )
 
 // jobDuration maps a job kind to its family's duration histogram; the family
@@ -45,6 +47,8 @@ func jobDuration(kind string) *obs.Histogram {
 		return jobDurCampaign
 	case isRobustKind(kind):
 		return jobDurRobust
+	case isArrivalKind(kind):
+		return jobDurArrival
 	default:
 		return jobDurStudy
 	}

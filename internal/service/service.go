@@ -100,21 +100,14 @@ type Service struct {
 	labMu sync.Mutex
 	labs  map[labKey]*labEntry
 
-	// nets caches one simgrid.Net per environment so every schedule,
-	// simulate and batch request draws engines from that net's shared pool
-	// instead of building a network (and fresh engines) per request.
+	// nets caches one simgrid.Net per environment so schedule, simulate and
+	// batch requests share it instead of building a network per request.
 	netMu sync.Mutex
 	nets  map[string]*simgrid.Net
 
-	// scratch pools reusable scheduling state for the synchronous schedule,
-	// simulate and batch paths, so homogeneous builds reuse buffers across
-	// requests instead of allocating per call. Schedules built through the
-	// pool are Cloned before the scratch is returned.
-	scratch sync.Pool
-
-	// Sharded-execution state: long-lived per-cell engines (their scratch
-	// and runner pools persist across the cells this replica executes) and
-	// the prepared-plan cache behind preparedShard.
+	// Sharded-execution state: long-lived per-cell engines (the robustness
+	// engine's runner pool persists across the cells this replica executes)
+	// and the prepared-plan cache behind preparedShard.
 	shardCamp  *campaign.Engine
 	shardRob   *robust.Engine
 	shardArr   *arrival.Engine
@@ -239,8 +232,7 @@ func (s *Service) submitDurable(kind string, v any) (JobStatus, error) {
 }
 
 // net returns the cached network of an environment, building it on first
-// use. The net owns the engine pool all requests against that environment
-// share.
+// use.
 func (s *Service) net(env string, c platform.Cluster) (*simgrid.Net, error) {
 	s.netMu.Lock()
 	defer s.netMu.Unlock()
@@ -253,32 +245,6 @@ func (s *Service) net(env string, c platform.Cluster) (*simgrid.Net, error) {
 	}
 	s.nets[env] = n
 	return n, nil
-}
-
-// Scratch-pool telemetry for the synchronous request paths.
-var (
-	svcScratchAcquires = obs.Default.Counter("repro_pool_acquires_total",
-		"Pool acquisitions, by pool.", obs.L("pool", "service_scratch"))
-	svcScratchReleases = obs.Default.Counter("repro_pool_releases_total",
-		"Pool releases, by pool.", obs.L("pool", "service_scratch"))
-	svcScratchNews = obs.Default.Counter("repro_pool_news_total",
-		"Pool misses that built a fresh object, by pool.", obs.L("pool", "service_scratch"))
-)
-
-// acquireScratch draws a scheduling scratch from the pool.
-func (s *Service) acquireScratch() *sched.Scratch {
-	svcScratchAcquires.Inc()
-	if sc, ok := s.scratch.Get().(*sched.Scratch); ok {
-		return sc
-	}
-	svcScratchNews.Inc()
-	return sched.NewScratch()
-}
-
-// releaseScratch returns a scratch to the pool.
-func (s *Service) releaseScratch(sc *sched.Scratch) {
-	svcScratchReleases.Inc()
-	s.scratch.Put(sc)
 }
 
 // Registry exposes the fitted-model registry.
@@ -438,13 +404,13 @@ func (s *Service) buildSchedule(algo sched.Algorithm, g *dag.Graph, c platform.C
 	var schedule *sched.Schedule
 	var err error
 	if c.IsHomogeneous() {
-		sc := s.acquireScratch()
+		sc := sched.AcquireScratch()
 		sc.Bind(g, c.Nodes, cost)
 		schedule, err = sc.Build(algo, comm)
 		if err == nil {
 			schedule = schedule.Clone()
 		}
-		s.releaseScratch(sc)
+		sched.ReleaseScratch(sc)
 	} else {
 		schedule, err = sched.BuildHetero(algo, g, c, cost, comm)
 	}
@@ -464,7 +430,7 @@ func (s *Service) Schedule(ctx context.Context, req ScheduleRequest) (*ScheduleR
 	if err != nil {
 		return nil, err
 	}
-	sim, err := tgrid.Run(net, schedule, tgrid.ModelTiming{Model: model})
+	sim, err := tgrid.Makespan(net, schedule, tgrid.ModelTiming{Model: model})
 	if err != nil {
 		return nil, err
 	}
@@ -475,7 +441,7 @@ func (s *Service) Schedule(ctx context.Context, req ScheduleRequest) (*ScheduleR
 		Seed:        req.Seed,
 		CacheHit:    hit,
 		EstMakespan: schedule.EstMakespan(),
-		SimMakespan: sim.Makespan,
+		SimMakespan: sim,
 	}
 	for _, id := range schedule.Order() {
 		resp.Tasks = append(resp.Tasks, ScheduledTask{
@@ -514,28 +480,31 @@ type SimulateResponse struct {
 	Tasks       []SimulatedTask `json:"tasks"`
 }
 
-// simulateTimeline replays one schedule on the environment's pooled engines
-// and assembles the per-task timeline. Both the single and batched simulate
-// paths go through it, so a batch item is identical to the corresponding
-// single response by construction.
+// simulateTimeline replays one schedule on a pooled replayer and assembles
+// the per-task timeline from the windows it recorded. Both the single and
+// batched simulate paths go through it, so a batch item is identical to the
+// corresponding single response by construction.
 func simulateTimeline(g *dag.Graph, schedule *sched.Schedule, model perfmodel.Model, net *simgrid.Net) (float64, []SimulatedTask, error) {
-	sim, err := tgrid.Run(net, schedule, tgrid.ModelTiming{Model: model})
+	rep := tgrid.AcquireReplayer()
+	defer tgrid.ReleaseReplayer(rep)
+	makespan, err := rep.Simulate(net, schedule, tgrid.ModelTiming{Model: model})
 	if err != nil {
 		return 0, nil, err
 	}
 	tasks := make([]SimulatedTask, 0, g.Len())
 	for _, id := range schedule.Order() {
+		start, finish, startup := rep.TaskWindow(id)
 		tasks = append(tasks, SimulatedTask{
 			ID:      id,
 			Name:    g.Task(id).Name,
 			P:       schedule.Alloc[id],
 			Hosts:   schedule.Hosts[id],
-			Start:   sim.TaskStart[id],
-			Finish:  sim.TaskFinish[id],
-			Startup: sim.TaskStartupDur[id],
+			Start:   start,
+			Finish:  finish,
+			Startup: startup,
 		})
 	}
-	return sim.Makespan, tasks, nil
+	return makespan, tasks, nil
 }
 
 // Simulate computes a schedule and returns the simulator's full per-task
@@ -567,8 +536,8 @@ func (s *Service) Simulate(ctx context.Context, req ScheduleRequest) (*SimulateR
 // share one (algorithm, model, environment, seed) tuple. The expensive parts
 // of request handling — model-registry resolution (which may trigger a
 // fitting campaign on a cold cache) and network construction — are paid once
-// and amortized over the whole batch, and the per-DAG replays draw engines
-// from the environment's shared pool.
+// and amortized over the whole batch, and the per-DAG builds and replays run
+// on pooled scratches and replayers.
 type SimulateBatchRequest struct {
 	// DAGs are the applications, in the cmd/daggen node/edge-list format.
 	DAGs []*dag.Graph `json:"dags"`

@@ -38,12 +38,14 @@ type Action struct {
 	// convention for parallel tasks (the usage amounts then equal the full
 	// flop/byte quantities). Zero means the action is a pure delay.
 	Work float64
-	// Usage lists resource consumption per unit rate. With Work = 1 and
-	// Usage amounts equal to total flops/bytes, an action running alone
-	// takes max_r(amount_r / capacity_r) seconds, the L07 semantics.
-	// The map is captured (converted to the solver's sparse form) when the
-	// action is added; mutations after Add have no effect on the run.
-	Usage map[int]float64
+	// Usage lists resource consumption per unit rate, one entry per
+	// resource. With Work = 1 and Usage amounts equal to total flops/bytes,
+	// an action running alone takes max_r(amount_r / capacity_r) seconds,
+	// the L07 semantics. The vector is captured (copied into the solver's
+	// sorted form) when the action is added; mutations after Add have no
+	// effect on the run. The Fill* methods of Net emit it sorted by
+	// resource, which makes the capture a straight copy.
+	Usage []Use
 	// Bound optionally caps the rate (<= 0: unbounded); captured at Add.
 	Bound float64
 	// OnComplete, if non-nil, runs when the action finishes. It may add
@@ -63,6 +65,13 @@ type Action struct {
 	startedAt  float64
 	finishedAt float64
 	v          maxminVar
+}
+
+// Use is one entry of an action's sparse consumption vector: Amount units of
+// resource Res per unit of progress rate.
+type Use struct {
+	Res    int
+	Amount float64
 }
 
 // State returns the action's lifecycle state.
@@ -176,15 +185,17 @@ func (e *Engine) Add(a *Action) {
 	if a.Work < 0 || a.Delay < 0 {
 		panic(fmt.Sprintf("simgrid: action %q has negative work or delay", a.Name))
 	}
-	for r, u := range a.Usage {
-		if r < 0 || r >= len(e.capacity) {
-			panic(fmt.Sprintf("simgrid: action %q uses unknown resource %d", a.Name, r))
+	for _, u := range a.Usage {
+		if u.Res < 0 || u.Res >= len(e.capacity) {
+			panic(fmt.Sprintf("simgrid: action %q uses unknown resource %d", a.Name, u.Res))
 		}
-		if u < 0 {
-			panic(fmt.Sprintf("simgrid: action %q has negative usage on resource %d", a.Name, r))
+		if u.Amount < 0 {
+			panic(fmt.Sprintf("simgrid: action %q has negative usage on resource %d", a.Name, u.Res))
 		}
 	}
-	a.v.setUsage(a.Usage)
+	if !a.v.setUsage(a.Usage) {
+		panic(fmt.Sprintf("simgrid: action %q lists a resource twice", a.Name))
+	}
 	a.v.bound = a.Bound
 	a.startedAt = e.now
 	a.remaining = a.Work

@@ -30,7 +30,7 @@ func TestEngineFixedAction(t *testing.T) {
 func TestEngineSingleComputeAction(t *testing.T) {
 	// 100 flops of work on a 10 flop/s CPU → 10 s.
 	e := NewEngine([]float64{10})
-	e.Add(&Action{Name: "comp", Work: 1, Usage: map[int]float64{0: 100}})
+	e.Add(&Action{Name: "comp", Work: 1, Usage: []Use{{0, 100}}})
 	end, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -41,9 +41,9 @@ func TestEngineSingleComputeAction(t *testing.T) {
 func TestEngineFairSharingDoublesTime(t *testing.T) {
 	e := NewEngine([]float64{10})
 	var t1, t2 float64
-	a := &Action{Name: "a", Work: 1, Usage: map[int]float64{0: 100},
+	a := &Action{Name: "a", Work: 1, Usage: []Use{{0, 100}},
 		OnComplete: func(e *Engine, _ *Action) { t1 = e.Now() }}
-	b := &Action{Name: "b", Work: 1, Usage: map[int]float64{0: 100},
+	b := &Action{Name: "b", Work: 1, Usage: []Use{{0, 100}},
 		OnComplete: func(e *Engine, _ *Action) { t2 = e.Now() }}
 	e.Add(a)
 	e.Add(b)
@@ -61,9 +61,9 @@ func TestEngineL07EqualProgressSharing(t *testing.T) {
 	// 100ρ + 10ρ ≤ 10 → ρ = 1/11, so both complete at t = 11.
 	e := NewEngine([]float64{10})
 	var ta, tb float64
-	e.Add(&Action{Name: "a", Work: 1, Usage: map[int]float64{0: 100},
+	e.Add(&Action{Name: "a", Work: 1, Usage: []Use{{0, 100}},
 		OnComplete: func(e *Engine, _ *Action) { ta = e.Now() }})
-	e.Add(&Action{Name: "b", Work: 1, Usage: map[int]float64{0: 10},
+	e.Add(&Action{Name: "b", Work: 1, Usage: []Use{{0, 10}},
 		OnComplete: func(e *Engine, _ *Action) { tb = e.Now() }})
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestEngineL07EqualProgressSharing(t *testing.T) {
 
 func TestEngineDelayThenWork(t *testing.T) {
 	e := NewEngine([]float64{10})
-	e.Add(&Action{Name: "x", Delay: 1, Work: 1, Usage: map[int]float64{0: 10}})
+	e.Add(&Action{Name: "x", Delay: 1, Work: 1, Usage: []Use{{0, 10}}})
 	end, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestEngineCallbackChaining(t *testing.T) {
 	// A dependency chain built via callbacks: t0 → t1 → t2, 1 s each.
 	e := NewEngine([]float64{1})
 	mk := func(name string, next *Action) *Action {
-		return &Action{Name: name, Work: 1, Usage: map[int]float64{0: 1},
+		return &Action{Name: name, Work: 1, Usage: []Use{{0, 1}},
 			OnComplete: func(e *Engine, _ *Action) {
 				if next != nil {
 					e.Add(next)
@@ -126,7 +126,7 @@ func TestEngineUnconstrainedWorkCompletes(t *testing.T) {
 	// whose transfers are all intra-host) must complete right after its
 	// delay instead of producing NaN progress.
 	e := NewEngine([]float64{1})
-	e.Add(&Action{Name: "local-redist", Delay: 0.25, Work: 1, Usage: map[int]float64{}})
+	e.Add(&Action{Name: "local-redist", Delay: 0.25, Work: 1, Usage: []Use{}})
 	end, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -136,8 +136,8 @@ func TestEngineUnconstrainedWorkCompletes(t *testing.T) {
 
 func TestEngineUsageOf(t *testing.T) {
 	e := NewEngine([]float64{10})
-	e.Add(&Action{Name: "a", Work: 1, Usage: map[int]float64{0: 100}})
-	e.Add(&Action{Name: "b", Work: 1, Usage: map[int]float64{0: 50}})
+	e.Add(&Action{Name: "a", Work: 1, Usage: []Use{{0, 100}}})
+	e.Add(&Action{Name: "b", Work: 1, Usage: []Use{{0, 50}}})
 	// Equal rates ρ = 10/150; usage = 100ρ + 50ρ = 10 (saturated).
 	almost(t, e.UsageOf(0), 10, 1e-9, "saturated usage")
 	if _, err := e.Run(); err != nil {
@@ -148,7 +148,7 @@ func TestEngineUsageOf(t *testing.T) {
 
 func TestEngineDeadlockDetected(t *testing.T) {
 	e := NewEngine([]float64{0})
-	e.Add(&Action{Name: "starved", Work: 1, Usage: map[int]float64{0: 1}})
+	e.Add(&Action{Name: "starved", Work: 1, Usage: []Use{{0, 1}}})
 	if _, err := e.Run(); err == nil {
 		t.Fatal("starved action did not produce an error")
 	}
@@ -160,7 +160,13 @@ func TestEngineAddPanics(t *testing.T) {
 	e.Add(a)
 	assertPanics(t, "double add", func() { e.Add(a) })
 	assertPanics(t, "bad resource", func() {
-		e.Add(&Action{Name: "bad", Work: 1, Usage: map[int]float64{7: 1}})
+		e.Add(&Action{Name: "bad", Work: 1, Usage: []Use{{7, 1}}})
+	})
+	assertPanics(t, "negative usage", func() {
+		e.Add(&Action{Name: "bad", Work: 1, Usage: []Use{{0, -1}}})
+	})
+	assertPanics(t, "resource listed twice", func() {
+		e.Add(&Action{Name: "bad", Work: 1, Usage: []Use{{0, 1}, {0, 2}}})
 	})
 	assertPanics(t, "negative delay", func() { e.Add(&Action{Name: "neg", Delay: -1}) })
 	assertPanics(t, "negative duration", func() { Fixed("neg", -1) })
@@ -320,7 +326,7 @@ func TestIntraHostTransferFree(t *testing.T) {
 func TestResetUnpinsActions(t *testing.T) {
 	e := NewEngine([]float64{10, 10})
 	for i := 0; i < 8; i++ {
-		e.Add(&Action{Name: "a", Work: 1, Usage: map[int]float64{i % 2: 1}})
+		e.Add(&Action{Name: "a", Work: 1, Usage: []Use{{i % 2, 1}}})
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -355,7 +361,7 @@ func TestResetUnpinsActions(t *testing.T) {
 // constraints on its next run.
 func TestResetRestoresSolverInvariant(t *testing.T) {
 	e := NewEngine([]float64{10, 10})
-	e.Add(&Action{Name: "a", Work: 1, Usage: map[int]float64{0: 2, 1: 1}})
+	e.Add(&Action{Name: "a", Work: 1, Usage: []Use{{0, 2}, {1, 1}}})
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +375,7 @@ func TestResetRestoresSolverInvariant(t *testing.T) {
 		}
 	}
 	// The engine still solves correctly afterwards.
-	a := &Action{Name: "b", Work: 1, Usage: map[int]float64{1: 2}}
+	a := &Action{Name: "b", Work: 1, Usage: []Use{{1, 2}}}
 	e.Add(a)
 	end, err := e.Run()
 	if err != nil {

@@ -135,6 +135,17 @@ func (n *Net) RouteLatency(src, dst int) float64 {
 	return 2 * n.Cluster.LinkLatency
 }
 
+// Transfer is one point-to-point message of an L07 communication: Bytes sent
+// from rank Src to rank Dst of the parallel task's host list. A list of
+// transfers in row-major order (ascending Src, then ascending Dst) is the
+// sparse form of the dense bytes matrix Ptask takes; a 1-D block
+// redistribution has at most pSrc+pDst−1 of them where the matrix has
+// (pSrc+pDst)² cells.
+type Transfer struct {
+	Src, Dst int
+	Bytes    float64
+}
+
 // Ptask builds an L07 parallel-task action from a computation vector and a
 // communication matrix, the exact inputs of SimGrid's Ptask_L07 model:
 // comp[i] is the number of flops host hosts[i] executes, bytes[i][j] the
@@ -148,56 +159,129 @@ func (n *Net) Ptask(name string, hosts []int, comp []float64, bytes [][]float64)
 }
 
 // FillPtask populates an existing action with the L07 parallel task described
-// by comp and bytes (see Ptask), reusing the action's Usage map so replay
-// paths can re-arm recycled actions without allocating. Delay is set to the
-// maximum route latency and Work to 1; Name, Tag, Bound and OnComplete are
-// left untouched.
+// by comp and bytes (see Ptask), reusing the action's Usage storage. Delay is
+// set to the maximum route latency and Work to 1; Name, Tag, Bound and
+// OnComplete are left untouched.
 func (n *Net) FillPtask(a *Action, hosts []int, comp []float64, bytes [][]float64) {
-	name := a.Name
-	if comp != nil && len(comp) != len(hosts) {
-		panic(fmt.Sprintf("simgrid: ptask %q: comp length %d != hosts %d", name, len(comp), len(hosts)))
-	}
+	checkComp(a, hosts, comp)
 	if bytes != nil && len(bytes) != len(hosts) {
-		panic(fmt.Sprintf("simgrid: ptask %q: bytes rows %d != hosts %d", name, len(bytes), len(hosts)))
+		panic(fmt.Sprintf("simgrid: ptask %q: bytes rows %d != hosts %d", a.Name, len(bytes), len(hosts)))
 	}
-	if a.Usage == nil {
-		a.Usage = make(map[int]float64)
-	} else {
-		clear(a.Usage)
-	}
-	usage := a.Usage
-	latency := 0.0
-	for i, h := range hosts {
-		if comp != nil && comp[i] > 0 {
-			usage[n.CPU(h)] += comp[i]
-		}
+	f := filler{net: n, hosts: hosts, usage: a.Usage[:0]}
+	for i := range hosts {
+		f.compute(comp, i)
 		if bytes == nil {
 			continue
 		}
 		if len(bytes[i]) != len(hosts) {
 			panic(fmt.Sprintf("simgrid: ptask %q: bytes row %d has %d cols, want %d",
-				name, i, len(bytes[i]), len(hosts)))
+				a.Name, i, len(bytes[i]), len(hosts)))
 		}
 		for j, b := range bytes[i] {
-			if b <= 0 || i == j {
-				continue // intra-host transfers are free, as in SimGrid clusters
-			}
-			dst := hosts[j]
-			if h == dst {
-				continue
-			}
-			usage[n.Uplink(h)] += b
-			usage[n.Downlink(dst)] += b
-			if n.HasBackplane() {
-				usage[n.Backplane()] += b
-			}
-			if l := n.RouteLatency(h, dst); l > latency {
-				latency = l
-			}
+			f.transfer(i, j, b)
 		}
 	}
-	a.Delay = latency
-	a.Work = 1
+	a.Usage, a.Delay, a.Work = f.usage, f.latency, 1
+}
+
+// FillTransfers is FillPtask over the sparse form of the communication: the
+// transfers must be in row-major order with ranks inside the host list. It
+// visits exactly the cells FillPtask would charge, in the same order, so the
+// resulting usage amounts and delay are bit-identical to filling from the
+// equivalent dense matrix — in O(len(hosts) + len(transfers)) instead of
+// O(len(hosts)²), and without allocating once the action's Usage has grown.
+func (n *Net) FillTransfers(a *Action, hosts []int, comp []float64, transfers []Transfer) {
+	checkComp(a, hosts, comp)
+	f := filler{net: n, hosts: hosts, usage: a.Usage[:0]}
+	k := 0
+	for i := range hosts {
+		f.compute(comp, i)
+		for ; k < len(transfers) && transfers[k].Src == i; k++ {
+			t := transfers[k]
+			if t.Dst < 0 || t.Dst >= len(hosts) || (k > 0 && transfers[k-1].Src == i && transfers[k-1].Dst >= t.Dst) {
+				break // left unconsumed, like a row out of order: reported below
+			}
+			f.transfer(i, t.Dst, t.Bytes)
+		}
+	}
+	if k != len(transfers) {
+		panic(fmt.Sprintf("simgrid: ptask %q: transfer %d (%d->%d) out of range or out of row-major order",
+			a.Name, k, transfers[k].Src, transfers[k].Dst))
+	}
+	a.Usage, a.Delay, a.Work = f.usage, f.latency, 1
+}
+
+func checkComp(a *Action, hosts []int, comp []float64) {
+	if comp != nil && len(comp) != len(hosts) {
+		panic(fmt.Sprintf("simgrid: ptask %q: comp length %d != hosts %d", a.Name, len(comp), len(hosts)))
+	}
+}
+
+// filler accumulates one parallel task's consumption into a usage vector
+// kept sorted by resource. Both fill forms charge through it in the same
+// order — rank by rank: the rank's flops, then its row of transfers in
+// column order, each to uplink, downlink, backplane — so every per-resource
+// sum adds the same terms in the same order whichever form described them.
+type filler struct {
+	net     *Net
+	hosts   []int
+	usage   []Use
+	latency float64
+}
+
+func (f *filler) compute(comp []float64, i int) {
+	if comp != nil && comp[i] > 0 {
+		f.add(f.net.CPU(f.hosts[i]), comp[i])
+	}
+}
+
+func (f *filler) transfer(i, j int, b float64) {
+	if b <= 0 || i == j {
+		return // intra-host transfers are free, as in SimGrid clusters
+	}
+	n, src, dst := f.net, f.hosts[i], f.hosts[j]
+	if src == dst {
+		return
+	}
+	f.add(n.Uplink(src), b)
+	f.add(n.Downlink(dst), b)
+	if n.HasBackplane() {
+		f.add(n.Backplane(), b)
+	}
+	if l := n.RouteLatency(src, dst); l > f.latency {
+		f.latency = l
+	}
+}
+
+// add accumulates x onto resource r, inserting the entry at its sorted
+// position on first use.
+func (f *filler) add(r int, x float64) {
+	u := f.usage
+	lo, hi := 0, len(u)
+	if hi > 0 && u[hi-1].Res <= r {
+		// The common cases skip the search: the last entry again (with a
+		// backplane, every transfer charges it) or a resource past it.
+		if lo = hi - 1; u[lo].Res < r {
+			lo = hi
+		}
+		hi = lo
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if u[mid].Res < r {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(u) && u[lo].Res == r {
+		u[lo].Amount += x
+		return
+	}
+	u = append(u, Use{})
+	copy(u[lo+1:], u[lo:])
+	u[lo] = Use{Res: r, Amount: x}
+	f.usage = u
 }
 
 // Fixed builds an action that simply lasts the given duration without
@@ -216,8 +300,8 @@ func Fixed(name string, duration float64) *Action {
 func (n *Net) LoneActionTime(a *Action) float64 {
 	caps := n.caps
 	t := 0.0
-	for r, u := range a.Usage {
-		if d := u / caps[r] * a.Work; d > t {
+	for _, u := range a.Usage {
+		if d := u.Amount / caps[u.Res] * a.Work; d > t {
 			t = d
 		}
 	}

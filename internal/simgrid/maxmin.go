@@ -23,28 +23,32 @@ type maxminVar struct {
 	fixed bool
 }
 
-// setUsage rebuilds the sparse form from a dense usage map, reusing the
-// backing arrays so steady-state reloads allocate nothing. Entries are kept
-// sorted by resource index, which decouples the solver's memory-access and
-// arithmetic order from Go's randomized map iteration. Zero entries are
-// dropped; validation of indices and signs is the caller's job.
-func (v *maxminVar) setUsage(usage map[int]float64) {
+// setUsage rebuilds the sparse form from a usage vector, reusing the backing
+// arrays so steady-state reloads allocate nothing. Entries are kept sorted by
+// resource index whatever order the caller listed them in (an insertion
+// sort: one comparison per entry on the already-sorted vectors the Net
+// fillers emit, and usage vectors are small — a handful of resources per
+// host touched). Zero entries are dropped; validation of indices and signs
+// is the caller's job. It reports false when a resource is listed twice.
+func (v *maxminVar) setUsage(usage []Use) bool {
 	v.res, v.use = v.res[:0], v.use[:0]
-	for r, u := range usage {
-		if u == 0 {
+	for _, u := range usage {
+		if u.Amount == 0 {
 			continue
 		}
-		// Insertion sort: usage vectors are small (a handful of resources
-		// per host touched), so this beats sort.Sort and allocates nothing.
 		i := len(v.res)
-		v.res = append(v.res, r)
-		v.use = append(v.use, u)
-		for i > 0 && v.res[i-1] > r {
+		v.res = append(v.res, u.Res)
+		v.use = append(v.use, u.Amount)
+		for i > 0 && v.res[i-1] > u.Res {
 			v.res[i], v.res[i-1] = v.res[i-1], v.res[i]
 			v.use[i], v.use[i-1] = v.use[i-1], v.use[i]
 			i--
 		}
+		if i > 0 && v.res[i-1] == u.Res {
+			return false
+		}
 	}
+	return true
 }
 
 // usageOf returns the variable's usage of resource r, 0 when unused. The

@@ -7,11 +7,24 @@ import (
 	"testing/quick"
 )
 
-// mmVar builds a sparse solver variable from a dense usage map, the way
-// Engine.Add does for actions.
+// usageVec lists a usage map as a vector, in Go's randomized map order — so
+// every test built on it also exercises setUsage's sorting.
+func usageVec(usage map[int]float64) []Use {
+	if usage == nil {
+		return nil
+	}
+	vec := make([]Use, 0, len(usage))
+	for r, u := range usage {
+		vec = append(vec, Use{Res: r, Amount: u})
+	}
+	return vec
+}
+
+// mmVar builds a sparse solver variable from a usage map, the way Engine.Add
+// does for actions.
 func mmVar(usage map[int]float64, bound float64) *maxminVar {
 	v := &maxminVar{bound: bound}
-	v.setUsage(usage)
+	v.setUsage(usageVec(usage))
 	return v
 }
 
@@ -130,7 +143,7 @@ func TestSetUsageSortsAndDropsZeros(t *testing.T) {
 	}
 	// Reloading reuses the backing arrays and resorts.
 	before := &v.res[0]
-	v.setUsage(map[int]float64{2: 1, 1: 3})
+	v.setUsage([]Use{{2, 1}, {1, 3}})
 	if &v.res[0] != before {
 		t.Error("setUsage reallocated its backing array on reload")
 	}

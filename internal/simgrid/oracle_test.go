@@ -334,7 +334,7 @@ func TestEngineMatchesOracleQuick(t *testing.T) {
 			if usage != nil && r.Float64() < 0.25 {
 				bound = 0.05 + 2*r.Float64()
 			}
-			actions[i] = &Action{Name: "a", Delay: delay, Work: work, Usage: usage, Bound: bound}
+			actions[i] = &Action{Name: "a", Delay: delay, Work: work, Usage: usageVec(usage), Bound: bound}
 			oracle[i] = &oracleAction{delay: delay, work: work, usage: usage, bound: bound}
 		}
 
@@ -372,4 +372,132 @@ func TestEngineMatchesOracleQuick(t *testing.T) {
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// oracleFillPtask is the original map-based FillPtask, verbatim: dense
+// matrix in, map-keyed usage and the route latency out.
+func oracleFillPtask(n *Net, hosts []int, comp []float64, bytes [][]float64) (map[int]float64, float64) {
+	usage := make(map[int]float64)
+	latency := 0.0
+	for i, h := range hosts {
+		if comp != nil && comp[i] > 0 {
+			usage[n.CPU(h)] += comp[i]
+		}
+		if bytes == nil {
+			continue
+		}
+		for j, b := range bytes[i] {
+			if b <= 0 || i == j {
+				continue
+			}
+			dst := hosts[j]
+			if h == dst {
+				continue
+			}
+			usage[n.Uplink(h)] += b
+			usage[n.Downlink(dst)] += b
+			if n.HasBackplane() {
+				usage[n.Backplane()] += b
+			}
+			if l := n.RouteLatency(h, dst); l > latency {
+				latency = l
+			}
+		}
+	}
+	return usage, latency
+}
+
+// TestFillMatchesOracleQuick differentially checks both fill forms — the
+// dense matrix and its row-major transfer list — against the original on
+// randomized parallel tasks: hosts in any order and repeated (same-host
+// ranks), missing computation or communication, zero and negative cells,
+// diagonal cells, with and without a backplane. Per-resource sums must add
+// the same terms in the same order, so amounts and delay match exactly, and
+// the emitted vector must be sorted with no zero entries. One recycled
+// action takes every fill, so stale entries from a larger task would show.
+func TestFillMatchesOracleQuick(t *testing.T) {
+	nets := []*Net{testNet(t)}
+	c := nets[0].Cluster
+	c.BackplaneBandwidth = 0
+	noBackplane, err := NewNet(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets = append(nets, noBackplane)
+	var dense, sparse Action
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := nets[r.Intn(len(nets))]
+		p := 1 + r.Intn(8)
+		hosts := make([]int, p)
+		for i := range hosts {
+			hosts[i] = r.Intn(n.Cluster.Nodes)
+		}
+		var comp []float64
+		if r.Float64() < 0.7 {
+			comp = make([]float64, p)
+			for i := range comp {
+				comp[i] = float64(r.Intn(3)) * (1 + r.Float64()) * 1e9 // a third are zero
+			}
+		}
+		var bytes [][]float64
+		var transfers []Transfer
+		if r.Float64() < 0.8 {
+			bytes = make([][]float64, p)
+			for i := range bytes {
+				bytes[i] = make([]float64, p)
+				for j := range bytes[i] {
+					switch r.Intn(4) {
+					case 0:
+						bytes[i][j] = (0.1 + r.Float64()) * 1e7
+					case 1:
+						bytes[i][j] = -1
+					}
+					if bytes[i][j] != 0 {
+						transfers = append(transfers, Transfer{Src: i, Dst: j, Bytes: bytes[i][j]})
+					}
+				}
+			}
+		}
+		want, wantDelay := oracleFillPtask(n, hosts, comp, bytes)
+		n.FillPtask(&dense, hosts, comp, bytes)
+		n.FillTransfers(&sparse, hosts, comp, transfers)
+		for name, a := range map[string]*Action{"dense": &dense, "sparse": &sparse} {
+			if a.Delay != wantDelay || a.Work != 1 || len(a.Usage) != len(want) {
+				t.Logf("seed %d %s: delay %g work %g with %d entries, oracle delay %g with %d",
+					seed, name, a.Delay, a.Work, len(a.Usage), wantDelay, len(want))
+				return false
+			}
+			for k, u := range a.Usage {
+				if u.Amount != want[u.Res] || u.Amount == 0 || (k > 0 && a.Usage[k-1].Res >= u.Res) {
+					t.Logf("seed %d %s: entry %d = %+v, oracle amount %g (vector %v)", seed, name, k, u, want[u.Res], a.Usage)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(43))}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFillTransfersRejectsMalformedLists pins the input checks of the sparse
+// form: ranks outside the host list and any departure from row-major order
+// (which would change the order terms are summed in) panic.
+func TestFillTransfersRejectsMalformedLists(t *testing.T) {
+	n := testNet(t)
+	hosts := []int{0, 1, 2}
+	for what, transfers := range map[string][]Transfer{
+		"source rank out of range":      {{Src: 3, Dst: 0, Bytes: 1}},
+		"negative source rank":          {{Src: -1, Dst: 0, Bytes: 1}},
+		"destination rank out of range": {{Src: 0, Dst: 3, Bytes: 1}},
+		"rows out of order":             {{Src: 1, Dst: 0, Bytes: 1}, {Src: 0, Dst: 1, Bytes: 1}},
+		"columns out of order":          {{Src: 0, Dst: 2, Bytes: 1}, {Src: 0, Dst: 1, Bytes: 1}},
+		"duplicate cell":                {{Src: 0, Dst: 1, Bytes: 1}, {Src: 0, Dst: 1, Bytes: 1}},
+	} {
+		assertPanics(t, what, func() { n.FillTransfers(&Action{Name: "bad"}, hosts, nil, transfers) })
+	}
+	assertPanics(t, "comp length", func() { n.FillTransfers(&Action{Name: "bad"}, hosts, []float64{1}, nil) })
 }

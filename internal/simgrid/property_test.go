@@ -19,7 +19,7 @@ func TestEngineWorkConservationQuick(t *testing.T) {
 		for i := 0; i < nActions; i++ {
 			amount := 0.5 + 10*r.Float64()
 			total += amount
-			e.Add(&Action{Name: "a", Work: 1, Usage: map[int]float64{0: amount}})
+			e.Add(&Action{Name: "a", Work: 1, Usage: []Use{{0, amount}}})
 		}
 		end, err := e.Run()
 		if err != nil {
@@ -50,7 +50,7 @@ func TestEngineL07SimultaneousCompletionQuick(t *testing.T) {
 		for i := range actions {
 			demand := 1 + 20*r.Float64()
 			total += demand
-			actions[i] = &Action{Name: "a", Work: 1, Usage: map[int]float64{0: demand}}
+			actions[i] = &Action{Name: "a", Work: 1, Usage: []Use{{0, demand}}}
 			e.Add(actions[i])
 		}
 		if _, err := e.Run(); err != nil {
@@ -79,7 +79,7 @@ func TestEngineDelayAdditivityQuick(t *testing.T) {
 		delay := 5 * r.Float64()
 		run := func(d float64) float64 {
 			e := NewEngine([]float64{2})
-			e.Add(&Action{Name: "a", Delay: d, Work: 1, Usage: map[int]float64{0: amount}})
+			e.Add(&Action{Name: "a", Delay: d, Work: 1, Usage: []Use{{0, amount}}})
 			end, err := e.Run()
 			if err != nil {
 				return -1

@@ -2,9 +2,12 @@ package tgrid
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
+	"sync"
 
 	"repro/internal/dag"
+	"repro/internal/obs"
 	"repro/internal/redist"
 	"repro/internal/sched"
 	"repro/internal/simgrid"
@@ -81,8 +84,9 @@ type replayTask struct {
 	hosts   []int // window into the replayer's flat host copy
 	isPtask bool
 	cross   bool      // any cross-host communication (pays route latency)
-	cpuRes  []int     // CPU resource index per communicating rank
+	cpuIdx  []int     // position in act.Usage of each computing rank's CPU entry
 	cpuBase []float64 // base per-rank flop count, scaled by TaskScale
+	startup float64   // startup overhead paid in the latest replay
 }
 
 // replayEdge is the recorded redistribution of one DAG edge.
@@ -99,15 +103,34 @@ type ptaskKey struct {
 	n, p   int
 }
 
+// ptaskDesc is a base timing's TaskWork output for one configuration, with
+// the communication matrix reduced to its row-major transfer list.
 type ptaskDesc struct {
-	fixed float64
-	comp  []float64
-	bytes [][]float64
+	isPtask bool
+	comp    []float64
+	comm    []simgrid.Transfer
+}
+
+// descCache holds the parallel-task descriptions of one base timing.
+type descCache struct {
+	base Timing
+	m    map[ptaskKey]ptaskDesc
 }
 
 type commKey struct {
 	n, pSrc, pDst int
 }
+
+const (
+	// maxBases is how many base timings' descriptions a replayer keeps, so
+	// a pooled replayer that alternates between the simulators and the
+	// emulated cluster of one study re-derives nothing.
+	maxBases = 4
+	// maxCached bounds the elements (per-rank flop counts and transfers) a
+	// replayer's caches hold — about 3 MB; past it every cache is dropped
+	// and refills on demand. The full 32-node working set fits.
+	maxCached = 1 << 17
+)
 
 // Replayer replays one schedule through the simulator many times under
 // varying timings without allocating in steady state — the fast path of the
@@ -120,13 +143,15 @@ type commKey struct {
 // perturbed model.
 //
 // A Replayer may be re-Bound to different schedules of the same or different
-// graphs; its internal caches (parallel-task descriptions keyed by
-// configuration, redistribution matrices) persist across binds, so binding
-// per trial in a reschedule loop is cheap. The parallel-task cache assumes
-// TaskWork depends only on (task.Kernel, task.N, len(hosts)), which holds
-// for ModelTiming (performance models describe homogeneous platforms); it is
-// invalidated when the base Timing changes. A Replayer is not safe for
-// concurrent use.
+// graphs, nets and base timings; its internal caches (parallel-task
+// descriptions keyed by base timing and configuration, redistribution
+// transfer lists) persist across binds, so binding per trial in a reschedule
+// loop — or per request from a pool — is cheap. The parallel-task cache
+// assumes that whether TaskWork yields a parallel task, and which one,
+// depends only on (task.Kernel, task.N, len(hosts)), which holds for
+// ModelTiming (performance models describe homogeneous platforms); fixed
+// durations are not cached but evaluated at every launch with the real host
+// set. A Replayer is not safe for concurrent use.
 type Replayer struct {
 	net  *simgrid.Net // layout reference from the last Bind
 	g    *dag.Graph
@@ -160,19 +185,21 @@ type Replayer struct {
 	ep         uint64
 	ehostsBuf  []int
 
-	ptasks map[ptaskKey]ptaskDesc
-	comms  map[commKey][][]float64
+	descs  []descCache            // per base timing, at most maxBases
+	evict  int                    // next descs slot to recycle
+	ptasks map[ptaskKey]ptaskDesc // the bound base's descriptions
+	comms  map[commKey][]simgrid.Transfer
+	cached int // elements held by descs and comms, bounded by maxCached
 	names  []string
+
+	unscaled Unscaled // Simulate's timing, boxed once per replayer
 
 	onTask, onEdge func(*simgrid.Engine, *simgrid.Action)
 }
 
 // NewReplayer returns an empty replayer.
 func NewReplayer() *Replayer {
-	r := &Replayer{
-		ptasks: make(map[ptaskKey]ptaskDesc),
-		comms:  make(map[commKey][][]float64),
-	}
+	r := &Replayer{comms: make(map[commKey][]simgrid.Transfer)}
 	r.onTask = func(e *simgrid.Engine, a *simgrid.Action) { r.taskDone(a.Tag) }
 	r.onEdge = func(e *simgrid.Engine, a *simgrid.Action) { r.arrive(r.edges[a.Tag].dst) }
 	return r
@@ -186,10 +213,7 @@ func (r *Replayer) Bind(net *simgrid.Net, s *sched.Schedule, base Timing) error 
 	g := s.Graph
 	n := g.Len()
 	clusterSize := net.Cluster.Nodes
-	if base != r.base {
-		clear(r.ptasks)
-		r.base = base
-	}
+	r.bindBase(base)
 	r.net = net
 	r.g = g
 
@@ -287,25 +311,27 @@ func (r *Replayer) Bind(net *simgrid.Net, s *sched.Schedule, base Timing) error 
 		rec.act.Tag = id
 		rec.act.OnComplete = r.onTask
 		d := r.ptaskDesc(task, rec.p, rec.hosts)
-		rec.isPtask = d.comp != nil || d.bytes != nil
+		rec.isPtask = d.isPtask
 		rec.cross = false
-		rec.cpuRes = rec.cpuRes[:0]
+		rec.cpuIdx = rec.cpuIdx[:0]
 		rec.cpuBase = rec.cpuBase[:0]
 		if rec.isPtask {
-			net.FillPtask(&rec.act, rec.hosts, d.comp, d.bytes)
-			for res := range rec.act.Usage {
-				if res >= clusterSize {
-					rec.cross = true
-					break
-				}
-			}
+			net.FillTransfers(&rec.act, rec.hosts, d.comp, d.comm)
+			// The vector is sorted and CPUs are the lowest resource indices,
+			// so any network resource sits last.
+			usage := rec.act.Usage
+			rec.cross = len(usage) > 0 && usage[len(usage)-1].Res >= clusterSize
 			for i, h := range rec.hosts {
 				if d.comp != nil && d.comp[i] > 0 {
-					rec.cpuRes = append(rec.cpuRes, net.CPU(h))
+					k, _ := slices.BinarySearchFunc(usage, net.CPU(h), func(u simgrid.Use, res int) int { return u.Res - res })
+					rec.cpuIdx = append(rec.cpuIdx, k)
 					rec.cpuBase = append(rec.cpuBase, d.comp[i])
 				}
 			}
 		} else {
+			// A recycled action must not carry the usage of whatever it was
+			// last bound to: Engine.Add validates usage even without work.
+			rec.act.Usage = rec.act.Usage[:0]
 			rec.act.Work = 0
 			rec.act.Delay = 0
 		}
@@ -338,15 +364,16 @@ func (r *Replayer) Bind(net *simgrid.Net, s *sched.Schedule, base Timing) error 
 			rec.act.OnComplete = r.onEdge
 			rec.hasBytes = task.OutputBytes() > 0
 			if rec.hasBytes {
-				full, err := r.commMatrix(task.N, rec.pSrc, rec.pDst)
+				plan, err := r.commPlan(task.N, rec.pSrc, rec.pDst)
 				if err != nil {
 					return fmt.Errorf("tgrid: edge %d->%d: %w", id, succ, err)
 				}
 				ehosts = append(ehosts[:0], r.hosts[id]...)
 				ehosts = append(ehosts, r.hosts[succ]...)
-				net.FillPtask(&rec.act, ehosts, nil, full)
+				net.FillTransfers(&rec.act, ehosts, nil, plan)
 				rec.cross = len(rec.act.Usage) > 0
 			} else {
+				rec.act.Usage = rec.act.Usage[:0]
 				rec.act.Work = 0
 				rec.act.Delay = 0
 				rec.cross = false
@@ -403,6 +430,72 @@ func (r *Replayer) Replay(net *simgrid.Net, timing TimingScaler) (float64, error
 	return makespan, nil
 }
 
+// Simulate validates the schedule, binds it against the timing and replays it
+// once under that same timing: Run(net, s, timing).Makespan bit for bit,
+// without Run's per-execution allocations. The per-task windows of the
+// execution stay readable through TaskWindow until the next Bind or Replay.
+func (r *Replayer) Simulate(net *simgrid.Net, s *sched.Schedule, timing Timing) (float64, error) {
+	if err := s.Validate(net.Cluster.Nodes); err != nil {
+		return 0, fmt.Errorf("tgrid: invalid schedule: %w", err)
+	}
+	if err := r.Bind(net, s, timing); err != nil {
+		return 0, err
+	}
+	r.unscaled.Timing = timing
+	return r.Replay(net, &r.unscaled)
+}
+
+// TaskWindow returns the execution window of a task in the latest replay —
+// Result.TaskStart, TaskFinish and TaskStartupDur of the equivalent Run.
+func (r *Replayer) TaskWindow(id int) (start, finish, startup float64) {
+	rec := &r.tasks[id]
+	return rec.act.StartedAt(), rec.act.FinishedAt(), rec.startup
+}
+
+// Replayer-pool telemetry, alongside the engine pool's (internal/simgrid).
+var (
+	replayerAcquires = obs.Default.Counter("repro_pool_acquires_total",
+		"Pool acquisitions, by pool.", obs.L("pool", "replayer"))
+	replayerReleases = obs.Default.Counter("repro_pool_releases_total",
+		"Pool releases, by pool.", obs.L("pool", "replayer"))
+	replayerNews = obs.Default.Counter("repro_pool_news_total",
+		"Pool misses that built a fresh object, by pool.", obs.L("pool", "replayer"))
+
+	replayers = sync.Pool{New: func() any {
+		replayerNews.Inc()
+		return NewReplayer()
+	}}
+)
+
+// AcquireReplayer returns a replayer from the process-wide pool: each worker
+// effectively keeps a warm one, with its engine, recorded actions and
+// description caches, across cells, studies and requests. Pair it with
+// ReleaseReplayer once the replay's results have been read off.
+func AcquireReplayer() *Replayer {
+	replayerAcquires.Inc()
+	return replayers.Get().(*Replayer)
+}
+
+// ReleaseReplayer returns a replayer to the pool. It is unbound first, so a
+// parked replayer pins no caller's graph and cannot be replayed by mistake.
+func ReleaseReplayer(r *Replayer) {
+	replayerReleases.Inc()
+	r.g = nil
+	r.unscaled.Timing = nil
+	replayers.Put(r)
+}
+
+// Makespan simulates the schedule under the timing on a pooled replayer and
+// returns the makespan: Run(net, s, timing).Makespan bit for bit. It is the
+// entry point for every caller that reads nothing else off the execution;
+// Run remains the producer of the full Result (per-edge windows, breakdown,
+// traces) and accepts timings the replayer's description cache does not.
+func Makespan(net *simgrid.Net, s *sched.Schedule, timing Timing) (float64, error) {
+	r := AcquireReplayer()
+	defer ReleaseReplayer(r)
+	return r.Simulate(net, s, timing)
+}
+
 func (r *Replayer) launch(id int) {
 	rec := &r.tasks[id]
 	task := r.g.Task(id)
@@ -410,12 +503,13 @@ func (r *Replayer) launch(id int) {
 	if startup < 0 {
 		panic(fmt.Sprintf("tgrid: negative startup for task %d", id))
 	}
+	rec.startup = startup
 	a := &rec.act
 	scaled := false
 	if rec.isPtask {
 		if f, ok := r.cur.TaskScale(task, rec.p); ok {
-			for k, res := range rec.cpuRes {
-				a.Usage[res] = rec.cpuBase[k] * f
+			for k, idx := range rec.cpuIdx {
+				a.Usage[idx].Amount = rec.cpuBase[k] * f
 			}
 			a.Work = 1
 			lat := 0.0
@@ -474,26 +568,77 @@ func (r *Replayer) arrive(id int) {
 	}
 }
 
-// ptaskDesc returns the base timing's TaskWork outputs for a configuration,
-// memoised by (kernel, n, p).
+// bindBase selects (creating or recycling a slot for) the description cache
+// of the base timing.
+func (r *Replayer) bindBase(base Timing) {
+	r.base = base
+	for i := range r.descs {
+		if r.descs[i].base == base {
+			r.ptasks = r.descs[i].m
+			return
+		}
+	}
+	if len(r.descs) < maxBases {
+		r.descs = append(r.descs, descCache{base: base, m: make(map[ptaskKey]ptaskDesc)})
+		r.ptasks = r.descs[len(r.descs)-1].m
+		return
+	}
+	d := &r.descs[r.evict]
+	r.evict = (r.evict + 1) % maxBases
+	clear(d.m)
+	d.base = base
+	r.ptasks = d.m
+}
+
+// grew accounts n more cached elements and, past maxCached, drops every
+// cache. Descriptions and plans already handed out stay valid — Bind copies
+// what it needs out of them into the recorded actions.
+func (r *Replayer) grew(n int) {
+	if r.cached += n; r.cached <= maxCached {
+		return
+	}
+	for i := range r.descs {
+		clear(r.descs[i].m)
+	}
+	clear(r.comms)
+	r.cached = n
+}
+
+// ptaskDesc returns the base timing's parallel-task description for a
+// configuration, memoised by (kernel, n, p). The dense communication matrix
+// TaskWork returns is reduced to its transfer list here, once, and dropped.
 func (r *Replayer) ptaskDesc(task *dag.Task, p int, hosts []int) ptaskDesc {
 	key := ptaskKey{kernel: task.Kernel, n: task.N, p: p}
 	if d, ok := r.ptasks[key]; ok {
 		return d
 	}
-	fixed, comp, bytes := r.base.TaskWork(task, hosts)
-	d := ptaskDesc{fixed: fixed, comp: comp, bytes: bytes}
+	_, comp, bytes := r.base.TaskWork(task, hosts)
+	d := ptaskDesc{isPtask: comp != nil || bytes != nil, comp: comp}
+	if bytes != nil && len(bytes) != p {
+		panic(fmt.Sprintf("tgrid: task %d: bytes rows %d != hosts %d", task.ID, len(bytes), p))
+	}
+	for i, row := range bytes {
+		if len(row) != p {
+			panic(fmt.Sprintf("tgrid: task %d: bytes row %d has %d cols, want %d", task.ID, i, len(row), p))
+		}
+		for j, b := range row {
+			if b > 0 && i != j {
+				d.comm = append(d.comm, simgrid.Transfer{Src: i, Dst: j, Bytes: b})
+			}
+		}
+	}
+	r.grew(len(d.comp) + len(d.comm))
 	r.ptasks[key] = d
 	return d
 }
 
-// commMatrix returns the full (pSrc+pDst)² byte matrix of a redistribution,
-// memoised by (n, pSrc, pDst) — a pure function of the 1-D block overlap
-// plan.
-func (r *Replayer) commMatrix(n, pSrc, pDst int) ([][]float64, error) {
+// commPlan returns the transfer list of a redistribution over the combined
+// host list (source ranks, then destination ranks), memoised by
+// (n, pSrc, pDst) — a pure function of the 1-D block overlap plan.
+func (r *Replayer) commPlan(n, pSrc, pDst int) ([]simgrid.Transfer, error) {
 	key := commKey{n: n, pSrc: pSrc, pDst: pDst}
-	if m, ok := r.comms[key]; ok {
-		return m, nil
+	if plan, ok := r.comms[key]; ok {
+		return plan, nil
 	}
 	sd, err := redist.NewDist(n, pSrc)
 	if err != nil {
@@ -503,21 +648,17 @@ func (r *Replayer) commMatrix(n, pSrc, pDst int) ([][]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := redist.CommMatrix(sd, dd)
+	msgs, err := redist.Messages(sd, dd)
 	if err != nil {
 		return nil, err
 	}
-	full := make([][]float64, pSrc+pDst)
-	for i := range full {
-		full[i] = make([]float64, pSrc+pDst)
+	plan := make([]simgrid.Transfer, len(msgs))
+	for i, m := range msgs {
+		plan[i] = simgrid.Transfer{Src: m.Src, Dst: pSrc + m.Dst, Bytes: float64(m.Bytes)}
 	}
-	for i := 0; i < pSrc; i++ {
-		for j := 0; j < pDst; j++ {
-			full[i][pSrc+j] = float64(m[i][j])
-		}
-	}
-	r.comms[key] = full
-	return full, nil
+	r.grew(len(plan))
+	r.comms[key] = plan
+	return plan, nil
 }
 
 func (r *Replayer) taskName(id int) string {
