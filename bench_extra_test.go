@@ -165,14 +165,14 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 // empirical simulator on hypothetical 64-node clusters.
 func BenchmarkScalingStudy(b *testing.B) {
 	cfg := experiments.DefaultConfig()
-	rows, err := experiments.ScalingStudy(cfg, []int{32, 64})
+	rows, err := experiments.ScalingStudyCtx(context.Background(), cfg, []int{32, 64})
 	if err != nil {
 		b.Fatal(err)
 	}
 	printArtifact("scaling", func() { experiments.WriteScaling(os.Stdout, rows) })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ScalingStudy(cfg, []int{32, 64}); err != nil {
+		if _, err := experiments.ScalingStudyCtx(context.Background(), cfg, []int{32, 64}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -184,14 +184,14 @@ func BenchmarkScalingStudy(b *testing.B) {
 func BenchmarkNoiseSensitivity(b *testing.B) {
 	cfg := experiments.DefaultConfig()
 	sigmas := []float64{0, 0.03, 0.2}
-	rows, err := experiments.NoiseSensitivity(cfg, sigmas)
+	rows, err := experiments.NoiseSensitivityCtx(context.Background(), cfg, sigmas)
 	if err != nil {
 		b.Fatal(err)
 	}
 	printArtifact("sensitivity", func() { experiments.WriteSensitivity(os.Stdout, rows) })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.NoiseSensitivity(cfg, sigmas); err != nil {
+		if _, err := experiments.NoiseSensitivityCtx(context.Background(), cfg, sigmas); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -215,7 +215,7 @@ func BenchmarkStudySerialVsParallel(b *testing.B) {
 			cfg := experiments.DefaultConfig()
 			cfg.Parallelism = v.workers
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.NoiseSensitivity(cfg, sigmas); err != nil {
+				if _, err := experiments.NoiseSensitivityCtx(context.Background(), cfg, sigmas); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -448,14 +448,14 @@ func BenchmarkSeqMatMulBlocked(b *testing.B) {
 // cannot express host identity.
 func BenchmarkStragglerStudy(b *testing.B) {
 	cfg := experiments.DefaultConfig()
-	rows, err := experiments.StragglerStudy(cfg)
+	rows, err := experiments.StragglerStudyCtx(context.Background(), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	printArtifact("straggler", func() { experiments.WriteStraggler(os.Stdout, rows) })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.StragglerStudy(cfg); err != nil {
+		if _, err := experiments.StragglerStudyCtx(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -465,14 +465,14 @@ func BenchmarkStragglerStudy(b *testing.B) {
 // porting the case study to HCPA's original heterogeneous setting.
 func BenchmarkHeterogeneityStudy(b *testing.B) {
 	cfg := experiments.DefaultConfig()
-	rows, err := experiments.HeterogeneityStudy(cfg)
+	rows, err := experiments.HeterogeneityStudyCtx(context.Background(), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	printArtifact("hetero", func() { experiments.WriteHetero(os.Stdout, rows) })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.HeterogeneityStudy(cfg); err != nil {
+		if _, err := experiments.HeterogeneityStudyCtx(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -276,11 +276,11 @@ func runRobust(ctx context.Context, clients []*service.Client, addrs []string, c
 	}
 
 	start := time.Now()
-	status, err := clients[0].SubmitRobustness(ctx, robustSpec(cells, trials))
+	status, err := clients[0].Submit(ctx, "robustness", robustSpec(cells, trials))
 	if err != nil {
 		return summary{}, err
 	}
-	status, err = clients[0].WaitRobustness(ctx, status.ID, poll)
+	status, err = clients[0].Wait(ctx, "robustness", status.ID, poll)
 	if err != nil {
 		return summary{}, err
 	}
@@ -298,8 +298,8 @@ func runRobust(ctx context.Context, clients []*service.Client, addrs []string, c
 		}
 	}
 	if total == 0 {
-		// A monolithic (un-sharded) daemon ran the whole job as one unit;
-		// count the grid so rates stay comparable.
+		// An in-memory daemon (no store) runs the cells in process without
+		// the sharded-cell counter; count the grid so rates stay comparable.
 		total = cells
 	}
 	return summary{

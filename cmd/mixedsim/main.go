@@ -24,7 +24,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -33,11 +32,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/arrival"
-	"repro/internal/campaign"
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/robust"
 	"repro/internal/service"
 )
 
@@ -64,23 +60,23 @@ func main() {
 	cfg.ExpTrials = *trials
 	cfg.Parallelism = *parallel
 
+	// Each spec flag is named after the job family it runs.
+	specFlags := map[string]string{"campaign": *campaignPath, "robust": *robustPath, "arrival": *arrivalPath}
+	var family *service.Family
 	specs := 0
-	mode := ""
-	for flagName, path := range map[string]*string{
-		"-campaign": campaignPath, "-robust": robustPath, "-arrival": arrivalPath,
-	} {
-		if *path != "" {
+	for _, f := range service.Families(service.NewModelRegistry(cfg.Profile, cfg.Empirical), cfg.Parallelism) {
+		if specFlags[f.Name] != "" {
 			specs++
-			mode = flagName
+			family = f
 		}
 	}
 	if specs > 1 {
 		log.Fatal("-campaign, -robust and -arrival are mutually exclusive; pass one spec")
 	}
-	if specs == 1 {
+	if family != nil {
 		flag.Visit(func(f *flag.Flag) {
 			if f.Name == "experiment" || f.Name == "json" {
-				log.Fatalf("-%s is not supported in %s mode", f.Name, mode)
+				log.Fatalf("-%s is not supported in -%s mode", f.Name, family.Name)
 			}
 		})
 		var prog *obs.Progress
@@ -89,16 +85,7 @@ func main() {
 			stop := startTicker(prog)
 			defer stop()
 		}
-		var err error
-		switch mode {
-		case "-campaign":
-			err = runCampaign(*campaignPath, cfg, prog, os.Stdout)
-		case "-robust":
-			err = runRobust(*robustPath, cfg, prog, os.Stdout)
-		case "-arrival":
-			err = runArrival(*arrivalPath, cfg, prog, os.Stdout)
-		}
-		if err != nil {
+		if err := runSpec(family, specFlags[family.Name], cfg, prog, os.Stdout); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -183,95 +170,25 @@ func startTicker(prog *obs.Progress) (stop func()) {
 	}
 }
 
-// runCampaign loads a declarative what-if spec and sweeps it against a
-// fresh fit-once registry; the CLI flags supply the spec's seed defaults.
-func runCampaign(path string, cfg experiments.Config, prog *obs.Progress, w io.Writer) error {
+// runSpec loads one job family's spec — a what-if campaign, a robustness
+// study, an online-arrival scenario — and executes it against a fresh
+// fit-once registry: prepare, every cell, merge, exactly as a reprosrv job of
+// the family runs. The CLI flags supply the spec's seed and trial defaults.
+func runSpec(f *service.Family, path string, cfg experiments.Config, prog *obs.Progress, w io.Writer) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	var spec campaign.Spec
-	if err := json.Unmarshal(data, &spec); err != nil {
-		return fmt.Errorf("campaign spec %s: %w", path, err)
-	}
-	if spec.Seed == 0 {
-		spec.Seed = cfg.NoiseSeed
-	}
-	if spec.Workloads.IsEmpty() {
-		spec.Workloads.SuiteSeeds = []int64{cfg.SuiteSeed}
-	}
-	if spec.Trials == 0 && cfg.ExpTrials > 1 {
-		spec.Trials = cfg.ExpTrials
-	}
-	reg := service.NewModelRegistry(cfg.Profile, cfg.Empirical)
-	eng := campaign.Engine{Source: reg, Workers: cfg.Parallelism, Progress: prog}
-	res, err := eng.Run(context.Background(), spec)
+	plan, err := f.Prepare(data, service.Defaults{Seed: cfg.NoiseSeed, SuiteSeed: cfg.SuiteSeed, Trials: cfg.ExpTrials})
 	if err != nil {
 		return err
 	}
-	res.Write(w)
-	return nil
-}
-
-// runRobust loads a robustness spec (a campaign spec plus a "robustness"
-// axis) and executes the Monte Carlo winner-stability study against a fresh
-// fit-once registry; the CLI flags supply the spec's seed defaults.
-func runRobust(path string, cfg experiments.Config, prog *obs.Progress, w io.Writer) error {
-	data, err := os.ReadFile(path)
+	report, err := plan.Run(context.Background(), prog)
 	if err != nil {
 		return err
 	}
-	var spec robust.Spec
-	if err := json.Unmarshal(data, &spec); err != nil {
-		return fmt.Errorf("robustness spec %s: %w", path, err)
-	}
-	if spec.Seed == 0 {
-		spec.Seed = cfg.NoiseSeed
-	}
-	if spec.Workloads.IsEmpty() {
-		spec.Workloads.SuiteSeeds = []int64{cfg.SuiteSeed}
-	}
-	if spec.Trials == 0 && cfg.ExpTrials > 1 {
-		spec.Trials = cfg.ExpTrials
-	}
-	reg := service.NewModelRegistry(cfg.Profile, cfg.Empirical)
-	eng := robust.Engine{Source: reg, Workers: cfg.Parallelism, Progress: prog}
-	res, err := eng.Run(context.Background(), spec)
-	if err != nil {
-		return err
-	}
-	res.Write(w)
-	return nil
-}
-
-// runArrival loads an online-arrival spec and executes the scenario against
-// a fresh fit-once registry; the CLI flags supply the spec's seed defaults.
-func runArrival(path string, cfg experiments.Config, prog *obs.Progress, w io.Writer) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var spec arrival.Spec
-	if err := json.Unmarshal(data, &spec); err != nil {
-		return fmt.Errorf("arrival spec %s: %w", path, err)
-	}
-	if spec.Seed == 0 {
-		spec.Seed = cfg.NoiseSeed
-	}
-	if spec.Workloads.IsEmpty() {
-		spec.Workloads.SuiteSeeds = []int64{cfg.SuiteSeed}
-	}
-	if spec.Trials == 0 && cfg.ExpTrials > 1 {
-		spec.Trials = cfg.ExpTrials
-	}
-	reg := service.NewModelRegistry(cfg.Profile, cfg.Empirical)
-	eng := arrival.Engine{Source: reg, Workers: cfg.Parallelism, Progress: prog}
-	res, err := eng.Run(context.Background(), spec)
-	if err != nil {
-		return err
-	}
-	res.Write(w)
-	return nil
+	_, err = io.WriteString(w, report)
+	return err
 }
 
 func separator(w io.Writer) {

@@ -18,9 +18,9 @@
 // With -store-dir the daemon becomes a replica of a durable cluster: jobs
 // live in a WAL'd pool on disk (claimed by lease, reclaimed from crashed
 // replicas), fitted models persist across restarts, and any number of
-// replicas can share one store directory. Campaign and robustness jobs are
-// sharded at cell granularity across every replica on the store (disable
-// with -no-shard); the merged report is byte-identical either way. See
+// replicas can share one store directory. Campaign, robustness and arrival
+// jobs are sharded at cell granularity across every replica on the store;
+// the merged report is byte-identical to a single process's. See
 // docs/CLUSTER.md.
 //
 //	reprosrv -addr :8080 -store-dir /var/lib/repro -replica-id r1 -lease-ttl 10s
@@ -81,7 +81,6 @@ func main() {
 		storeDir    = flag.String("store-dir", "", "durable store directory: jobs and fitted models persist here and are shared with every replica on the same directory")
 		replicaID   = flag.String("replica-id", "", "this replica's lease-holder identity (default hostname-pid; requires -store-dir)")
 		leaseTTL    = flag.Duration("lease-ttl", 10*time.Second, "job lease duration; a replica silent this long loses its jobs to the reclaimer (requires -store-dir)")
-		noShard     = flag.Bool("no-shard", false, "run campaign/robustness jobs as monoliths instead of sharding their cells across replicas (requires -store-dir)")
 	)
 	flag.Parse()
 
@@ -104,8 +103,8 @@ func main() {
 	opts.Retain = *retain
 	opts.Logger = slog.New(handler)
 	opts.EnablePprof = *enablePprof
-	if *storeDir == "" && (*replicaID != "" || flagSet("lease-ttl") || *noShard) {
-		log.Fatal("-replica-id, -lease-ttl and -no-shard require -store-dir")
+	if *storeDir == "" && (*replicaID != "" || flagSet("lease-ttl")) {
+		log.Fatal("-replica-id and -lease-ttl require -store-dir")
 	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, store.Options{})
@@ -116,7 +115,6 @@ func main() {
 		opts.Store = st
 		opts.ReplicaID = *replicaID
 		opts.LeaseTTL = *leaseTTL
-		opts.NoShard = *noShard
 	}
 	svc := service.New(opts)
 	if *storeDir != "" {

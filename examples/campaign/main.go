@@ -51,7 +51,7 @@ func main() {
 		Models:     []string{"analytic", "empirical"},
 	}
 
-	job, err := client.SubmitCampaign(ctx, spec)
+	job, err := client.Submit(ctx, "campaigns", spec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func main() {
 		job.ID, job.Kind, len(spec.Platforms.Nodes), len(spec.Models))
 
 	start := time.Now()
-	done, err := client.WaitCampaign(ctx, job.ID, 200*time.Millisecond)
+	done, err := client.Wait(ctx, "campaigns", job.ID, 200*time.Millisecond)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -179,16 +179,11 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.Progress.AddCellsTotal(int64(p.NumCells()))
-	cells := make([]CellJobs, p.NumCells())
-	for i := range cells {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if cells[i], err = e.RunCellIndex(ctx, p, i); err != nil {
-			return nil, err
-		}
-		e.Progress.AddCellsDone(1)
+	cells, err := experiments.CellsInOrder(ctx, e.Progress, p.NumCells(), func(i int) (CellJobs, error) {
+		return e.RunCellIndex(ctx, p, i)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return Merge(p, cells)
 }

@@ -119,22 +119,12 @@ type CellRaw struct {
 type Result struct {
 	Plan  *Plan
 	Cells []CellScore
-	// FitsReused counts the runs served without a fresh fitting campaign —
-	// the fit-once/reuse-many economics of the sweep. Each cell resolves
-	// its model once and amortizes it over the cell's algorithm runs, so a
-	// cell contributes len(algorithms) reused runs when its lookup hit the
-	// registry cache and len(algorithms)-1 when it missed (the remaining
-	// runs share the batched resolution). It reflects the registry's state
-	// when the campaign ran and is deliberately kept out of the rendered
-	// report.
-	FitsReused int
 }
 
 // resolvePlan canonicalises a freshly expanded plan against the base
 // environment and registers every derived platform with the model source.
-// Both the monolithic Run and the sharded Prepare path flow through it, so
-// every replica resolves a spec to the identical canonical plan — the
-// precondition for byte-identical sharded reports.
+// Every replica resolves a spec to the identical canonical plan through it —
+// the precondition for byte-identical sharded reports.
 func (e *Engine) resolvePlan(plan *Plan) error {
 	if e.Source == nil {
 		return fmt.Errorf("campaign: engine has no model source")
@@ -173,67 +163,21 @@ func (e *Engine) resolvePlan(plan *Plan) error {
 	return nil
 }
 
-// Run expands, validates and executes a campaign.
+// Run expands, validates and executes a campaign: Prepare, every cell in
+// plan order, Merge — the same three steps a sharded execution spreads over
+// replicas, so the two cannot disagree.
 func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
-	plan, err := spec.Plan()
+	p, err := e.Prepare(spec)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.resolvePlan(plan); err != nil {
+	cells, err := experiments.CellsInOrder(ctx, e.Progress, p.NumCells(), func(i int) (CellScore, error) {
+		return e.RunCellIndex(ctx, p, i)
+	})
+	if err != nil {
 		return nil, err
 	}
-
-	e.Progress.AddCellsTotal(int64(len(plan.Platforms) * len(plan.Workloads) * len(plan.Models)))
-	res := &Result{Plan: plan}
-	for _, pt := range plan.Platforms {
-		truth, err := e.Source.Environment(pt.Env)
-		if err != nil {
-			return nil, err
-		}
-		em, err := cluster.NewEmulator(truth, plan.Spec.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: platform %s: %w", pt.Env, err)
-		}
-		net, err := simgrid.NewNet(truth.Cluster)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: platform %s: %w", pt.Env, err)
-		}
-		for _, wp := range plan.Workloads {
-			suite, err := wp.Instances()
-			if err != nil {
-				return nil, err
-			}
-			if len(suite) == 0 {
-				return nil, fmt.Errorf("campaign: workload %s selects no suite instances", wp.Key())
-			}
-			for _, kind := range plan.Models {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				// One registry lookup per cell, amortized over the cell's
-				// algorithm runs: repeated cells (and repeated campaigns
-				// against the same registry) are cache hits, and the runs
-				// beyond the first share the batched resolution without
-				// touching the registry at all.
-				model, hit, err := e.Source.GetModel(pt.Env, kind, plan.Spec.Seed)
-				if err != nil {
-					return nil, fmt.Errorf("campaign: fit %s/%s: %w", pt.Env, kind, err)
-				}
-				res.FitsReused += len(plan.Algorithms) - 1
-				if hit {
-					res.FitsReused++
-				}
-				cell, err := e.runCell(ctx, plan, pt, wp, kind, truth, em, net, suite, model)
-				if err != nil {
-					return nil, err
-				}
-				res.Cells = append(res.Cells, cell)
-				cellsCompleted.Inc()
-				e.Progress.AddCellsDone(1)
-			}
-		}
-	}
-	return res, nil
+	return Merge(p, cells)
 }
 
 // runCell scores one grid cell: every suite instance is one engine cell

@@ -1,14 +1,14 @@
 package campaign
 
-// Sharded execution: the per-cell face of the engine. A coordinator calls
-// Prepare once to resolve the canonical plan, any replica executes single
-// cells by plan index with RunCellIndex, and Merge reassembles the cells —
-// in plan-index order — into a Result whose rendered report is byte-for-byte
-// identical to a monolithic Run of the same spec. The determinism argument:
-// noise sessions are pure functions of (seed, study, instance), so a fresh
-// per-cell emulator replays exactly the sessions the shared per-platform
-// emulator would hand out, and every cross-cell input (plan, models, suites)
-// is resolved identically by every replica through resolvePlan.
+// The per-cell face of the engine, and the only way it executes anything.
+// Prepare resolves the canonical plan once, RunCellIndex executes single
+// cells by plan index — in one process (Run) or on any replica of a cluster —
+// and Merge reassembles the cells, in plan-index order, into the Result. The
+// determinism argument: noise sessions are pure functions of (seed, study,
+// instance), so every cell's fresh emulator hands out the same sessions no
+// matter where or in which order the cell runs, and every cross-cell input
+// (plan, models, suites) is resolved identically by every replica through
+// resolvePlan.
 
 import (
 	"bytes"
@@ -25,9 +25,9 @@ type Prepared struct {
 	Plan *Plan
 }
 
-// Prepare expands and canonicalises a spec exactly as Run does, without
-// executing anything. Every replica preparing the same spec against an
-// equivalent model source resolves the identical plan.
+// Prepare expands and canonicalises a spec without executing anything. Every
+// replica preparing the same spec against an equivalent model source
+// resolves the identical plan.
 func (e *Engine) Prepare(spec Spec) (*Prepared, error) {
 	plan, err := spec.Plan()
 	if err != nil {
@@ -42,16 +42,18 @@ func (e *Engine) Prepare(spec Spec) (*Prepared, error) {
 // NumCells is the grid size — the number of shardable work-units.
 func (p *Prepared) NumCells() int { return p.Plan.Cells() }
 
-// CellPoint maps a plan index to its (platform, workload, model) coordinates
-// in the same platforms × workloads × models nesting Run iterates.
+// CellPoint maps a plan index to its (platform, workload, model) coordinates:
+// platforms outermost, then workloads, models varying fastest.
 func (p *Prepared) CellPoint(i int) (PlatformPoint, WorkloadPoint, string) {
 	nw, nm := len(p.Plan.Workloads), len(p.Plan.Models)
 	return p.Plan.Platforms[i/(nw*nm)], p.Plan.Workloads[(i/nm)%nw], p.Plan.Models[i%nm]
 }
 
-// RunCellIndex scores one grid cell of a prepared plan, byte-identically to
-// the same cell inside a monolithic Run. It is safe to call concurrently and
-// from different replicas for different indices.
+// RunCellIndex scores one grid cell of a prepared plan; the outcome depends
+// only on (plan, i). It is safe to call concurrently and from different
+// replicas for different indices. The registry lookup is one per cell,
+// amortized over the cell's algorithm runs: repeated cells (and repeated
+// campaigns against the same registry) are cache hits.
 func (e *Engine) RunCellIndex(ctx context.Context, p *Prepared, i int) (CellScore, error) {
 	if i < 0 || i >= p.NumCells() {
 		return CellScore{}, fmt.Errorf("campaign: cell index %d out of range [0,%d)", i, p.NumCells())
@@ -88,10 +90,7 @@ func (e *Engine) RunCellIndex(ctx context.Context, p *Prepared, i int) (CellScor
 	return cell, nil
 }
 
-// Merge assembles per-cell scores — in plan-index order — into the Result a
-// monolithic Run would have produced. FitsReused is deliberately zero: it
-// reflects registry state on whichever replica ran each cell and is never
-// rendered.
+// Merge assembles per-cell scores — in plan-index order — into the Result.
 func Merge(p *Prepared, cells []CellScore) (*Result, error) {
 	if len(cells) != p.NumCells() {
 		return nil, fmt.Errorf("campaign: merge got %d cells, plan has %d", len(cells), p.NumCells())

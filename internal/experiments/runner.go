@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 )
 
 // This file is the concurrent study-execution engine. Every study in this
@@ -43,6 +44,28 @@ func CellSeed(noiseSeed int64, study string, cell int) int64 {
 	binary.LittleEndian.PutUint64(buf[:], uint64(cell))
 	h.Write(buf[:])
 	return int64(h.Sum64())
+}
+
+// CellsInOrder runs fn(0) … fn(n-1) one after the other and returns their
+// results in index order — the in-process middle step of a job family's
+// prepare → cells → merge, whose cells fan out over the worker pool
+// themselves. Cancellation is checked between cells, the first failing cell
+// aborts the run, and prog (nil is fine) receives n as the cell total and one
+// done cell per result.
+func CellsInOrder[C any](ctx context.Context, prog *obs.Progress, n int, fn func(cell int) (C, error)) ([]C, error) {
+	prog.AddCellsTotal(int64(n))
+	cells := make([]C, n)
+	for i := range cells {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		var err error
+		if cells[i], err = fn(i); err != nil {
+			return nil, err
+		}
+		prog.AddCellsDone(1)
+	}
+	return cells, nil
 }
 
 // ForEachCell runs fn(0) … fn(n-1) on at most workers goroutines

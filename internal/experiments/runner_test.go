@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestForEachCellCoversAllCells(t *testing.T) {
@@ -223,12 +225,12 @@ func TestStandaloneStudyDeterminism(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Parallelism = workers
 		var buf bytes.Buffer
-		sens, err := NoiseSensitivity(cfg, []float64{0, 0.03})
+		sens, err := NoiseSensitivityCtx(context.Background(), cfg, []float64{0, 0.03})
 		if err != nil {
 			t.Fatal(err)
 		}
 		WriteSensitivity(&buf, sens)
-		envs, err := EnvironmentStudy(cfg)
+		envs, err := EnvironmentStudyCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,5 +240,42 @@ func TestStandaloneStudyDeterminism(t *testing.T) {
 	if !bytes.Equal(transcripts[0], transcripts[1]) {
 		t.Errorf("standalone study transcripts differ between workers=1 and workers=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s",
 			transcripts[0], transcripts[1])
+	}
+}
+
+// TestCellsInOrder pins the sequential cell loop every job family's
+// in-process run goes through: results in index order, n/n progress, the
+// first failing cell aborts, and cancellation is honoured between cells.
+func TestCellsInOrder(t *testing.T) {
+	prog := &obs.Progress{}
+	cells, err := CellsInOrder(context.Background(), prog, 4, func(i int) (int, error) { return i * i, nil })
+	if err != nil || fmt.Sprint(cells) != "[0 1 4 9]" {
+		t.Fatalf("cells = %v, err = %v", cells, err)
+	}
+	if snap := prog.Snapshot(); snap.CellsDone != 4 || snap.CellsTotal != 4 {
+		t.Errorf("progress = %+v, want 4/4", snap)
+	}
+
+	boom := errors.New("boom")
+	ran := 0
+	_, err = CellsInOrder(context.Background(), nil, 4, func(i int) (int, error) {
+		ran++
+		if i == 1 {
+			return 0, boom
+		}
+		return i, nil
+	})
+	if !errors.Is(err, boom) || ran != 2 {
+		t.Errorf("failing cell 1: err = %v after %d cells, want boom after 2", err, ran)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	prog = &obs.Progress{}
+	_, err = CellsInOrder(ctx, prog, 4, func(i int) (int, error) {
+		cancel()
+		return i, nil
+	})
+	if !errors.Is(err, context.Canceled) || prog.Snapshot().CellsDone != 1 {
+		t.Errorf("cancelled after cell 0: err = %v, progress = %+v", err, prog.Snapshot())
 	}
 }

@@ -240,19 +240,13 @@ type ScalingRow struct {
 	MedianErrPct float64
 }
 
-// ScalingStudy instantiates hypothetical clusters by scaling the Bayreuth
+// ScalingStudyCtx instantiates hypothetical clusters by scaling the Bayreuth
 // environment to the given node counts, fits an empirical model on each
 // (sparse measurements only, per §VII) and scores it over the suite — the
 // §IX scenario of simulating platforms one does not have. The sparse
 // campaign runs serially (it models one operator probing one cluster); the
-// suite scoring runs on the cell engine.
-func ScalingStudy(cfg Config, nodeCounts []int) ([]ScalingRow, error) {
-	return ScalingStudyCtx(context.Background(), cfg, nodeCounts)
-}
-
-// ScalingStudyCtx is ScalingStudy with cancellation: ctx aborts both the
-// per-size sparse campaigns (between sizes) and the suite scoring (between
-// cells).
+// suite scoring runs on the cell engine. ctx aborts both the per-size sparse
+// campaigns (between sizes) and the suite scoring (between cells).
 func ScalingStudyCtx(ctx context.Context, cfg Config, nodeCounts []int) ([]ScalingRow, error) {
 	var rows []ScalingRow
 	for _, nodes := range nodeCounts {
@@ -310,18 +304,14 @@ type HeteroRow struct {
 	MedianErrPct float64
 }
 
-// HeterogeneityStudy ports the case study to HCPA's original setting [12]:
+// HeterogeneityStudyCtx ports the case study to HCPA's original setting [12]:
 // a cluster whose nodes split into two speed classes (half at the reference
 // 250 MFlop/s, half at twice that). Allocation phases reason on the
 // reference cluster (HCPA's normalisation), the heterogeneous mapping phase
 // trades node speed against availability, and the emulated environment
 // runs each task at its slowest assigned node's pace. The analytic and
-// profile simulators are scored exactly as in Figures 1/5.
-func HeterogeneityStudy(cfg Config) ([]HeteroRow, error) {
-	return HeterogeneityStudyCtx(context.Background(), cfg)
-}
-
-// HeterogeneityStudyCtx is HeterogeneityStudy with cancellation.
+// profile simulators are scored exactly as in Figures 1/5. ctx aborts the
+// scoring between cells.
 func HeterogeneityStudyCtx(ctx context.Context, cfg Config) ([]HeteroRow, error) {
 	powers := make([]float64, 32)
 	for i := range powers {
@@ -395,17 +385,13 @@ type StragglerRow struct {
 	MaxErrPct    float64
 }
 
-// StragglerStudy exposes a limit of the paper's methodology: the §VI
+// StragglerStudyCtx exposes a limit of the paper's methodology: the §VI
 // profiling campaign measures per processor *count*, never per processor
 // *identity*, so a single degraded node — common on real clusters — is
 // invisible to both the profile and the empirical model. The study scores
 // the profile simulator on a healthy environment and on one whose node 13
-// runs 3× slower, using the same measurement methodology on each.
-func StragglerStudy(cfg Config) ([]StragglerRow, error) {
-	return StragglerStudyCtx(context.Background(), cfg)
-}
-
-// StragglerStudyCtx is StragglerStudy with cancellation.
+// runs 3× slower, using the same measurement methodology on each. ctx aborts
+// the scoring between cells.
 func StragglerStudyCtx(ctx context.Context, cfg Config) ([]StragglerRow, error) {
 	suite, err := dag.GenerateSuite(cfg.SuiteSeed)
 	if err != nil {
@@ -480,17 +466,12 @@ type EnvironmentRow struct {
 	KendallTau   float64
 }
 
-// EnvironmentStudy scores the purely analytic simulator against two
+// EnvironmentStudyCtx scores the purely analytic simulator against two
 // environments: the paper's Bayreuth/TGrid stand-in, and a tuned "modern"
 // runtime (native kernels near the calibrated rate, millisecond spawning).
 // It quantifies §IX's conjecture that the findings are driven by the
 // environment's idiosyncrasies: on the tuned environment the analytic
-// simulator becomes nearly sound.
-func EnvironmentStudy(cfg Config) ([]EnvironmentRow, error) {
-	return EnvironmentStudyCtx(context.Background(), cfg)
-}
-
-// EnvironmentStudyCtx is EnvironmentStudy with cancellation.
+// simulator becomes nearly sound. ctx aborts the scoring between cells.
 func EnvironmentStudyCtx(ctx context.Context, cfg Config) ([]EnvironmentRow, error) {
 	suite, err := dag.GenerateSuite(cfg.SuiteSeed)
 	if err != nil {
@@ -558,17 +539,13 @@ type SensitivityRow struct {
 	KendallTau   float64
 }
 
-// NoiseSensitivity re-runs the Figure 1 comparison (analytic simulator vs
+// NoiseSensitivityCtx re-runs the Figure 1 comparison (analytic simulator vs
 // experiment) under environments with different run-to-run noise levels,
 // separating the structural part of the analytic simulator's
 // winner-mispredictions (missing overheads, wrong task times) from the part
 // caused by measurement noise on near-ties. The paper ran each schedule
-// once on a real machine, so its counts include both components.
-func NoiseSensitivity(cfg Config, sigmas []float64) ([]SensitivityRow, error) {
-	return NoiseSensitivityCtx(context.Background(), cfg, sigmas)
-}
-
-// NoiseSensitivityCtx is NoiseSensitivity with cancellation.
+// once on a real machine, so its counts include both components. ctx aborts
+// the scoring between cells.
 func NoiseSensitivityCtx(ctx context.Context, cfg Config, sigmas []float64) ([]SensitivityRow, error) {
 	suite, err := dag.GenerateSuite(cfg.SuiteSeed)
 	if err != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -57,7 +58,7 @@ func TestAblationMonotonicity(t *testing.T) {
 }
 
 func TestStragglerStudyExposesLimit(t *testing.T) {
-	rows, err := StragglerStudy(DefaultConfig())
+	rows, err := StragglerStudyCtx(context.Background(), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestStragglerStudyExposesLimit(t *testing.T) {
 }
 
 func TestHeterogeneityStudy(t *testing.T) {
-	rows, err := HeterogeneityStudy(DefaultConfig())
+	rows, err := HeterogeneityStudyCtx(context.Background(), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestHeterogeneityStudy(t *testing.T) {
 }
 
 func TestEnvironmentStudy(t *testing.T) {
-	rows, err := EnvironmentStudy(DefaultConfig())
+	rows, err := EnvironmentStudyCtx(context.Background(), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestEnvironmentStudy(t *testing.T) {
 
 func TestNoiseSensitivity(t *testing.T) {
 	cfg := DefaultConfig()
-	rows, err := NoiseSensitivity(cfg, []float64{0, 0.2})
+	rows, err := NoiseSensitivityCtx(context.Background(), cfg, []float64{0, 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestShapeStudy(t *testing.T) {
 
 func TestScalingStudy(t *testing.T) {
 	cfg := DefaultConfig()
-	rows, err := ScalingStudy(cfg, []int{32, 64})
+	rows, err := ScalingStudyCtx(context.Background(), cfg, []int{32, 64})
 	if err != nil {
 		t.Fatal(err)
 	}

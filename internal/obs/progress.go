@@ -18,9 +18,9 @@ type Progress struct {
 }
 
 // ProgressSnapshot is one consistent-enough read of a Progress, the
-// "progress" object of GET /v1/jobs/{id}. Cells count grid cells (base
-// campaign plus, for robustness studies, the Monte Carlo stage's cells);
-// trials count Monte Carlo perturbation draws against their budget.
+// "progress" object of GET /v1/jobs/{id}. Cells count the job plan's cells —
+// cells_total is its NumCells, whichever backend runs it; trials count Monte
+// Carlo perturbation draws against their budget.
 type ProgressSnapshot struct {
 	CellsDone   int64 `json:"cells_done"`
 	CellsTotal  int64 `json:"cells_total"`

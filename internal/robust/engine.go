@@ -48,12 +48,13 @@ var (
 // fragileLimit caps the per-pair "most fragile instances" table.
 const fragileLimit = 10
 
-// Engine executes robustness plans: it runs the base campaign first (with
-// per-instance makespans and schedules retained), then replays every grid
-// cell through the Monte Carlo stage — R seeded perturbation draws per noise
-// level, each re-scheduling and re-simulating all axis algorithms under a
-// perturbed model and platform — and aggregates winner-stability statistics
-// against the base simulated winners.
+// Engine executes robustness plans cell by cell: each grid cell is scored as
+// its base campaign cell (with per-instance makespans and schedules retained
+// only until the cell is done), then put through the Monte Carlo stage — R
+// seeded perturbation draws per noise level, each re-scheduling and
+// re-simulating all axis algorithms under a perturbed model and platform —
+// and aggregated into winner-stability statistics against the base simulated
+// winners.
 //
 // The trial loop is allocation-free at steady state: schedules are built in
 // pooled scratch storage (sched.Scratch), every simulation is a schedule
@@ -70,20 +71,14 @@ type Engine struct {
 	// Workers bounds the per-instance worker pool (<= 0: one per CPU).
 	// Reports are byte-identical for every value.
 	Workers int
-	// Progress, when non-nil, receives live cell and trial counts: the base
-	// campaign's cells plus one cell per Monte Carlo stabilisation, and the
-	// trial budget versus trials actually drawn. It is write-only — the
-	// engine never reads it back, so attaching one cannot change any result.
+	// Progress, when non-nil, receives live cell and trial counts: the grid's
+	// cells (a cell is done once scored and stabilised), and the trial budget
+	// versus trials actually drawn. It is write-only — the engine never reads
+	// it back, so attaching one cannot change any result.
 	Progress *obs.Progress
 	// runners pools per-worker trial state (scheduling scratches, replayers,
 	// makespan buffers) across cells and instances.
 	runners sync.Pool
-
-	// cellOnce/cellCamp lazily build the inner campaign engine the sharded
-	// per-cell path (RunCellIndex) scores base cells with, so its scratch
-	// pool persists across the cells one replica executes.
-	cellOnce sync.Once
-	cellCamp *campaign.Engine
 }
 
 // Result is a completed robustness study: the base campaign result plus one
@@ -164,69 +159,21 @@ type InstanceStability struct {
 	Critical float64
 }
 
-// Run expands, validates and executes a robustness study.
+// Run expands, validates and executes a robustness study: Prepare, every
+// cell in plan order, Merge — the same three steps a sharded execution
+// spreads over replicas, so the two cannot disagree.
 func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
-	plan, err := spec.Plan()
+	p, err := e.Prepare(spec)
 	if err != nil {
 		return nil, err
 	}
-	if e.Source == nil {
-		return nil, fmt.Errorf("robust: engine has no model source")
-	}
-	trials := plan.Spec.Robustness.Trials
-	ceng := campaign.Engine{Source: e.Source, Workers: e.Workers, KeepRaw: trials > 0, KeepSchedules: trials > 0, Progress: e.Progress}
-	base, err := ceng.Run(ctx, plan.Spec.Spec)
+	cells, err := experiments.CellsInOrder(ctx, e.Progress, p.NumCells(), func(i int) (CellResult, error) {
+		return e.RunCellIndex(ctx, p, i, e.Progress)
+	})
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Plan: plan, Base: base}
-	if trials == 0 {
-		return res, nil
-	}
-	// The Monte Carlo stage revisits every base cell once more.
-	e.Progress.AddCellsTotal(int64(len(base.Cells)))
-
-	// Walk the campaign's (possibly canonicalised) plan in the same nested
-	// order the campaign engine emitted its cells, so base.Cells[ci] is
-	// always the cell being stabilised.
-	cp := base.Plan
-	ci := 0
-	for _, pt := range cp.Platforms {
-		truth, err := e.Source.Environment(pt.Env)
-		if err != nil {
-			return nil, err
-		}
-		platNet, err := simgrid.NewNet(truth.Cluster)
-		if err != nil {
-			return nil, fmt.Errorf("robust: platform %s: %w", pt.Env, err)
-		}
-		for _, wp := range cp.Workloads {
-			suite, err := wp.Instances()
-			if err != nil {
-				return nil, err
-			}
-			for _, kind := range cp.Models {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				// The base campaign already resolved this fit; the lookup is
-				// a cache hit returning the identical model value.
-				model, _, err := e.Source.GetModel(pt.Env, kind, cp.Spec.Seed)
-				if err != nil {
-					return nil, fmt.Errorf("robust: fit %s/%s: %w", pt.Env, kind, err)
-				}
-				cell, err := e.stabilizeCell(ctx, plan, cp, pt, wp, kind, truth, platNet, suite, model, &base.Cells[ci], e.Progress)
-				if err != nil {
-					return nil, err
-				}
-				res.Cells = append(res.Cells, cell)
-				robustCellsCompleted.Inc()
-				e.Progress.AddCellsDone(1)
-				ci++
-			}
-		}
-	}
-	return res, nil
+	return Merge(p, cells)
 }
 
 // trialSetup is one prepared perturbation draw: the perturbed model wrapped
@@ -299,8 +246,8 @@ func drawPerturbation(rng *rand.Rand, n Noise, level float64) perturbationDraw {
 // sequential stopping enabled, each (instance, level) stops drawing trials
 // once every pair's flip probability is decided against the flip threshold
 // by its Wilson interval (after MinTrials, within the Trials budget).
-// Trial counts flow through prog — the engine's own Progress on the
-// monolithic path, a per-cell progress on the sharded one.
+// Trial counts flow through prog — the engine's own Progress under Run, a
+// per-cell record when a cluster runs the cell.
 func (e *Engine) stabilizeCell(ctx context.Context, plan *Plan, cp *campaign.Plan,
 	pt campaign.PlatformPoint, wp campaign.WorkloadPoint, kind string,
 	truth *cluster.Hidden, platNet *simgrid.Net, suite []dag.SuiteInstance,

@@ -1,11 +1,11 @@
 package robust
 
-// Sharded execution: the per-cell face of the robustness engine, mirroring
-// campaign's. One cell = the base campaign scoring of one grid cell plus its
-// Monte Carlo stabilisation — the Raw retention that stabilizeCell needs
-// never has to leave the replica that scored the cell, which is what makes
-// cell-granular sharding cheap: result frames carry only the aggregated
-// scores and stability records.
+// The per-cell face of the robustness engine, mirroring campaign's, and the
+// only way it executes anything. One cell = the base campaign scoring of one
+// grid cell plus its Monte Carlo stabilisation — the Raw retention that
+// stabilizeCell needs never outlives the cell or leaves the replica that
+// scored it, which is what makes cell-granular sharding cheap: result frames
+// carry only the aggregated scores and stability records.
 
 import (
 	"bytes"
@@ -24,8 +24,7 @@ type Prepared struct {
 	Camp *campaign.Prepared
 }
 
-// Prepare expands and canonicalises a spec exactly as Run does, without
-// executing anything.
+// Prepare expands and canonicalises a spec without executing anything.
 func (e *Engine) Prepare(spec Spec) (*Prepared, error) {
 	plan, err := spec.Plan()
 	if err != nil {
@@ -34,7 +33,7 @@ func (e *Engine) Prepare(spec Spec) (*Prepared, error) {
 	if e.Source == nil {
 		return nil, fmt.Errorf("robust: engine has no model source")
 	}
-	camp, err := e.cellEngine().Prepare(plan.Spec.Spec)
+	camp, err := e.cellEngine(false).Prepare(plan.Spec.Spec)
 	if err != nil {
 		return nil, err
 	}
@@ -44,17 +43,14 @@ func (e *Engine) Prepare(spec Spec) (*Prepared, error) {
 // NumCells is the grid size — the number of shardable work-units.
 func (p *Prepared) NumCells() int { return p.Camp.NumCells() }
 
-// cellEngine is the inner campaign engine for per-cell scoring. Raw data and
-// schedules are always retained — stabilisation consumes them in-process —
-// and stripped before a cell result is encoded.
-func (e *Engine) cellEngine() *campaign.Engine {
-	e.cellOnce.Do(func() {
-		e.cellCamp = &campaign.Engine{Source: e.Source, Workers: e.Workers, KeepRaw: true, KeepSchedules: true}
-	})
-	return e.cellCamp
+// cellEngine is the inner campaign engine for per-cell scoring. With keep it
+// retains the cell's raw makespans and schedules — stabilisation consumes
+// them in-process — which are stripped before the cell result is returned.
+func (e *Engine) cellEngine(keep bool) *campaign.Engine {
+	return &campaign.Engine{Source: e.Source, Workers: e.Workers, KeepRaw: keep, KeepSchedules: keep}
 }
 
-// CellResult is one sharded cell's complete outcome: the base campaign score
+// CellResult is one cell's complete outcome: the base campaign score
 // (Raw stripped) plus, when the spec draws trials, its stability record.
 type CellResult struct {
 	Score campaign.CellScore
@@ -63,16 +59,16 @@ type CellResult struct {
 	HasStab bool
 }
 
-// RunCellIndex scores and stabilises one grid cell, byte-identically to the
-// same cell inside a monolithic Run. Trial counts flow through prog (nil is
-// fine), so cross-replica job progress can aggregate per-cell snapshots.
+// RunCellIndex scores and stabilises one grid cell; the outcome depends only
+// on (plan, i). Trial counts flow through prog (nil is fine), so
+// cross-replica job progress can aggregate per-cell snapshots.
 func (e *Engine) RunCellIndex(ctx context.Context, p *Prepared, i int, prog *obs.Progress) (CellResult, error) {
-	score, err := e.cellEngine().RunCellIndex(ctx, p.Camp, i)
+	trials := p.Plan.Spec.Robustness.Trials
+	score, err := e.cellEngine(trials > 0).RunCellIndex(ctx, p.Camp, i)
 	if err != nil {
 		return CellResult{}, err
 	}
-	if p.Plan.Spec.Robustness.Trials == 0 {
-		score.Raw = nil
+	if trials == 0 {
 		return CellResult{Score: score}, nil
 	}
 	cp := p.Camp.Plan
@@ -102,8 +98,7 @@ func (e *Engine) RunCellIndex(ctx context.Context, p *Prepared, i int, prog *obs
 	return CellResult{Score: score, Stab: stab, HasStab: true}, nil
 }
 
-// Merge assembles per-cell results — in plan-index order — into the Result a
-// monolithic Run would have produced.
+// Merge assembles per-cell results — in plan-index order — into the Result.
 func Merge(p *Prepared, cells []CellResult) (*Result, error) {
 	if len(cells) != p.NumCells() {
 		return nil, fmt.Errorf("robust: merge got %d cells, plan has %d", len(cells), p.NumCells())

@@ -41,14 +41,14 @@ func TestHTTPArrivalEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	job, err := client.SubmitArrival(ctx, onlineSpec())
+	job, err := client.Submit(ctx, "arrivals", onlineSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if job.Kind != "arrival:online" {
 		t.Errorf("arrival job kind = %q, want arrival:online", job.Kind)
 	}
-	done, err := client.WaitArrival(ctx, job.ID, 10*time.Millisecond)
+	done, err := client.Wait(ctx, "arrivals", job.ID, 10*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,21 +69,21 @@ func TestHTTPArrivalEndToEnd(t *testing.T) {
 		}
 	}
 
-	scenarios, err := client.ArrivalJobs(ctx)
+	scenarios, err := client.List(ctx, "arrivals")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(scenarios) != 1 || scenarios[0].ID != job.ID {
 		t.Errorf("GET /v1/arrivals = %+v, want the submitted scenario", scenarios)
 	}
-	campaigns, err := client.Campaigns(ctx)
+	campaigns, err := client.List(ctx, "campaigns")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(campaigns) != 0 {
 		t.Errorf("arrival scenario leaked into GET /v1/campaigns: %+v", campaigns)
 	}
-	if _, err := client.Campaign(ctx, job.ID); err == nil {
+	if _, err := client.Get(ctx, "campaigns", job.ID); err == nil {
 		t.Error("GET /v1/campaigns/{arrival-id} should 404")
 	}
 }

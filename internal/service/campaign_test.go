@@ -36,14 +36,14 @@ func TestHTTPCampaignEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	job, err := client.SubmitCampaign(ctx, acceptanceSpec())
+	job, err := client.Submit(ctx, "campaigns", acceptanceSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(job.Kind, "campaign") {
 		t.Errorf("campaign job kind = %q", job.Kind)
 	}
-	done, err := client.WaitCampaign(ctx, job.ID, 10*time.Millisecond)
+	done, err := client.Wait(ctx, "campaigns", job.ID, 10*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestHTTPCampaignEndToEnd(t *testing.T) {
 
 	// The campaign listing shows it; the study-job listing does too (one
 	// shared queue), and campaign IDs resolve only on the campaign path.
-	campaigns, err := client.Campaigns(ctx)
+	campaigns, err := client.List(ctx, "campaigns")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,9 +128,12 @@ func TestHTTPCampaignBadSpecs(t *testing.T) {
 		{Platforms: campaign.PlatformAxis{Nodes: seqInts(33)}},            // axis too long
 		{Workloads: campaign.WorkloadAxis{Sizes: []int{1234}}},            // bad size filter
 		{Platforms: campaign.PlatformAxis{BandwidthScale: []float64{-1}}}, // bad scale
+		// Only resolving the plan against the base environment can see this
+		// one: 0 and 32 are the same 32-node platform twice.
+		{Platforms: campaign.PlatformAxis{Base: "bayreuth", Nodes: []int{0, 32}}},
 	}
 	for i, spec := range cases {
-		if _, err := client.SubmitCampaign(ctx, spec); err == nil {
+		if _, err := client.Submit(ctx, "campaigns", spec); err == nil {
 			t.Errorf("case %d: bad campaign spec accepted", i)
 		} else if !strings.Contains(err.Error(), "400") {
 			t.Errorf("case %d: err = %v, want HTTP 400", i, err)
@@ -142,7 +145,7 @@ func TestHTTPCampaignBadSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Campaign(ctx, study.ID); err == nil || !strings.Contains(err.Error(), "404") {
+	if _, err := client.Get(ctx, "campaigns", study.ID); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("study job served on the campaign path: err = %v, want 404", err)
 	}
 }

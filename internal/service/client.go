@@ -8,10 +8,6 @@ import (
 	"io"
 	"net/http"
 	"time"
-
-	"repro/internal/arrival"
-	"repro/internal/campaign"
-	"repro/internal/robust"
 )
 
 // Client is a typed HTTP client for a reprosrv daemon.
@@ -113,33 +109,6 @@ func (c *Client) SimulateBatch(ctx context.Context, req SimulateBatchRequest) (*
 	return &resp, nil
 }
 
-// SubmitStudy queues an async study run.
-func (c *Client) SubmitStudy(ctx context.Context, req StudyRequest) (*JobStatus, error) {
-	var status JobStatus
-	if err := c.do(ctx, http.MethodPost, "/v1/jobs", req, &status); err != nil {
-		return nil, err
-	}
-	return &status, nil
-}
-
-// Job polls one job by ID.
-func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
-	var status JobStatus
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &status); err != nil {
-		return nil, err
-	}
-	return &status, nil
-}
-
-// Jobs lists retained jobs.
-func (c *Client) Jobs(ctx context.Context) ([]JobStatus, error) {
-	var out []JobStatus
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Models lists the fitted-model registry contents.
 func (c *Client) Models(ctx context.Context) ([]ModelInfo, error) {
 	var out []ModelInfo
@@ -149,120 +118,52 @@ func (c *Client) Models(ctx context.Context) ([]ModelInfo, error) {
 	return out, nil
 }
 
-// SubmitCampaign submits a declarative what-if sweep.
-func (c *Client) SubmitCampaign(ctx context.Context, spec campaign.Spec) (*JobStatus, error) {
+// The job endpoints come as one triple per route noun under /v1/: "jobs"
+// (study runs; its read side serves jobs of every kind) and one per job
+// family — "campaigns", "robustness", "arrivals". Submit, Get, List and Wait
+// take the noun; the study wrappers below are their "jobs" instance.
+
+// Submit posts a spec to /v1/<route> and returns the queued job.
+func (c *Client) Submit(ctx context.Context, route string, spec any) (*JobStatus, error) {
 	var status JobStatus
-	if err := c.do(ctx, http.MethodPost, "/v1/campaigns", spec, &status); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/"+route, spec, &status); err != nil {
 		return nil, err
 	}
 	return &status, nil
 }
 
-// Campaign polls one campaign by ID.
-func (c *Client) Campaign(ctx context.Context, id string) (*JobStatus, error) {
+// Get polls one job by ID on /v1/<route>/{id}; a job the route does not
+// expose is a 404.
+func (c *Client) Get(ctx context.Context, route, id string) (*JobStatus, error) {
 	var status JobStatus
-	if err := c.do(ctx, http.MethodGet, "/v1/campaigns/"+id, nil, &status); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/"+route+"/"+id, nil, &status); err != nil {
 		return nil, err
 	}
 	return &status, nil
 }
 
-// Campaigns lists retained campaigns.
-func (c *Client) Campaigns(ctx context.Context) ([]JobStatus, error) {
+// List returns the retained jobs /v1/<route> exposes.
+func (c *Client) List(ctx context.Context, route string) ([]JobStatus, error) {
 	var out []JobStatus
-	if err := c.do(ctx, http.MethodGet, "/v1/campaigns", nil, &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/"+route, nil, &out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// SubmitRobustness submits a Monte Carlo winner-stability study.
-func (c *Client) SubmitRobustness(ctx context.Context, spec robust.Spec) (*JobStatus, error) {
-	var status JobStatus
-	if err := c.do(ctx, http.MethodPost, "/v1/robustness", spec, &status); err != nil {
-		return nil, err
-	}
-	return &status, nil
-}
-
-// Robustness polls one robustness study by ID.
-func (c *Client) Robustness(ctx context.Context, id string) (*JobStatus, error) {
-	var status JobStatus
-	if err := c.do(ctx, http.MethodGet, "/v1/robustness/"+id, nil, &status); err != nil {
-		return nil, err
-	}
-	return &status, nil
-}
-
-// RobustnessJobs lists retained robustness studies.
-func (c *Client) RobustnessJobs(ctx context.Context) ([]JobStatus, error) {
-	var out []JobStatus
-	if err := c.do(ctx, http.MethodGet, "/v1/robustness", nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SubmitArrival submits an online-arrival scenario.
-func (c *Client) SubmitArrival(ctx context.Context, spec arrival.Spec) (*JobStatus, error) {
-	var status JobStatus
-	if err := c.do(ctx, http.MethodPost, "/v1/arrivals", spec, &status); err != nil {
-		return nil, err
-	}
-	return &status, nil
-}
-
-// Arrival polls one arrival scenario by ID.
-func (c *Client) Arrival(ctx context.Context, id string) (*JobStatus, error) {
-	var status JobStatus
-	if err := c.do(ctx, http.MethodGet, "/v1/arrivals/"+id, nil, &status); err != nil {
-		return nil, err
-	}
-	return &status, nil
-}
-
-// ArrivalJobs lists retained arrival scenarios.
-func (c *Client) ArrivalJobs(ctx context.Context) ([]JobStatus, error) {
-	var out []JobStatus
-	if err := c.do(ctx, http.MethodGet, "/v1/arrivals", nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// WaitJob polls a job until it leaves the queued/running states, ctx
-// expires, or the server becomes unreachable. The job must stay within the
-// server's retention window (-retain) while being waited on: if enough
-// other jobs finish to evict it between polls, WaitJob reports a 404 even
+// Wait polls a job on /v1/<route>/{id} until it leaves the queued/running
+// states, ctx expires, or the server becomes unreachable. The job must stay
+// within the server's retention window (-retain) while being waited on: if
+// enough other jobs finish to evict it between polls, Wait reports a 404 even
 // though the job completed.
-func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*JobStatus, error) {
-	return c.wait(ctx, poll, func() (*JobStatus, error) { return c.Job(ctx, id) })
-}
-
-// WaitCampaign is WaitJob over /v1/campaigns/{id}.
-func (c *Client) WaitCampaign(ctx context.Context, id string, poll time.Duration) (*JobStatus, error) {
-	return c.wait(ctx, poll, func() (*JobStatus, error) { return c.Campaign(ctx, id) })
-}
-
-// WaitRobustness is WaitJob over /v1/robustness/{id}.
-func (c *Client) WaitRobustness(ctx context.Context, id string, poll time.Duration) (*JobStatus, error) {
-	return c.wait(ctx, poll, func() (*JobStatus, error) { return c.Robustness(ctx, id) })
-}
-
-// WaitArrival is WaitJob over /v1/arrivals/{id}.
-func (c *Client) WaitArrival(ctx context.Context, id string, poll time.Duration) (*JobStatus, error) {
-	return c.wait(ctx, poll, func() (*JobStatus, error) { return c.Arrival(ctx, id) })
-}
-
-// wait polls fetch until the status leaves the queued/running states.
-func (c *Client) wait(ctx context.Context, poll time.Duration, fetch func() (*JobStatus, error)) (*JobStatus, error) {
+func (c *Client) Wait(ctx context.Context, route, id string, poll time.Duration) (*JobStatus, error) {
 	if poll <= 0 {
 		poll = 50 * time.Millisecond
 	}
 	ticker := time.NewTicker(poll)
 	defer ticker.Stop()
 	for {
-		status, err := fetch()
+		status, err := c.Get(ctx, route, id)
 		if err != nil {
 			return nil, err
 		}
@@ -275,4 +176,22 @@ func (c *Client) wait(ctx context.Context, poll time.Duration, fetch func() (*Jo
 		case <-ticker.C:
 		}
 	}
+}
+
+// SubmitStudy queues an async study run.
+func (c *Client) SubmitStudy(ctx context.Context, req StudyRequest) (*JobStatus, error) {
+	return c.Submit(ctx, "jobs", req)
+}
+
+// Job polls one job of any kind by ID.
+func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
+	return c.Get(ctx, "jobs", id)
+}
+
+// Jobs lists retained jobs of every kind.
+func (c *Client) Jobs(ctx context.Context) ([]JobStatus, error) { return c.List(ctx, "jobs") }
+
+// WaitJob is Wait on /v1/jobs/{id}.
+func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*JobStatus, error) {
+	return c.Wait(ctx, "jobs", id, poll)
 }

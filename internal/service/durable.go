@@ -23,24 +23,11 @@ import (
 // restarted from its payload on a surviving replica (deterministic work
 // makes the rerun's output identical to an uninterrupted one).
 
-// PayloadRunner materialises a durable job from its submission record. The
-// service installs a runner that dispatches on kind: campaign and
-// robustness kinds decode their specs, everything else is a study request.
-type PayloadRunner func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error)
-
-// ErrNotDurable is returned by SubmitPayload on a manager without a store.
-var ErrNotDurable = errors.New("service: job manager has no store")
-
 // durable holds the store-backed state of a JobManager.
 type durable struct {
 	st      *store.Store
 	replica string
 	ttl     time.Duration
-	runner  PayloadRunner
-	// cells, when non-nil, shards eligible jobs at cell granularity: the
-	// claiming replica becomes the coordinator and every replica's claim
-	// loops execute cells. Nil runs every job as a monolith.
-	cells CellRunner
 
 	// local tracks jobs running on this replica, so status reads overlay
 	// their live progress over the (renew-cadence) snapshots in the store.
@@ -74,11 +61,10 @@ var walCompactBytes = int64(256 << 10)
 // goroutines over the shared pool, retaining the last retain finished jobs
 // in the store across all replicas. The replica name is this process's
 // lease holder identity; ttl is the lease duration (renewed at ttl/3 while
-// a job runs).
-// When cells is non-nil, kinds it reports Shardable are planned into durable
-// cell work-units that every replica's claim loops cooperate on; nil keeps
-// every job monolithic.
-func NewDurableJobManager(workers, retain int, st *store.Store, replica string, ttl time.Duration, runner PayloadRunner, cells CellRunner) *JobManager {
+// a job runs). Kinds dispatch.Plan resolves are planned into durable cell
+// work-units that every replica's claim loops cooperate on; a nil Plan runs
+// every job whole through dispatch.Run.
+func NewDurableJobManager(workers, retain int, st *store.Store, replica string, ttl time.Duration, dispatch Dispatch) *JobManager {
 	if workers < 1 {
 		workers = 1
 	}
@@ -90,12 +76,13 @@ func NewDurableJobManager(workers, retain int, st *store.Store, replica string, 
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &JobManager{
-		ctx:    ctx,
-		cancel: cancel,
-		retain: retain,
-		jobs:   make(map[string]*job),
+		ctx:      ctx,
+		cancel:   cancel,
+		retain:   retain,
+		dispatch: dispatch,
+		jobs:     make(map[string]*job),
 		dur: &durable{
-			st: st, replica: replica, ttl: ttl, runner: runner, cells: cells,
+			st: st, replica: replica, ttl: ttl,
 			local: make(map[string]*obs.Progress),
 		},
 	}
@@ -117,11 +104,8 @@ func (m *JobManager) Replica() string {
 	return m.dur.replica
 }
 
-// SubmitPayload appends a job to the shared pool. Durable managers only.
-func (m *JobManager) SubmitPayload(kind string, payload json.RawMessage) (JobStatus, error) {
-	if m.dur == nil {
-		return JobStatus{}, ErrNotDurable
-	}
+// durableSubmit appends a job to the shared pool.
+func (m *JobManager) durableSubmit(kind string, payload json.RawMessage) (JobStatus, error) {
 	m.mu.Lock()
 	closed := m.closed
 	m.mu.Unlock()
@@ -179,7 +163,7 @@ func (m *JobManager) claimLoop() {
 			m.runDurable(rec)
 			continue
 		}
-		if m.dur.cells != nil && m.runCells(m.ctx, "") {
+		if m.dispatch.Plan != nil && m.runCells(m.ctx, "") {
 			continue
 		}
 		m.heartbeat()
@@ -275,15 +259,21 @@ func (m *JobManager) runDurable(rec store.JobRecord) {
 	started := time.Now()
 	var out string
 	var err error
-	if m.dur.cells != nil && m.dur.cells.Shardable(rec.Kind) {
-		out, err = m.runSharded(ctx, rec, prog)
-	} else {
-		out, err = m.dur.runner(ctx, rec.Kind, rec.Payload, prog)
+	var plan Plan
+	if m.dispatch.Plan != nil {
+		plan, err = m.dispatch.Plan(rec.Kind, rec.Payload)
+	}
+	switch {
+	case err != nil:
+	case plan != nil:
+		out, err = m.runSharded(ctx, rec, plan, prog)
+	default:
+		out, err = m.dispatch.Run(ctx, rec.Kind, rec.Payload, prog)
 	}
 	jobsRunning.Dec()
 	cancel()
 	<-renewDone
-	jobDuration(rec.Kind).Observe(time.Since(started).Seconds())
+	m.dispatch.observeDuration(rec.Kind, time.Since(started))
 
 	snap := prog.Snapshot()
 	switch {
@@ -310,13 +300,10 @@ func (m *JobManager) runDurable(rec store.JobRecord) {
 // workers executing them (every replica's claim loops pick cells up, this
 // one included), and once all cells are terminal gather the result frames
 // and merge them in plan order. Deterministic cells make the merged report
-// byte-identical to a monolithic run, regardless of which replicas executed
+// byte-identical to an in-process run, regardless of which replicas executed
 // which cells or how many times a cell was reclaimed.
-func (m *JobManager) runSharded(ctx context.Context, rec store.JobRecord, prog *obs.Progress) (string, error) {
-	n, err := m.dur.cells.CellCount(ctx, rec.Kind, rec.Payload)
-	if err != nil {
-		return "", err
-	}
+func (m *JobManager) runSharded(ctx context.Context, rec store.JobRecord, plan Plan, prog *obs.Progress) (string, error) {
+	n := plan.NumCells()
 	if err := m.dur.st.PlanCells(rec.ID, n); err != nil {
 		return "", err
 	}
@@ -378,7 +365,7 @@ func (m *JobManager) runSharded(ctx context.Context, rec store.JobRecord, prog *
 				if err != nil {
 					return "", err
 				}
-				return m.dur.cells.MergeCells(ctx, rec.Kind, rec.Payload, results)
+				return plan.Merge(results)
 			}
 		}
 		if !ran {
@@ -444,7 +431,15 @@ func (m *JobManager) runClaimedCell(ctx context.Context, cell store.CellRecord, 
 		}
 	}()
 
-	data, err := m.dur.cells.RunCell(cctx, job.Kind, job.Payload, cell.Index, prog)
+	var data []byte
+	plan, err := m.dispatch.Plan(job.Kind, job.Payload)
+	switch {
+	case err != nil:
+	case plan == nil: // a cell of a family this replica's table lacks
+		err = fmt.Errorf("service: kind %q is not shardable", job.Kind)
+	default:
+		data, err = plan.RunCell(cctx, cell.Index, prog)
+	}
 	cancel()
 	<-renewDone
 	snap := prog.Snapshot()

@@ -60,13 +60,13 @@ func TestDurableManagerRunsPayload(t *testing.T) {
 		prog.AddCellsDone(2)
 		return "ran " + kind + " with " + string(payload), nil
 	}
-	m := NewDurableJobManager(2, 8, st, "alpha", time.Second, runner, nil)
+	m := NewDurableJobManager(2, 8, st, "alpha", time.Second, Dispatch{Run: runner})
 	defer m.Shutdown(context.Background())
 
 	if !m.Durable() || m.Replica() != "alpha" {
 		t.Fatalf("Durable()=%v Replica()=%q", m.Durable(), m.Replica())
 	}
-	status, err := m.SubmitPayload("kind-x", json.RawMessage(`{"n":1}`))
+	status, err := m.SubmitPayload("kind-x", json.RawMessage(`{"n":1}`), false)
 	if err != nil {
 		t.Fatalf("SubmitPayload: %v", err)
 	}
@@ -101,10 +101,10 @@ func TestDurableManagerFailedJob(t *testing.T) {
 	runner := func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
 		return "", errors.New("deliberate failure")
 	}
-	m := NewDurableJobManager(1, 8, st, "alpha", time.Second, runner, nil)
+	m := NewDurableJobManager(1, 8, st, "alpha", time.Second, Dispatch{Run: runner})
 	defer m.Shutdown(context.Background())
 
-	status, err := m.SubmitPayload("bad", nil)
+	status, err := m.SubmitPayload("bad", nil, false)
 	if err != nil {
 		t.Fatalf("SubmitPayload: %v", err)
 	}
@@ -126,15 +126,15 @@ func TestDurableManagerTwoReplicasShareThePool(t *testing.T) {
 		time.Sleep(10 * time.Millisecond) // let the pool interleave
 		return "out:" + kind, nil
 	}
-	a := NewDurableJobManager(2, 32, stA, "alpha", time.Second, runner, nil)
+	a := NewDurableJobManager(2, 32, stA, "alpha", time.Second, Dispatch{Run: runner})
 	defer a.Shutdown(context.Background())
-	b := NewDurableJobManager(2, 32, stB, "beta", time.Second, runner, nil)
+	b := NewDurableJobManager(2, 32, stB, "beta", time.Second, Dispatch{Run: runner})
 	defer b.Shutdown(context.Background())
 
 	const jobs = 12
 	ids := make([]string, jobs)
 	for i := range ids {
-		status, err := a.SubmitPayload(fmt.Sprintf("job%02d", i), nil)
+		status, err := a.SubmitPayload(fmt.Sprintf("job%02d", i), nil, false)
 		if err != nil {
 			t.Fatalf("SubmitPayload: %v", err)
 		}
@@ -179,9 +179,9 @@ func TestDurableManagerReclaimsExpiredLease(t *testing.T) {
 
 	stLive := openServiceStore(t, dir)
 	m := NewDurableJobManager(1, 8, stLive, "live", time.Second,
-		func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
+		Dispatch{Run: func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
 			return "rescued", nil
-		}, nil)
+		}})
 	defer m.Shutdown(context.Background())
 
 	final := waitJobState(t, m, rec.ID, JobDone)
@@ -206,9 +206,9 @@ func TestDurableShutdownReleasesRunningJobs(t *testing.T) {
 		<-ctx.Done() // runs until shutdown cancels it
 		return "should not complete", ctx.Err()
 	}
-	a := NewDurableJobManager(1, 8, stA, "alpha", time.Second, blockingRunner, nil)
+	a := NewDurableJobManager(1, 8, stA, "alpha", time.Second, Dispatch{Run: blockingRunner})
 
-	status, err := a.SubmitPayload("long", nil)
+	status, err := a.SubmitPayload("long", nil, false)
 	if err != nil {
 		t.Fatalf("SubmitPayload: %v", err)
 	}
@@ -228,9 +228,9 @@ func TestDurableShutdownReleasesRunningJobs(t *testing.T) {
 
 	stB := openServiceStore(t, dir)
 	b := NewDurableJobManager(1, 8, stB, "beta", time.Second,
-		func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
+		Dispatch{Run: func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
 			return "finished elsewhere", nil
-		}, nil)
+		}})
 	defer b.Shutdown(context.Background())
 	final := waitJobState(t, b, status.ID, JobDone)
 	if final.Output != "finished elsewhere" || final.Replica != "beta" {
@@ -250,14 +250,14 @@ func TestDurableRetentionCompactsStore(t *testing.T) {
 	dir := t.TempDir()
 	st := openServiceStore(t, dir)
 	m := NewDurableJobManager(1, 2, st, "alpha", time.Second,
-		func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
+		Dispatch{Run: func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
 			return "ok", nil
-		}, nil)
+		}})
 	defer m.Shutdown(context.Background())
 
 	var last JobStatus
 	for i := 0; i < 6; i++ {
-		status, err := m.SubmitPayload(fmt.Sprintf("k%d", i), nil)
+		status, err := m.SubmitPayload(fmt.Sprintf("k%d", i), nil, false)
 		if err != nil {
 			t.Fatalf("SubmitPayload: %v", err)
 		}

@@ -11,11 +11,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/arrival"
-	"repro/internal/campaign"
 	"repro/internal/dag"
 	"repro/internal/obs"
-	"repro/internal/robust"
 )
 
 // apiError is the JSON error payload every handler returns on failure.
@@ -62,24 +59,20 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 //	                         served as one batch under a single model
 //	                         resolution
 //	POST /v1/jobs            submit an async study run
-//	GET  /v1/jobs            list retained jobs
+//	GET  /v1/jobs            list retained jobs, of every kind
 //	GET  /v1/jobs/{id}       poll one job
-//	POST /v1/campaigns       submit a declarative what-if sweep
-//	GET  /v1/campaigns       list retained campaigns
-//	GET  /v1/campaigns/{id}  poll one campaign
-//	POST /v1/robustness      submit a Monte Carlo winner-stability study
-//	GET  /v1/robustness      list retained robustness studies
-//	GET  /v1/robustness/{id} poll one robustness study
-//	POST /v1/arrivals        submit an online-arrival scenario
-//	GET  /v1/arrivals        list retained arrival scenarios
-//	GET  /v1/arrivals/{id}   poll one arrival scenario
+//	POST /v1/<family>        submit a spec of a job family: campaigns (what-if
+//	                         sweeps), robustness (Monte Carlo winner-stability
+//	                         studies), arrivals (online-arrival scenarios)
+//	GET  /v1/<family>        list the family's retained jobs
+//	GET  /v1/<family>/{id}   poll one job of the family
 //	GET  /v1/models          fitted-model registry contents and build cost
 //	GET  /metrics            Prometheus text exposition
 //	     /debug/pprof/*      runtime profiles (only with Options.EnablePprof)
 //
-// The job, campaign and robustness poll endpoints accept ?watch=<duration>
-// to long-poll: the response is deferred until the job's state or progress
-// changes, or the duration elapses.
+// Every poll endpoint accepts ?watch=<duration> to long-poll: the response
+// is deferred until the job's state or progress changes, or the duration
+// elapses.
 //
 // Every route is wrapped in the observability middleware: per-route request
 // metrics, structured request logs with request IDs, and the guarantee that
@@ -96,18 +89,11 @@ func (s *Service) Handler() http.Handler {
 	handleFunc("GET /healthz", s.handleHealth)
 	handleFunc("POST /v1/schedule", s.handleSchedule)
 	handleFunc("POST /v1/simulate", s.handleSimulate)
-	handleFunc("POST /v1/jobs", s.handleSubmitJob)
-	handleFunc("GET /v1/jobs", s.handleListJobs)
-	handleFunc("GET /v1/jobs/{id}", s.handleGetJob)
-	handleFunc("POST /v1/campaigns", s.handleSubmitCampaign)
-	handleFunc("GET /v1/campaigns", s.handleListCampaigns)
-	handleFunc("GET /v1/campaigns/{id}", s.handleGetCampaign)
-	handleFunc("POST /v1/robustness", s.handleSubmitRobustness)
-	handleFunc("GET /v1/robustness", s.handleListRobustness)
-	handleFunc("GET /v1/robustness/{id}", s.handleGetRobustness)
-	handleFunc("POST /v1/arrivals", s.handleSubmitArrival)
-	handleFunc("GET /v1/arrivals", s.handleListArrivals)
-	handleFunc("GET /v1/arrivals/{id}", s.handleGetArrival)
+	for _, jr := range s.jobRoutes() {
+		handleFunc("POST /v1/"+jr.route, func(w http.ResponseWriter, r *http.Request) { s.handleSubmit(w, r, jr) })
+		handleFunc("GET /v1/"+jr.route, func(w http.ResponseWriter, r *http.Request) { s.handleList(w, jr) })
+		handleFunc("GET /v1/"+jr.route+"/{id}", func(w http.ResponseWriter, r *http.Request) { s.handleGet(w, r, jr) })
+	}
 	handleFunc("GET /v1/models", s.handleModels)
 	handle("GET /metrics", obs.Default.Handler())
 	if s.opts.EnablePprof {
@@ -202,12 +188,44 @@ func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Service) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	var req StudyRequest
-	if !decode(w, r, &req) {
+// jobRoute is one noun under /v1/ with the submit / list / poll triple:
+// "jobs" — study submissions, and every job whatever its kind on the read
+// side — plus one per family in the table.
+type jobRoute struct {
+	route, noun string
+	match       func(kind string) bool
+	submit      func(body []byte) (JobStatus, error)
+}
+
+func (s *Service) jobRoutes() []jobRoute {
+	routes := []jobRoute{{
+		route: "jobs", noun: "job",
+		match: func(string) bool { return true },
+		submit: func(body []byte) (JobStatus, error) {
+			var req StudyRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				return JobStatus{}, badRequest{err}
+			}
+			return s.SubmitStudy(req)
+		},
+	}}
+	for _, f := range s.families {
+		routes = append(routes, jobRoute{
+			route: f.Route, noun: f.Noun, match: f.matches,
+			submit: func(body []byte) (JobStatus, error) { return s.submit(f, body) },
+		})
+	}
+	return routes
+}
+
+// handleSubmit serves POST /v1/<route>: 202 with the queued job, 400 for a
+// body the route's submit rejects, 429 and 503 when the queue cannot take it.
+func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request, jr jobRoute) {
+	var body json.RawMessage
+	if !decode(w, r, &body) {
 		return
 	}
-	status, err := s.SubmitStudy(req)
+	status, err := jr.submit(body)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		writeError(w, http.StatusTooManyRequests, err)
@@ -220,8 +238,16 @@ func (s *Service) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Service) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.jobs.List())
+// handleList serves GET /v1/<route>: the retained jobs the route exposes.
+func (s *Service) handleList(w http.ResponseWriter, jr jobRoute) {
+	all := s.jobs.List()
+	out := make([]JobStatus, 0, len(all))
+	for _, j := range all {
+		if jr.match(j.Kind) {
+			out = append(out, j)
+		}
+	}
+	writeJSON(w, http.StatusOK, out)
 }
 
 // watchParam parses the optional ?watch long-poll parameter: absent means a
@@ -252,123 +278,29 @@ func watchParam(r *http.Request) (time.Duration, bool, error) {
 	return d, true, nil
 }
 
-// getJob serves the job poll endpoints: a plain status read, or — with
+// handleGet serves GET /v1/<route>/{id}: a plain status read, or — with
 // ?watch — a long-poll that responds as soon as the job's state or progress
-// moves. pred filters the job kinds the endpoint exposes.
-func (s *Service) getJob(w http.ResponseWriter, r *http.Request, pred func(string) bool, notFound string) {
+// moves. A job of a kind the route does not expose is not found.
+func (s *Service) handleGet(w http.ResponseWriter, r *http.Request, jr jobRoute) {
 	d, watch, err := watchParam(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	notFound := errors.New("service: no such " + jr.noun)
 	id := r.PathValue("id")
 	status, ok := s.jobs.Get(id)
-	if !ok || !pred(status.Kind) {
-		writeError(w, http.StatusNotFound, errors.New(notFound))
+	if !ok || !jr.match(status.Kind) {
+		writeError(w, http.StatusNotFound, notFound)
 		return
 	}
 	if watch {
 		if status, ok = s.jobs.Watch(r.Context(), id, d); !ok {
-			writeError(w, http.StatusNotFound, errors.New(notFound))
+			writeError(w, http.StatusNotFound, notFound)
 			return
 		}
 	}
 	writeJSON(w, http.StatusOK, status)
-}
-
-func (s *Service) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	s.getJob(w, r, func(string) bool { return true }, "service: no such job")
-}
-
-func (s *Service) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
-	var spec campaign.Spec
-	if !decode(w, r, &spec) {
-		return
-	}
-	status, err := s.SubmitCampaign(spec)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		writeError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, ErrShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, err)
-	case err != nil:
-		writeServiceError(w, err)
-	default:
-		writeJSON(w, http.StatusAccepted, status)
-	}
-}
-
-// listJobsByKind writes the retained jobs whose kind satisfies pred — the
-// shared body of the campaign and robustness listing endpoints.
-func (s *Service) listJobsByKind(w http.ResponseWriter, pred func(string) bool) {
-	all := s.jobs.List()
-	out := make([]JobStatus, 0, len(all))
-	for _, j := range all {
-		if pred(j.Kind) {
-			out = append(out, j)
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Service) handleListCampaigns(w http.ResponseWriter, r *http.Request) {
-	s.listJobsByKind(w, isCampaignKind)
-}
-
-func (s *Service) handleGetCampaign(w http.ResponseWriter, r *http.Request) {
-	s.getJob(w, r, isCampaignKind, "service: no such campaign")
-}
-
-func (s *Service) handleSubmitRobustness(w http.ResponseWriter, r *http.Request) {
-	var spec robust.Spec
-	if !decode(w, r, &spec) {
-		return
-	}
-	status, err := s.SubmitRobustness(spec)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		writeError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, ErrShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, err)
-	case err != nil:
-		writeServiceError(w, err)
-	default:
-		writeJSON(w, http.StatusAccepted, status)
-	}
-}
-
-func (s *Service) handleListRobustness(w http.ResponseWriter, r *http.Request) {
-	s.listJobsByKind(w, isRobustKind)
-}
-
-func (s *Service) handleGetRobustness(w http.ResponseWriter, r *http.Request) {
-	s.getJob(w, r, isRobustKind, "service: no such robustness study")
-}
-
-func (s *Service) handleSubmitArrival(w http.ResponseWriter, r *http.Request) {
-	var spec arrival.Spec
-	if !decode(w, r, &spec) {
-		return
-	}
-	status, err := s.SubmitArrival(spec)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		writeError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, ErrShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, err)
-	case err != nil:
-		writeServiceError(w, err)
-	default:
-		writeJSON(w, http.StatusAccepted, status)
-	}
-}
-
-func (s *Service) handleListArrivals(w http.ResponseWriter, r *http.Request) {
-	s.listJobsByKind(w, isArrivalKind)
-}
-
-func (s *Service) handleGetArrival(w http.ResponseWriter, r *http.Request) {
-	s.getJob(w, r, isArrivalKind, "service: no such arrival scenario")
 }
 
 func (s *Service) handleModels(w http.ResponseWriter, r *http.Request) {

@@ -193,7 +193,7 @@ func TestWatchLongPoll(t *testing.T) {
 	watchPoll = 5 * time.Millisecond
 	defer func() { watchPoll = old }()
 
-	m := NewJobManager(1, 4, 4)
+	m := NewJobManager(1, 4, 4, Dispatch{})
 	defer m.Shutdown(context.Background())
 
 	release := make(chan struct{})
@@ -369,7 +369,7 @@ func TestJobDurationSeriesPerFamily(t *testing.T) {
 			t.Fatalf("job %s (%s) ended %s: %s", id, done.Kind, done.State, done.Error)
 		}
 	}
-	durable := durableService(t, t.TempDir(), "a", false)
+	durable := durableService(t, t.TempDir(), "a")
 	id := submit(durable.SubmitArrival(arrivalShardSpec()))
 	if done := waitServiceJob(t, durable, id); done.State != JobDone {
 		t.Fatalf("durable arrival job ended %s: %s", done.State, done.Error)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -29,29 +30,49 @@ var (
 		"Jobs waiting in the queue.")
 	jobsRunning = obs.Default.Gauge("repro_jobs_running",
 		"Jobs currently executing.")
-	jobDurStudy = obs.Default.Histogram("repro_job_duration_seconds",
-		"Job wall-clock duration, by job family.", obs.FitBuckets, obs.L("kind", "study"))
-	jobDurCampaign = obs.Default.Histogram("repro_job_duration_seconds",
-		"Job wall-clock duration, by job family.", obs.FitBuckets, obs.L("kind", "campaign"))
-	jobDurRobust = obs.Default.Histogram("repro_job_duration_seconds",
-		"Job wall-clock duration, by job family.", obs.FitBuckets, obs.L("kind", "robust"))
-	jobDurArrival = obs.Default.Histogram("repro_job_duration_seconds",
-		"Job wall-clock duration, by job family.", obs.FitBuckets, obs.L("kind", "arrival"))
 )
 
-// jobDuration maps a job kind to its family's duration histogram; the family
-// set is closed, so label cardinality cannot grow with user-chosen names.
-func jobDuration(kind string) *obs.Histogram {
-	switch {
-	case isCampaignKind(kind):
-		return jobDurCampaign
-	case isRobustKind(kind):
-		return jobDurRobust
-	case isArrivalKind(kind):
-		return jobDurArrival
-	default:
-		return jobDurStudy
+// studyFamily is the duration label of every job outside the family table.
+const studyFamily = "study"
+
+// jobDuration returns a job family's duration histogram. Callers pass family
+// names — the table's, or studyFamily — never job kinds, so label
+// cardinality cannot grow with user-chosen names.
+func jobDuration(family string) *obs.Histogram {
+	return obs.Default.Histogram("repro_job_duration_seconds",
+		"Job wall-clock duration, by job family.", obs.FitBuckets, obs.L("kind", family))
+}
+
+// PayloadRunner materialises a job from its submission record and runs it
+// whole. The service installs a runner that dispatches on kind: kinds in
+// the family table decode their specs, everything else is a study request.
+type PayloadRunner func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error)
+
+// Dispatch is how a job manager turns (kind, payload) submission records
+// back into work. The service hands both backends the same one, filled from
+// its family table.
+type Dispatch struct {
+	// Run executes a job whole.
+	Run PayloadRunner
+	// Plan, when non-nil, shards the kinds it resolves to a plan at cell
+	// granularity on the durable backend: the claiming replica becomes the
+	// coordinator and every replica's claim loops execute cells. It returns
+	// (nil, nil) for kinds that run whole, and must be deterministic: every
+	// replica resolving the same (kind, payload) must see the same plan. The
+	// in-memory backend has one process to run on and ignores it.
+	Plan func(kind string, payload []byte) (Plan, error)
+	// Family maps a job kind to its duration-histogram label; nil files
+	// every job under studyFamily.
+	Family func(kind string) string
+}
+
+// observeDuration files one finished job's wall-clock under its family.
+func (d Dispatch) observeDuration(kind string, elapsed time.Duration) {
+	family := studyFamily
+	if d.Family != nil {
+		family = d.Family(kind)
 	}
+	jobDuration(family).Observe(elapsed.Seconds())
 }
 
 // JobState is the lifecycle of a queued study run.
@@ -127,6 +148,9 @@ type JobManager struct {
 	queue  chan *job
 	wg     sync.WaitGroup
 	retain int
+	// dispatch runs (kind, payload) submissions; closure submissions
+	// (Submit, SubmitTracked) carry their own work.
+	dispatch Dispatch
 
 	// dur is non-nil for store-backed managers.
 	dur *durable
@@ -140,8 +164,9 @@ type JobManager struct {
 
 // NewJobManager starts workers goroutines over a queue of queueCap pending
 // jobs, retaining the last retain finished jobs (all values are clamped to
-// at least 1).
-func NewJobManager(workers, queueCap, retain int) *JobManager {
+// at least 1). SubmitPayload jobs run through dispatch; a zero Dispatch
+// leaves the manager to closure submissions.
+func NewJobManager(workers, queueCap, retain int, dispatch Dispatch) *JobManager {
 	if workers < 1 {
 		workers = 1
 	}
@@ -153,11 +178,12 @@ func NewJobManager(workers, queueCap, retain int) *JobManager {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &JobManager{
-		ctx:    ctx,
-		cancel: cancel,
-		queue:  make(chan *job, queueCap),
-		retain: retain,
-		jobs:   make(map[string]*job),
+		ctx:      ctx,
+		cancel:   cancel,
+		queue:    make(chan *job, queueCap),
+		retain:   retain,
+		dispatch: dispatch,
+		jobs:     make(map[string]*job),
 	}
 	for i := 0; i < workers; i++ {
 		m.wg.Add(1)
@@ -201,7 +227,7 @@ func (m *JobManager) run(j *job) {
 	defer m.mu.Unlock()
 	ended := time.Now()
 	j.status.Ended = &ended
-	jobDuration(j.status.Kind).Observe(ended.Sub(started).Seconds())
+	m.dispatch.observeDuration(j.status.Kind, ended.Sub(started))
 	switch {
 	case err == nil:
 		j.status.State = JobDone
@@ -244,6 +270,28 @@ func (m *JobManager) Submit(kind string, fn JobFunc) (JobStatus, error) {
 func (m *JobManager) SubmitTracked(kind string, fn TrackedJobFunc) (JobStatus, error) {
 	prog := &obs.Progress{}
 	return m.submit(kind, func(ctx context.Context) (string, error) { return fn(ctx, prog) }, prog)
+}
+
+// SubmitPayload queues a (kind, payload) submission record for the manager's
+// Dispatch: on the durable backend it is appended to the shared pool, in
+// memory it waits on the bounded queue. tracked attaches a live progress
+// record from the moment of submission on the in-memory backend; the store
+// keeps one for every job and elides it while empty, so there it changes
+// nothing.
+func (m *JobManager) SubmitPayload(kind string, payload json.RawMessage, tracked bool) (JobStatus, error) {
+	if m.dur != nil {
+		return m.durableSubmit(kind, payload)
+	}
+	if m.dispatch.Run == nil {
+		return JobStatus{}, errors.New("service: job manager has no payload runner")
+	}
+	run := func(ctx context.Context, prog *obs.Progress) (string, error) {
+		return m.dispatch.Run(ctx, kind, payload, prog)
+	}
+	if tracked {
+		return m.SubmitTracked(kind, run)
+	}
+	return m.Submit(kind, func(ctx context.Context) (string, error) { return run(ctx, nil) })
 }
 
 func (m *JobManager) submit(kind string, fn JobFunc, prog *obs.Progress) (JobStatus, error) {

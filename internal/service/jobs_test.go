@@ -29,7 +29,7 @@ func waitState(t *testing.T, m *JobManager, id string, want ...JobState) JobStat
 }
 
 func TestJobLifecycle(t *testing.T) {
-	m := NewJobManager(2, 4, 8)
+	m := NewJobManager(2, 4, 8, Dispatch{})
 	defer m.Shutdown(context.Background())
 
 	status, err := m.Submit("greet", func(ctx context.Context) (string, error) {
@@ -62,7 +62,7 @@ func TestJobLifecycle(t *testing.T) {
 }
 
 func TestJobQueueBounded(t *testing.T) {
-	m := NewJobManager(1, 2, 8)
+	m := NewJobManager(1, 2, 8, Dispatch{})
 	defer m.Shutdown(context.Background())
 
 	block := make(chan struct{})
@@ -96,7 +96,7 @@ func TestJobQueueBounded(t *testing.T) {
 }
 
 func TestShutdownCancelsQueuedAndRunningJobs(t *testing.T) {
-	m := NewJobManager(1, 4, 8)
+	m := NewJobManager(1, 4, 8, Dispatch{})
 
 	running, err := m.Submit("running", func(ctx context.Context) (string, error) {
 		<-ctx.Done() // honours cancellation, like the studies do
@@ -145,7 +145,7 @@ func TestShutdownCancelsQueuedAndRunningJobs(t *testing.T) {
 }
 
 func TestJobRetentionEvictsOldest(t *testing.T) {
-	m := NewJobManager(1, 8, 2)
+	m := NewJobManager(1, 8, 2, Dispatch{})
 	defer m.Shutdown(context.Background())
 
 	var ids []string

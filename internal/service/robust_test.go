@@ -41,14 +41,14 @@ func TestHTTPRobustnessEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	job, err := client.SubmitRobustness(ctx, stabilitySpec())
+	job, err := client.Submit(ctx, "robustness", stabilitySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if job.Kind != "robust:stability" {
 		t.Errorf("robustness job kind = %q, want robust:stability", job.Kind)
 	}
-	done, err := client.WaitRobustness(ctx, job.ID, 10*time.Millisecond)
+	done, err := client.Wait(ctx, "robustness", job.ID, 10*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,21 +69,21 @@ func TestHTTPRobustnessEndToEnd(t *testing.T) {
 		}
 	}
 
-	studies, err := client.RobustnessJobs(ctx)
+	studies, err := client.List(ctx, "robustness")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(studies) != 1 || studies[0].ID != job.ID {
 		t.Errorf("GET /v1/robustness = %+v, want the submitted study", studies)
 	}
-	campaigns, err := client.Campaigns(ctx)
+	campaigns, err := client.List(ctx, "campaigns")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(campaigns) != 0 {
 		t.Errorf("robustness study leaked into GET /v1/campaigns: %+v", campaigns)
 	}
-	if _, err := client.Campaign(ctx, job.ID); err == nil {
+	if _, err := client.Get(ctx, "campaigns", job.ID); err == nil {
 		t.Error("GET /v1/campaigns/{robustness-id} should 404")
 	}
 }
@@ -128,5 +128,13 @@ func TestSubmitRobustnessRejectsBadSpecs(t *testing.T) {
 	unknown.Platforms.Base = "atlantis"
 	if _, err := svc.SubmitRobustness(unknown); err == nil || !IsBadRequest(err) {
 		t.Errorf("unknown base environment: err = %v, want bad request", err)
+	}
+
+	// Only resolving the plan against the base environment can see this one:
+	// 0 and 32 are the same 32-node platform twice.
+	twice := stabilitySpec()
+	twice.Platforms.Nodes = []int{0, 32}
+	if _, err := svc.SubmitRobustness(twice); err == nil || !IsBadRequest(err) {
+		t.Errorf("base platform listed twice: err = %v, want bad request", err)
 	}
 }

@@ -7,21 +7,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"time"
 
 	"log/slog"
 
-	"repro/internal/arrival"
-	"repro/internal/campaign"
 	"repro/internal/dag"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/perfmodel"
 	"repro/internal/platform"
 	"repro/internal/profiler"
-	"repro/internal/robust"
 	"repro/internal/sched"
 	"repro/internal/simgrid"
 	"repro/internal/store"
@@ -66,11 +62,6 @@ type Options struct {
 	// (default 10s). A replica that misses renewals for a full TTL loses its
 	// jobs to the reclaimer. Only meaningful with a Store.
 	LeaseTTL time.Duration
-	// NoShard disables cell-sharded execution of campaign and robustness
-	// jobs: the claiming replica runs the whole job as a monolith, as before
-	// PR 9. Sharding is on by default; reports are byte-identical either
-	// way. Only meaningful with a Store.
-	NoShard bool
 }
 
 // DefaultOptions mirrors the paper's evaluation setup.
@@ -89,13 +80,19 @@ func DefaultOptions() Options {
 
 // Service is the scheduling-as-a-service layer: it serves schedule and
 // simulate requests synchronously over registry-cached models, and study
-// runs asynchronously on the job queue. Safe for concurrent use.
+// and family jobs asynchronously on the job queue. Safe for concurrent use.
 type Service struct {
 	opts     Options
 	registry *ModelRegistry
 	jobs     *JobManager
 	logger   *slog.Logger
 	start    time.Time
+
+	// families is the job-family table (family.go): New fills it with the
+	// built-ins, and everything that handles family jobs — submit, run,
+	// shard, route, label — looks kinds up here. It must not change once
+	// jobs are submitted or Handler is called.
+	families []*Family
 
 	labMu sync.Mutex
 	labs  map[labKey]*labEntry
@@ -105,15 +102,10 @@ type Service struct {
 	netMu sync.Mutex
 	nets  map[string]*simgrid.Net
 
-	// Sharded-execution state: long-lived per-cell engines (the robustness
-	// engine's runner pool persists across the cells this replica executes)
-	// and the prepared-plan cache behind preparedShard.
-	shardCamp  *campaign.Engine
-	shardRob   *robust.Engine
-	shardArr   *arrival.Engine
-	shardMu    sync.Mutex
-	shards     map[string]*preparedShard
-	shardOrder []string
+	// The prepared-plan cache behind plan (plans.go).
+	planMu    sync.Mutex
+	plans     map[string]*planEntry
+	planOrder []string
 }
 
 // labKey identifies one assembled lab (one workload × one environment).
@@ -168,67 +160,118 @@ func New(opts Options) *Service {
 		start:    time.Now(),
 		labs:     make(map[labKey]*labEntry),
 		nets:     make(map[string]*simgrid.Net),
-		shards:   make(map[string]*preparedShard),
+		plans:    make(map[string]*planEntry),
 	}
-	s.shardCamp = &campaign.Engine{Source: s.registry, Workers: opts.Parallelism}
-	s.shardRob = &robust.Engine{Source: s.registry, Workers: opts.Parallelism}
-	s.shardArr = &arrival.Engine{Source: s.registry, Workers: opts.Parallelism}
+	s.families = Families(s.registry, opts.Parallelism)
+	// Every family's duration series exists from the first scrape.
+	jobDuration(studyFamily)
+	for _, f := range s.families {
+		jobDuration(f.Name)
+	}
 	if opts.Store != nil {
 		s.registry.SetStore(opts.Store)
 		s.registry.Warm()
-		var cells CellRunner
-		if !opts.NoShard {
-			cells = shardRunner{s}
-		}
 		s.jobs = NewDurableJobManager(opts.JobWorkers, opts.Retain,
-			opts.Store, opts.ReplicaID, opts.LeaseTTL, s.runPayload, cells)
+			opts.Store, opts.ReplicaID, opts.LeaseTTL, s.dispatch())
 	} else {
-		s.jobs = NewJobManager(opts.JobWorkers, opts.QueueCap, opts.Retain)
+		s.jobs = NewJobManager(opts.JobWorkers, opts.QueueCap, opts.Retain, s.dispatch())
 	}
 	return s
 }
 
-// runPayload is the durable pool's dispatcher: it rematerialises a claimed
-// job from its submission record. Campaign and robustness kinds carry their
-// spec as the payload; every other kind is a study request. Because the
-// specs are normalized at submission, a replayed run resolves the same
-// seeds — and so the same reports — as the submitting replica would have.
-func (s *Service) runPayload(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
-	switch {
-	case isCampaignKind(kind):
-		var spec campaign.Spec
-		if err := json.Unmarshal(payload, &spec); err != nil {
-			return "", fmt.Errorf("service: campaign payload: %w", err)
-		}
-		return s.runCampaign(ctx, spec, prog)
-	case isRobustKind(kind):
-		var spec robust.Spec
-		if err := json.Unmarshal(payload, &spec); err != nil {
-			return "", fmt.Errorf("service: robustness payload: %w", err)
-		}
-		return s.runRobustness(ctx, spec, prog)
-	case isArrivalKind(kind):
-		var spec arrival.Spec
-		if err := json.Unmarshal(payload, &spec); err != nil {
-			return "", fmt.Errorf("service: arrival payload: %w", err)
-		}
-		return s.runArrival(ctx, spec, prog)
-	default:
-		var req StudyRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return "", fmt.Errorf("service: study payload: %w", err)
-		}
-		return s.RunStudy(ctx, req)
-	}
+// dispatch is what either job manager runs submissions through: the same
+// three lookups in the family table.
+func (s *Service) dispatch() Dispatch {
+	return Dispatch{Run: s.runPayload, Plan: s.plan, Family: s.familyName}
 }
 
-// submitDurable marshals a validated submission into the shared pool.
-func (s *Service) submitDurable(kind string, v any) (JobStatus, error) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return JobStatus{}, err
+// family returns the table entry a job kind belongs to, nil for kinds
+// outside the table (study jobs).
+func (s *Service) family(kind string) *Family {
+	for _, f := range s.families {
+		if f.matches(kind) {
+			return f
+		}
 	}
-	return s.jobs.SubmitPayload(kind, payload)
+	return nil
+}
+
+// familyName is a job kind's label on the duration histogram: its family's
+// name, or the study family. The table is closed, so label cardinality
+// cannot grow with user-chosen spec names.
+func (s *Service) familyName(kind string) string {
+	if f := s.family(kind); f != nil {
+		return f.Name
+	}
+	return studyFamily
+}
+
+// defaults are the seeds family specs inherit from the service options, so
+// campaigns, schedule requests and study jobs all share the same fitted
+// models by default.
+func (s *Service) defaults() Defaults {
+	return Defaults{Seed: s.opts.Seed, SuiteSeed: s.opts.SuiteSeed}
+}
+
+// runPayload is both job managers' dispatcher: it rematerialises a job from
+// its submission record and runs it whole. Kinds in the family table carry
+// their spec as the payload and run prepare → every cell → merge; every
+// other kind is a study request. Because specs are default-filled at
+// submission, a replayed run resolves the same seeds — and so the same
+// report — as the submitting replica would have.
+func (s *Service) runPayload(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
+	p, err := s.plan(kind, payload)
+	if err != nil {
+		return "", err
+	}
+	if p != nil {
+		return p.Run(ctx, prog)
+	}
+	var req StudyRequest
+	if err := json.Unmarshal(payload, &req); err != nil {
+		return "", fmt.Errorf("service: study payload: %w", err)
+	}
+	return s.RunStudy(ctx, req)
+}
+
+// submit validates a family spec by preparing it — the family's whole
+// rejection surface, so an invalid spec is a bad request here and never a
+// failed job later — seeds the plan cache with the result, and queues the
+// canonical spec as a job of kind "<family>" or "<family>:<spec name>".
+func (s *Service) submit(f *Family, spec []byte) (JobStatus, error) {
+	p, err := f.Prepare(spec, s.defaults())
+	if err != nil {
+		return JobStatus{}, badRequest{err}
+	}
+	kind := f.Name
+	if label := p.Label(); label != "" {
+		kind += ":" + label
+	}
+	s.cachedPlan(kind, p.Spec(), func() (Plan, error) { return p, nil })
+	return s.jobs.SubmitPayload(kind, p.Spec(), true)
+}
+
+// submitSpec is submit for a typed spec of the named family.
+func (s *Service) submitSpec(family string, spec any) (JobStatus, error) {
+	data, err := json.Marshal(spec)
+	if err != nil {
+		return JobStatus{}, badRequest{err}
+	}
+	return s.submit(s.family(family), data)
+}
+
+// runSpec executes a typed spec of the named family synchronously, on the
+// path a queued job of the family runs, and returns the rendered report.
+func (s *Service) runSpec(ctx context.Context, family string, spec any) (string, error) {
+	data, err := json.Marshal(spec)
+	if err != nil {
+		return "", err
+	}
+	p, err := s.family(family).Prepare(data, s.defaults())
+	if err != nil {
+		return "", err
+	}
+	return p.Run(ctx, nil)
 }
 
 // net returns the cached network of an environment, building it on first
@@ -722,12 +765,11 @@ func (s *Service) SubmitStudy(req StudyRequest) (JobStatus, error) {
 	if _, err := s.registry.Environment(req.Environment); err != nil {
 		return JobStatus{}, badRequest{err}
 	}
-	if s.jobs.Durable() {
-		return s.submitDurable(req.Study, req)
+	payload, err := json.Marshal(req)
+	if err != nil {
+		return JobStatus{}, err
 	}
-	return s.jobs.Submit(req.Study, func(ctx context.Context) (string, error) {
-		return s.RunStudy(ctx, req)
-	})
+	return s.jobs.SubmitPayload(req.Study, payload, false)
 }
 
 // RunStudy executes one study synchronously and returns the rendered
@@ -741,205 +783,5 @@ func (s *Service) RunStudy(ctx context.Context, req StudyRequest) (string, error
 	if err := experiments.RenderStudy(ctx, req.Study, cfg, labFn, &buf); err != nil {
 		return "", err
 	}
-	return buf.String(), nil
-}
-
-// -------------------------------------------------------------- campaigns
-
-// campaignKindPrefix marks campaign jobs in the shared job store.
-const campaignKindPrefix = "campaign"
-
-// isCampaignKind reports whether a job kind belongs to a campaign.
-func isCampaignKind(kind string) bool { return strings.HasPrefix(kind, campaignKindPrefix) }
-
-// normalizeCampaign fills a campaign spec's seed defaults from the service
-// options, so campaigns, schedule requests and study jobs all share the
-// same fitted models by default. An axis that already names workloads —
-// suite seeds, traces or shapes — is left alone: the suite default only
-// applies to a fully empty axis.
-func (s *Service) normalizeCampaign(spec campaign.Spec) campaign.Spec {
-	if spec.Seed == 0 {
-		spec.Seed = s.opts.Seed
-	}
-	if spec.Workloads.IsEmpty() {
-		spec.Workloads.SuiteSeeds = []int64{s.opts.SuiteSeed}
-	}
-	return spec
-}
-
-// SubmitCampaign validates a declarative what-if sweep and queues it as an
-// async job (kind "campaign" or "campaign:<name>"). Invalid specs —
-// unknown axis values, empty grids, grids beyond the campaign limits — are
-// rejected up front as bad requests, before any fitting campaign runs.
-func (s *Service) SubmitCampaign(spec campaign.Spec) (JobStatus, error) {
-	spec = s.normalizeCampaign(spec)
-	plan, err := spec.Plan()
-	if err != nil {
-		return JobStatus{}, badRequest{err}
-	}
-	if _, err := s.registry.Environment(plan.Spec.Platforms.Base); err != nil {
-		return JobStatus{}, badRequest{err}
-	}
-	kind := campaignKindPrefix
-	if spec.Name != "" {
-		kind += ":" + spec.Name
-	}
-	if s.jobs.Durable() {
-		return s.submitDurable(kind, spec)
-	}
-	return s.jobs.SubmitTracked(kind, func(ctx context.Context, prog *obs.Progress) (string, error) {
-		return s.runCampaign(ctx, spec, prog)
-	})
-}
-
-// RunCampaign executes a campaign synchronously against the service's
-// fit-once registry and returns the rendered report. Derived platforms are
-// registered under deterministic names, so repeated campaigns (and plain
-// schedule requests against the same derived platforms) reuse the fits.
-func (s *Service) RunCampaign(ctx context.Context, spec campaign.Spec) (string, error) {
-	return s.runCampaign(ctx, spec, nil)
-}
-
-// runCampaign is RunCampaign with an optional live progress record (attached
-// by the job manager for queued campaigns). Progress is write-only in the
-// engine, so the report is byte-identical with or without it.
-func (s *Service) runCampaign(ctx context.Context, spec campaign.Spec, prog *obs.Progress) (string, error) {
-	spec = s.normalizeCampaign(spec)
-	eng := campaign.Engine{Source: s.registry, Workers: s.opts.Parallelism, Progress: prog}
-	res, err := eng.Run(ctx, spec)
-	if err != nil {
-		return "", err
-	}
-	var buf bytes.Buffer
-	res.Write(&buf)
-	return buf.String(), nil
-}
-
-// ------------------------------------------------------------- robustness
-
-// robustKindPrefix marks robustness jobs in the shared job store.
-const robustKindPrefix = "robust"
-
-// isRobustKind reports whether a job kind belongs to a robustness study.
-func isRobustKind(kind string) bool { return strings.HasPrefix(kind, robustKindPrefix) }
-
-// normalizeRobustness fills a robustness spec's seed defaults from the
-// service options — the embedded campaign normalizes exactly like a plain
-// campaign submission, so a robustness study's base grid shares its fitted
-// models with every other consumer of the registry.
-func (s *Service) normalizeRobustness(spec robust.Spec) robust.Spec {
-	spec.Spec = s.normalizeCampaign(spec.Spec)
-	return spec
-}
-
-// SubmitRobustness validates a Monte Carlo robustness study and queues it
-// as an async job (kind "robust" or "robust:<name>"). Invalid specs — bad
-// campaign axes, bad noise dimensions, trial budgets beyond the limits —
-// are rejected up front as bad requests, before any fitting or trials run.
-func (s *Service) SubmitRobustness(spec robust.Spec) (JobStatus, error) {
-	spec = s.normalizeRobustness(spec)
-	plan, err := spec.Plan()
-	if err != nil {
-		return JobStatus{}, badRequest{err}
-	}
-	if _, err := s.registry.Environment(plan.Campaign.Spec.Platforms.Base); err != nil {
-		return JobStatus{}, badRequest{err}
-	}
-	kind := robustKindPrefix
-	if spec.Name != "" {
-		kind += ":" + spec.Name
-	}
-	if s.jobs.Durable() {
-		return s.submitDurable(kind, spec)
-	}
-	return s.jobs.SubmitTracked(kind, func(ctx context.Context, prog *obs.Progress) (string, error) {
-		return s.runRobustness(ctx, spec, prog)
-	})
-}
-
-// RunRobustness executes a robustness study synchronously against the
-// service's fit-once registry and returns the rendered report: the base
-// campaign (byte-identical to submitting it as a plain campaign) followed
-// by the winner-stability sections.
-func (s *Service) RunRobustness(ctx context.Context, spec robust.Spec) (string, error) {
-	return s.runRobustness(ctx, spec, nil)
-}
-
-// runRobustness is RunRobustness with an optional live progress record; as
-// with campaigns, attaching one cannot change a byte of the report.
-func (s *Service) runRobustness(ctx context.Context, spec robust.Spec, prog *obs.Progress) (string, error) {
-	spec = s.normalizeRobustness(spec)
-	eng := robust.Engine{Source: s.registry, Workers: s.opts.Parallelism, Progress: prog}
-	res, err := eng.Run(ctx, spec)
-	if err != nil {
-		return "", err
-	}
-	var buf bytes.Buffer
-	res.Write(&buf)
-	return buf.String(), nil
-}
-
-// --------------------------------------------------------------- arrivals
-
-// arrivalKindPrefix marks online-arrival jobs in the shared job store.
-const arrivalKindPrefix = "arrival"
-
-// isArrivalKind reports whether a job kind belongs to an arrival scenario.
-func isArrivalKind(kind string) bool { return strings.HasPrefix(kind, arrivalKindPrefix) }
-
-// normalizeArrival fills an arrival spec's seed defaults from the service
-// options: the noise seed and — only for a fully empty workload axis — the
-// service's Table I suite seed, exactly as for campaigns.
-func (s *Service) normalizeArrival(spec arrival.Spec) arrival.Spec {
-	if spec.Seed == 0 {
-		spec.Seed = s.opts.Seed
-	}
-	if spec.Workloads.IsEmpty() {
-		spec.Workloads.SuiteSeeds = []int64{s.opts.SuiteSeed}
-	}
-	return spec
-}
-
-// SubmitArrival validates an online-arrival scenario and queues it as an
-// async job (kind "arrival" or "arrival:<name>"). Invalid specs — unknown
-// axes, bad processes, unloadable traces — are rejected up front as bad
-// requests, before any fitting campaign runs.
-func (s *Service) SubmitArrival(spec arrival.Spec) (JobStatus, error) {
-	spec = s.normalizeArrival(spec)
-	// Prepare expands the plan, resolves the environment and checks the
-	// partition geometry — the whole rejection surface — without fitting
-	// anything, so invalid scenarios 400 at submit time.
-	if _, err := s.shardArr.Prepare(spec); err != nil {
-		return JobStatus{}, badRequest{err}
-	}
-	kind := arrivalKindPrefix
-	if spec.Name != "" {
-		kind += ":" + spec.Name
-	}
-	if s.jobs.Durable() {
-		return s.submitDurable(kind, spec)
-	}
-	return s.jobs.SubmitTracked(kind, func(ctx context.Context, prog *obs.Progress) (string, error) {
-		return s.runArrival(ctx, spec, prog)
-	})
-}
-
-// RunArrival executes an online-arrival scenario synchronously against the
-// service's fit-once registry and returns the rendered report.
-func (s *Service) RunArrival(ctx context.Context, spec arrival.Spec) (string, error) {
-	return s.runArrival(ctx, spec, nil)
-}
-
-// runArrival is RunArrival with an optional live progress record; as with
-// campaigns, attaching one cannot change a byte of the report.
-func (s *Service) runArrival(ctx context.Context, spec arrival.Spec, prog *obs.Progress) (string, error) {
-	spec = s.normalizeArrival(spec)
-	eng := arrival.Engine{Source: s.registry, Workers: s.opts.Parallelism, Progress: prog}
-	res, err := eng.Run(ctx, spec)
-	if err != nil {
-		return "", err
-	}
-	var buf bytes.Buffer
-	res.Write(&buf)
 	return buf.String(), nil
 }

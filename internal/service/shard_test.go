@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -34,7 +35,7 @@ func shardSpec() robust.Spec {
 }
 
 // durableService builds a store-backed service on dir with a tight lease.
-func durableService(t *testing.T, dir, replica string, noShard bool) *Service {
+func durableService(t *testing.T, dir, replica string) *Service {
 	t.Helper()
 	st := openServiceStore(t, dir)
 	opts := DefaultOptions()
@@ -42,7 +43,6 @@ func durableService(t *testing.T, dir, replica string, noShard bool) *Service {
 	opts.ReplicaID = replica
 	opts.LeaseTTL = 500 * time.Millisecond
 	opts.JobWorkers = 1
-	opts.NoShard = noShard
 	svc := New(opts)
 	t.Cleanup(func() { svc.Close(context.Background()) })
 	return svc
@@ -54,9 +54,8 @@ func waitServiceJob(t *testing.T, svc *Service, id string) JobStatus {
 }
 
 // TestShardedServiceByteIdentity is the tentpole pin at service level: the
-// same robustness spec run (a) in process with no store, (b) durably with
-// sharding disabled, and (c) durably sharded must render byte-identical
-// reports.
+// same robustness spec run in process with no store and durably, sharded
+// into cells, must render byte-identical reports.
 func TestShardedServiceByteIdentity(t *testing.T) {
 	fastDurable(t)
 	spec := shardSpec()
@@ -68,29 +67,18 @@ func TestShardedServiceByteIdentity(t *testing.T) {
 		t.Fatalf("reference run: %v", err)
 	}
 
-	for _, tc := range []struct {
-		name    string
-		noShard bool
-	}{
-		{"monolithic-durable", true},
-		{"sharded-durable", false},
-	} {
-		svc := durableService(t, t.TempDir(), "solo", tc.noShard)
-		status, err := svc.SubmitRobustness(spec)
-		if err != nil {
-			t.Fatalf("%s: SubmitRobustness: %v", tc.name, err)
-		}
-		final := waitServiceJob(t, svc, status.ID)
-		if final.State != JobDone {
-			t.Fatalf("%s: job = %+v", tc.name, final)
-		}
-		if final.Output != want {
-			t.Errorf("%s output differs from in-process run:\n--- in-process ---\n%s\n--- durable ---\n%s",
-				tc.name, want, final.Output)
-		}
-		if !tc.noShard && (final.Progress == nil || final.Progress.CellsDone != 2 || final.Progress.CellsTotal != 2) {
-			t.Errorf("%s: final progress = %+v, want 2/2 cells", tc.name, final.Progress)
-		}
+	svc := durableService(t, t.TempDir(), "solo")
+	status, err := svc.SubmitRobustness(spec)
+	if err != nil {
+		t.Fatalf("SubmitRobustness: %v", err)
+	}
+	final := waitServiceJob(t, svc, status.ID)
+	if final.State != JobDone {
+		t.Fatalf("job = %+v", final)
+	}
+	if final.Output != want {
+		t.Errorf("durable output differs from in-process run:\n--- in-process ---\n%s\n--- durable ---\n%s",
+			want, final.Output)
 	}
 }
 
@@ -109,9 +97,8 @@ func arrivalShardSpec() arrival.Spec {
 }
 
 // TestShardedArrivalByteIdentity extends the service-level byte-identity
-// pin to online arrivals: the same scenario run in process, durably
-// monolithic and durably sharded must render byte-identical reports, and
-// the sharded run reports one cell per algorithm.
+// pin to online arrivals: the same scenario run in process and durably,
+// sharded into cells, must render byte-identical reports.
 func TestShardedArrivalByteIdentity(t *testing.T) {
 	fastDurable(t)
 	spec := arrivalShardSpec()
@@ -123,34 +110,68 @@ func TestShardedArrivalByteIdentity(t *testing.T) {
 		t.Fatalf("reference run: %v", err)
 	}
 
+	svc := durableService(t, t.TempDir(), "solo")
+	status, err := svc.SubmitArrival(spec)
+	if err != nil {
+		t.Fatalf("SubmitArrival: %v", err)
+	}
+	final := waitServiceJob(t, svc, status.ID)
+	if final.State != JobDone {
+		t.Fatalf("job = %+v", final)
+	}
+	if final.Output != want {
+		t.Errorf("durable output differs from in-process run:\n--- in-process ---\n%s\n--- durable ---\n%s",
+			want, final.Output)
+	}
+}
+
+// TestProgressSameOnBothBackends pins that a job reports the same progress
+// wherever it runs: for one job of each family the final snapshot — cells
+// and trials — of the in-memory service equals the durable service's, and
+// both count exactly the plan's cells. (A robustness study used to count its
+// grid twice in memory and once when sharded.)
+func TestProgressSameOnBothBackends(t *testing.T) {
+	fastDurable(t)
+	mem := New(DefaultOptions())
+	defer mem.Close(context.Background())
+	dur := durableService(t, t.TempDir(), "solo")
+
+	rob := shardSpec()
 	for _, tc := range []struct {
-		name    string
-		noShard bool
+		family string
+		cells  int64
+		submit func(*Service) (JobStatus, error)
 	}{
-		{"monolithic-durable", true},
-		{"sharded-durable", false},
+		{"campaign", 2, func(s *Service) (JobStatus, error) { return s.SubmitCampaign(rob.Spec) }},
+		{"robust", 2, func(s *Service) (JobStatus, error) { return s.SubmitRobustness(rob) }},
+		{"arrival", 2, func(s *Service) (JobStatus, error) { return s.SubmitArrival(arrivalShardSpec()) }},
 	} {
-		svc := durableService(t, t.TempDir(), "solo", tc.noShard)
-		status, err := svc.SubmitArrival(spec)
-		if err != nil {
-			t.Fatalf("%s: SubmitArrival: %v", tc.name, err)
+		var finals [2]JobStatus
+		for i, svc := range []*Service{mem, dur} {
+			status, err := tc.submit(svc)
+			if err != nil {
+				t.Fatalf("%s: submit: %v", tc.family, err)
+			}
+			finals[i] = waitServiceJob(t, svc, status.ID)
+			if finals[i].State != JobDone || finals[i].Progress == nil {
+				t.Fatalf("%s: job = %+v", tc.family, finals[i])
+			}
 		}
-		final := waitServiceJob(t, svc, status.ID)
-		if final.State != JobDone {
-			t.Fatalf("%s: job = %+v", tc.name, final)
+		inMem, durable := *finals[0].Progress, *finals[1].Progress
+		if inMem != durable {
+			t.Errorf("%s: final progress in memory %+v, durable %+v", tc.family, inMem, durable)
 		}
-		if final.Output != want {
-			t.Errorf("%s output differs from in-process run:\n--- in-process ---\n%s\n--- durable ---\n%s",
-				tc.name, want, final.Output)
+		if inMem.CellsDone != tc.cells || inMem.CellsTotal != tc.cells {
+			t.Errorf("%s: final progress = %+v, want %d/%d cells", tc.family, inMem, tc.cells, tc.cells)
 		}
-		if !tc.noShard && (final.Progress == nil || final.Progress.CellsDone != 2 || final.Progress.CellsTotal != 2) {
-			t.Errorf("%s: final progress = %+v, want 2/2 cells", tc.name, final.Progress)
+		if wantTrials := tc.family == "robust"; (inMem.TrialBudget > 0) != wantTrials || inMem.TrialsUsed != inMem.TrialBudget {
+			t.Errorf("%s: final trial progress = %+v", tc.family, inMem)
 		}
 	}
 }
 
-// countingCells wraps a fake CellRunner whose cells block until released,
-// recording which runner (replica) executed each cell.
+// countingCells is a fake plan whose cells block until released, recording
+// which replica executed each cell.
 type countingCells struct {
 	mu    sync.Mutex
 	ran   map[string][]int // replica -> cell indices
@@ -158,35 +179,36 @@ type countingCells struct {
 	cells int
 }
 
+// taggedCells is one replica's view of the shared fake: its Dispatch shards
+// kind "grid" into the fake plan.
 type taggedCells struct {
 	c       *countingCells
 	replica string
 }
 
-func (r taggedCells) Shardable(kind string) bool { return kind == "grid" }
-
-func (r taggedCells) CellCount(ctx context.Context, kind string, payload []byte) (int, error) {
-	return r.c.cells, nil
-}
-
-func (r taggedCells) RunCell(ctx context.Context, kind string, payload []byte, index int, prog *obs.Progress) ([]byte, error) {
-	select {
-	case <-r.c.gate:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	r.c.mu.Lock()
-	r.c.ran[r.replica] = append(r.c.ran[r.replica], index)
-	r.c.mu.Unlock()
-	return []byte(fmt.Sprintf("cell-%d", index)), nil
-}
-
-func (r taggedCells) MergeCells(ctx context.Context, kind string, payload []byte, results [][]byte) (string, error) {
-	out := ""
-	for _, frame := range results {
-		out += string(frame) + "\n"
-	}
-	return out, nil
+func (r taggedCells) dispatch() Dispatch {
+	return Dispatch{Plan: func(kind string, payload []byte) (Plan, error) {
+		if kind != "grid" {
+			return nil, nil
+		}
+		return &cellPlan[string]{
+			cells: r.c.cells,
+			run: func(ctx context.Context, index int, _ *obs.Progress) (string, error) {
+				select {
+				case <-r.c.gate:
+				case <-ctx.Done():
+					return "", ctx.Err()
+				}
+				r.c.mu.Lock()
+				r.c.ran[r.replica] = append(r.c.ran[r.replica], index)
+				r.c.mu.Unlock()
+				return fmt.Sprintf("cell-%d", index), nil
+			},
+			encode: func(cell string) ([]byte, error) { return []byte(cell), nil },
+			decode: func(frame []byte) (string, error) { return string(frame), nil },
+			merge:  func(cells []string) (string, error) { return strings.Join(cells, "\n") + "\n", nil },
+		}, nil
+	}}
 }
 
 // TestShardedJobSpansReplicas proves cooperation: with every cell gated
@@ -199,13 +221,13 @@ func TestShardedJobSpansReplicas(t *testing.T) {
 	shared := &countingCells{ran: make(map[string][]int), gate: make(chan struct{}), cells: 6}
 
 	stA := openServiceStore(t, dir)
-	a := NewDurableJobManager(1, 8, stA, "alpha", time.Second, nil, taggedCells{shared, "alpha"})
+	a := NewDurableJobManager(1, 8, stA, "alpha", time.Second, taggedCells{shared, "alpha"}.dispatch())
 	defer a.Shutdown(context.Background())
 	stB := openServiceStore(t, dir)
-	b := NewDurableJobManager(1, 8, stB, "beta", time.Second, nil, taggedCells{shared, "beta"})
+	b := NewDurableJobManager(1, 8, stB, "beta", time.Second, taggedCells{shared, "beta"}.dispatch())
 	defer b.Shutdown(context.Background())
 
-	status, err := a.SubmitPayload("grid", nil)
+	status, err := a.SubmitPayload("grid", nil, false)
 	if err != nil {
 		t.Fatalf("SubmitPayload: %v", err)
 	}
@@ -283,7 +305,7 @@ func TestCoordinatorRestartMidGather(t *testing.T) {
 
 	shared := &countingCells{ran: make(map[string][]int), gate: make(chan struct{}), cells: 3}
 	close(shared.gate)
-	m := NewDurableJobManager(1, 8, st, "heir", time.Second, nil, taggedCells{shared, "heir"})
+	m := NewDurableJobManager(1, 8, st, "heir", time.Second, taggedCells{shared, "heir"}.dispatch())
 	defer m.Shutdown(context.Background())
 
 	final := waitJobState(t, m, rec.ID, JobDone)
@@ -308,26 +330,26 @@ func TestShardedMergePermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Serial reference and the frames themselves, via the same CellRunner
-	// the durable manager uses.
+	// Serial reference and the frames themselves, via the same plan the
+	// durable manager resolves.
 	svc := New(DefaultOptions())
 	defer svc.Close(context.Background())
-	runner := shardRunner{svc}
-	kind := robustKindPrefix + ":" + spec.Spec.Name
-	n, err := runner.CellCount(context.Background(), kind, payload)
+	kind := "robust:" + spec.Spec.Name
+	plan, err := svc.plan(kind, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := plan.NumCells()
 	if n < 2 {
 		t.Fatalf("spec has %d cells; the permutation needs at least 2", n)
 	}
 	frames := make([][]byte, n)
 	for i := range frames {
-		if frames[i], err = runner.RunCell(context.Background(), kind, payload, i, nil); err != nil {
+		if frames[i], err = plan.RunCell(context.Background(), i, nil); err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
 	}
-	want, err := runner.MergeCells(context.Background(), kind, payload, frames)
+	want, err := plan.Merge(frames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +382,7 @@ func TestShardedMergePermutation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := runner.MergeCells(context.Background(), kind, payload, results)
+		got, err := plan.Merge(results)
 		if err != nil {
 			t.Fatal(err)
 		}
