@@ -145,7 +145,6 @@ func (e *Engine) RunCellIndex(ctx context.Context, p *Prepared, index int) (Cell
 		var sc *sched.Scratch
 		if homogeneous {
 			sc = sched.AcquireScratch()
-			defer sched.ReleaseScratch(sc)
 			sc.Bind(class.Graph, part.Cluster.Nodes, cost)
 		}
 		s, err := campaign.BuildScheduleScratch(sc, algo, class.Graph, part.Cluster, cost, comm)
@@ -162,6 +161,11 @@ func (e *Engine) RunCellIndex(ctx context.Context, p *Prepared, index int) (Cell
 			return fmt.Errorf("arrival: execute %s: %s on %s: %w", study, algo, class.Name, err)
 		}
 		cell.Pred[j], cell.Service[j] = pred, exp
+		if sc != nil {
+			// Not deferred: a scratch held at an error or a panic is
+			// dropped, never pooled.
+			sched.ReleaseScratch(sc)
+		}
 		return nil
 	})
 	if err != nil {

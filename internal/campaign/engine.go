@@ -208,7 +208,6 @@ func (e *Engine) runCell(ctx context.Context, plan *Plan, pt PlatformPoint, wp W
 		var sc *sched.Scratch
 		if homogeneous {
 			sc = sched.AcquireScratch()
-			defer sched.ReleaseScratch(sc)
 			sc.Bind(suite[i].Graph, truth.Cluster.Nodes, cost)
 		}
 		for ai, name := range algos {
@@ -231,6 +230,11 @@ func (e *Engine) runCell(ctx context.Context, plan *Plan, pt PlatformPoint, wp W
 			}
 		}
 		outs[i] = o
+		if sc != nil {
+			// Not deferred: a scratch held at an error or a panic is
+			// dropped, never pooled.
+			sched.ReleaseScratch(sc)
+		}
 		return nil
 	})
 	if err != nil {

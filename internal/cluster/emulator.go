@@ -92,8 +92,9 @@ func measureMakespan(net *simgrid.Net, h *Hidden, src noiseSource, s *sched.Sche
 	if err := s.Validate(net.Cluster.Nodes); err != nil {
 		return 0, fmt.Errorf("cluster: invalid schedule: %w", err)
 	}
+	// Released on success only: a replayer held at an error or a panic is
+	// dropped, never pooled.
 	rep := tgrid.AcquireReplayer()
-	defer tgrid.ReleaseReplayer(rep)
 	if err := rep.Bind(net, s, truthTiming{h: h, src: quiet{}}); err != nil {
 		return 0, err
 	}
@@ -106,6 +107,7 @@ func measureMakespan(net *simgrid.Net, h *Hidden, src noiseSource, s *sched.Sche
 		}
 		sum += makespan
 	}
+	tgrid.ReleaseReplayer(rep)
 	return sum / float64(trials), nil
 }
 

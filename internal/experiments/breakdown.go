@@ -37,7 +37,6 @@ func (l *Lab) TimeBreakdown() ([]BreakdownRow, error) {
 		cells := make([]cellOut, len(l.Suite))
 		err := l.runner().Run("breakdown/"+algo.Name(), len(l.Suite), func(i int, sess *cluster.Session) error {
 			build := builder.bind(l.Suite[i].Graph)
-			defer build.release()
 			s, err := build.build(algo)
 			if err != nil {
 				return err
@@ -48,6 +47,7 @@ func (l *Lab) TimeBreakdown() ([]BreakdownRow, error) {
 			}
 			b := res.Breakdown()
 			cells[i] = cellOut{b: b, share: (b.Startup + b.RedistOverhead) / res.Makespan}
+			build.release()
 			return nil
 		})
 		if err != nil {
@@ -116,7 +116,6 @@ func (l *Lab) ShapeStudy() ([]ShapeRow, error) {
 		g := shapes[i]
 		row := ShapeRow{Shape: g.Name, Tasks: g.Len(), Width: g.Width()}
 		build := builder.bind(g)
-		defer build.release()
 		var sim, exp [2]float64
 		for ai, algo := range ComparedAlgorithms() {
 			s, err := build.build(algo)
@@ -139,6 +138,7 @@ func (l *Lab) ShapeStudy() ([]ShapeRow, error) {
 		}
 		row.ProfileAgree = row.BestAlgoSim == row.BestAlgoExp
 		rows[i] = row
+		build.release()
 		return nil
 	})
 	if err != nil {

@@ -255,7 +255,6 @@ func (l *Lab) runSuite(modelName string) ([]Record, error) {
 			Exp:      make(map[string]float64, len(algos)),
 		}
 		build := builder.bind(inst.Graph)
-		defer build.release()
 		for _, algo := range algos {
 			s, err := build.build(algo)
 			if err != nil {
@@ -276,6 +275,7 @@ func (l *Lab) runSuite(modelName string) ([]Record, error) {
 			rec.Exp[algo.Name()] = exp
 		}
 		recs[i] = rec
+		build.release()
 		return nil
 	})
 	if err != nil {

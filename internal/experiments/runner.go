@@ -3,8 +3,10 @@ package experiments
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -107,11 +109,21 @@ func ForEachCellCtx(ctx context.Context, workers, n int, fn func(cell int) error
 	errs := make([]error, n)
 	var next, completed int64
 	var failed atomic.Bool
+	var panicked atomic.Pointer[CellPanic]
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// A panic on a worker goroutine would end the process whatever
+			// the caller does; relay it to the caller's goroutine instead,
+			// where it behaves like a panic of the serial loop.
+			defer func() {
+				if r := recover(); r != nil {
+					failed.Store(true)
+					panicked.CompareAndSwap(nil, &CellPanic{Value: r, Stack: debug.Stack()})
+				}
+			}()
 			for {
 				// Once any cell fails (or the context is cancelled), skip
 				// cells that have not started: the results will be
@@ -135,6 +147,9 @@ func ForEachCellCtx(ctx context.Context, workers, n int, fn func(cell int) error
 		}()
 	}
 	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(*p)
+	}
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -145,6 +160,16 @@ func ForEachCellCtx(ctx context.Context, workers, n int, fn func(cell int) error
 	}
 	return ctx.Err()
 }
+
+// CellPanic is the value ForEachCellCtx re-panics with on the caller's
+// goroutine when fn panicked on a worker's: the original value and the stack
+// of the goroutine that raised it.
+type CellPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p CellPanic) String() string { return fmt.Sprintf("%v\n%s", p.Value, p.Stack) }
 
 // Runner executes the cells of named studies against one emulated
 // environment: a bounded worker pool plus per-cell deterministic noise

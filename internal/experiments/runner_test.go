@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -277,5 +278,34 @@ func TestCellsInOrder(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) || prog.Snapshot().CellsDone != 1 {
 		t.Errorf("cancelled after cell 0: err = %v, progress = %+v", err, prog.Snapshot())
+	}
+}
+
+// A panic on a worker goroutine reaches the caller's goroutine — where a
+// server can recover it — with the stack of the goroutine that raised it,
+// whatever the worker count.
+func TestForEachCellRelaysWorkerPanic(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("workers=%d: panic in a cell did not reach the caller", workers)
+				}
+				if workers == 1 {
+					return // the serial loop panics on the caller's goroutine as it is
+				}
+				cp, ok := r.(CellPanic)
+				if !ok || cp.Value != "cell 5 blew up" || !strings.Contains(string(cp.Stack), "runner_test.go") {
+					t.Fatalf("workers=%d: recovered %#v", workers, r)
+				}
+			}()
+			_ = ForEachCell(workers, 16, func(cell int) error {
+				if cell == 5 {
+					panic("cell 5 blew up")
+				}
+				return nil
+			})
+		}()
 	}
 }

@@ -58,7 +58,9 @@ func buildHeteroWith(model perfmodel.Model, c platform.Cluster) cellBuilder {
 }
 
 // bind returns the builder readied for one cell's DAG; release it when the
-// cell's last schedule has been consumed.
+// cell's last schedule has been consumed — by a plain call at the end of the
+// cell, not a defer: a scratch held at an error or a panic is dropped, never
+// pooled.
 func (b cellBuilder) bind(g *dag.Graph) cellBuilder {
 	b.g = g
 	if !b.hetero {
@@ -114,7 +116,6 @@ func (ps pairStudy) execute() (pairSeries, error) {
 	algos := ComparedAlgorithms()
 	err := ps.run.Run(ps.study, len(ps.suite), func(i int, sess *cluster.Session) error {
 		build := ps.build.bind(ps.suite[i].Graph)
-		defer build.release()
 		var sim, exp [2]float64
 		out := cellOut{errs: make([]float64, len(algos))}
 		for ai, algo := range algos {
@@ -133,6 +134,7 @@ func (ps pairStudy) execute() (pairSeries, error) {
 		out.simRel = stats.RelDiff(sim[hcpa], sim[mcpa])
 		out.expRel = stats.RelDiff(exp[hcpa], exp[mcpa])
 		cells[i] = out
+		build.release()
 		return nil
 	})
 	if err != nil {

@@ -313,7 +313,6 @@ func (e *Engine) stabilizeCell(ctx context.Context, plan *Plan, cp *campaign.Pla
 	err := experiments.ForEachCellCtx(ctx, e.Workers, len(suite), func(i int) error {
 		g := suite[i].Graph
 		run := e.acquireRunner(len(algos))
-		defer e.releaseRunner(run)
 		if replayAll {
 			for ai := range algos {
 				if err := run.reps[ai].Bind(platNet, raw.Schedules[i][ai], baseTiming); err != nil {
@@ -398,6 +397,9 @@ func (e *Engine) stabilizeCell(ctx context.Context, plan *Plan, cp *campaign.Pla
 		if axis.Sequential {
 			trialsSaved.Add(uint64(int64(nL)*int64(nT) - drawn))
 		}
+		// Not deferred: a runner held at an error or a panic is dropped,
+		// its scratch and replayers with it, never pooled.
+		e.releaseRunner(run)
 		return nil
 	})
 	if err != nil {

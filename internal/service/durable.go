@@ -35,26 +35,25 @@ type durable struct {
 	local map[string]*obs.Progress
 
 	lastHeartbeat atomic.Int64 // unix nanos of the last replica record
+
+	// fallback is how long a worker with nothing to do sleeps at most before
+	// looking again unprompted; leaseSweep outside tests.
+	fallback time.Duration
 }
+
+// leaseSweep is the one periodic timer left on the idle path. New work is
+// announced by the store (store.WaitChange); what nothing announces is a
+// lease running out, so every worker that waits still looks again this often.
+const leaseSweep = 100 * time.Millisecond
 
 // cellsDone counts sharded cells this replica executed to completion — the
 // per-replica share of a cluster's cooperative jobs.
 var cellsDone = obs.Default.Counter("repro_jobs_cells_done_total",
 	"Sharded job cells executed to completion by this replica.")
 
-// claimPoll is the idle claim loop's fallback poll cadence; a variable so
-// tests tighten it. Between polls the loop watches the store's ChangeStamp
-// at claimWake cadence, so new work is usually picked up in ~claimWake.
-var claimPoll = 100 * time.Millisecond
-
-// claimWake is how often an idle claim loop stats the store for changes — a
-// manifest read plus a WAL stat, no lock traffic, so ~10 ms pickup costs
-// nothing measurable even with many replicas.
-var claimWake = 10 * time.Millisecond
-
-// walCompactBytes is the WAL size past which a terminal transition triggers
-// snapshot compaction; a variable so tests can force compaction on every
-// completion.
+// walCompactBytes is the least WAL a terminal transition compacts away (a
+// larger snapshot raises the bar to its own size; see store.CompactPast); a
+// variable so tests can force compaction early.
 var walCompactBytes = int64(256 << 10)
 
 // NewDurableJobManager starts a store-backed manager: workers claim-loop
@@ -65,6 +64,13 @@ var walCompactBytes = int64(256 << 10)
 // work-units that every replica's claim loops cooperate on; a nil Plan runs
 // every job whole through dispatch.Run.
 func NewDurableJobManager(workers, retain int, st *store.Store, replica string, ttl time.Duration, dispatch Dispatch) *JobManager {
+	return newDurableJobManager(workers, retain, st, replica, ttl, dispatch, leaseSweep)
+}
+
+// newDurableJobManager is NewDurableJobManager with the fallback deadline as
+// a parameter: tests push it out of the way to prove a wake came from the
+// store's signal and not from the timer.
+func newDurableJobManager(workers, retain int, st *store.Store, replica string, ttl time.Duration, dispatch Dispatch, fallback time.Duration) *JobManager {
 	if workers < 1 {
 		workers = 1
 	}
@@ -83,7 +89,8 @@ func NewDurableJobManager(workers, retain int, st *store.Store, replica string, 
 		jobs:     make(map[string]*job),
 		dur: &durable{
 			st: st, replica: replica, ttl: ttl,
-			local: make(map[string]*obs.Progress),
+			local:    make(map[string]*obs.Progress),
+			fallback: fallback,
 		},
 	}
 	for i := 0; i < workers; i++ {
@@ -150,14 +157,12 @@ func (m *JobManager) statusFromRecord(rec store.JobRecord) JobStatus {
 
 // claimLoop is one worker's life: claim a job when one is available, run
 // it; failing that, claim cells of other replicas' sharded jobs; failing
-// that, heartbeat and watch the store for changes.
+// that, heartbeat and sleep until the store announces work. A worker woken
+// for work another worker took finds nothing, writes nothing and sleeps again.
 func (m *JobManager) claimLoop() {
 	defer m.wg.Done()
-	var stamp store.ChangeStamp
-	for {
-		if m.ctx.Err() != nil {
-			return
-		}
+	for m.ctx.Err() == nil {
+		stamp := m.dur.st.Stamp()
 		rec, ok, err := m.dur.st.Claim(m.dur.replica, m.dur.ttl)
 		if err == nil && ok {
 			m.runDurable(rec)
@@ -167,33 +172,7 @@ func (m *JobManager) claimLoop() {
 			continue
 		}
 		m.heartbeat()
-		stamp = m.idleWait(m.ctx, stamp)
-	}
-}
-
-// idleWait sleeps until the store changes (a new submission, claim, or cell
-// transition moves its ChangeStamp) or the claimPoll fallback deadline
-// passes, whichever is first. Stamp reads are lock-free — a manifest read
-// plus a WAL stat — so many idle replicas watching one store cost nothing.
-func (m *JobManager) idleWait(ctx context.Context, last store.ChangeStamp) store.ChangeStamp {
-	wake := claimWake
-	if wake > claimPoll {
-		wake = claimPoll
-	}
-	deadline := time.Now().Add(claimPoll)
-	for {
-		select {
-		case <-ctx.Done():
-			return last
-		case <-time.After(wake):
-		}
-		cur, err := m.dur.st.ChangeStamp()
-		if err != nil {
-			return last
-		}
-		if cur != last || !time.Now().Before(deadline) {
-			return cur
-		}
+		m.dur.st.WaitChange(m.ctx, stamp, m.dur.fallback)
 	}
 }
 
@@ -216,10 +195,89 @@ func (m *JobManager) renewEvery() time.Duration {
 	return d
 }
 
-// runDurable executes one claimed job: a renewal goroutine keeps the lease
-// (and the stored progress snapshot) fresh while the runner works; losing
-// the lease cancels the run. Terminal transitions are fenced by holder in
-// the store, so a takeover can never be overwritten by the loser.
+// leaseKeeper keeps whatever one worker holds — a job, or the current cell
+// of a chain of cells — leased while the worker runs it: every renewEvery it
+// renews the lease last named with hold, storing that work's progress
+// snapshot alongside. Losing the lease cancels the worker's context.
+type leaseKeeper struct {
+	cancel context.CancelFunc
+	done   chan struct{}
+
+	mu   sync.Mutex
+	job  string // "" while nothing is held
+	cell int    // the cell of job that is held; -1 for the job itself
+	prog *obs.Progress
+	lost bool
+}
+
+// keepLease starts a keeper; work under it runs on the returned context.
+func (m *JobManager) keepLease(parent context.Context) (*leaseKeeper, context.Context) {
+	ctx, cancel := context.WithCancel(parent)
+	k := &leaseKeeper{cancel: cancel, done: make(chan struct{})}
+	go func() {
+		defer close(k.done)
+		tick := time.NewTicker(m.renewEvery())
+		defer tick.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-tick.C:
+			}
+			k.mu.Lock()
+			job, cell, prog := k.job, k.cell, k.prog
+			k.mu.Unlock()
+			if job == "" {
+				continue
+			}
+			var err error
+			if cell < 0 {
+				err = m.dur.st.Renew(job, m.dur.replica, m.dur.ttl, snapPtr(prog.Snapshot()))
+			} else {
+				err = m.dur.st.RenewCell(job, cell, m.dur.replica, m.dur.ttl, snapPtr(prog.Snapshot()))
+			}
+			if !errors.Is(err, store.ErrLeaseLost) {
+				continue
+			}
+			// The chain may have moved on while the renewal was in flight;
+			// only the lease still held counts as lost.
+			k.mu.Lock()
+			k.lost = k.job == job && k.cell == cell
+			lost := k.lost
+			k.mu.Unlock()
+			if lost {
+				cancel()
+				return
+			}
+		}
+	}()
+	return k, ctx
+}
+
+// hold names the lease to keep from now on.
+func (k *leaseKeeper) hold(job string, cell int, prog *obs.Progress) {
+	k.mu.Lock()
+	k.job, k.cell, k.prog = job, cell, prog
+	k.mu.Unlock()
+}
+
+// leaseLost reports whether the lease held now was taken over.
+func (k *leaseKeeper) leaseLost() bool {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.lost
+}
+
+// stop ends the renewals and waits for the one in flight.
+func (k *leaseKeeper) stop() {
+	k.cancel()
+	<-k.done
+}
+
+// runDurable executes one claimed job under a lease keeper, which keeps the
+// lease (and the stored progress snapshot) fresh while the runner works;
+// losing the lease cancels the run. Terminal transitions are fenced by
+// holder in the store, so a takeover can never be overwritten by the loser.
 func (m *JobManager) runDurable(rec store.JobRecord) {
 	prog := &obs.Progress{}
 	m.dur.mu.Lock()
@@ -231,29 +289,8 @@ func (m *JobManager) runDurable(rec store.JobRecord) {
 		m.dur.mu.Unlock()
 	}()
 
-	ctx, cancel := context.WithCancel(m.ctx)
-	defer cancel()
-	var leaseLost atomic.Bool
-	renewDone := make(chan struct{})
-	go func() {
-		defer close(renewDone)
-		tick := time.NewTicker(m.renewEvery())
-		defer tick.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-				snap := prog.Snapshot()
-				err := m.dur.st.Renew(rec.ID, m.dur.replica, m.dur.ttl, snapPtr(snap))
-				if errors.Is(err, store.ErrLeaseLost) {
-					leaseLost.Store(true)
-					cancel()
-					return
-				}
-			}
-		}
-	}()
+	keeper, ctx := m.keepLease(m.ctx)
+	keeper.hold(rec.ID, -1, prog)
 
 	jobsRunning.Inc()
 	started := time.Now()
@@ -268,16 +305,15 @@ func (m *JobManager) runDurable(rec store.JobRecord) {
 	case plan != nil:
 		out, err = m.runSharded(ctx, rec, plan, prog)
 	default:
-		out, err = m.dispatch.Run(ctx, rec.Kind, rec.Payload, prog)
+		out, err = guarded(func() (string, error) { return m.dispatch.Run(ctx, rec.Kind, rec.Payload, prog) })
 	}
 	jobsRunning.Dec()
-	cancel()
-	<-renewDone
+	keeper.stop()
 	m.dispatch.observeDuration(rec.Kind, time.Since(started))
 
 	snap := prog.Snapshot()
 	switch {
-	case leaseLost.Load():
+	case keeper.leaseLost():
 		// Another replica owns the job now; any store write would be
 		// rejected as a stale holder's.
 	case err == nil:
@@ -293,7 +329,7 @@ func (m *JobManager) runDurable(rec store.JobRecord) {
 			jobsFailed.Inc()
 		}
 	}
-	m.maybeCompact()
+	_ = m.dur.st.CompactPast(walCompactBytes, m.retain)
 }
 
 // runSharded coordinates one sharded job: plan its cells durably, join the
@@ -349,11 +385,11 @@ func (m *JobManager) runSharded(ctx context.Context, rec store.JobRecord, plan P
 	}()
 	defer func() { fcancel(); <-foldDone }()
 
-	var stamp store.ChangeStamp
 	for {
 		if err := ctx.Err(); err != nil {
 			return "", err
 		}
+		stamp := m.dur.st.Stamp()
 		ran := m.runCells(ctx, rec.ID)
 		sum := fold()
 		if sum.Total > 0 {
@@ -369,9 +405,10 @@ func (m *JobManager) runSharded(ctx context.Context, rec store.JobRecord, plan P
 			}
 		}
 		if !ran {
-			// All remaining cells are leased to other replicas; wait for
-			// their transitions (or an expiry to reclaim) to move the store.
-			stamp = m.idleWait(ctx, stamp)
+			// All remaining cells are leased to other replicas: sleep until
+			// the store announces the result that ends the plan or a cell
+			// given back — or until it is time to look for an expired lease.
+			m.dur.st.WaitChange(ctx, stamp, m.dur.fallback)
 		}
 	}
 }
@@ -380,71 +417,53 @@ func (m *JobManager) runSharded(ctx context.Context, rec store.JobRecord, plan P
 // set (the coordinator joining its own workers), of any sharded job
 // otherwise (an idle claim loop helping out). Completing a cell claims the
 // next in the same store write, so a replica streams through a grid with
-// one fsync per cell. Reports whether any cell was claimed.
+// one store call per cell; the whole chain runs under one lease keeper and
+// reads each job it touches, and resolves its plan, once. Reports whether any
+// cell was claimed.
 func (m *JobManager) runCells(ctx context.Context, onlyJob string) bool {
-	cell, ok, err := m.dur.st.ClaimCell(m.dur.replica, m.dur.ttl, onlyJob)
-	if err != nil || !ok {
+	cell, more, err := m.dur.st.ClaimCell(m.dur.replica, m.dur.ttl, onlyJob)
+	if err != nil || !more {
 		return false
 	}
-	for {
-		next, more := m.runClaimedCell(ctx, cell, onlyJob)
-		if !more {
-			return true
-		}
-		cell = next
-	}
-}
-
-// runClaimedCell executes one claimed cell under lease renewal and writes
-// its terminal record, chaining to a follow-up claim when one is batched in.
-// Cell completion is first-write-wins in the store: if this holder was
-// reclaimed mid-run and both finish, the duplicate (byte-identical) result
-// is simply ignored.
-func (m *JobManager) runClaimedCell(ctx context.Context, cell store.CellRecord, onlyJob string) (store.CellRecord, bool) {
-	job, ok, err := m.dur.st.Job(cell.Job)
-	if err != nil || !ok {
-		_ = m.dur.st.ReleaseCell(cell.Job, cell.Index, m.dur.replica)
-		return store.CellRecord{}, false
-	}
-	prog := &obs.Progress{}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var leaseLost atomic.Bool
-	renewDone := make(chan struct{})
-	go func() {
-		defer close(renewDone)
-		tick := time.NewTicker(m.renewEvery())
-		defer tick.Stop()
-		for {
-			select {
-			case <-cctx.Done():
-				return
-			case <-tick.C:
-				snap := prog.Snapshot()
-				err := m.dur.st.RenewCell(cell.Job, cell.Index, m.dur.replica, m.dur.ttl, snapPtr(snap))
-				if errors.Is(err, store.ErrLeaseLost) {
-					leaseLost.Store(true)
-					cancel()
-					return
-				}
+	keeper, cctx := m.keepLease(ctx)
+	defer keeper.stop()
+	var job store.JobRecord
+	var plan Plan
+	var planErr error
+	for more {
+		if cell.Job != job.ID {
+			var ok bool
+			if job, ok, err = m.dur.st.Job(cell.Job); err != nil || !ok {
+				_ = m.dur.st.ReleaseCell(cell.Job, cell.Index, m.dur.replica)
+				break
+			}
+			if plan, planErr = m.dispatch.Plan(job.Kind, job.Payload); planErr == nil && plan == nil {
+				// A cell of a family this replica's table lacks.
+				planErr = fmt.Errorf("service: kind %q is not shardable", job.Kind)
 			}
 		}
-	}()
-
-	var data []byte
-	plan, err := m.dispatch.Plan(job.Kind, job.Payload)
-	switch {
-	case err != nil:
-	case plan == nil: // a cell of a family this replica's table lacks
-		err = fmt.Errorf("service: kind %q is not shardable", job.Kind)
-	default:
-		data, err = plan.RunCell(cctx, cell.Index, prog)
+		cell, more = m.runClaimedCell(ctx, cctx, keeper, plan, planErr, cell, onlyJob)
 	}
-	cancel()
-	<-renewDone
+	return true
+}
+
+// runClaimedCell executes one claimed cell of a chain — cctx is the chain's
+// context, which its keeper cancels with the lease; ctx the worker's — and
+// writes its terminal record, chaining to a follow-up claim when one is
+// batched in. Cell completion is first-write-wins in the store: if this
+// holder was reclaimed mid-run and both finish, the duplicate
+// (byte-identical) result is simply ignored.
+func (m *JobManager) runClaimedCell(ctx, cctx context.Context, keeper *leaseKeeper, plan Plan, err error,
+	cell store.CellRecord, onlyJob string) (store.CellRecord, bool) {
+	prog := &obs.Progress{}
+	keeper.hold(cell.Job, cell.Index, prog)
+	var data []byte
+	if err == nil {
+		data, err = guarded(func() ([]byte, error) { return plan.RunCell(cctx, cell.Index, prog) })
+	}
 	snap := prog.Snapshot()
 	switch {
-	case leaseLost.Load():
+	case keeper.leaseLost():
 		// Another replica reclaimed the cell (or the job finished without
 		// us); the store would fence any write, so just walk away.
 	case err == nil:
@@ -473,18 +492,6 @@ func snapPtr(snap obs.ProgressSnapshot) *obs.ProgressSnapshot {
 		return nil
 	}
 	return &snap
-}
-
-// maybeCompact compacts the store once the WAL outgrows the threshold,
-// pruning finished jobs beyond the retention window — the durable analogue
-// of the in-memory manager's eviction, and the reason the WAL cannot grow
-// without bound.
-func (m *JobManager) maybeCompact() {
-	size, err := m.dur.st.WALSize()
-	if err != nil || size < walCompactBytes {
-		return
-	}
-	_ = m.dur.st.Compact(m.retain)
 }
 
 // durableGet reads one job's status through the store.

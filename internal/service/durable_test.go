@@ -5,21 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/store"
 )
-
-// fastDurable shrinks the claim cadence for tests.
-func fastDurable(t *testing.T) {
-	t.Helper()
-	oldPoll, oldCompact := claimPoll, walCompactBytes
-	claimPoll = 5 * time.Millisecond
-	walCompactBytes = oldCompact
-	t.Cleanup(func() { claimPoll, walCompactBytes = oldPoll, oldCompact })
-}
 
 func openServiceStore(t *testing.T, dir string) *store.Store {
 	t.Helper()
@@ -51,7 +44,6 @@ func waitJobState(t *testing.T, m *JobManager, id string, want ...JobState) JobS
 }
 
 func TestDurableManagerRunsPayload(t *testing.T) {
-	fastDurable(t)
 	dir := t.TempDir()
 	st := openServiceStore(t, dir)
 
@@ -96,7 +88,6 @@ func TestDurableManagerRunsPayload(t *testing.T) {
 }
 
 func TestDurableManagerFailedJob(t *testing.T) {
-	fastDurable(t)
 	st := openServiceStore(t, t.TempDir())
 	runner := func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
 		return "", errors.New("deliberate failure")
@@ -117,7 +108,6 @@ func TestDurableManagerFailedJob(t *testing.T) {
 // Two replicas drain a shared pool; every job completes exactly once and
 // both see identical terminal states.
 func TestDurableManagerTwoReplicasShareThePool(t *testing.T) {
-	fastDurable(t)
 	dir := t.TempDir()
 	stA := openServiceStore(t, dir)
 	stB := openServiceStore(t, dir)
@@ -163,7 +153,6 @@ func TestDurableManagerTwoReplicasShareThePool(t *testing.T) {
 // A replica that vanishes mid-run (simulated by a bare store-level claim
 // that is never renewed) loses the job to a live manager after the TTL.
 func TestDurableManagerReclaimsExpiredLease(t *testing.T) {
-	fastDurable(t)
 	dir := t.TempDir()
 	stDead := openServiceStore(t, dir)
 
@@ -196,7 +185,6 @@ func TestDurableManagerReclaimsExpiredLease(t *testing.T) {
 // Graceful shutdown releases running jobs back to the queue instead of
 // completing, cancelling, or leaking them; a second manager picks them up.
 func TestDurableShutdownReleasesRunningJobs(t *testing.T) {
-	fastDurable(t)
 	dir := t.TempDir()
 	stA := openServiceStore(t, dir)
 
@@ -238,13 +226,12 @@ func TestDurableShutdownReleasesRunningJobs(t *testing.T) {
 	}
 }
 
-// Terminal transitions compact the store once the WAL passes the threshold,
-// and retention prunes finished jobs beyond the window — the durable fix
-// for unbounded WAL growth.
+// Terminal transitions compact the store once the WAL has outgrown the
+// threshold and the snapshot it would be folded into, and retention prunes
+// finished jobs beyond the window — the durable fix for unbounded WAL growth.
 func TestDurableRetentionCompactsStore(t *testing.T) {
-	fastDurable(t)
 	oldCompact := walCompactBytes
-	walCompactBytes = 1 // every terminal transition compacts
+	walCompactBytes = 1 // only the snapshot's own size holds compaction back
 	t.Cleanup(func() { walCompactBytes = oldCompact })
 
 	dir := t.TempDir()
@@ -255,26 +242,43 @@ func TestDurableRetentionCompactsStore(t *testing.T) {
 		}})
 	defer m.Shutdown(context.Background())
 
+	const jobs = 12
 	var last JobStatus
-	for i := 0; i < 6; i++ {
+	for i := 0; i < jobs; i++ {
 		status, err := m.SubmitPayload(fmt.Sprintf("k%d", i), nil, false)
 		if err != nil {
 			t.Fatalf("SubmitPayload: %v", err)
 		}
 		last = waitJobState(t, m, status.ID, JobDone)
 	}
-	list := m.List()
-	if len(list) > 3 { // retain=2 finished + possibly one in flight
-		t.Fatalf("retention kept %d jobs: %+v", len(list), list)
+	// retain=2 finished jobs survive a compaction, plus whatever finished
+	// since the last one — which is bounded, because the log is folded in as
+	// soon as it is as large as the snapshot.
+	if list := m.List(); len(list) > jobs/2 {
+		t.Fatalf("retention kept %d of %d jobs: %+v", len(list), jobs, list)
 	}
-	// The WAL was reset by compaction (nothing ran since the last terminal
-	// transition's compact).
-	size, err := st.WALSize()
+	gen := storeGeneration(t, dir)
+	if gen < 2 {
+		t.Fatalf("store is at generation %d after %d jobs, want several compactions", gen, jobs)
+	}
+	snap, err := os.Stat(filepath.Join(dir, fmt.Sprintf("snapshot-%d.json", gen)))
 	if err != nil {
-		t.Fatalf("WALSize: %v", err)
+		t.Fatal(err)
 	}
-	if size != 0 {
-		t.Fatalf("WAL size after compacting retention = %d, want 0", size)
+	// The last terminal transition's compaction check may still be running.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		size, err := st.WALSize()
+		if err != nil {
+			t.Fatalf("WALSize: %v", err)
+		}
+		if size < snap.Size() || storeGeneration(t, dir) > gen {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("WAL is %d bytes beside a %d-byte snapshot and was not compacted", size, snap.Size())
+		}
+		time.Sleep(time.Millisecond)
 	}
 	// Replay equivalence: a fresh handle sees the same retained jobs.
 	st2 := openServiceStore(t, dir)
@@ -287,11 +291,30 @@ func TestDurableRetentionCompactsStore(t *testing.T) {
 	}
 }
 
+// storeGeneration reads a store directory's live generation — the number of
+// compactions it has been through.
+func storeGeneration(t *testing.T, dir string) uint64 {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
+	if os.IsNotExist(err) {
+		return 0
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Gen uint64 `json:"gen"`
+	}
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m.Gen
+}
+
 // The service wires a Store into a durable job manager and registers the
 // environment payload dispatcher: a study submitted through the normal API
 // runs from its durable payload and matches the synchronous result.
 func TestServiceDurableStudyMatchesSynchronous(t *testing.T) {
-	fastDurable(t)
 	dir := t.TempDir()
 	st := openServiceStore(t, dir)
 

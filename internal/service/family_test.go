@@ -189,7 +189,6 @@ func TestToyFamilyOverHTTP(t *testing.T) {
 // durable cluster: the job is planned into cells in the store, the cells'
 // frames are merged in index order, and progress counts the plan's cells.
 func TestToyFamilySharded(t *testing.T) {
-	fastDurable(t)
 	dir := t.TempDir()
 	a, b := durableService(t, dir, "alpha"), durableService(t, dir, "beta")
 	addFamily(t, a, toyFamily())

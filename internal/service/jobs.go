@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/obs"
 )
 
@@ -129,6 +131,40 @@ type job struct {
 	status   JobStatus
 	fn       JobFunc
 	progress *obs.Progress
+	// ended is closed by finish, when the job reaches a terminal state.
+	ended chan struct{}
+}
+
+// guarded runs fn — a whole job, or one cell — and turns a panic in it into
+// an error carrying the panic value and the top of the stack, so that what
+// fails is the job and not the process serving every other job. Whatever fn
+// held at the panic (a pooled scratch, a replayer) is dropped with its
+// frames, not released.
+func guarded[T any](fn func() (T, error)) (out T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = panicError(r, debug.Stack())
+		}
+	}()
+	return fn()
+}
+
+// panicStackLines bounds the stack kept in a job's Error: enough to name the
+// panicking frame and its callers, not the goroutine's life story.
+const panicStackLines = 16
+
+// panicError renders a recovered panic. A panic relayed from a cell worker
+// goroutine (experiments.CellPanic) carries the stack of the goroutine that
+// raised it, which is the one worth keeping.
+func panicError(r any, stack []byte) error {
+	if cp, ok := r.(experiments.CellPanic); ok {
+		r, stack = cp.Value, cp.Stack
+	}
+	lines := strings.Split(strings.TrimSpace(string(stack)), "\n")
+	if len(lines) > panicStackLines {
+		lines = append(lines[:panicStackLines], "...")
+	}
+	return fmt.Errorf("panic: %v\n%s", r, strings.Join(lines, "\n"))
 }
 
 // ErrQueueFull is returned by Submit when the bounded queue is at capacity.
@@ -220,7 +256,7 @@ func (m *JobManager) run(j *job) {
 	m.mu.Unlock()
 
 	jobsRunning.Inc()
-	out, err := j.fn(m.ctx)
+	out, err := guarded(func() (string, error) { return j.fn(m.ctx) })
 	jobsRunning.Dec()
 
 	m.mu.Lock()
@@ -245,9 +281,10 @@ func (m *JobManager) run(j *job) {
 	m.finish(j.status.ID)
 }
 
-// finish records a finished job and evicts beyond the retention window.
-// Callers hold m.mu.
+// finish records a finished job, releases whoever watches it, and evicts
+// beyond the retention window. Callers hold m.mu.
 func (m *JobManager) finish(id string) {
+	close(m.jobs[id].ended)
 	m.finished = append(m.finished, id)
 	for len(m.finished) > m.retain {
 		evict := m.finished[0]
@@ -313,6 +350,7 @@ func (m *JobManager) submit(kind string, fn JobFunc, prog *obs.Progress) (JobSta
 		},
 		fn:       fn,
 		progress: prog,
+		ended:    make(chan struct{}),
 	}
 	m.jobs[j.status.ID] = j
 	// Copy before enqueueing: a worker may start mutating j.status the
@@ -373,8 +411,9 @@ func (m *JobManager) List() []JobStatus {
 	return out
 }
 
-// watchPoll is the internal cadence of Watch; a variable so tests can
-// tighten it.
+// watchPoll is how often Watch looks for progress movement, which nothing
+// announces; a variable so tests can tighten it. A state transition does not
+// wait for it.
 var watchPoll = 150 * time.Millisecond
 
 // terminalState reports whether a job can no longer change.
@@ -399,32 +438,49 @@ func statusChanged(a, b JobStatus) bool {
 // status. It returns the current status unchanged once d elapses or ctx is
 // cancelled, and false only if the job does not exist (or was evicted from
 // retention mid-watch). Jobs already in a terminal state return immediately.
+// A job's end wakes the watch — through the job itself in memory, through
+// the store's change wait on a cluster, whichever replica finished it — and
+// progress movement is noticed every watchPoll.
 func (m *JobManager) Watch(ctx context.Context, id string, d time.Duration) (JobStatus, bool) {
-	base, ok := m.Get(id)
-	if !ok {
-		return JobStatus{}, false
+	ctx, cancel := context.WithTimeout(ctx, d)
+	defer cancel()
+	var base JobStatus
+	for first := true; ; first = false {
+		wait := m.awaitChange(id) // armed before the read: nothing in between is missed
+		cur, ok := m.Get(id)
+		if !ok {
+			return JobStatus{}, false
+		}
+		if first {
+			base = cur
+		}
+		if terminalState(cur.State) || statusChanged(base, cur) || ctx.Err() != nil {
+			return cur, true
+		}
+		wait(ctx)
 	}
-	if terminalState(base.State) {
-		return base, true
+}
+
+// awaitChange returns a wait for the next moment job id may look different:
+// its end, which is announced, or watchPoll later, for progress.
+func (m *JobManager) awaitChange(id string) func(context.Context) {
+	if m.dur != nil {
+		stamp := m.dur.st.Stamp()
+		return func(ctx context.Context) { m.dur.st.WaitChange(ctx, stamp, watchPoll) }
 	}
-	deadline := time.NewTimer(d)
-	defer deadline.Stop()
-	tick := time.NewTicker(watchPoll)
-	defer tick.Stop()
-	for {
+	var ended chan struct{} // stays nil, and silent, for a job that is gone
+	m.mu.Lock()
+	if j := m.jobs[id]; j != nil {
+		ended = j.ended
+	}
+	m.mu.Unlock()
+	return func(ctx context.Context) {
+		tick := time.NewTimer(watchPoll)
+		defer tick.Stop()
 		select {
 		case <-ctx.Done():
-			return m.Get(id)
-		case <-deadline.C:
-			return m.Get(id)
+		case <-ended:
 		case <-tick.C:
-			cur, ok := m.Get(id)
-			if !ok {
-				return JobStatus{}, false
-			}
-			if statusChanged(base, cur) {
-				return cur, true
-			}
 		}
 	}
 }

@@ -528,8 +528,9 @@ type SimulateResponse struct {
 // batched simulate paths go through it, so a batch item is identical to the
 // corresponding single response by construction.
 func simulateTimeline(g *dag.Graph, schedule *sched.Schedule, model perfmodel.Model, net *simgrid.Net) (float64, []SimulatedTask, error) {
+	// Released on success only: a replayer held at an error or a panic is
+	// dropped, never pooled.
 	rep := tgrid.AcquireReplayer()
-	defer tgrid.ReleaseReplayer(rep)
 	makespan, err := rep.Simulate(net, schedule, tgrid.ModelTiming{Model: model})
 	if err != nil {
 		return 0, nil, err
@@ -547,6 +548,7 @@ func simulateTimeline(g *dag.Graph, schedule *sched.Schedule, model perfmodel.Mo
 			Startup: startup,
 		})
 	}
+	tgrid.ReleaseReplayer(rep)
 	return makespan, tasks, nil
 }
 

@@ -57,7 +57,6 @@ func waitServiceJob(t *testing.T, svc *Service, id string) JobStatus {
 // same robustness spec run in process with no store and durably, sharded
 // into cells, must render byte-identical reports.
 func TestShardedServiceByteIdentity(t *testing.T) {
-	fastDurable(t)
 	spec := shardSpec()
 
 	ref := New(DefaultOptions())
@@ -100,7 +99,6 @@ func arrivalShardSpec() arrival.Spec {
 // pin to online arrivals: the same scenario run in process and durably,
 // sharded into cells, must render byte-identical reports.
 func TestShardedArrivalByteIdentity(t *testing.T) {
-	fastDurable(t)
 	spec := arrivalShardSpec()
 
 	ref := New(DefaultOptions())
@@ -131,7 +129,6 @@ func TestShardedArrivalByteIdentity(t *testing.T) {
 // both count exactly the plan's cells. (A robustness study used to count its
 // grid twice in memory and once when sharded.)
 func TestProgressSameOnBothBackends(t *testing.T) {
-	fastDurable(t)
 	mem := New(DefaultOptions())
 	defer mem.Close(context.Background())
 	dur := durableService(t, t.TempDir(), "solo")
@@ -216,7 +213,6 @@ func (r taggedCells) dispatch() Dispatch {
 // BOTH managers, and the coordinator merges frames in plan order no matter
 // who ran what.
 func TestShardedJobSpansReplicas(t *testing.T) {
-	fastDurable(t)
 	dir := t.TempDir()
 	shared := &countingCells{ran: make(map[string][]int), gate: make(chan struct{}), cells: 6}
 
@@ -280,7 +276,6 @@ func TestShardedJobSpansReplicas(t *testing.T) {
 // claims the queued job, replans idempotently, and merges WITHOUT
 // re-executing a single cell.
 func TestCoordinatorRestartMidGather(t *testing.T) {
-	fastDurable(t)
 	dir := t.TempDir()
 	st := openServiceStore(t, dir)
 

@@ -57,7 +57,8 @@ func (s *Store) applyCellLocked(rec *record) {
 		for i := range cells {
 			cells[i] = &CellRecord{Job: rec.Job, Index: i, State: StateQueued}
 		}
-		s.st.cells[rec.Job] = cells
+		s.st.setPlan(rec.Job, cells)
+		s.woke = true
 		return
 	}
 	cells := s.st.cells[rec.Job]
@@ -102,6 +103,12 @@ func (s *Store) applyCellLocked(rec *record) {
 			p := *rec.Prog
 			c.Progress = &p
 		}
+		// The coordinator can act on exactly two results: the one that fails
+		// its job and the one that completes its plan.
+		s.st.cellsLeft[rec.Job]--
+		if c.State == StateFailed || s.st.cellsLeft[rec.Job] == 0 {
+			s.woke = true
+		}
 	case recCellRelease:
 		if c.State != StateRunning || c.Holder != rec.Holder {
 			return
@@ -111,6 +118,7 @@ func (s *Store) applyCellLocked(rec *record) {
 		c.State = StateQueued
 		c.LeaseExpiry = time.Unix(0, rec.T)
 		c.Progress = nil
+		s.woke = true
 	}
 }
 
@@ -136,7 +144,7 @@ func (s *Store) PlanCells(job string, n int) error {
 			}
 			return nil
 		}
-		return s.appendLocked(&record{Type: recCellPlan, Job: job, CellN: n})
+		return s.appendLocked(&record{Type: recCellPlan, Job: job, CellN: n}, synced)
 	})
 }
 
@@ -157,15 +165,12 @@ func claimableCell(c *CellRecord, now time.Time) bool {
 // job's cells; (exJob, exCell) excludes a cell mid-completion.
 func (s *Store) cellCandidateLocked(holder, onlyJob string, now time.Time, exJob string, exCell int) *CellRecord {
 	var best *CellRecord
-	for _, id := range s.st.order {
+	for _, id := range s.st.live {
 		if onlyJob != "" && id != onlyJob {
 			continue
 		}
 		cells, ok := s.st.cells[id]
 		if !ok {
-			continue
-		}
-		if j, ok := s.st.jobs[id]; !ok || terminal(j.State) {
 			continue
 		}
 		for _, c := range cells {
@@ -199,7 +204,7 @@ func (s *Store) ClaimCell(holder string, ttl time.Duration, onlyJob string) (Cel
 		if err := s.appendLocked(&record{
 			Type: recCellClaim, Job: best.Job, Cell: best.Index,
 			Holder: holder, Expiry: now.Add(ttl).UnixNano(),
-		}); err != nil {
+		}, unsynced); err != nil {
 			return err
 		}
 		cellClaims.Inc()
@@ -230,7 +235,7 @@ func (s *Store) RenewCell(job string, cell int, holder string, ttl time.Duration
 		if err := s.appendLocked(&record{
 			Type: recCellRenew, Job: job, Cell: cell, Holder: holder,
 			Expiry: s.now().Add(ttl).UnixNano(), Prog: prog,
-		}); err != nil {
+		}, unsynced); err != nil {
 			return err
 		}
 		leaseRenewals.Inc()
@@ -275,7 +280,7 @@ func (s *Store) CompleteCellAndClaim(job string, cell int, holder string, data [
 				})
 			}
 		}
-		if err := s.appendBatchLocked(recs); err != nil {
+		if err := s.appendBatchLocked(recs, unsynced); err != nil {
 			return err
 		}
 		if best != nil {
@@ -303,7 +308,7 @@ func (s *Store) ReleaseCell(job string, cell int, holder string) error {
 		if c.State != StateRunning || c.Holder != holder {
 			return ErrLeaseLost
 		}
-		return s.appendLocked(&record{Type: recCellRelease, Job: job, Cell: cell, Holder: holder})
+		return s.appendLocked(&record{Type: recCellRelease, Job: job, Cell: cell, Holder: holder}, unsynced)
 	})
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -241,29 +242,35 @@ func TestChangeStampMovesOnAppend(t *testing.T) {
 	clock := newFakeClock()
 	s := openTestStore(t, t.TempDir(), clock)
 
-	before, err := s.ChangeStamp()
+	before := s.Stamp()
+	rec, err := s.SubmitJob("campaign", nil)
 	if err != nil {
-		t.Fatalf("ChangeStamp: %v", err)
-	}
-	if _, err := s.SubmitJob("campaign", nil); err != nil {
 		t.Fatalf("SubmitJob: %v", err)
 	}
-	after, err := s.ChangeStamp()
-	if err != nil {
-		t.Fatalf("ChangeStamp: %v", err)
+	submitted := s.Stamp()
+	if submitted == before {
+		t.Fatalf("stamp did not move across a submission: %v", submitted)
 	}
-	if after == before {
-		t.Fatalf("stamp did not move across an append: %+v", after)
+	// A claim makes nothing claimable: the holder's own workers sleep on.
+	if _, ok, err := s.Claim("alpha", time.Minute); err != nil || !ok {
+		t.Fatalf("Claim = %v, %v", ok, err)
 	}
-	// Compaction bumps the generation even though the fresh WAL is empty.
-	if err := s.Compact(8); err != nil {
-		t.Fatalf("Compact: %v", err)
+	if err := s.Renew(rec.ID, "alpha", time.Minute, nil); err != nil {
+		t.Fatalf("Renew: %v", err)
 	}
-	compacted, err := s.ChangeStamp()
-	if err != nil {
-		t.Fatalf("ChangeStamp: %v", err)
+	if got := s.Stamp(); got != submitted {
+		t.Fatalf("stamp moved across a claim and a renewal: %v -> %v", submitted, got)
 	}
-	if compacted.Gen <= after.Gen {
-		t.Fatalf("generation did not advance: %+v -> %+v", after, compacted)
+	// A wait on a stale stamp returns at once; on the current one it sleeps
+	// out its fallback.
+	start := time.Now()
+	s.WaitChange(context.Background(), before, time.Minute)
+	if waited := time.Since(start); waited > time.Second {
+		t.Fatalf("WaitChange on a stale stamp blocked for %v", waited)
+	}
+	start = time.Now()
+	s.WaitChange(context.Background(), submitted, 20*time.Millisecond)
+	if waited := time.Since(start); waited < 20*time.Millisecond {
+		t.Fatalf("WaitChange returned after %v with nothing to announce", waited)
 	}
 }

@@ -106,14 +106,14 @@ func (s *Store) applyLocked(rec *record) {
 		if _, ok := s.st.jobs[rec.Job]; ok {
 			return
 		}
-		s.st.jobs[rec.Job] = &JobRecord{
+		s.st.addJob(&JobRecord{
 			ID:      rec.Job,
 			Kind:    rec.Kind,
 			Payload: rec.Payload,
 			State:   StateQueued,
 			Created: time.Unix(0, rec.T),
-		}
-		s.st.order = append(s.st.order, rec.Job)
+		})
+		s.woke = true
 	case recClaim:
 		j, ok := s.st.jobs[rec.Job]
 		if !ok || terminal(j.State) {
@@ -154,10 +154,8 @@ func (s *Store) applyLocked(rec *record) {
 			p := *rec.Prog
 			j.Progress = &p
 		}
-		// A terminal job's cells are dead weight: the coordinator gathered
-		// every result before writing this record, so drop them here — on
-		// the writer and on every replayer alike.
-		delete(s.st.cells, rec.Job)
+		s.st.endJob(rec.Job) // on the writer and on every replayer alike
+		s.woke = true
 	case recRelease:
 		j, ok := s.st.jobs[rec.Job]
 		if !ok || j.State != StateRunning || j.Holder != rec.Holder {
@@ -169,6 +167,7 @@ func (s *Store) applyLocked(rec *record) {
 		j.State = StateQueued
 		j.LeaseExpiry = time.Unix(0, rec.T)
 		j.Started = nil
+		s.woke = true
 	case recReplica:
 		s.st.replicas[rec.Holder] = rec.Expiry
 	case recCellPlan, recCellClaim, recCellRenew, recCellDone, recCellRelease:
@@ -187,7 +186,7 @@ func (s *Store) SubmitJob(kind string, payload []byte) (JobRecord, error) {
 	var out JobRecord
 	err := s.withLock(func() error {
 		id := fmt.Sprintf("job-%d", s.st.seq+1)
-		if err := s.appendLocked(&record{Type: recSubmit, Job: id, Kind: kind, Payload: payload}); err != nil {
+		if err := s.appendLocked(&record{Type: recSubmit, Job: id, Kind: kind, Payload: payload}, synced); err != nil {
 			return err
 		}
 		out = *s.st.jobs[id]
@@ -220,7 +219,7 @@ func (s *Store) Claim(holder string, ttl time.Duration) (JobRecord, bool, error)
 	err := s.withLock(func() error {
 		now := s.now()
 		var best *JobRecord
-		for _, id := range s.st.order {
+		for _, id := range s.st.live {
 			j := s.st.jobs[id]
 			if !claimable(j, now) {
 				continue
@@ -236,7 +235,7 @@ func (s *Store) Claim(holder string, ttl time.Duration) (JobRecord, bool, error)
 		if err := s.appendLocked(&record{
 			Type: recClaim, Job: best.ID, Holder: holder,
 			Expiry: now.Add(ttl).UnixNano(),
-		}); err != nil {
+		}, synced); err != nil {
 			return err
 		}
 		leaseClaims.Inc()
@@ -280,7 +279,7 @@ func (s *Store) Renew(id, holder string, ttl time.Duration, prog *obs.ProgressSn
 		if err := s.appendLocked(&record{
 			Type: recRenew, Job: id, Holder: holder,
 			Expiry: s.now().Add(ttl).UnixNano(), Prog: prog,
-		}); err != nil {
+		}, synced); err != nil {
 			return err
 		}
 		leaseRenewals.Inc()
@@ -301,7 +300,7 @@ func (s *Store) finishJob(id, holder, state, output, errMsg string, prog *obs.Pr
 		return s.appendLocked(&record{
 			Type: recState, Job: id, Holder: holder, State: state,
 			Output: output, Error: errMsg, Prog: prog,
-		})
+		}, synced)
 	})
 }
 
@@ -327,7 +326,7 @@ func (s *Store) Release(id, holder string) error {
 		if j.State != StateRunning || j.Holder != holder {
 			return ErrLeaseLost
 		}
-		return s.appendLocked(&record{Type: recRelease, Job: id, Holder: holder})
+		return s.appendLocked(&record{Type: recRelease, Job: id, Holder: holder}, synced)
 	})
 }
 
@@ -338,7 +337,7 @@ func (s *Store) Heartbeat(holder string, ttl time.Duration) error {
 	return s.withLock(func() error {
 		return s.appendLocked(&record{
 			Type: recReplica, Holder: holder, Expiry: s.now().Add(ttl).UnixNano(),
-		})
+		}, synced)
 	})
 }
 
@@ -401,16 +400,30 @@ func (s *Store) Compact(retain int) error {
 	return s.withLock(func() error { return s.compactLocked(retain) })
 }
 
+// CompactPast compacts once the WAL has outgrown both minWAL and the live
+// snapshot, and otherwise costs two atomic loads. Measuring the log against
+// the snapshot it would be folded into is what keeps compaction amortised: a
+// table of any size is rewritten once per doubling of what was logged, not
+// once per minWAL bytes.
+func (s *Store) CompactPast(minWAL int64, retain int) error {
+	due := func() bool { return s.seen.Load() >= max(minWAL, s.snapBytes.Load()) }
+	if !due() {
+		return nil
+	}
+	return s.withLock(func() error {
+		if !due() { // another handle got there first
+			return nil
+		}
+		return s.compactLocked(retain)
+	})
+}
+
 // WALSize reports the current generation's log size in bytes — the number
 // compaction resets.
 func (s *Store) WALSize() (int64, error) {
 	var size int64
 	err := s.withLock(func() error {
-		fi, err := s.wal.Stat()
-		if err != nil {
-			return err
-		}
-		size = fi.Size()
+		size = s.seen.Load()
 		return nil
 	})
 	return size, err

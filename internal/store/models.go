@@ -101,7 +101,11 @@ func (s *Store) SaveModels(env string, seed int64, prof *perfmodel.Profile, emp 
 	if err != nil {
 		return fmt.Errorf("store: models: %w", err)
 	}
-	if err := writeFileAtomic(s.modelPath(env, seed), data); err != nil {
+	err = writeFileSynced(s.modelPath(env, seed), func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
+	if err != nil {
 		return fmt.Errorf("store: models: %w", err)
 	}
 	return nil

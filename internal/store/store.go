@@ -8,16 +8,33 @@
 //
 //	LOCK                 flock target serialising every read-modify-write
 //	MANIFEST             {"gen":N} — the live snapshot/WAL generation
-//	snapshot-<gen>.json  full job-pool state at the generation boundary
+//	snapshot-<gen>.json  job-pool state at the generation boundary, one
+//	                     checksummed frame per record (snapshot.go)
 //	wal-<gen>.log        checksummed frames appended since the snapshot
 //	models/<env>@<seed>.json  one durable model-cache entry per fit
 //
 // Every job-pool operation runs under an exclusive flock: the caller first
 // replays any WAL records other replicas appended since its last look, then
-// appends its own records and syncs before unlocking. Compaction bumps the
-// generation: the surviving jobs are written to a fresh snapshot, the WAL
-// restarts empty, and other replicas detect the generation change through
-// MANIFEST and reload.
+// appends its own records before unlocking. Compaction bumps the generation:
+// the surviving jobs are written to a fresh snapshot, the WAL restarts empty,
+// and other replicas detect the generation change through MANIFEST and
+// follow. Replicas with nothing to do do not poll for any of this on a timer;
+// they block in WaitChange (wait.go).
+//
+// Durability contract. A call returns only after an fsync of the log when it
+// wrote something a client was promised or that cannot be rebuilt: submit,
+// job claim, job renew, job terminal state, job release, replica heartbeat
+// and cell plan. The cell-level frames — cellclaim, cellrenew, celldone,
+// cellrelease — are written without one: cells are deterministic, so a
+// re-run reproduces their frames byte for byte, and the next synced frame on
+// the same file carries them to the device anyway. After power loss the log
+// is therefore a checksummed prefix that contains every frame up to the last
+// synced one; unsynced cell frames past it may be missing, which is
+// indistinguishable from their holder having crashed — the cells are
+// reclaimed on lease expiry and re-run to byte-identical frames, first write
+// wins. A process crash (kill -9) loses nothing: the page cache survives the
+// process. Snapshots and MANIFEST are synced, and the directory after them,
+// before a compaction removes the generation they replace.
 //
 // The lease discipline over the job pool translates the classic SQL IP-pool
 // allocator (SELECT ... FOR UPDATE SKIP LOCKED with an expiry_time and
@@ -33,6 +50,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -90,29 +108,79 @@ type Store struct {
 	dir string
 	now func() time.Time
 
-	mu     sync.Mutex
-	lockf  *os.File
-	wal    *os.File
-	walOff int64
-	gen    uint64
-	st     state
+	mu    sync.Mutex
+	lockf *os.File
+	// manifest is the MANIFEST this handle last read, kept open, and
+	// manifestGen the generation it names; see liveGenerationLocked.
+	manifest    *os.File
+	manifestGen uint64
+	wal         *os.File
+	walOff      int64
+	gen         uint64
+	st          state
+	// syncedOff is how much of the live WAL this handle has fsynced: what a
+	// power loss is guaranteed to leave behind (the power-loss test's model).
+	syncedOff int64
+	// woke notes that a record applied under the current lock made something
+	// claimable or terminal; withLock turns it into a broadcast.
+	woke bool
+
+	// The lock-free side, read by the prober and by CompactPast: the open
+	// WAL's descriptor (-1 when there is none), the WAL size this handle has
+	// accounted for — replayed, or written itself — and the size of the live
+	// generation's snapshot.
+	walFd     atomic.Int64
+	seen      atomic.Int64
+	snapBytes atomic.Int64
+
+	waiters waitList
 }
 
 // state is the replayed in-memory view of the job pool.
 type state struct {
-	seq      uint64
-	jobs     map[string]*JobRecord
-	order    []string
+	seq   uint64
+	jobs  map[string]*JobRecord
+	order []string
+	// live is order without the terminal jobs: what a claim has to look at,
+	// however many finished jobs retention keeps.
+	live     []string
 	replicas map[string]int64 // holder -> registration expiry, unix nanos
 	cells    map[string][]*CellRecord
+	// cellsLeft counts each plan's cells that are not yet terminal, so the
+	// record that finishes a plan is recognisable without a scan.
+	cellsLeft map[string]int
 }
 
 func newState() state {
 	return state{
-		jobs:     make(map[string]*JobRecord),
-		replicas: make(map[string]int64),
-		cells:    make(map[string][]*CellRecord),
+		jobs:      make(map[string]*JobRecord),
+		replicas:  make(map[string]int64),
+		cells:     make(map[string][]*CellRecord),
+		cellsLeft: make(map[string]int),
 	}
+}
+
+// addJob enters a job at the end of the submission order.
+func (st *state) addJob(j *JobRecord) {
+	st.jobs[j.ID] = j
+	st.order = append(st.order, j.ID)
+	if !terminal(j.State) {
+		st.live = append(st.live, j.ID)
+	}
+}
+
+// endJob takes a job that turned terminal out of what claims look at. Its
+// cells are dead weight by then — the coordinator gathered every result
+// before writing the terminal record — so they go too.
+func (st *state) endJob(id string) {
+	for i, l := range st.live {
+		if l == id {
+			st.live = append(st.live[:i], st.live[i+1:]...)
+			break
+		}
+	}
+	delete(st.cells, id)
+	delete(st.cellsLeft, id)
 }
 
 // Open opens (creating if needed) a store directory.
@@ -132,6 +200,8 @@ func Open(dir string, opts Options) (*Store, error) {
 		now = time.Now
 	}
 	s := &Store{dir: dir, now: now, lockf: lockf, st: newState()}
+	s.walFd.Store(-1)
+	s.waiters.ch = make(chan struct{})
 	if err := s.withLock(func() error { return nil }); err != nil {
 		lockf.Close()
 		return nil, err
@@ -144,9 +214,10 @@ func Open(dir string, opts Options) (*Store, error) {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.wal != nil {
-		s.wal.Close()
-		s.wal = nil
+	s.setWALLocked(nil)
+	if s.manifest != nil {
+		s.manifest.Close()
+		s.manifest = nil
 	}
 	if s.lockf != nil {
 		s.lockf.Close()
@@ -160,9 +231,22 @@ func (s *Store) Dir() string { return s.dir }
 
 // withLock runs fn holding both the in-process mutex and the cross-process
 // flock, with the in-memory state refreshed to the latest shared records.
+// Whatever the refresh or fn applied that makes work claimable or a job
+// terminal is announced to WaitChange callers once the locks are released.
 func (s *Store) withLock(fn func() error) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	err := s.flocked(fn)
+	woke := s.woke
+	s.woke = false
+	s.mu.Unlock()
+	if woke {
+		s.waiters.broadcast()
+	}
+	return err
+}
+
+// flocked is withLock's cross-process half. Callers hold s.mu.
+func (s *Store) flocked(fn func() error) error {
 	if s.lockf == nil {
 		return fmt.Errorf("store: closed")
 	}
@@ -189,98 +273,107 @@ func (s *Store) snapshotPath(gen uint64) string {
 	return filepath.Join(s.dir, fmt.Sprintf("snapshot-%d.json", gen))
 }
 
-// readManifest returns the live generation (0 with no manifest yet).
-func (s *Store) readManifest() (uint64, error) {
-	data, err := os.ReadFile(s.manifestPath())
+// liveGenerationLocked returns the generation MANIFEST names. MANIFEST is
+// only ever replaced by rename, which unlinks the file a handle has open; so
+// one fstat of that descriptor says whether the answer it read still stands,
+// and the file is read again only after a compaction. Callers hold the flock.
+func (s *Store) liveGenerationLocked() (uint64, error) {
+	if s.manifest != nil {
+		if _, nlink, err := fileStat(int(s.manifest.Fd())); err == nil && nlink > 0 {
+			return s.manifestGen, nil
+		}
+		s.manifest.Close()
+		s.manifest = nil
+	}
+	f, err := os.Open(s.manifestPath())
 	if os.IsNotExist(err) {
-		return 0, nil
+		// A store nobody has compacted names generation 0 explicitly, so
+		// that there is a file to hold open.
+		if err = s.writeManifest(0); err == nil {
+			f, err = os.Open(s.manifestPath())
+		}
 	}
 	if err != nil {
 		return 0, fmt.Errorf("store: manifest: %w", err)
 	}
 	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
+	if err := json.NewDecoder(f).Decode(&m); err != nil {
+		f.Close()
 		return 0, fmt.Errorf("store: manifest: %w", err)
 	}
+	s.manifest, s.manifestGen = f, m.Gen
 	return m.Gen, nil
 }
 
-// snapshotFile is the compacted state written at a generation boundary.
-type snapshotFile struct {
-	Gen      uint64                   `json:"gen"`
-	Seq      uint64                   `json:"seq"`
-	Jobs     []*JobRecord             `json:"jobs"`
-	Replicas map[string]int64         `json:"replicas,omitempty"`
-	Cells    map[string][]*CellRecord `json:"cells,omitempty"`
+// writeManifest points MANIFEST at gen, durably.
+func (s *Store) writeManifest(gen uint64) error {
+	data, err := json.Marshal(manifest{Gen: gen})
+	if err != nil {
+		return err
+	}
+	return writeFileSynced(s.manifestPath(), func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
 }
 
 // refreshLocked brings the in-memory state up to date with the shared
 // files. Callers hold the flock.
 func (s *Store) refreshLocked() error {
-	gen, err := s.readManifest()
+	gen, err := s.liveGenerationLocked()
 	if err != nil {
 		return err
 	}
 	if s.wal == nil || gen != s.gen {
-		if err := s.loadGenerationLocked(gen); err != nil {
-			return err
+		if !s.followCompactionLocked(gen) {
+			if err := s.loadGenerationLocked(gen); err != nil {
+				return err
+			}
 		}
+		// A snapshot can fold in records this handle never replayed one by
+		// one, so whoever waits must look again.
+		s.woke = true
 	}
 	return s.replayTailLocked()
 }
 
-// loadGenerationLocked (re)loads the snapshot of gen and opens its WAL.
-func (s *Store) loadGenerationLocked(gen uint64) error {
+// setWALLocked swaps the open log (nil closes it), keeping the prober's view
+// of the descriptor and of the accounted-for size in step.
+func (s *Store) setWALLocked(wal *os.File) {
 	if s.wal != nil {
+		s.walFd.Store(-1)
 		s.wal.Close()
-		s.wal = nil
-	}
-	s.st = newState()
-	s.walOff = 0
-	s.gen = gen
-	if data, err := os.ReadFile(s.snapshotPath(gen)); err == nil {
-		var snap snapshotFile
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return fmt.Errorf("store: snapshot-%d: %w", gen, err)
-		}
-		s.st.seq = snap.Seq
-		for _, j := range snap.Jobs {
-			jc := *j
-			s.st.jobs[j.ID] = &jc
-			s.st.order = append(s.st.order, j.ID)
-		}
-		for h, exp := range snap.Replicas {
-			s.st.replicas[h] = exp
-		}
-		for job, cells := range snap.Cells {
-			cp := make([]*CellRecord, len(cells))
-			for i, c := range cells {
-				cc := *c
-				cp[i] = &cc
-			}
-			s.st.cells[job] = cp
-		}
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("store: %w", err)
-	}
-	wal, err := os.OpenFile(s.walPath(gen), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
 	}
 	s.wal = wal
-	return nil
+	s.walOff = 0
+	s.syncedOff = 0
+	s.seen.Store(0)
+	if wal != nil {
+		s.walFd.Store(int64(wal.Fd()))
+	}
+}
+
+// fileStat is fstat without the os.FileInfo: the size and link count of an
+// open descriptor, allocation-free. The refresh and the prober both use it.
+func fileStat(fd int) (size int64, nlink uint64, err error) {
+	var st syscall.Stat_t
+	if err := syscall.Fstat(fd, &st); err != nil {
+		return 0, 0, err
+	}
+	return st.Size, uint64(st.Nlink), nil
 }
 
 // replayTailLocked applies WAL records appended since the last look.
 func (s *Store) replayTailLocked() error {
-	fi, err := s.wal.Stat()
+	size, _, err := fileStat(int(s.wal.Fd()))
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if fi.Size() <= s.walOff {
+	s.seen.Store(size)
+	if size <= s.walOff {
 		return nil
 	}
-	buf := make([]byte, fi.Size()-s.walOff)
+	buf := make([]byte, size-s.walOff)
 	if _, err := s.wal.ReadAt(buf, s.walOff); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -304,23 +397,29 @@ func (s *Store) replayTailLocked() error {
 // errStopReplay aborts frame replay without failing the refresh.
 var errStopReplay = fmt.Errorf("store: stop replay")
 
+// Whether an append must be on the device before the call returns; see the
+// durability contract in the package comment.
+const (
+	synced   = true
+	unsynced = false
+)
+
 // appendLocked appends a single record; see appendBatchLocked.
-func (s *Store) appendLocked(rec *record) error {
-	return s.appendBatchLocked([]*record{rec})
+func (s *Store) appendLocked(rec *record, durable bool) error {
+	return s.appendBatchLocked([]*record{rec}, durable)
 }
 
 // appendBatchLocked assigns sequence numbers to recs, appends them to the
-// WAL as one contiguous write (healing any torn tail first), syncs once, and
-// applies them in order. Batching is what keeps sharded execution off the
-// fsync floor: completing one cell and claiming the next is a single sync,
-// not two. Callers hold the flock with a refreshed state.
-func (s *Store) appendBatchLocked(recs []*record) error {
+// WAL as one contiguous write (healing any torn tail first), syncs when the
+// batch is one a caller was promised, and applies the records in order.
+// Callers hold the flock with a refreshed state.
+func (s *Store) appendBatchLocked(recs []*record, durable bool) error {
 	if len(recs) == 0 {
 		return nil
 	}
 	// Any bytes past walOff failed replay — a torn tail from a crashed
 	// writer. Truncate before appending so the log stays parseable.
-	if fi, err := s.wal.Stat(); err == nil && fi.Size() > s.walOff {
+	if s.seen.Load() > s.walOff {
 		if err := s.wal.Truncate(s.walOff); err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
@@ -336,15 +435,22 @@ func (s *Store) appendBatchLocked(recs []*record) error {
 		}
 		buf = appendFrame(buf, payload)
 	}
+	end := s.walOff + int64(len(buf))
+	// Accounted for before it is written, so the prober never takes this
+	// handle's own append for another's.
+	s.seen.Store(end)
 	if _, err := s.wal.WriteAt(buf, s.walOff); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	start := time.Now()
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("store: %w", err)
+	if durable {
+		start := time.Now()
+		if err := s.wal.Sync(); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		fsyncSeconds.Observe(time.Since(start).Seconds())
+		s.syncedOff = end
 	}
-	fsyncSeconds.Observe(time.Since(start).Seconds())
-	s.walOff += int64(len(buf))
+	s.walOff = end
 	walBytes.Add(uint64(len(buf)))
 	for _, rec := range recs {
 		if c, ok := framesTotal[rec.Type]; ok {
@@ -352,117 +458,5 @@ func (s *Store) appendBatchLocked(recs []*record) error {
 		}
 		s.applyLocked(rec)
 	}
-	return nil
-}
-
-// ChangeStamp identifies a point in the shared log: the live generation and
-// the WAL length within it. Two equal stamps mean no record was appended (or
-// compacted) in between, so idle replicas can poll it instead of taking the
-// flock — a manifest read plus a stat, no lock traffic.
-type ChangeStamp struct {
-	Gen uint64
-	WAL int64
-}
-
-// ChangeStamp reads the current stamp without taking the store lock. It may
-// race appends — that is fine; a racing append only makes the stamp differ
-// sooner, never report stale equality.
-func (s *Store) ChangeStamp() (ChangeStamp, error) {
-	gen, err := s.readManifest()
-	if err != nil {
-		return ChangeStamp{}, err
-	}
-	st := ChangeStamp{Gen: gen}
-	if fi, err := os.Stat(s.walPath(gen)); err == nil {
-		st.WAL = fi.Size()
-	}
-	return st, nil
-}
-
-// writeFileAtomic writes data to path via a temp file and rename.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// compactLocked writes the current state (with done jobs beyond retain
-// pruned) as the next generation's snapshot and restarts the WAL. Callers
-// hold the flock with a refreshed state.
-func (s *Store) compactLocked(retain int) error {
-	if retain < 1 {
-		retain = 1
-	}
-	// Prune finished jobs beyond the retention window, oldest first —
-	// mirroring the in-memory manager's retention, but against the store so
-	// the WAL and snapshots cannot grow without bound.
-	finished := 0
-	for _, id := range s.st.order {
-		if terminal(s.st.jobs[id].State) {
-			finished++
-		}
-	}
-	keep := s.st.order[:0]
-	for _, id := range s.st.order {
-		j := s.st.jobs[id]
-		if terminal(j.State) && finished > retain {
-			finished--
-			delete(s.st.jobs, id)
-			continue
-		}
-		keep = append(keep, id)
-	}
-	s.st.order = keep
-
-	// Cell work-units live only as long as their job is in flight; drop the
-	// plans of pruned or finished jobs so snapshots don't accrete results.
-	for job := range s.st.cells {
-		if j, ok := s.st.jobs[job]; !ok || terminal(j.State) {
-			delete(s.st.cells, job)
-		}
-	}
-
-	gen := s.gen + 1
-	snap := snapshotFile{Gen: gen, Seq: s.st.seq, Replicas: s.st.replicas}
-	if len(s.st.cells) > 0 {
-		snap.Cells = s.st.cells
-	}
-	for _, id := range s.st.order {
-		snap.Jobs = append(snap.Jobs, s.st.jobs[id])
-	}
-	data, err := json.MarshalIndent(snap, "", " ")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := writeFileAtomic(s.snapshotPath(gen), data); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	// A fresh, empty WAL for the new generation; created before the
-	// manifest flips so no reader ever sees a generation without its log.
-	wal, err := os.OpenFile(s.walPath(gen), os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	mdata, err := json.Marshal(manifest{Gen: gen})
-	if err != nil {
-		wal.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := writeFileAtomic(s.manifestPath(), mdata); err != nil {
-		wal.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	oldGen := s.gen
-	if s.wal != nil {
-		s.wal.Close()
-	}
-	s.wal = wal
-	s.walOff = 0
-	s.gen = gen
-	os.Remove(s.walPath(oldGen))
-	os.Remove(s.snapshotPath(oldGen))
-	compactions.Inc()
 	return nil
 }

@@ -1,8 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"io"
 )
 
 // WAL framing: every record is appended as
@@ -12,9 +15,10 @@ import (
 // Replay walks frames from the front and stops at the first frame that does
 // not check out — a short header, an implausible length, a truncated body or
 // a checksum mismatch. Everything before that point is trusted (it was
-// written under the store lock and synced before the lock was released);
-// everything after is a torn tail from a crashed writer and is healed by
-// truncation before the next append.
+// written under the store lock, in one piece); everything after is a torn
+// tail — a writer that crashed mid-append, or frames written without a sync
+// that a power loss left half on the device — and is healed by truncation
+// before the next append.
 
 // frameHeader is the fixed per-record overhead in bytes.
 const frameHeader = 8
@@ -28,10 +32,15 @@ const maxFramePayload = 64 << 20
 // extended buffer.
 func appendFrame(buf, payload []byte) []byte {
 	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+	putFrameHeader(hdr[:], payload)
 	buf = append(buf, hdr[:]...)
 	return append(buf, payload...)
+}
+
+// putFrameHeader fills hdr, frameHeader bytes, for payload.
+func putFrameHeader(hdr, payload []byte) {
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
 }
 
 // replayFrames walks the frames of data, calling fn on each checksummed
@@ -59,4 +68,36 @@ func replayFrames(data []byte, fn func(payload []byte) error) (int, error) {
 		}
 		off += frameHeader + int(n)
 	}
+}
+
+// errBadFrame reports a frame that does not check out in a file that, unlike
+// the WAL, has no business ending in a torn tail.
+var errBadFrame = errors.New("store: bad frame")
+
+// readFrame reads the next frame from r through buf and returns its payload,
+// which aliases buf and is valid until the next call. It returns io.EOF at a
+// clean end of input and errBadFrame for anything replayFrames would stop at.
+// This is the streaming counterpart of replayFrames, for the snapshot: one
+// record in memory at a time, and a corrupt length field costs no more memory
+// than the bytes that are really there.
+func readFrame(r io.Reader, buf *bytes.Buffer) ([]byte, error) {
+	var hdr [frameHeader]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, errBadFrame
+	}
+	n := binary.LittleEndian.Uint32(hdr[0:4])
+	if n > maxFramePayload {
+		return nil, errBadFrame
+	}
+	buf.Reset()
+	if _, err := io.CopyN(buf, r, int64(n)); err != nil {
+		return nil, errBadFrame
+	}
+	if crc32.ChecksumIEEE(buf.Bytes()) != binary.LittleEndian.Uint32(hdr[4:8]) {
+		return nil, errBadFrame
+	}
+	return buf.Bytes(), nil
 }

@@ -492,8 +492,13 @@ func ReleaseReplayer(r *Replayer) {
 // traces) and accepts timings the replayer's description cache does not.
 func Makespan(net *simgrid.Net, s *sched.Schedule, timing Timing) (float64, error) {
 	r := AcquireReplayer()
-	defer ReleaseReplayer(r)
-	return r.Simulate(net, s, timing)
+	makespan, err := r.Simulate(net, s, timing)
+	if err == nil {
+		// Not deferred: a replayer held at an error or a panic is dropped,
+		// never pooled.
+		ReleaseReplayer(r)
+	}
+	return makespan, err
 }
 
 func (r *Replayer) launch(id int) {

@@ -154,3 +154,45 @@ func TestReplayRebind(t *testing.T) {
 		}
 	}
 }
+
+// negativeStartup is a timing the replayer refuses by panicking.
+type negativeStartup struct{ ModelTiming }
+
+func (negativeStartup) TaskStartup(*dag.Task, int) float64 { return -1 }
+
+// A replayer held when its simulation panics is dropped, not returned to the
+// pool for the next request to pick up half-replayed.
+func TestMakespanPanicDropsReplayer(t *testing.T) {
+	c := platform.Bayreuth()
+	base := perfmodel.NewAnalytic(c)
+	net, err := simgrid.NewNet(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := dag.MustGenerate(dag.GenParams{Tasks: 8, InputMatrices: 4, AddRatio: 0.5, N: 2000, Seed: 20})
+	s, err := sched.Build(sched.HCPA{}, g, c.Nodes, perfmodel.CostFunc(base), perfmodel.CommFunc(base, c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acquired, released := replayerAcquires.Value(), replayerReleases.Value()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Makespan under a negative startup did not panic")
+			}
+		}()
+		_, _ = Makespan(net, s, negativeStartup{ModelTiming{Model: base}})
+	}()
+	if got := replayerAcquires.Value() - acquired; got != 1 {
+		t.Fatalf("%d replayers acquired, want 1", got)
+	}
+	if got := replayerReleases.Value() - released; got != 0 {
+		t.Errorf("the replayer held at the panic was released to the pool")
+	}
+	if _, err := Makespan(net, s, ModelTiming{Model: base}); err != nil {
+		t.Fatalf("Makespan after the panic: %v", err)
+	}
+	if got := replayerReleases.Value() - released; got != 1 {
+		t.Errorf("%d replayers released after a clean run, want 1", got)
+	}
+}
