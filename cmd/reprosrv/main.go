@@ -72,7 +72,7 @@ func main() {
 		suiteSeed   = flag.Int64("suite-seed", 2011, "default seed for the 54-DAG study suite")
 		parallel    = flag.Int("parallel", 0, "per-study cell-engine worker pool size (0 = one per CPU)")
 		jobWorkers  = flag.Int("job-workers", 2, "concurrent study jobs")
-		queueCap    = flag.Int("queue", 16, "pending-job queue capacity")
+		queueCap    = flag.Int("queue", 16, "queued-job capacity (of the whole pool, with -store-dir)")
 		retain      = flag.Int("retain", 64, "finished jobs whose results are retained")
 		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget")
 		logFormat   = flag.String("log-format", "text", "request log format: text or json")

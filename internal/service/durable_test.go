@@ -52,13 +52,13 @@ func TestDurableManagerRunsPayload(t *testing.T) {
 		prog.AddCellsDone(2)
 		return "ran " + kind + " with " + string(payload), nil
 	}
-	m := NewDurableJobManager(2, 8, st, "alpha", time.Second, Dispatch{Run: runner})
+	m := NewJobManager(2, 64, 8, st, "alpha", time.Second, Dispatch{Run: runner})
 	defer m.Shutdown(context.Background())
 
 	if !m.Durable() || m.Replica() != "alpha" {
 		t.Fatalf("Durable()=%v Replica()=%q", m.Durable(), m.Replica())
 	}
-	status, err := m.SubmitPayload("kind-x", json.RawMessage(`{"n":1}`), false)
+	status, err := m.SubmitPayload("kind-x", json.RawMessage(`{"n":1}`))
 	if err != nil {
 		t.Fatalf("SubmitPayload: %v", err)
 	}
@@ -79,12 +79,6 @@ func TestDurableManagerRunsPayload(t *testing.T) {
 	if len(m.List()) != 1 {
 		t.Fatalf("List() = %+v", m.List())
 	}
-
-	// The closure-submit API is the in-memory manager's; durable managers
-	// reject it rather than silently losing durability.
-	if _, err := m.Submit("k", func(ctx context.Context) (string, error) { return "", nil }); err == nil {
-		t.Fatal("closure Submit succeeded on a durable manager")
-	}
 }
 
 func TestDurableManagerFailedJob(t *testing.T) {
@@ -92,10 +86,10 @@ func TestDurableManagerFailedJob(t *testing.T) {
 	runner := func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
 		return "", errors.New("deliberate failure")
 	}
-	m := NewDurableJobManager(1, 8, st, "alpha", time.Second, Dispatch{Run: runner})
+	m := NewJobManager(1, 64, 8, st, "alpha", time.Second, Dispatch{Run: runner})
 	defer m.Shutdown(context.Background())
 
-	status, err := m.SubmitPayload("bad", nil, false)
+	status, err := m.SubmitPayload("bad", nil)
 	if err != nil {
 		t.Fatalf("SubmitPayload: %v", err)
 	}
@@ -116,15 +110,15 @@ func TestDurableManagerTwoReplicasShareThePool(t *testing.T) {
 		time.Sleep(10 * time.Millisecond) // let the pool interleave
 		return "out:" + kind, nil
 	}
-	a := NewDurableJobManager(2, 32, stA, "alpha", time.Second, Dispatch{Run: runner})
+	a := NewJobManager(2, 64, 32, stA, "alpha", time.Second, Dispatch{Run: runner})
 	defer a.Shutdown(context.Background())
-	b := NewDurableJobManager(2, 32, stB, "beta", time.Second, Dispatch{Run: runner})
+	b := NewJobManager(2, 64, 32, stB, "beta", time.Second, Dispatch{Run: runner})
 	defer b.Shutdown(context.Background())
 
 	const jobs = 12
 	ids := make([]string, jobs)
 	for i := range ids {
-		status, err := a.SubmitPayload(fmt.Sprintf("job%02d", i), nil, false)
+		status, err := a.SubmitPayload(fmt.Sprintf("job%02d", i), nil)
 		if err != nil {
 			t.Fatalf("SubmitPayload: %v", err)
 		}
@@ -167,7 +161,7 @@ func TestDurableManagerReclaimsExpiredLease(t *testing.T) {
 	}
 
 	stLive := openServiceStore(t, dir)
-	m := NewDurableJobManager(1, 8, stLive, "live", time.Second,
+	m := NewJobManager(1, 64, 8, stLive, "live", time.Second,
 		Dispatch{Run: func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
 			return "rescued", nil
 		}})
@@ -194,9 +188,9 @@ func TestDurableShutdownReleasesRunningJobs(t *testing.T) {
 		<-ctx.Done() // runs until shutdown cancels it
 		return "should not complete", ctx.Err()
 	}
-	a := NewDurableJobManager(1, 8, stA, "alpha", time.Second, Dispatch{Run: blockingRunner})
+	a := NewJobManager(1, 64, 8, stA, "alpha", time.Second, Dispatch{Run: blockingRunner})
 
-	status, err := a.SubmitPayload("long", nil, false)
+	status, err := a.SubmitPayload("long", nil)
 	if err != nil {
 		t.Fatalf("SubmitPayload: %v", err)
 	}
@@ -215,7 +209,7 @@ func TestDurableShutdownReleasesRunningJobs(t *testing.T) {
 	}
 
 	stB := openServiceStore(t, dir)
-	b := NewDurableJobManager(1, 8, stB, "beta", time.Second,
+	b := NewJobManager(1, 64, 8, stB, "beta", time.Second,
 		Dispatch{Run: func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
 			return "finished elsewhere", nil
 		}})
@@ -236,7 +230,7 @@ func TestDurableRetentionCompactsStore(t *testing.T) {
 
 	dir := t.TempDir()
 	st := openServiceStore(t, dir)
-	m := NewDurableJobManager(1, 2, st, "alpha", time.Second,
+	m := NewJobManager(1, 64, 2, st, "alpha", time.Second,
 		Dispatch{Run: func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
 			return "ok", nil
 		}})
@@ -245,7 +239,7 @@ func TestDurableRetentionCompactsStore(t *testing.T) {
 	const jobs = 12
 	var last JobStatus
 	for i := 0; i < jobs; i++ {
-		status, err := m.SubmitPayload(fmt.Sprintf("k%d", i), nil, false)
+		status, err := m.SubmitPayload(fmt.Sprintf("k%d", i), nil)
 		if err != nil {
 			t.Fatalf("SubmitPayload: %v", err)
 		}

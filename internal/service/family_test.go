@@ -62,7 +62,7 @@ func addFamily(t *testing.T, svc *Service, f *Family) {
 		t.Fatal(err)
 	}
 	svc.families = append(svc.families, f)
-	svc.jobs = NewDurableJobManager(svc.opts.JobWorkers, svc.opts.Retain,
+	svc.jobs = NewJobManager(svc.opts.JobWorkers, svc.opts.QueueCap, svc.opts.Retain,
 		svc.opts.Store, svc.opts.ReplicaID, svc.opts.LeaseTTL, svc.dispatch())
 }
 

@@ -8,13 +8,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/obs"
 	"repro/internal/robust"
+	"repro/internal/store"
 )
 
 // TestErrorEnvelopeEverywhere pins the error contract: every failure a
@@ -185,75 +185,6 @@ func TestPprofGating(t *testing.T) {
 	}
 }
 
-// TestWatchLongPoll exercises the long-poll directly on the JobManager: a
-// watch returns early on a progress move, again on the state transition,
-// and immediately for terminal jobs; a missing ID reports false.
-func TestWatchLongPoll(t *testing.T) {
-	old := watchPoll
-	watchPoll = 5 * time.Millisecond
-	defer func() { watchPoll = old }()
-
-	m := NewJobManager(1, 4, 4, Dispatch{})
-	defer m.Shutdown(context.Background())
-
-	release := make(chan struct{})
-	var prog *obs.Progress
-	var mu sync.Mutex
-	started := make(chan struct{})
-	status, err := m.SubmitTracked("study", func(ctx context.Context, p *obs.Progress) (string, error) {
-		mu.Lock()
-		prog = p
-		mu.Unlock()
-		close(started)
-		<-release
-		return "out", nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started
-
-	// A progress move alone must wake the watcher.
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		mu.Lock()
-		prog.AddCellsTotal(10)
-		prog.AddCellsDone(3)
-		mu.Unlock()
-	}()
-	got, ok := m.Watch(context.Background(), status.ID, 5*time.Second)
-	if !ok {
-		t.Fatal("watch lost the job")
-	}
-	if got.State != JobRunning || got.Progress == nil || got.Progress.CellsDone != 3 {
-		t.Fatalf("watch after progress move = %+v, want running with cells_done 3", got)
-	}
-
-	// The terminal transition must wake the next watcher.
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		close(release)
-	}()
-	got, ok = m.Watch(context.Background(), status.ID, 5*time.Second)
-	if !ok || got.State != JobDone {
-		t.Fatalf("watch after completion = %+v (ok=%v), want done", got, ok)
-	}
-
-	// Terminal jobs return immediately, well inside the watch window.
-	begin := time.Now()
-	got, ok = m.Watch(context.Background(), status.ID, 5*time.Second)
-	if !ok || got.State != JobDone {
-		t.Fatalf("watch on finished job = %+v (ok=%v)", got, ok)
-	}
-	if elapsed := time.Since(begin); elapsed > time.Second {
-		t.Errorf("watch on terminal job blocked %s", elapsed)
-	}
-
-	if _, ok := m.Watch(context.Background(), "job-999", time.Millisecond); ok {
-		t.Error("watch on unknown job reported ok")
-	}
-}
-
 // TestHTTPCampaignWatchProgress drives ?watch over the wire: a queued
 // campaign's poll endpoint reports monotonically non-decreasing progress and
 // ends with every cell done.
@@ -380,5 +311,126 @@ func TestJobDurationSeriesPerFamily(t *testing.T) {
 		if got := after[kind] - before[kind]; got != want {
 			t.Errorf(`repro_job_duration_seconds_count{kind=%q} rose by %d, want %d`, kind, got, want)
 		}
+	}
+}
+
+// heldService is a service whose jobs, whatever their payload says, wait for
+// a token: every send on gate lets one job finish, closing it lets them all.
+// Its manager runs workers claim loops over st and queues at most two jobs.
+func heldService(t *testing.T, gate chan struct{}, workers int, st *store.Store, replica string, ttl time.Duration) *Service {
+	t.Helper()
+	svc := New(DefaultOptions())
+	if err := svc.jobs.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	svc.jobs = NewJobManager(workers, 2, 8, st, replica, ttl, Dispatch{
+		Run: func(ctx context.Context, _ string, _ []byte, _ *obs.Progress) (string, error) {
+			select {
+			case <-gate:
+				return "out", nil
+			case <-ctx.Done():
+				return "", ctx.Err()
+			}
+		}})
+	t.Cleanup(func() { svc.Close(context.Background()) })
+	return svc
+}
+
+// scrapeGauge reads one unlabelled series off a /metrics page.
+func scrapeGauge(t *testing.T, base, name string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if value, ok := strings.CutPrefix(line, name+" "); ok {
+			return value
+		}
+	}
+	t.Fatalf("/metrics has no %s series", name)
+	return ""
+}
+
+// TestQueueFullOverHTTP pins the queue bound and the queue-depth gauge as one
+// definition for both kinds of pool: two workers hold two jobs, the queue's
+// two more are accepted, the next is a 429 from every replica — the bound is the
+// pool's, not a replica's — and a finished job makes room again. A
+// store-backed replica used to accept without limit and report a depth of 0.
+func TestQueueFullOverHTTP(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		replicas func(t *testing.T, gate chan struct{}) []*Service
+	}{
+		{"log-less", func(t *testing.T, gate chan struct{}) []*Service {
+			return []*Service{heldService(t, gate, 2, store.NewMemory(store.Options{}), "", noExpiry)}
+		}},
+		{"two replicas", func(t *testing.T, gate chan struct{}) []*Service {
+			dir := t.TempDir()
+			return []*Service{
+				heldService(t, gate, 1, openServiceStore(t, dir), "alpha", time.Minute),
+				heldService(t, gate, 1, openServiceStore(t, dir), "beta", time.Minute),
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gate := make(chan struct{})
+			replicas := tc.replicas(t, gate)
+			var urls []string
+			for _, svc := range replicas {
+				srv := httptest.NewServer(svc.Handler())
+				defer srv.Close()
+				urls = append(urls, srv.URL)
+			}
+			first, last := replicas[0], urls[len(urls)-1]
+			submit := func(url string) (int, string) {
+				return envelope(t, http.MethodPost, url+"/v1/jobs", `{"study": "table1"}`)
+			}
+			states := func() map[JobState]int {
+				count := make(map[JobState]int)
+				for _, j := range first.Jobs().List() {
+					count[j.State]++
+				}
+				return count
+			}
+			await := func(what string, cond func() bool) {
+				t.Helper()
+				for deadline := time.Now().Add(20 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("timed out waiting for %s; jobs by state: %v", what, states())
+					}
+				}
+			}
+
+			for i := 0; i < 4; i++ {
+				if code, msg := submit(urls[i%len(urls)]); code != http.StatusAccepted {
+					t.Fatalf("submit %d = %d %q, want 202", i, code, msg)
+				}
+				if i == 1 {
+					await("both workers to be holding a job", func() bool { return states()[JobRunning] == 2 })
+				}
+			}
+			if depth := scrapeGauge(t, last, "repro_jobs_queue_depth"); depth != "2" {
+				t.Errorf("repro_jobs_queue_depth = %s with two jobs queued, want 2", depth)
+			}
+			for _, url := range urls {
+				if code, msg := submit(url); code != http.StatusTooManyRequests || msg != ErrQueueFull.Error() {
+					t.Errorf("submit into the full queue = %d %q, want 429 %q", code, msg, ErrQueueFull)
+				}
+			}
+			gate <- struct{}{}
+			await("a finished job to make room", func() bool { s := states(); return s[JobDone] == 1 && s[JobQueued] == 1 })
+			if code, msg := submit(last); code != http.StatusAccepted {
+				t.Errorf("submit after a job finished = %d %q, want 202", code, msg)
+			}
+			close(gate)
+			await("every job to finish", func() bool { return states()[JobDone] == 5 })
+			await("the queue-depth gauge to read 0", func() bool { return scrapeGauge(t, last, "repro_jobs_queue_depth") == "0" })
+		})
 	}
 }

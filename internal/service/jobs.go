@@ -5,16 +5,28 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"runtime/debug"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
+
+// One job lifecycle. A submission appends a (kind, payload) record to the
+// manager's store handle; the manager's claim loops take queued jobs by
+// lease, renew while running, and write the terminal transition back. Over a
+// handle on a directory the pool is shared: every replica on the directory
+// claims from it, any of them serves status reads for any job, and a job
+// whose holder dies mid-run is reclaimed after lease expiry and restarted
+// from its payload on a survivor (deterministic work makes the rerun's output
+// identical to an uninterrupted one). Over a handle without one
+// (store.NewMemory) the same loop runs under a lease nobody can outlive, and
+// everything dies with the process.
 
 // Job-queue telemetry: submission and completion counters (by terminal
 // state), live queue-depth and running gauges, and duration histograms by
@@ -51,17 +63,16 @@ func jobDuration(family string) *obs.Histogram {
 type PayloadRunner func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error)
 
 // Dispatch is how a job manager turns (kind, payload) submission records
-// back into work. The service hands both backends the same one, filled from
-// its family table.
+// back into work. The service fills it from its family table.
 type Dispatch struct {
 	// Run executes a job whole.
 	Run PayloadRunner
 	// Plan, when non-nil, shards the kinds it resolves to a plan at cell
-	// granularity on the durable backend: the claiming replica becomes the
-	// coordinator and every replica's claim loops execute cells. It returns
-	// (nil, nil) for kinds that run whole, and must be deterministic: every
-	// replica resolving the same (kind, payload) must see the same plan. The
-	// in-memory backend has one process to run on and ignores it.
+	// granularity: the claiming replica becomes the coordinator and every
+	// replica's claim loops execute cells. It returns (nil, nil) for kinds
+	// that run whole, and must be deterministic: every replica resolving the
+	// same (kind, payload) must see the same plan. A nil Plan runs every job
+	// whole through Run.
 	Plan func(kind string, payload []byte) (Plan, error)
 	// Family maps a job kind to its duration-histogram label; nil files
 	// every job under studyFamily.
@@ -108,31 +119,16 @@ type JobStatus struct {
 	Output string `json:"output,omitempty"`
 	// Error is the failure message for failed/cancelled jobs.
 	Error string `json:"error,omitempty"`
-	// Progress is the live (or, once finished, final) progress snapshot of
-	// jobs submitted with SubmitTracked: cells completed and — for Monte
-	// Carlo studies — trials drawn against the budget.
+	// Progress is the live (or, once finished, final) progress snapshot:
+	// cells completed and — for Monte Carlo studies — trials drawn against
+	// the budget. Elided while nothing has been reported.
 	Progress *obs.ProgressSnapshot `json:"progress,omitempty"`
 	// Replica is the lease holder running (or, once finished, the one that
-	// ran) the job; set only on store-backed clusters.
+	// ran) the job; set only by replicas of a store directory.
 	Replica string `json:"replica,omitempty"`
 	// Restarts counts lease takeovers: how many times the job was reclaimed
 	// from a dead or wedged replica and restarted on another.
 	Restarts int `json:"restarts,omitempty"`
-}
-
-// JobFunc is the work a job performs; it must honour ctx promptly.
-type JobFunc func(ctx context.Context) (string, error)
-
-// TrackedJobFunc is a JobFunc that reports live progress: the manager owns
-// the record and snapshots it into every status read while the job runs.
-type TrackedJobFunc func(ctx context.Context, prog *obs.Progress) (string, error)
-
-type job struct {
-	status   JobStatus
-	fn       JobFunc
-	progress *obs.Progress
-	// ended is closed by finish, when the job reaches a terminal state.
-	ended chan struct{}
 }
 
 // guarded runs fn — a whole job, or one cell — and turns a panic in it into
@@ -167,247 +163,174 @@ func panicError(r any, stack []byte) error {
 	return fmt.Errorf("panic: %v\n%s", r, strings.Join(lines, "\n"))
 }
 
-// ErrQueueFull is returned by Submit when the bounded queue is at capacity.
+// ErrQueueFull is returned by SubmitPayload when the pool already holds the
+// manager's bound of queued jobs.
 var ErrQueueFull = errors.New("service: job queue full")
 
-// ErrShuttingDown is returned by Submit after Shutdown started.
+// ErrShuttingDown is returned by SubmitPayload after Shutdown started.
 var ErrShuttingDown = errors.New("service: shutting down")
 
-// JobManager runs submitted jobs on a fixed worker pool, tracks their
-// states, and retains the results of the most recent finished jobs. It has
-// two backends: in-memory (NewJobManager — a bounded queue, everything dies
-// with the process) and durable (NewDurableJobManager — a shared store.Store
-// where N replicas claim jobs by lease; see durable.go).
+// leaseSweep is the one periodic timer left on the idle path. New work is
+// announced by the store (store.WaitChange); what nothing announces is a
+// lease running out, so every worker that waits still looks again this often.
+const leaseSweep = 100 * time.Millisecond
+
+// noExpiry is the lease of a manager whose pool no other handle can open:
+// long enough that neither the expiry nor a renewal (every third of it) ever
+// comes due.
+const noExpiry = 50 * 365 * 24 * time.Hour
+
+// walCompactBytes is the least WAL a terminal transition compacts away (a
+// larger snapshot raises the bar to its own size; see store.CompactPast); a
+// variable so tests can force compaction early.
+var walCompactBytes = int64(256 << 10)
+
+// JobManager runs the jobs of one store handle's pool on a fixed set of
+// claim loops and serves their status. The store retains the results of the
+// most recent finished jobs.
 type JobManager struct {
 	ctx    context.Context
 	cancel context.CancelFunc
-	queue  chan *job
-	wg     sync.WaitGroup
-	retain int
-	// dispatch runs (kind, payload) submissions; closure submissions
-	// (Submit, SubmitTracked) carry their own work.
+	wg     sync.WaitGroup // the claim loops, and submissions in flight
+
+	st       *store.Store
+	replica  string
+	ttl      time.Duration
+	queueCap int
+	retain   int
 	dispatch Dispatch
+	// fallback is how long a worker with nothing to do sleeps at most before
+	// looking again unprompted; leaseSweep outside tests.
+	fallback time.Duration
 
-	// dur is non-nil for store-backed managers.
-	dur *durable
+	mu     sync.Mutex
+	closed bool
+	// local tracks jobs running on this manager, so status reads overlay
+	// their live progress over the (renew-cadence) snapshots in the store.
+	local map[string]*obs.Progress
 
-	mu       sync.Mutex
-	jobs     map[string]*job
-	finished []string // finished job IDs, oldest first, for retention
-	nextID   int
-	closed   bool
+	lastHeartbeat atomic.Int64 // unix nanos of the last replica record
 }
 
-// NewJobManager starts workers goroutines over a queue of queueCap pending
-// jobs, retaining the last retain finished jobs (all values are clamped to
-// at least 1). SubmitPayload jobs run through dispatch; a zero Dispatch
-// leaves the manager to closure submissions.
-func NewJobManager(workers, queueCap, retain int, dispatch Dispatch) *JobManager {
-	if workers < 1 {
-		workers = 1
-	}
-	if queueCap < 1 {
-		queueCap = 1
-	}
-	if retain < 1 {
-		retain = 1
+// NewJobManager starts workers claim-loop goroutines over st's pool,
+// refusing submissions while queueCap jobs are queued and retaining the last
+// retain finished jobs, both counted across every handle on the pool (all
+// three are clamped to at least 1). The replica name is this manager's lease
+// holder identity; ttl is the lease duration (default 10s, renewed at ttl/3
+// while a job runs). Kinds dispatch.Plan resolves are planned into cell
+// work-units that every claim loop on the pool cooperates on.
+func NewJobManager(workers, queueCap, retain int, st *store.Store, replica string, ttl time.Duration, dispatch Dispatch) *JobManager {
+	return newJobManager(workers, queueCap, retain, st, replica, ttl, dispatch, leaseSweep)
+}
+
+// newJobManager is NewJobManager with the fallback deadline as a parameter:
+// the service pushes it out of the way where no lease can run out, tests to
+// prove a wake came from the store's signal and not from the timer.
+func newJobManager(workers, queueCap, retain int, st *store.Store, replica string, ttl time.Duration, dispatch Dispatch, fallback time.Duration) *JobManager {
+	if ttl <= 0 {
+		ttl = 10 * time.Second
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &JobManager{
-		ctx:      ctx,
-		cancel:   cancel,
-		queue:    make(chan *job, queueCap),
-		retain:   retain,
-		dispatch: dispatch,
-		jobs:     make(map[string]*job),
+		ctx: ctx, cancel: cancel,
+		st: st, replica: replica, ttl: ttl,
+		queueCap: max(queueCap, 1), retain: max(retain, 1),
+		dispatch: dispatch, fallback: fallback,
+		local: make(map[string]*obs.Progress),
 	}
-	for i := 0; i < workers; i++ {
+	for i := 0; i < max(workers, 1); i++ {
 		m.wg.Add(1)
-		go m.worker()
+		go m.claimLoop()
 	}
 	return m
 }
 
-func (m *JobManager) worker() {
-	defer m.wg.Done()
-	for {
-		select {
-		case <-m.ctx.Done():
-			return
-		case j, ok := <-m.queue:
-			if !ok {
-				return
-			}
-			m.run(j)
-		}
-	}
-}
+// Durable reports whether the manager's pool is a store directory, which
+// other replicas share and which outlives the process.
+func (m *JobManager) Durable() bool { return m.st.Dir() != "" }
 
-func (m *JobManager) run(j *job) {
-	jobsQueueDepth.Dec()
-	m.mu.Lock()
-	if j.status.State != JobQueued { // cancelled while queued
-		m.mu.Unlock()
-		return
-	}
-	j.status.State = JobRunning
-	started := time.Now()
-	j.status.Started = &started
-	m.mu.Unlock()
+// Replica returns the manager's lease-holder identity.
+func (m *JobManager) Replica() string { return m.replica }
 
-	jobsRunning.Inc()
-	out, err := guarded(func() (string, error) { return j.fn(m.ctx) })
-	jobsRunning.Dec()
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ended := time.Now()
-	j.status.Ended = &ended
-	m.dispatch.observeDuration(j.status.Kind, ended.Sub(started))
-	switch {
-	case err == nil:
-		j.status.State = JobDone
-		j.status.Output = out
-		jobsDone.Inc()
-	case errors.Is(err, context.Canceled) || m.ctx.Err() != nil:
-		j.status.State = JobCancelled
-		j.status.Error = err.Error()
-		jobsCancelled.Inc()
-	default:
-		j.status.State = JobFailed
-		j.status.Error = err.Error()
-		jobsFailed.Inc()
-	}
-	m.finish(j.status.ID)
-}
-
-// finish records a finished job, releases whoever watches it, and evicts
-// beyond the retention window. Callers hold m.mu.
-func (m *JobManager) finish(id string) {
-	close(m.jobs[id].ended)
-	m.finished = append(m.finished, id)
-	for len(m.finished) > m.retain {
-		evict := m.finished[0]
-		m.finished = m.finished[1:]
-		delete(m.jobs, evict)
-	}
-}
-
-// Submit enqueues a job and returns its initial status. It never blocks:
-// a full queue returns ErrQueueFull.
-func (m *JobManager) Submit(kind string, fn JobFunc) (JobStatus, error) {
-	return m.submit(kind, fn, nil)
-}
-
-// SubmitTracked enqueues a job that reports live progress: fn receives a
-// progress record owned by the manager, and every status read while (and
-// after) the job runs carries its latest snapshot — the data behind the
-// ?watch long-poll and the CLI progress ticker. The record is write-only
-// for fn; nothing the job computes may depend on it.
-func (m *JobManager) SubmitTracked(kind string, fn TrackedJobFunc) (JobStatus, error) {
-	prog := &obs.Progress{}
-	return m.submit(kind, func(ctx context.Context) (string, error) { return fn(ctx, prog) }, prog)
-}
-
-// SubmitPayload queues a (kind, payload) submission record for the manager's
-// Dispatch: on the durable backend it is appended to the shared pool, in
-// memory it waits on the bounded queue. tracked attaches a live progress
-// record from the moment of submission on the in-memory backend; the store
-// keeps one for every job and elides it while empty, so there it changes
-// nothing.
-func (m *JobManager) SubmitPayload(kind string, payload json.RawMessage, tracked bool) (JobStatus, error) {
-	if m.dur != nil {
-		return m.durableSubmit(kind, payload)
-	}
-	if m.dispatch.Run == nil {
-		return JobStatus{}, errors.New("service: job manager has no payload runner")
-	}
-	run := func(ctx context.Context, prog *obs.Progress) (string, error) {
-		return m.dispatch.Run(ctx, kind, payload, prog)
-	}
-	if tracked {
-		return m.SubmitTracked(kind, run)
-	}
-	return m.Submit(kind, func(ctx context.Context) (string, error) { return run(ctx, nil) })
-}
-
-func (m *JobManager) submit(kind string, fn JobFunc, prog *obs.Progress) (JobStatus, error) {
-	if m.dur != nil {
-		return JobStatus{}, errors.New("service: closure submits need the in-memory manager; durable jobs go through SubmitPayload")
-	}
+// SubmitPayload appends a (kind, payload) submission record to the pool and
+// returns its initial status. It never waits for room: a full queue is
+// ErrQueueFull.
+func (m *JobManager) SubmitPayload(kind string, payload json.RawMessage) (JobStatus, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return JobStatus{}, ErrShuttingDown
 	}
-	m.nextID++
-	j := &job{
-		status: JobStatus{
-			ID:      fmt.Sprintf("job-%d", m.nextID),
-			Kind:    kind,
-			State:   JobQueued,
-			Created: time.Now(),
-		},
-		fn:       fn,
-		progress: prog,
-		ended:    make(chan struct{}),
-	}
-	m.jobs[j.status.ID] = j
-	// Copy before enqueueing: a worker may start mutating j.status the
-	// moment it leaves the queue.
-	status := j.status
+	m.wg.Add(1) // Shutdown waits for this submission before it looks at the queue
 	m.mu.Unlock()
-
-	select {
-	case m.queue <- j:
-		jobsSubmitted.Inc()
-		jobsQueueDepth.Inc()
-		return status, nil
-	default:
-		m.mu.Lock()
-		delete(m.jobs, status.ID)
-		m.mu.Unlock()
-		return JobStatus{}, ErrQueueFull
+	defer m.wg.Done()
+	rec, err := m.st.SubmitJobBounded(kind, payload, m.queueCap)
+	if errors.Is(err, store.ErrQueueFull) {
+		err = ErrQueueFull
 	}
+	if err != nil {
+		return JobStatus{}, err
+	}
+	jobsSubmitted.Inc()
+	jobsQueueDepth.Set(int64(m.st.Queued()))
+	return m.statusFromRecord(rec), nil
 }
 
-// statusLocked copies a job's status, stamping tracked jobs with their
-// current progress snapshot. Callers hold m.mu.
-func (m *JobManager) statusLocked(j *job) JobStatus {
-	status := j.status
-	if j.progress != nil {
-		snap := j.progress.Snapshot()
-		status.Progress = &snap
+// statusFromRecord maps a store record to the external status shape,
+// overlaying live local progress for jobs running on this manager.
+func (m *JobManager) statusFromRecord(rec store.JobRecord) JobStatus {
+	status := JobStatus{
+		ID:       rec.ID,
+		Kind:     rec.Kind,
+		State:    JobState(rec.State),
+		Created:  rec.Created,
+		Started:  rec.Started,
+		Ended:    rec.Ended,
+		Output:   rec.Output,
+		Error:    rec.Error,
+		Progress: rec.Progress,
+		Replica:  rec.Holder,
+		Restarts: rec.Restarts,
+	}
+	m.mu.Lock()
+	prog, local := m.local[rec.ID]
+	m.mu.Unlock()
+	if local && rec.State == store.StateRunning {
+		if snap := snapPtr(prog.Snapshot()); snap != nil {
+			status.Progress = snap
+		}
 	}
 	return status
 }
 
+// snapPtr boxes a non-zero snapshot, so a job that reports nothing keeps a
+// bare status.
+func snapPtr(snap obs.ProgressSnapshot) *obs.ProgressSnapshot {
+	if snap == (obs.ProgressSnapshot{}) {
+		return nil
+	}
+	return &snap
+}
+
 // Get returns a job's status by ID.
 func (m *JobManager) Get(id string) (JobStatus, bool) {
-	if m.dur != nil {
-		return m.durableGet(id)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok {
+	rec, ok, err := m.st.Job(id)
+	if err != nil || !ok {
 		return JobStatus{}, false
 	}
-	return m.statusLocked(j), true
+	return m.statusFromRecord(rec), true
 }
 
 // List returns all retained jobs, oldest submission first.
 func (m *JobManager) List() []JobStatus {
-	if m.dur != nil {
-		return m.durableList()
+	recs, err := m.st.Jobs()
+	if err != nil {
+		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]JobStatus, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		out = append(out, m.statusLocked(j))
+	out := make([]JobStatus, 0, len(recs))
+	for _, rec := range recs {
+		out = append(out, m.statusFromRecord(rec))
 	}
-	sortJobs(out)
 	return out
 }
 
@@ -438,15 +361,15 @@ func statusChanged(a, b JobStatus) bool {
 // status. It returns the current status unchanged once d elapses or ctx is
 // cancelled, and false only if the job does not exist (or was evicted from
 // retention mid-watch). Jobs already in a terminal state return immediately.
-// A job's end wakes the watch — through the job itself in memory, through
-// the store's change wait on a cluster, whichever replica finished it — and
-// progress movement is noticed every watchPoll.
+// A job's end wakes the watch through the store's change wait, whichever
+// replica finished it; progress movement, which nothing announces, is noticed
+// every watchPoll.
 func (m *JobManager) Watch(ctx context.Context, id string, d time.Duration) (JobStatus, bool) {
 	ctx, cancel := context.WithTimeout(ctx, d)
 	defer cancel()
 	var base JobStatus
 	for first := true; ; first = false {
-		wait := m.awaitChange(id) // armed before the read: nothing in between is missed
+		stamp := m.st.Stamp() // taken before the read: nothing in between is missed
 		cur, ok := m.Get(id)
 		if !ok {
 			return JobStatus{}, false
@@ -457,42 +380,123 @@ func (m *JobManager) Watch(ctx context.Context, id string, d time.Duration) (Job
 		if terminalState(cur.State) || statusChanged(base, cur) || ctx.Err() != nil {
 			return cur, true
 		}
-		wait(ctx)
+		m.st.WaitChange(ctx, stamp, watchPoll)
 	}
 }
 
-// awaitChange returns a wait for the next moment job id may look different:
-// its end, which is announced, or watchPoll later, for progress.
-func (m *JobManager) awaitChange(id string) func(context.Context) {
-	if m.dur != nil {
-		stamp := m.dur.st.Stamp()
-		return func(ctx context.Context) { m.dur.st.WaitChange(ctx, stamp, watchPoll) }
-	}
-	var ended chan struct{} // stays nil, and silent, for a job that is gone
-	m.mu.Lock()
-	if j := m.jobs[id]; j != nil {
-		ended = j.ended
-	}
-	m.mu.Unlock()
-	return func(ctx context.Context) {
-		tick := time.NewTimer(watchPoll)
-		defer tick.Stop()
-		select {
-		case <-ctx.Done():
-		case <-ended:
-		case <-tick.C:
+// claimLoop is one worker's life: claim a job when one is available, run
+// it; failing that, claim cells of other replicas' sharded jobs; failing
+// that, heartbeat and sleep until the store announces work. A worker woken
+// for work another worker took finds nothing, writes nothing and sleeps again.
+func (m *JobManager) claimLoop() {
+	defer m.wg.Done()
+	for m.ctx.Err() == nil {
+		stamp := m.st.Stamp()
+		rec, ok, err := m.st.Claim(m.replica, m.ttl)
+		jobsQueueDepth.Set(int64(m.st.Queued()))
+		if err == nil && ok {
+			m.runJob(rec)
+			continue
 		}
+		if m.dispatch.Plan != nil && m.runCells(m.ctx, "") {
+			continue
+		}
+		m.heartbeat()
+		m.st.WaitChange(m.ctx, stamp, m.fallback)
 	}
 }
 
-// Shutdown cancels the shared context (aborting running jobs at their next
-// cancellation point), marks still-queued jobs cancelled, and waits for the
-// workers to drain or ctx to expire. Durable managers instead release their
-// running jobs' leases and leave queued jobs for other replicas.
-func (m *JobManager) Shutdown(ctx context.Context) error {
-	if m.dur != nil {
-		return m.durableShutdown(ctx)
+// heartbeat registers the replica as live, at most every ttl/2.
+func (m *JobManager) heartbeat() {
+	now := time.Now().UnixNano()
+	last := m.lastHeartbeat.Load()
+	if now-last < int64(m.ttl/2) || !m.lastHeartbeat.CompareAndSwap(last, now) {
+		return
 	}
+	_ = m.st.Heartbeat(m.replica, 2*m.ttl)
+}
+
+// runJob executes one claimed job under a lease keeper, which keeps the
+// lease (and the stored progress snapshot) fresh while the runner works;
+// losing the lease cancels the run. Terminal transitions are fenced by
+// holder in the store, so a takeover can never be overwritten by the loser.
+func (m *JobManager) runJob(rec store.JobRecord) {
+	prog := &obs.Progress{}
+	m.mu.Lock()
+	m.local[rec.ID] = prog
+	m.mu.Unlock()
+	defer func() {
+		m.mu.Lock()
+		delete(m.local, rec.ID)
+		m.mu.Unlock()
+	}()
+
+	keeper, ctx := m.keepLease(m.ctx)
+	keeper.hold(rec.ID, -1, prog)
+
+	jobsRunning.Inc()
+	started := time.Now()
+	var out string
+	var err error
+	var plan Plan
+	if m.dispatch.Plan != nil {
+		plan, err = m.dispatch.Plan(rec.Kind, rec.Payload)
+	}
+	switch {
+	case err != nil:
+	case plan != nil:
+		out, err = m.runSharded(ctx, rec, plan, prog)
+	default:
+		out, err = guarded(func() (string, error) { return m.dispatch.Run(ctx, rec.Kind, rec.Payload, prog) })
+	}
+	jobsRunning.Dec()
+	keeper.stop()
+	m.dispatch.observeDuration(rec.Kind, time.Since(started))
+
+	switch {
+	case keeper.leaseLost():
+		// Another replica owns the job now; any store write would be
+		// rejected as a stale holder's.
+	case err == nil:
+		m.finish(rec.ID, JobDone, out, snapPtr(prog.Snapshot()))
+	case m.ctx.Err() == nil:
+		m.finish(rec.ID, JobFailed, err.Error(), nil)
+	case m.Durable():
+		// Graceful shutdown: hand the job back so another replica restarts
+		// it promptly instead of waiting out the lease.
+		_ = m.st.Release(rec.ID, m.replica)
+	default:
+		m.finish(rec.ID, JobCancelled, err.Error(), nil)
+	}
+	_ = m.st.CompactPast(walCompactBytes, m.retain)
+}
+
+// finish writes a job's terminal state — with its output when done, its
+// error otherwise — and counts it, unless the store fences the write.
+func (m *JobManager) finish(id string, state JobState, text string, prog *obs.ProgressSnapshot) {
+	var err error
+	count := jobsDone
+	switch state {
+	case JobDone:
+		err = m.st.Complete(id, m.replica, text, prog)
+	case JobFailed:
+		err, count = m.st.Fail(id, m.replica, text), jobsFailed
+	default:
+		err, count = m.st.Cancel(id, m.replica, text), jobsCancelled
+	}
+	if err == nil {
+		count.Inc()
+	}
+}
+
+// Shutdown stops the claim loops — cancelling their shared context, which
+// aborts running jobs at their next cancellation point — and waits for them
+// to let go of what they hold, or for ctx to expire. On a store directory
+// that is a release: running jobs go back to the queue and queued jobs stay
+// there, durable state other replicas (or the next start) will claim. A pool
+// no other handle can open has nobody to leave them to, so they end
+// cancelled.
+func (m *JobManager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -500,49 +504,20 @@ func (m *JobManager) Shutdown(ctx context.Context) error {
 	}
 	m.closed = true
 	m.mu.Unlock()
-
 	m.cancel()
-	// Drain jobs still sitting in the queue; run() skips any it raced with.
-	for {
-		select {
-		case j := <-m.queue:
-			jobsQueueDepth.Dec()
-			m.mu.Lock()
-			if j.status.State == JobQueued {
-				j.status.State = JobCancelled
-				ended := time.Now()
-				j.status.Ended = &ended
-				j.status.Error = context.Canceled.Error()
-				jobsCancelled.Inc()
-				m.finish(j.status.ID)
-			}
-			m.mu.Unlock()
-			continue
-		default:
-		}
-		break
-	}
-
 	done := make(chan struct{})
 	go func() {
+		defer close(done)
 		m.wg.Wait()
-		// Workers raced the drain loop for queued jobs; whatever they
-		// pulled after cancellation was marked cancelled in run(). Mark any
-		// survivors (enqueued between drain and worker exit).
-		m.mu.Lock()
-		for _, j := range m.jobs {
-			if j.status.State == JobQueued {
-				j.status.State = JobCancelled
-				ended := time.Now()
-				j.status.Ended = &ended
-				j.status.Error = context.Canceled.Error()
-				jobsQueueDepth.Dec()
-				jobsCancelled.Inc()
-				m.finish(j.status.ID)
+		if m.Durable() {
+			return
+		}
+		for _, j := range m.List() {
+			if j.State == JobQueued {
+				m.finish(j.ID, JobCancelled, context.Canceled.Error(), nil)
 			}
 		}
-		m.mu.Unlock()
-		close(done)
+		jobsQueueDepth.Set(0)
 	}()
 	select {
 	case <-done:
@@ -552,11 +527,11 @@ func (m *JobManager) Shutdown(ctx context.Context) error {
 	}
 }
 
-// sortJobs orders by submission (IDs are "job-<n>").
-func sortJobs(jobs []JobStatus) {
-	num := func(id string) int {
-		n, _ := strconv.Atoi(strings.TrimPrefix(id, "job-"))
-		return n
+// defaultReplicaID derives a stable-enough holder identity for a process.
+func defaultReplicaID() string {
+	host, err := os.Hostname()
+	if err != nil || host == "" {
+		host = "replica"
 	}
-	sort.Slice(jobs, func(a, b int) bool { return num(jobs[a].ID) < num(jobs[b].ID) })
+	return fmt.Sprintf("%s-%d", host, os.Getpid())
 }

@@ -36,7 +36,8 @@ type Options struct {
 	Parallelism int
 	// JobWorkers is the number of concurrent study jobs (default 2).
 	JobWorkers int
-	// QueueCap bounds the pending-job queue (default 16).
+	// QueueCap bounds the jobs waiting to run (default 16) — with a Store,
+	// across every replica on it.
 	QueueCap int
 	// Retain is how many finished jobs keep their results (default 64).
 	Retain int
@@ -53,7 +54,9 @@ type Options struct {
 	// Store, when non-nil, makes the service a replica of a durable cluster:
 	// jobs live in the shared WAL'd pool (claimed by lease, reclaimed on
 	// crash) and fitted models persist under the store directory, so both
-	// survive restarts and are shared by every replica on the directory.
+	// survive restarts and are shared by every replica on the directory. A
+	// nil Store runs the same job lifecycle over a pool that dies with the
+	// service (store.NewMemory).
 	Store *store.Store
 	// ReplicaID is this process's lease-holder identity (hostname-pid when
 	// empty). Only meaningful with a Store.
@@ -168,19 +171,24 @@ func New(opts Options) *Service {
 	for _, f := range s.families {
 		jobDuration(f.Name)
 	}
-	if opts.Store != nil {
-		s.registry.SetStore(opts.Store)
+	st, replica, ttl, sweep, dispatch := opts.Store, opts.ReplicaID, opts.LeaseTTL, leaseSweep, s.dispatch()
+	if st != nil {
+		s.registry.SetStore(st)
 		s.registry.Warm()
-		s.jobs = NewDurableJobManager(opts.JobWorkers, opts.Retain,
-			opts.Store, opts.ReplicaID, opts.LeaseTTL, s.dispatch())
 	} else {
-		s.jobs = NewJobManager(opts.JobWorkers, opts.QueueCap, opts.Retain, s.dispatch())
+		// One process: a pool no other handle can open, held under a lease
+		// that cannot run out — so there is none to sweep for, and an idle
+		// worker sleeps until it is woken — whose jobs have nobody to be
+		// sharded across.
+		st, replica, ttl, sweep = store.NewMemory(store.Options{}), "", noExpiry, noExpiry
+		dispatch.Plan = nil
 	}
+	s.jobs = newJobManager(opts.JobWorkers, opts.QueueCap, opts.Retain, st, replica, ttl, dispatch, sweep)
 	return s
 }
 
-// dispatch is what either job manager runs submissions through: the same
-// three lookups in the family table.
+// dispatch is what the job manager runs submissions through: three lookups
+// in the family table.
 func (s *Service) dispatch() Dispatch {
 	return Dispatch{Run: s.runPayload, Plan: s.plan, Family: s.familyName}
 }
@@ -213,7 +221,7 @@ func (s *Service) defaults() Defaults {
 	return Defaults{Seed: s.opts.Seed, SuiteSeed: s.opts.SuiteSeed}
 }
 
-// runPayload is both job managers' dispatcher: it rematerialises a job from
+// runPayload is the job manager's dispatcher: it rematerialises a job from
 // its submission record and runs it whole. Kinds in the family table carry
 // their spec as the payload and run prepare → every cell → merge; every
 // other kind is a study request. Because specs are default-filled at
@@ -248,7 +256,7 @@ func (s *Service) submit(f *Family, spec []byte) (JobStatus, error) {
 		kind += ":" + label
 	}
 	s.cachedPlan(kind, p.Spec(), func() (Plan, error) { return p, nil })
-	return s.jobs.SubmitPayload(kind, p.Spec(), true)
+	return s.jobs.SubmitPayload(kind, p.Spec())
 }
 
 // submitSpec is submit for a typed spec of the named family.
@@ -771,7 +779,7 @@ func (s *Service) SubmitStudy(req StudyRequest) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, err
 	}
-	return s.jobs.SubmitPayload(req.Study, payload, false)
+	return s.jobs.SubmitPayload(req.Study, payload)
 }
 
 // RunStudy executes one study synchronously and returns the rendered

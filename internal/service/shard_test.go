@@ -217,13 +217,13 @@ func TestShardedJobSpansReplicas(t *testing.T) {
 	shared := &countingCells{ran: make(map[string][]int), gate: make(chan struct{}), cells: 6}
 
 	stA := openServiceStore(t, dir)
-	a := NewDurableJobManager(1, 8, stA, "alpha", time.Second, taggedCells{shared, "alpha"}.dispatch())
+	a := NewJobManager(1, 64, 8, stA, "alpha", time.Second, taggedCells{shared, "alpha"}.dispatch())
 	defer a.Shutdown(context.Background())
 	stB := openServiceStore(t, dir)
-	b := NewDurableJobManager(1, 8, stB, "beta", time.Second, taggedCells{shared, "beta"}.dispatch())
+	b := NewJobManager(1, 64, 8, stB, "beta", time.Second, taggedCells{shared, "beta"}.dispatch())
 	defer b.Shutdown(context.Background())
 
-	status, err := a.SubmitPayload("grid", nil, false)
+	status, err := a.SubmitPayload("grid", nil)
 	if err != nil {
 		t.Fatalf("SubmitPayload: %v", err)
 	}
@@ -300,7 +300,7 @@ func TestCoordinatorRestartMidGather(t *testing.T) {
 
 	shared := &countingCells{ran: make(map[string][]int), gate: make(chan struct{}), cells: 3}
 	close(shared.gate)
-	m := NewDurableJobManager(1, 8, st, "heir", time.Second, taggedCells{shared, "heir"}.dispatch())
+	m := NewJobManager(1, 64, 8, st, "heir", time.Second, taggedCells{shared, "heir"}.dispatch())
 	defer m.Shutdown(context.Background())
 
 	final := waitJobState(t, m, rec.ID, JobDone)

@@ -47,12 +47,12 @@ func TestWakeLatency(t *testing.T) {
 	t.Run("local submit", func(t *testing.T) {
 		st := openServiceStore(t, t.TempDir())
 		started := make(chan string, 1)
-		m := newDurableJobManager(2, 64, st, "alpha", time.Minute, signalRunner(started), never)
+		m := newJobManager(2, 64, 64, st, "alpha", time.Minute, signalRunner(started), never)
 		defer m.Shutdown(context.Background())
 		time.Sleep(20 * time.Millisecond) // both workers asleep
 		took := fastest(t, 5, func(i int) time.Duration {
 			start := time.Now()
-			if _, err := m.SubmitPayload(fmt.Sprintf("k%d", i), nil, false); err != nil {
+			if _, err := m.SubmitPayload(fmt.Sprintf("k%d", i), nil); err != nil {
 				t.Fatal(err)
 			}
 			<-started
@@ -69,7 +69,7 @@ func TestWakeLatency(t *testing.T) {
 		dir := t.TempDir()
 		stA, stB := openServiceStore(t, dir), openServiceStore(t, dir)
 		busy, release := make(chan string, 1), make(chan struct{})
-		a := newDurableJobManager(1, 64, stA, "alpha", time.Minute, Dispatch{
+		a := newJobManager(1, 64, 64, stA, "alpha", time.Minute, Dispatch{
 			Run: func(ctx context.Context, kind string, _ []byte, _ *obs.Progress) (string, error) {
 				busy <- kind
 				select {
@@ -80,18 +80,18 @@ func TestWakeLatency(t *testing.T) {
 			}}, never)
 		defer a.Shutdown(context.Background())
 		defer close(release)
-		if _, err := a.SubmitPayload("hog", nil, false); err != nil {
+		if _, err := a.SubmitPayload("hog", nil); err != nil {
 			t.Fatal(err)
 		}
 		<-busy // alpha's only worker is taken for the rest of the test
 
 		started := make(chan string, 1)
-		b := newDurableJobManager(1, 64, stB, "beta", time.Minute, signalRunner(started), never)
+		b := newJobManager(1, 64, 64, stB, "beta", time.Minute, signalRunner(started), never)
 		defer b.Shutdown(context.Background())
 		time.Sleep(20 * time.Millisecond)
 		took := fastest(t, 5, func(i int) time.Duration {
 			start := time.Now()
-			if _, err := a.SubmitPayload(fmt.Sprintf("k%d", i), nil, false); err != nil {
+			if _, err := a.SubmitPayload(fmt.Sprintf("k%d", i), nil); err != nil {
 				t.Fatal(err)
 			}
 			<-started
@@ -146,13 +146,13 @@ func lastCellElsewhere(t *testing.T) time.Duration {
 	t.Helper()
 	dir := t.TempDir()
 	g := &gatedCells{gates: [2]chan struct{}{make(chan struct{}), make(chan struct{})}, running: make(chan int, 2)}
-	a := newDurableJobManager(1, 64, openServiceStore(t, dir), "alpha", time.Minute, g.dispatch(), never)
+	a := newJobManager(1, 64, 64, openServiceStore(t, dir), "alpha", time.Minute, g.dispatch(), never)
 	defer a.Shutdown(context.Background())
-	b := newDurableJobManager(1, 64, openServiceStore(t, dir), "beta", time.Minute, g.dispatch(), never)
+	b := newJobManager(1, 64, 64, openServiceStore(t, dir), "beta", time.Minute, g.dispatch(), never)
 	defer b.Shutdown(context.Background())
 	observer := openServiceStore(t, dir)
 
-	status, err := a.SubmitPayload("grid", nil, false)
+	status, err := a.SubmitPayload("grid", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestWakeFallbackReclaimsExpiredLease(t *testing.T) {
 	}
 
 	started := make(chan string, 1)
-	m := newDurableJobManager(1, 64, open(), "live", time.Minute, signalRunner(started), fallback)
+	m := newJobManager(1, 64, 64, open(), "live", time.Minute, signalRunner(started), fallback)
 	defer m.Shutdown(context.Background())
 	select {
 	case kind := <-started:
@@ -320,13 +320,13 @@ func TestWatchReturnsWithTheTerminalFrame(t *testing.T) {
 		took := fastest(t, 3, func(int) time.Duration {
 			dir := t.TempDir()
 			release := make(chan struct{})
-			a := newDurableJobManager(1, 64, openServiceStore(t, dir), "alpha", time.Minute, gated(release), never)
+			a := newJobManager(1, 64, 64, openServiceStore(t, dir), "alpha", time.Minute, gated(release), never)
 			defer a.Shutdown(context.Background())
 			// beta only watches: its claim loops are stopped before there is
 			// anything to claim.
-			b := newDurableJobManager(1, 64, openServiceStore(t, dir), "beta", time.Minute, Dispatch{}, never)
+			b := newJobManager(1, 64, 64, openServiceStore(t, dir), "beta", time.Minute, Dispatch{}, never)
 			b.Shutdown(context.Background())
-			status, err := a.SubmitPayload("table1", nil, false)
+			status, err := a.SubmitPayload("table1", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -341,9 +341,9 @@ func TestWatchReturnsWithTheTerminalFrame(t *testing.T) {
 	t.Run("in memory", func(t *testing.T) {
 		took := fastest(t, 3, func(int) time.Duration {
 			release := make(chan struct{})
-			m := NewJobManager(1, 8, 8, gated(release))
+			m := NewJobManager(1, 8, 8, store.NewMemory(store.Options{}), "", noExpiry, gated(release))
 			defer m.Shutdown(context.Background())
-			status, err := m.SubmitPayload("table1", nil, false)
+			status, err := m.SubmitPayload("table1", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -448,7 +448,7 @@ func TestPanicFailsTheJobNotTheReplica(t *testing.T) {
 
 	t.Run("whole job on a replica", func(t *testing.T) {
 		st := openServiceStore(t, t.TempDir())
-		m := NewDurableJobManager(1, 8, st, "alpha", time.Second, Dispatch{
+		m := NewJobManager(1, 64, 8, st, "alpha", time.Second, Dispatch{
 			Run: func(_ context.Context, kind string, _ []byte, _ *obs.Progress) (string, error) {
 				if kind == "bad" {
 					var cells []int
@@ -457,12 +457,12 @@ func TestPanicFailsTheJobNotTheReplica(t *testing.T) {
 				return "fine", nil
 			}})
 		defer m.Shutdown(context.Background())
-		bad, err := m.SubmitPayload("bad", nil, false)
+		bad, err := m.SubmitPayload("bad", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkPanicked(t, waitJobState(t, m, bad.ID, JobFailed, JobDone))
-		good, err := m.SubmitPayload("good", nil, false)
+		good, err := m.SubmitPayload("good", nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,6 +35,60 @@ func waitTook(s *Store, since ChangeStamp, fallback time.Duration) time.Duration
 	return time.Since(start)
 }
 
+// A handle without a directory wakes its waiters on its own appends and has
+// nothing else to listen for: no prober runs while they wait. Its log never
+// grows, so CompactPast prunes whenever it is asked.
+func TestWakeLogLessHandleNeedsNoProber(t *testing.T) {
+	s := NewMemory(Options{})
+	woke := make(chan time.Duration)
+	stamp := s.Stamp()
+	go func() {
+		begin := time.Now()
+		s.WaitChange(context.Background(), stamp, time.Minute)
+		woke <- time.Since(begin)
+	}()
+	waiting := func() (n int, probing bool) {
+		s.waiters.mu.Lock()
+		defer s.waiters.mu.Unlock()
+		return s.waiters.n, s.waiters.probing
+	}
+	for n, _ := waiting(); n == 0; n, _ = waiting() {
+		time.Sleep(time.Millisecond)
+	}
+	if _, probing := waiting(); probing {
+		t.Error("a prober runs on a handle that has no log to probe")
+	}
+	rec, err := s.SubmitJob("k", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := <-woke; took > 10*time.Second {
+		t.Errorf("waiter woke after %v, want it woken by the submission", took)
+	}
+	for i := 0; i < 2; i++ {
+		if i > 0 {
+			if rec, err = s.SubmitJob("k", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, ok, err := s.Claim("", time.Minute); err != nil || !ok {
+			t.Fatalf("Claim: ok=%v err=%v", ok, err)
+		}
+		if err := s.Complete(rec.ID, "", "out", nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CompactPast(1<<20, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if jobs, _ := s.Jobs(); len(jobs) != 1 || jobs[0].ID != rec.ID {
+		t.Errorf("after two finished jobs and retain 1: %+v, want only %s", jobs, rec.ID)
+	}
+	if size, err := s.WALSize(); size != 0 || err != nil {
+		t.Errorf("WALSize = %d, %v; want 0", size, err)
+	}
+}
+
 // A waiter on one handle learns of another handle's submission from the
 // prober, in about a millisecond, with the fallback nowhere near; a claim or
 // a renewal through the other handle is replayed but wakes nobody; and a

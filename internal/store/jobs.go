@@ -181,10 +181,25 @@ func (s *Store) applyLocked(rec *record) {
 // conflict with) the new holder's.
 var ErrLeaseLost = errors.New("store: lease lost")
 
+// ErrQueueFull is returned by SubmitJobBounded when the pool already holds
+// the allowed number of queued jobs.
+var ErrQueueFull = errors.New("store: job queue full")
+
 // SubmitJob appends a new job to the shared pool and returns its record.
 func (s *Store) SubmitJob(kind string, payload []byte) (JobRecord, error) {
+	return s.SubmitJobBounded(kind, payload, 0)
+}
+
+// SubmitJobBounded is SubmitJob refused with ErrQueueFull while the pool
+// holds maxQueued or more jobs in state queued (no bound when maxQueued <= 0).
+// The count and the append share one lock, so handles racing for the last
+// slot cannot both get it.
+func (s *Store) SubmitJobBounded(kind string, payload []byte, maxQueued int) (JobRecord, error) {
 	var out JobRecord
 	err := s.withLock(func() error {
+		if maxQueued > 0 && s.queuedLocked() >= maxQueued {
+			return ErrQueueFull
+		}
 		id := fmt.Sprintf("job-%d", s.st.seq+1)
 		if err := s.appendLocked(&record{Type: recSubmit, Job: id, Kind: kind, Payload: payload}, synced); err != nil {
 			return err
@@ -193,6 +208,26 @@ func (s *Store) SubmitJob(kind string, payload []byte) (JobRecord, error) {
 		return nil
 	})
 	return out, err
+}
+
+// queuedLocked counts the jobs in state queued.
+func (s *Store) queuedLocked() int {
+	n := 0
+	for _, id := range s.st.live {
+		if s.st.jobs[id].State == StateQueued {
+			n++
+		}
+	}
+	return n
+}
+
+// Queued counts the jobs in state queued as of the handle's last look at the
+// pool — no lock taken across handles, no refresh: for a caller that has just
+// submitted or claimed, that look is its own.
+func (s *Store) Queued() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.queuedLocked()
 }
 
 // claimable reports whether a job is up for grabs at time now: queued with
@@ -314,6 +349,12 @@ func (s *Store) Fail(id, holder, errMsg string) error {
 	return s.finishJob(id, holder, StateFailed, "", errMsg, nil)
 }
 
+// Cancel marks a job cancelled on behalf of holder: a job it is running, or
+// a queued one whose last holder it was (holder "" for a job never claimed).
+func (s *Store) Cancel(id, holder, errMsg string) error {
+	return s.finishJob(id, holder, StateCancelled, "", errMsg, nil)
+}
+
 // Release gives a running job back to the queue — the graceful-shutdown
 // path, so a draining replica's in-flight jobs restart promptly elsewhere
 // instead of waiting out the lease.
@@ -406,7 +447,8 @@ func (s *Store) Compact(retain int) error {
 // table of any size is rewritten once per doubling of what was logged, not
 // once per minWAL bytes.
 func (s *Store) CompactPast(minWAL int64, retain int) error {
-	due := func() bool { return s.seen.Load() >= max(minWAL, s.snapBytes.Load()) }
+	// Without a log there is nothing to amortise: compacting is the prune.
+	due := func() bool { return s.dir == "" || s.seen.Load() >= max(minWAL, s.snapBytes.Load()) }
 	if !due() {
 		return nil
 	}

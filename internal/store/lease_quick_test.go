@@ -1,12 +1,15 @@
 package store
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Property tests over the lease state machine, driven by testing/quick
@@ -161,4 +164,131 @@ func snapshotJobs(t *testing.T, s *Store) map[string]JobRecord {
 		out[j.ID] = j
 	}
 	return out
+}
+
+// TestLogLessHandleIsTheSameStateMachine drives a handle without a directory
+// and a file-backed one through the same seeded scripts — every job and cell
+// operation, clock steps past expiry, prunes, and the file-backed handle
+// closed and reopened — under one simulated clock, and requires the same
+// result and error from every call and the same observable state after it.
+func TestLogLessHandleIsTheSameStateMachine(t *testing.T) {
+	const (
+		seeds = 5
+		steps = 500
+		ttl   = 10 * time.Second
+	)
+	// render flattens a call's results to something comparable: records hold
+	// pointers, errors are compared by message.
+	render := func(err error, results ...any) string {
+		data, jerr := json.Marshal(results)
+		if jerr != nil {
+			t.Fatal(jerr)
+		}
+		return fmt.Sprintf("%s err=%v", data, err)
+	}
+	observe := func(s *Store) string {
+		jobs, err := s.Jobs()
+		out := render(err, jobs)
+		for _, j := range jobs {
+			cells, ok, err := s.Cells(j.ID)
+			out += "\n" + render(err, j.ID, cells, ok)
+			sum, ok, err := s.CellSummary(j.ID)
+			out += "\n" + render(err, sum, ok)
+		}
+		return out
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed))
+			clock := newFakeClock()
+			dir := t.TempDir()
+			mem, file := NewMemory(Options{Now: clock.Now}), openTestStore(t, dir, clock)
+			var ids []string
+			for step := 0; step < steps; step++ {
+				// Every draw happens before either handle is touched.
+				op := r.Intn(17)
+				job, holder := "job-0", quickHolders[r.Intn(len(quickHolders))]
+				if len(ids) > 0 && r.Intn(8) > 0 {
+					job = ids[r.Intn(len(ids))]
+				}
+				cell, n, flag, onlyJob := r.Intn(4), r.Intn(4), r.Intn(2) == 0, ""
+				if r.Intn(3) == 0 {
+					onlyJob = job
+				}
+				if r.Intn(4) > 0 { // mostly, whoever holds the lease asks
+					if rec, ok, _ := mem.Job(job); ok && rec.Holder != "" {
+						holder = rec.Holder
+					}
+					if cells, _, _ := mem.Cells(job); cell < len(cells) && cells[cell].Holder != "" {
+						holder = cells[cell].Holder
+					}
+				}
+				prog := &obs.ProgressSnapshot{CellsDone: int64(n), TrialsUsed: int64(step)}
+				apply := func(s *Store) string {
+					switch op {
+					case 0, 1:
+						rec, err := s.SubmitJobBounded("kind", json.RawMessage(`{"n":1}`), 4)
+						return render(err, rec)
+					case 2, 3:
+						rec, ok, err := s.Claim(holder, ttl)
+						return render(err, rec, ok)
+					case 4:
+						return render(s.Renew(job, holder, ttl, prog))
+					case 5:
+						return render(s.Complete(job, holder, "out", prog))
+					case 6:
+						return render(s.Fail(job, holder, "boom"))
+					case 7:
+						return render(s.Cancel(job, holder, "stop"))
+					case 8:
+						return render(s.Release(job, holder))
+					case 9:
+						return render(s.PlanCells(job, n+1))
+					case 10, 11:
+						rec, ok, err := s.ClaimCell(holder, ttl, onlyJob)
+						return render(err, rec, ok)
+					case 12:
+						return render(s.RenewCell(job, cell, holder, ttl, prog))
+					case 13:
+						errMsg := ""
+						if n == 0 {
+							errMsg = "cell boom"
+						}
+						rec, ok, err := s.CompleteCellAndClaim(job, cell, holder, []byte{byte(step)}, errMsg, prog, flag, onlyJob, ttl)
+						return render(err, rec, ok)
+					case 14:
+						return render(s.ReleaseCell(job, cell, holder))
+					case 15:
+						// Not CompactPast: when a log is due for folding is the
+						// one thing the handles are meant to disagree on.
+						return render(s.Compact(n + 1))
+					default:
+						results, err := s.CellResults(job)
+						return render(err, results, s.Queued(), s.Heartbeat(holder, ttl))
+					}
+				}
+				switch {
+				case op == 16 && flag:
+					clock.Advance(time.Duration(n) * ttl / 2) // up to 1.5 leases
+				case op == 16 && n == 0:
+					// What the file-backed handle replays from its directory is
+					// what the other never stopped holding.
+					file.Close()
+					file = openTestStore(t, dir, clock)
+				}
+				got, want := apply(mem), apply(file)
+				if got != want {
+					t.Fatalf("step %d op %d: without a directory\n%s\nfile-backed\n%s", step, op, got, want)
+				}
+				if op <= 1 {
+					if rec, ok, _ := mem.Job(fmt.Sprintf("job-%d", mem.st.seq)); ok {
+						ids = append(ids, rec.ID)
+					}
+				}
+				if got, want := observe(mem), observe(file); got != want {
+					t.Fatalf("after step %d op %d: without a directory\n%s\nfile-backed\n%s", step, op, got, want)
+				}
+			}
+		})
+	}
 }

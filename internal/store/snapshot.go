@@ -293,9 +293,9 @@ func (s *Store) followCompactionLocked(gen uint64) bool {
 }
 
 // pruneLocked drops finished jobs beyond the retention window, oldest first
-// — mirroring the in-memory manager's retention, but against the store so
-// the WAL and snapshots cannot grow without bound — and the cell plans of
-// jobs that are gone or finished, so snapshots don't accrete results.
+// — so neither the table nor, under it, the WAL and snapshots can grow
+// without bound — and the cell plans of jobs that are gone or finished, so
+// snapshots don't accrete results.
 func (s *Store) pruneLocked(retain int) {
 	finished := 0
 	for _, id := range s.st.order {
@@ -364,6 +364,9 @@ func (s *Store) compactLocked(retain int) error {
 		retain = 1
 	}
 	s.pruneLocked(retain)
+	if s.dir == "" {
+		return nil
+	}
 
 	gen := s.gen + 1
 	var size int64

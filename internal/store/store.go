@@ -104,8 +104,13 @@ type Options struct {
 // concurrent use within the process, and any number of processes (or
 // handles) may share the directory: cross-handle mutual exclusion is by
 // flock on the LOCK file.
+//
+// A handle from NewMemory has no directory: the same state machine with
+// nothing under it. Its records are numbered, stamped and applied but never
+// encoded, so there is no LOCK, log, snapshot or prober, and no other handle
+// can ever see its pool.
 type Store struct {
-	dir string
+	dir string // "" for a handle without a directory
 	now func() time.Time
 
 	mu    sync.Mutex
@@ -183,6 +188,20 @@ func (st *state) endJob(id string) {
 	delete(st.cellsLeft, id)
 }
 
+// NewMemory returns a handle without a directory: a job pool that lives and
+// dies with the handle. The model cache (models.go) needs a directory and is
+// not available on it.
+func NewMemory(opts Options) *Store {
+	now := opts.Now
+	if now == nil {
+		now = time.Now
+	}
+	s := &Store{now: now, st: newState()}
+	s.walFd.Store(-1)
+	s.waiters.ch = make(chan struct{})
+	return s
+}
+
 // Open opens (creating if needed) a store directory.
 func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -195,13 +214,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	now := opts.Now
-	if now == nil {
-		now = time.Now
-	}
-	s := &Store{dir: dir, now: now, lockf: lockf, st: newState()}
-	s.walFd.Store(-1)
-	s.waiters.ch = make(chan struct{})
+	s := NewMemory(opts)
+	s.dir, s.lockf = dir, lockf
 	if err := s.withLock(func() error { return nil }); err != nil {
 		lockf.Close()
 		return nil, err
@@ -226,7 +240,7 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// Dir returns the store directory.
+// Dir returns the store directory, "" for a handle without one.
 func (s *Store) Dir() string { return s.dir }
 
 // withLock runs fn holding both the in-process mutex and the cross-process
@@ -247,6 +261,9 @@ func (s *Store) withLock(fn func() error) error {
 
 // flocked is withLock's cross-process half. Callers hold s.mu.
 func (s *Store) flocked(fn func() error) error {
+	if s.dir == "" {
+		return fn() // nobody to exclude, nothing to refresh from
+	}
 	if s.lockf == nil {
 		return fmt.Errorf("store: closed")
 	}
@@ -417,6 +434,24 @@ func (s *Store) appendBatchLocked(recs []*record, durable bool) error {
 	if len(recs) == 0 {
 		return nil
 	}
+	for _, rec := range recs {
+		s.st.seq++
+		rec.Seq = s.st.seq
+		rec.T = s.now().UnixNano()
+	}
+	if s.dir != "" {
+		if err := s.logLocked(recs, durable); err != nil {
+			return err
+		}
+	}
+	for _, rec := range recs {
+		s.applyLocked(rec)
+	}
+	return nil
+}
+
+// logLocked is appendBatchLocked's write to the log.
+func (s *Store) logLocked(recs []*record, durable bool) error {
 	// Any bytes past walOff failed replay — a torn tail from a crashed
 	// writer. Truncate before appending so the log stays parseable.
 	if s.seen.Load() > s.walOff {
@@ -426,9 +461,6 @@ func (s *Store) appendBatchLocked(recs []*record, durable bool) error {
 	}
 	var buf []byte
 	for _, rec := range recs {
-		s.st.seq++
-		rec.Seq = s.st.seq
-		rec.T = s.now().UnixNano()
 		payload, err := json.Marshal(rec)
 		if err != nil {
 			return fmt.Errorf("store: %w", err)
@@ -456,7 +488,6 @@ func (s *Store) appendBatchLocked(recs []*record, durable bool) error {
 		if c, ok := framesTotal[rec.Type]; ok {
 			c.Inc()
 		}
-		s.applyLocked(rec)
 	}
 	return nil
 }

@@ -78,7 +78,7 @@ func (s *Store) WaitChange(ctx context.Context, since ChangeStamp, fallback time
 	}
 	ch := w.ch
 	w.n++
-	if !w.probing {
+	if !w.probing && s.dir != "" { // without a directory no other handle can append
 		w.probing = true
 		go s.probeLoop()
 	}
