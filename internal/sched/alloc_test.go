@@ -21,23 +21,24 @@ func TestScratchBuildAllocFree(t *testing.T) {
 	model := perfmodel.NewAnalytic(c)
 	cost := perfmodel.CostFunc(model)
 	comm := perfmodel.CommFunc(model, c)
-	g := dag.MustGenerate(dag.GenParams{Tasks: 20, InputMatrices: 4, AddRatio: 0.5, N: 2000, Seed: 77})
-
 	algos := []Algorithm{CPA{}, HCPA{}, MCPA{}, Sequential{}, DataParallel{}}
-	sc := NewScratch()
-	run := func() {
-		sc.Bind(g, c.Nodes, cost)
-		for _, algo := range algos {
-			if _, err := sc.Build(algo, comm); err != nil {
+	for _, tasks := range []int{20, 100} {
+		g := dag.MustGenerate(dag.GenParams{Tasks: tasks, InputMatrices: 4, AddRatio: 0.5, N: 2000, Seed: 77})
+		sc := NewScratch()
+		run := func() {
+			sc.Bind(g, c.Nodes, cost)
+			for _, algo := range algos {
+				if _, err := sc.Build(algo, comm); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := sc.BuildMHEFT(MHEFT{}, comm); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := sc.BuildMHEFT(MHEFT{}, comm); err != nil {
-			t.Fatal(err)
+		run() // warm the scratch's buffers and per-graph caches
+		if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+			t.Errorf("%d tasks: warm scratch build allocates %.1f times per run, want 0", tasks, allocs)
 		}
-	}
-	run() // warm the scratch's buffers and per-graph caches
-	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
-		t.Errorf("warm scratch build allocates %.1f times per run, want 0", allocs)
 	}
 }

@@ -3,12 +3,14 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dag"
 	"repro/internal/perfmodel"
 	"repro/internal/platform"
+	"repro/internal/testutil"
 )
 
 // amdahl is an imperfect-speedup cost model: t(τ,p) = W/p + 0.05·W·(p−1)/32,
@@ -283,14 +285,48 @@ func TestBuildRejectsEmptyGraph(t *testing.T) {
 	}
 }
 
+// TestOrderSortsByStart checks Order against the stable sort it replaced —
+// start, then ID, on schedules full of equal starts — and that the result
+// slice is its only allocation.
 func TestOrderSortsByStart(t *testing.T) {
-	g := chain(3)
-	s := MapSchedule(g, []int{1, 1, 1}, 4, perfect, nil)
-	order := s.Order()
-	for i := 1; i < len(order); i++ {
-		if s.EstStart[order[i-1]] > s.EstStart[order[i]] {
-			t.Errorf("Order not sorted by start: %v", order)
+	stable := func(s *Schedule) []int {
+		order := make([]int, len(s.Alloc))
+		for i := range order {
+			order[i] = i
 		}
+		sort.SliceStable(order, func(a, b int) bool {
+			ta, tb := s.EstStart[order[a]], s.EstStart[order[b]]
+			if ta != tb {
+				return ta < tb
+			}
+			return order[a] < order[b]
+		})
+		return order
+	}
+	c := platform.Bayreuth()
+	model := perfmodel.NewAnalytic(c)
+	wide := dag.MustGenerate(dag.GenParams{Tasks: 60, InputMatrices: 16, AddRatio: 0.5, N: 2000, Seed: 4})
+	scheds := []*Schedule{
+		MapSchedule(chain(3), []int{1, 1, 1}, 4, perfect, nil),
+		MapSchedule(fork(12), []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 4, perfect, nil),
+	}
+	for _, algo := range []Algorithm{Sequential{}, HCPA{}} {
+		s, err := Build(algo, wide, c.Nodes, perfmodel.CostFunc(model), perfmodel.CommFunc(model, c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		scheds = append(scheds, s)
+	}
+	for _, s := range scheds {
+		if got, want := s.Order(), stable(s); !equalInts(got, want) {
+			t.Errorf("%s: Order = %v, stable sort gives %v", s.Graph.Name, got, want)
+		}
+	}
+	if testutil.RaceEnabled {
+		return // allocation counts are inflated by race instrumentation
+	}
+	if allocs := testing.AllocsPerRun(50, func() { _ = scheds[3].Order() }); allocs != 1 {
+		t.Errorf("Order allocates %.1f times per call, want 1 (the result)", allocs)
 	}
 }
 

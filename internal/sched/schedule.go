@@ -14,7 +14,9 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/dag"
 )
@@ -57,14 +59,23 @@ func (s *Schedule) Order() []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ta, tb := s.EstStart[order[a]], s.EstStart[order[b]]
-		if ta != tb {
-			return ta < tb
-		}
-		return order[a] < order[b]
-	})
+	sortByStart(order, s.EstStart)
 	return order
+}
+
+// sortByStart sorts task IDs by start time, ties by ID. For non-NaN times
+// the key is a strict total order, so any correct sort gives the one
+// permutation a stable sort would.
+func sortByStart(ids []int, start []float64) {
+	slices.SortFunc(ids, func(a, b int) int {
+		if ta, tb := start[a], start[b]; ta != tb {
+			if ta < tb {
+				return -1
+			}
+			return 1
+		}
+		return a - b
+	})
 }
 
 // Validate checks the schedule against the cluster size: allocation bounds,
@@ -72,6 +83,11 @@ func (s *Schedule) Order() []int {
 // that tasks overlapping in estimated time never share a processor. It
 // allocates nothing for schedules whose host sets are listed in ascending
 // order, which is how every builder in this package emits them.
+//
+// Exclusivity is first checked by a per-host sweep (sweepExclusive), which
+// costs a sort; only when the sweep cannot rule a conflict out does the
+// pairwise scan run, so an invalid schedule reports the same pair and message
+// it always has.
 func (s *Schedule) Validate(clusterSize int) error {
 	n := s.Graph.Len()
 	if len(s.Alloc) != n || len(s.Hosts) != n || len(s.EstStart) != n || len(s.EstFinish) != n {
@@ -113,6 +129,9 @@ func (s *Schedule) Validate(clusterSize int) error {
 			}
 		}
 	}
+	if s.sweepExclusive() {
+		return nil
+	}
 	// Processor exclusivity among time-overlapping tasks.
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
@@ -131,6 +150,62 @@ func (s *Schedule) Validate(clusterSize int) error {
 	}
 	return nil
 }
+
+// sweepBuf is sweepExclusive's scratch, pooled so Validate allocates nothing.
+type sweepBuf struct {
+	order []int
+	free  []float64
+}
+
+var sweepBufs = sync.Pool{New: func() any { return new(sweepBuf) }}
+
+// sweepExclusive reports whether a per-host sweep proves that no two tasks
+// overlapping in estimated time share a processor. It visits tasks in start
+// order and keeps each host's latest finish so far. If the pairwise scan
+// rejects tasks a and b on host h, then whichever of them is visited second
+// starts more than 1e-9 before the other's finish, hence before h's latest
+// finish minus 1e-9 (subtracting a constant is monotone in floating point),
+// so the sweep flags it. A clean sweep therefore means the scan would find
+// nothing; a flag may be a false alarm and leaves the verdict to the scan.
+// The per-task checks must have passed: hosts in range, none listed twice.
+// NaN fails every comparison the sweep makes, so a non-finite time sends
+// the schedule to the scan.
+func (s *Schedule) sweepExclusive() bool {
+	n, maxHost := len(s.EstStart), -1
+	for t := 0; t < n; t++ {
+		if !finite(s.EstStart[t]) || !finite(s.EstFinish[t]) {
+			return false
+		}
+		for _, h := range s.Hosts[t] {
+			maxHost = max(maxHost, h)
+		}
+	}
+	b := sweepBufs.Get().(*sweepBuf)
+	defer sweepBufs.Put(b)
+	b.order = grow(b.order, n)
+	for t := range b.order {
+		b.order[t] = t
+	}
+	sortByStart(b.order, s.EstStart)
+	b.free = grow(b.free, maxHost+1)
+	for h := range b.free {
+		b.free[h] = math.Inf(-1)
+	}
+	for _, t := range b.order {
+		start, finish := s.EstStart[t], s.EstFinish[t]
+		for _, h := range s.Hosts[t] {
+			if start < b.free[h]-1e-9 {
+				return false
+			}
+			if finish > b.free[h] {
+				b.free[h] = finish
+			}
+		}
+	}
+	return true
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 func strictlyAscending(hosts []int) bool {
 	for i := 1; i < len(hosts); i++ {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -43,20 +44,23 @@ type Scratch struct {
 	// per-graph caches (graphs are immutable once built).
 	cachedG *dag.Graph
 	topo    []int
+	topoPos []int // topoPos[id] is id's index in topo
 	entries []int
 	levels  []int
 	width   []int
 
 	// allocation phase
-	alloc []int
-	bl    []float64
-	cp    []int
+	alloc   []int
+	bl      []float64
+	cp      []int
+	area    []float64 // area[id] = cost(id, alloc[id])·alloc[id], T_A's terms
+	dirty   []uint64  // bottom-level update marks, stamped with dirtyEp
+	dirtyEp uint64
 
 	// mapping phase
-	avail      []float64
 	nPredsLeft []int
 	ready      []int
-	hostsAt    []hostAvail
+	hostsAt    []hostAvail // the host queue, kept in cmpHostAvail order
 	hostsFlat  []int
 
 	// output schedule, reused across builds
@@ -127,6 +131,10 @@ func (sc *Scratch) Bind(g *dag.Graph, clusterSize int, cost dag.CostFunc) {
 			panic(err) // same contract as dag's analyses on cyclic graphs
 		}
 		sc.topo = topo
+		sc.topoPos = grow(sc.topoPos, len(topo))
+		for i, id := range topo {
+			sc.topoPos[id] = i
+		}
 		sc.entries = g.Entries()
 		var nLevels int
 		sc.levels, nLevels = g.Levels()
@@ -244,11 +252,15 @@ const (
 	growMCPA
 )
 
-// cpaLoop is cpaLoop (cpa.go) in scratch storage. Beyond buffer reuse it
-// computes the bottom levels once per iteration and derives both the
-// critical-path length and the critical path from them — CriticalPathLength
-// and CriticalPath recompute the identical vector today, so the results are
-// bit-identical.
+// cpaLoop is cpaLoop (cpa.go) in scratch storage, paying per iteration for
+// what the iteration changed: one task's allocation. The bottom levels are
+// computed once and then updated for the grown task and the ancestors it
+// moves (updateBottomLevels); T_A's per-task terms are kept and only the
+// grown task's is recomputed, then summed in task order; MCPA's per-level
+// total is not recounted per candidate (its veto is implied by the cap).
+// Every value comes from the same operations on the same operands as in the
+// reference — CriticalPathLength, AverageArea and CriticalPath over a
+// freshly computed vector — so the allocations are bit-identical.
 func (sc *Scratch) cpaLoop(mode growMode, floor float64) []int {
 	g, clusterSize, cost := sc.g, sc.p, sc.memoCost
 	n := g.Len()
@@ -259,9 +271,14 @@ func (sc *Scratch) cpaLoop(mode growMode, floor float64) []int {
 	if n == 0 {
 		return alloc
 	}
+	bl := sc.bottomLevels(alloc, nil)
+	sc.area = grow(sc.area, n)
+	area := sc.area
+	for _, t := range g.Tasks {
+		area[t.ID] = cost(t, alloc[t.ID]) * float64(alloc[t.ID])
+	}
 	maxIter := n * clusterSize
 	for iter := 0; iter < maxIter; iter++ {
-		bl := sc.bottomLevels(alloc, nil)
 		tcp := 0.0
 		for _, v := range bl {
 			if v > tcp {
@@ -269,8 +286,8 @@ func (sc *Scratch) cpaLoop(mode growMode, floor float64) []int {
 			}
 		}
 		ta := 0.0
-		for _, t := range g.Tasks {
-			ta += cost(t, alloc[t.ID]) * float64(alloc[t.ID])
+		for _, v := range area {
+			ta += v
 		}
 		ta /= float64(clusterSize)
 		if tcp <= ta {
@@ -302,16 +319,12 @@ func (sc *Scratch) cpaLoop(mode growMode, floor float64) []int {
 				if cap < 1 {
 					cap = 1
 				}
+				// MCPA's second veto, the level's total reaching N, is
+				// implied here: no task ever exceeds its cap, so with this
+				// one below it the total is < width·cap ≤ N (and when
+				// width > N the cap is 1 and the test above vetoes). The
+				// reference's O(V) recount per candidate is left out.
 				if alloc[task.ID] >= cap {
-					continue
-				}
-				total := 0
-				for _, other := range g.Tasks {
-					if sc.levels[other.ID] == l {
-						total += alloc[other.ID]
-					}
-				}
-				if total >= clusterSize {
 					continue
 				}
 			}
@@ -326,8 +339,53 @@ func (sc *Scratch) cpaLoop(mode growMode, floor float64) []int {
 			break
 		}
 		alloc[best]++
+		area[best] = cost(g.Tasks[best], alloc[best]) * float64(alloc[best])
+		sc.updateBottomLevels(bl, alloc, best)
 	}
 	return alloc
+}
+
+// updateBottomLevels brings bl up to date after alloc[changed] moved: it
+// recomputes changed and then every ancestor one of whose successors' bottom
+// levels changed, walking the cached topological order backwards from
+// changed's position. Each recomputation is bottomLevels' (comm == nil) over
+// the same operands, and a task none of whose successors changed would
+// recompute its old bits, so bl ends bit-identical to a full recomputation.
+// The walk stops once no marked task is left; a task whose value comes out
+// unchanged marks nobody — on plateaued cost curves that is often changed
+// itself.
+func (sc *Scratch) updateBottomLevels(bl []float64, alloc []int, changed int) {
+	g, cost := sc.g, sc.memoCost
+	sc.dirty = grow(sc.dirty, len(g.Tasks)) // stale stamps are older epochs
+	sc.dirtyEp++
+	ep := sc.dirtyEp
+	sc.dirty[changed] = ep
+	pending := 1
+	for i := sc.topoPos[changed]; pending > 0; i-- {
+		id := sc.topo[i]
+		if sc.dirty[id] != ep {
+			continue
+		}
+		pending--
+		t := g.Tasks[id]
+		best := 0.0
+		for _, s := range t.Succs() {
+			if v := bl[s]; v > best {
+				best = v
+			}
+		}
+		v := cost(t, alloc[id]) + best
+		if math.Float64bits(v) == math.Float64bits(bl[id]) {
+			continue
+		}
+		bl[id] = v
+		for _, p := range t.Preds() {
+			if sc.dirty[p] != ep {
+				sc.dirty[p] = ep
+				pending++
+			}
+		}
+	}
 }
 
 // bottomLevels is dag.BottomLevels over the cached topological order, writing
@@ -389,8 +447,10 @@ func (sc *Scratch) criticalPath(bl []float64) []int {
 }
 
 // mapInto is MapSchedule (mapping.go) in scratch storage: identical pick
-// order, identical comparator totals, identical arithmetic — only the
-// allocations differ (there are none).
+// order, identical host choice, identical arithmetic — only the allocations
+// (there are none) and the host queue differ: MapSchedule re-sorts every
+// host by availability per task, mapInto keeps that order across tasks
+// (assignHosts).
 func (sc *Scratch) mapInto(alloc []int, comm dag.CommFunc) *Schedule {
 	g, clusterSize := sc.g, sc.p
 	cost := sc.memoCost
@@ -401,7 +461,6 @@ func (sc *Scratch) mapInto(alloc []int, comm dag.CommFunc) *Schedule {
 
 	bl := sc.bottomLevels(alloc, comm)
 
-	avail := sc.resizeAvail(clusterSize)
 	nPredsLeft := sc.resizeNPreds(n)
 	for _, t := range g.Tasks {
 		nPredsLeft[t.ID] = t.InDegree()
@@ -418,7 +477,7 @@ func (sc *Scratch) mapInto(alloc []int, comm dag.CommFunc) *Schedule {
 	flat := sc.hostsFlat[:total]
 	next := 0
 
-	hs := sc.resizeHostsAt(clusterSize)
+	hs := sc.resetHostQueue(clusterSize)
 	for count := 0; count < n; count++ {
 		best := -1
 		for _, id := range ready {
@@ -439,20 +498,12 @@ func (sc *Scratch) mapInto(alloc []int, comm dag.CommFunc) *Schedule {
 		task := g.Task(id)
 		k := alloc[id]
 
-		for h := range hs {
-			hs[h] = hostAvail{host: h, at: avail[h]}
-		}
-		slices.SortFunc(hs, cmpHostAvail)
-		chosen := flat[next : next+k : next+k]
-		next += k
 		procReady := 0.0
-		for i := 0; i < k; i++ {
-			chosen[i] = hs[i].host
-			if hs[i].at > procReady {
-				procReady = hs[i].at
+		for _, h := range hs[:k] {
+			if h.at > procReady {
+				procReady = h.at
 			}
 		}
-		slices.Sort(chosen)
 
 		dataReady := 0.0
 		for _, p := range task.Preds() {
@@ -470,12 +521,12 @@ func (sc *Scratch) mapInto(alloc []int, comm dag.CommFunc) *Schedule {
 			start = dataReady
 		}
 		finish := start + cost(task, k)
+		chosen := flat[next : next+k : next+k]
+		next += k
+		assignHosts(hs, chosen, finish)
 		s.Hosts[id] = chosen
 		s.EstStart[id] = start
 		s.EstFinish[id] = finish
-		for _, h := range chosen {
-			avail[h] = finish
-		}
 
 		for _, succ := range task.Succs() {
 			nPredsLeft[succ]--
@@ -489,8 +540,8 @@ func (sc *Scratch) mapInto(alloc []int, comm dag.CommFunc) *Schedule {
 }
 
 // cmpHostAvail is MapSchedule's host comparator: availability, then host ID —
-// a strict total order (hosts are distinct), so any correct sort yields the
-// identical permutation sort.Slice produced.
+// a strict total order (hosts are distinct), so a queue kept sorted by it is
+// the permutation sort.Slice produces from the availability array.
 func cmpHostAvail(a, b hostAvail) int {
 	if a.at != b.at {
 		if a.at < b.at {
@@ -499,6 +550,33 @@ func cmpHostAvail(a, b hostAvail) int {
 		return 1
 	}
 	return a.host - b.host
+}
+
+// assignHosts hands the len(chosen) earliest-free hosts — the front of the
+// queue hs, kept in cmpHostAvail order — to a task that holds them until
+// `until`. It writes their IDs into chosen in ascending order (MapSchedule's
+// sort.Ints) and merges them back into the untouched rest of the queue: all
+// of them become free at `until` and are in host order, so one O(P) merge
+// leaves hs as MapSchedule's per-task sort of the availability array would.
+// The merge runs in place from the front: the write position never passes
+// the read position, because the k vacated slots are filled first.
+func assignHosts(hs []hostAvail, chosen []int, until float64) {
+	k := len(chosen)
+	for i := range chosen {
+		chosen[i] = hs[i].host
+	}
+	slices.Sort(chosen)
+	w, r := 0, k
+	for _, h := range chosen {
+		freed := hostAvail{host: h, at: until}
+		for r < len(hs) && cmpHostAvail(hs[r], freed) < 0 {
+			hs[w] = hs[r]
+			w++
+			r++
+		}
+		hs[w] = freed
+		w++
+	}
 }
 
 // BuildMHEFT runs the one-phase M-HEFT scheduler (mheft.go) against the
@@ -541,7 +619,6 @@ func (sc *Scratch) BuildMHEFT(m MHEFT, comm dag.CommFunc) (*Schedule, error) {
 	}
 	bl := sc.bottomLevels(ones, comm)
 
-	avail := sc.resizeAvail(clusterSize)
 	nPredsLeft := sc.resizeNPreds(n)
 	for _, t := range g.Tasks {
 		nPredsLeft[t.ID] = t.InDegree()
@@ -555,7 +632,7 @@ func (sc *Scratch) BuildMHEFT(m MHEFT, comm dag.CommFunc) (*Schedule, error) {
 	}
 	flatNext := 0
 
-	hs := sc.resizeHostsAt(clusterSize)
+	hs := sc.resetHostQueue(clusterSize)
 	for mapped := 0; mapped < n; mapped++ {
 		best := -1
 		for _, id := range ready {
@@ -573,11 +650,6 @@ func (sc *Scratch) BuildMHEFT(m MHEFT, comm dag.CommFunc) (*Schedule, error) {
 			}
 		}
 		task := g.Task(best)
-
-		for h := range hs {
-			hs[h] = hostAvail{host: h, at: avail[h]}
-		}
-		slices.SortFunc(hs, cmpHostAvail)
 
 		bestP, bestStart, bestFinish := 0, 0.0, 0.0
 		for p := 1; p <= allocCap; p++ {
@@ -604,17 +676,11 @@ func (sc *Scratch) BuildMHEFT(m MHEFT, comm dag.CommFunc) (*Schedule, error) {
 
 		chosen := sc.hostsFlat[flatNext : flatNext+bestP : flatNext+bestP]
 		flatNext += bestP
-		for i := 0; i < bestP; i++ {
-			chosen[i] = hs[i].host
-		}
-		slices.Sort(chosen)
+		assignHosts(hs, chosen, bestFinish)
 		s.Alloc[best] = bestP
 		s.Hosts[best] = chosen
 		s.EstStart[best] = bestStart
 		s.EstFinish[best] = bestFinish
-		for _, h := range chosen {
-			avail[h] = bestFinish
-		}
 		for _, succ := range task.Succs() {
 			nPredsLeft[succ]--
 			if nPredsLeft[succ] == 0 {
@@ -654,27 +720,28 @@ func (sc *Scratch) prepareOut(n int) *Schedule {
 	return s
 }
 
-func (sc *Scratch) resizeAvail(clusterSize int) []float64 {
-	if cap(sc.avail) < clusterSize {
-		sc.avail = make([]float64, clusterSize)
-	}
-	avail := sc.avail[:clusterSize]
-	for i := range avail {
-		avail[i] = 0
-	}
-	return avail
-}
-
 func (sc *Scratch) resizeNPreds(n int) []int {
-	if cap(sc.nPredsLeft) < n {
-		sc.nPredsLeft = make([]int, n)
-	}
-	return sc.nPredsLeft[:n]
+	sc.nPredsLeft = grow(sc.nPredsLeft, n)
+	return sc.nPredsLeft
 }
 
-func (sc *Scratch) resizeHostsAt(clusterSize int) []hostAvail {
-	if cap(sc.hostsAt) < clusterSize {
-		sc.hostsAt = make([]hostAvail, clusterSize)
+// resetHostQueue returns the host queue for clusterSize idle processors: all
+// free at 0, hence in host order. Its capacity is its length, so a task asking
+// for more hosts than exist panics as MapSchedule does.
+func (sc *Scratch) resetHostQueue(clusterSize int) []hostAvail {
+	sc.hostsAt = grow(sc.hostsAt, clusterSize)
+	hs := sc.hostsAt[:clusterSize:clusterSize]
+	for h := range hs {
+		hs[h] = hostAvail{host: h}
 	}
-	return sc.hostsAt[:clusterSize]
+	return hs
+}
+
+// grow returns buf with length n, reallocating only when its capacity is
+// short; the contents are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -86,6 +87,84 @@ func TestScratchBuildMatchesBuild(t *testing.T) {
 					ctx := g.Name + "/" + algo.Name() + "/" + m.name
 					sameSchedule(t, ctx, got, want)
 				}
+			}
+		}
+	}
+	t.Run("large", matchesBuildLarge)
+}
+
+// stepProfile is a profile model whose task times are the analytic model's
+// at the largest power of two ≤ p, with flat startup and redistribution
+// overheads: cost curves with plateaus, so growing a task often leaves its
+// cost — and its bottom level — exactly where it was, and parallel branches
+// tie on bottom levels and critical-path choices.
+func stepProfile(t *testing.T, c platform.Cluster, maxP int) perfmodel.Model {
+	t.Helper()
+	a := perfmodel.NewAnalytic(c)
+	d := perfmodel.NewProfileData()
+	for _, k := range []dag.Kernel{dag.KernelMul, dag.KernelAdd} {
+		task := &dag.Task{Kernel: k, N: 2000}
+		for p := 1; p <= maxP; p++ {
+			q := 1
+			for q*2 <= p {
+				q *= 2
+			}
+			d.TaskTimes[perfmodel.TaskKey{Kernel: k, N: 2000, P: p}] = a.TaskTime(task, q)
+			d.Startup[p] = 0.5
+			d.RedistByDst[p] = 0.1
+		}
+	}
+	m, err := perfmodel.NewProfile(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// matchesBuildLarge extends TestScratchBuildMatchesBuild to the sizes the
+// incremental allocation loop and the kept host queue are for: 100- and
+// 200-task DAGs on 32 and 48 processors, under the analytic, perturbed,
+// plateaued-profile and empirical models, for the CPA family and M-HEFT.
+func matchesBuildLarge(t *testing.T) {
+	c := platform.Bayreuth()
+	analytic := perfmodel.NewAnalytic(c)
+	perturbed := &perfmodel.Perturbed{Base: analytic, P: perfmodel.Perturbation{
+		TaskFactor: 1.07, StartupFactor: 1.2, TaskShape: 0.3, Salt: 42,
+	}}
+	models := []perfmodel.Model{analytic, perturbed, stepProfile(t, c, 48), perfmodel.PaperEmpirical()}
+	algos := []Algorithm{CPA{}, HCPA{}, MCPA{}}
+
+	sc := NewScratch()
+	for i, tasks := range []int{100, 200} {
+		g := dag.MustGenerate(dag.GenParams{
+			Tasks: tasks, InputMatrices: 4 + 4*i, AddRatio: 0.5, N: 2000, Seed: int64(tasks),
+		})
+		for _, size := range []int{32, 48} {
+			for _, m := range models {
+				cost, comm := perfmodel.CostFunc(m), perfmodel.CommFunc(m, c)
+				sc.Bind(g, size, cost)
+				for _, algo := range algos {
+					ctx := fmt.Sprintf("%s/%d/%s/%s", g.Name, size, m.Name(), algo.Name())
+					want, err := Build(algo, g, size, cost, comm)
+					if err != nil {
+						t.Fatalf("%s: %v", ctx, err)
+					}
+					got, err := sc.Build(algo, comm)
+					if err != nil {
+						t.Fatalf("%s: %v", ctx, err)
+					}
+					sameSchedule(t, ctx, got, want)
+				}
+				ctx := fmt.Sprintf("%s/%d/%s/MHEFT", g.Name, size, m.Name())
+				want, err := MHEFT{}.Build(g, size, cost, comm)
+				if err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+				got, err := sc.BuildMHEFT(MHEFT{}, comm)
+				if err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+				sameSchedule(t, ctx, got, want)
 			}
 		}
 	}

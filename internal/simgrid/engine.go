@@ -348,7 +348,7 @@ func (e *Engine) solveRates() {
 // UsageOf reports the instantaneous usage of resource r by running actions,
 // for tests and observability. It reads the sparse usage forms captured at
 // Add — the quantities the simulation actually charges — so it agrees with
-// the run even if a caller mutated an action's Usage map afterwards.
+// the run even if a caller mutated an action's Usage slice afterwards.
 func (e *Engine) UsageOf(r int) float64 {
 	e.solveRates()
 	total := 0.0
