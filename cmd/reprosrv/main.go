@@ -121,7 +121,7 @@ func main() {
 		log.Printf("replica %s on store %s (lease ttl %s)", svc.Jobs().Replica(), *storeDir, *leaseTTL)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	srv := newServer(*addr, svc.Handler())
 
 	if *metricsAddr != "" {
 		// The private listener always exposes pprof: it is the operator's
@@ -133,7 +133,7 @@ func main() {
 		mmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		msrv := &http.Server{Addr: *metricsAddr, Handler: mmux}
+		msrv := newServer(*metricsAddr, mmux)
 		go func() {
 			log.Printf("metrics listening on %s", *metricsAddr)
 			if err := msrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -168,4 +168,20 @@ func main() {
 		log.Printf("job shutdown: %v", err)
 	}
 	log.Printf("bye")
+}
+
+// Connection timeouts of both listeners. A client gets readHeaderTimeout to
+// send its request headers and an idle keep-alive connection is closed
+// after idleTimeout, so neither a slow sender nor a silent client holds a
+// connection forever. There is deliberately no WriteTimeout (nor a
+// ReadTimeout, which would end the body read of a large upload): a ?watch
+// long-poll holds its response for up to its 60 s cap, and a pprof profile
+// for its whole duration, and a shorter write deadline would cut both off.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }

@@ -11,7 +11,6 @@ package dag
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 )
 
@@ -266,31 +265,32 @@ func (g *Graph) topoOrder() ([]int, error) {
 }
 
 func (g *Graph) computeTopoOrder() ([]int, error) {
+	// ready is a min-heap of the tasks whose predecessors are all ordered,
+	// so the smallest ready ID always goes next. The entry tasks are pushed
+	// in ascending order, which is already a heap.
 	indeg := make([]int, len(g.Tasks))
+	ready := make([]int, 0, len(g.Tasks))
 	for _, t := range g.Tasks {
 		indeg[t.ID] = len(t.preds)
-	}
-	var ready []int
-	for id, d := range indeg {
-		if d == 0 {
-			ready = append(ready, id)
+		if len(t.preds) == 0 {
+			ready = append(ready, t.ID)
 		}
 	}
-	sort.Ints(ready)
 	order := make([]int, 0, len(g.Tasks))
 	for len(ready) > 0 {
 		id := ready[0]
-		ready = ready[1:]
+		last := len(ready) - 1
+		ready[0] = ready[last]
+		ready = ready[:last]
+		siftDown(ready)
 		order = append(order, id)
-		newly := make([]int, 0, len(g.Tasks[id].succs))
 		for _, s := range g.Tasks[id].succs {
 			indeg[s]--
 			if indeg[s] == 0 {
-				newly = append(newly, s)
+				ready = append(ready, s)
+				siftUp(ready)
 			}
 		}
-		sort.Ints(newly)
-		ready = merge(ready, newly)
 	}
 	if len(order) != len(g.Tasks) {
 		return nil, fmt.Errorf("dag %q: cycle detected (%d of %d tasks ordered)",
@@ -299,25 +299,34 @@ func (g *Graph) computeTopoOrder() ([]int, error) {
 	return order, nil
 }
 
-// merge merges two sorted int slices into a sorted slice.
-func merge(a, b []int) []int {
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
+// siftUp restores the min-heap after an append.
+func siftUp(h []int) {
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
+			return
 		}
+		h[p], h[i] = h[i], h[p]
+		i = p
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+}
+
+// siftDown restores the min-heap after its root was replaced.
+func siftDown(h []int) {
+	for i := 0; ; {
+		m, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && h[l] < h[m] {
+			m = l
+		}
+		if r < len(h) && h[r] < h[m] {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // Levels returns, for each task, its precedence level: entry tasks are level

@@ -29,7 +29,7 @@ import (
 func Import(data []byte) (*Graph, error) {
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
 	if len(trimmed) > 0 && trimmed[0] == '{' {
-		return ReadJSON(bytes.NewReader(trimmed))
+		return decodeJSON(trimmed)
 	}
 	return ReadDOT(bytes.NewReader(data))
 }

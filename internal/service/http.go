@@ -29,7 +29,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, apiError{Error: err.Error()})
+	writeReply(w, status, apiError{Error: err.Error()})
 }
 
 // writeServiceError distinguishes request faults (400) from server-side
@@ -42,9 +42,11 @@ func writeServiceError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusInternalServerError, err)
 }
 
+// decode reads the first JSON value of the body into v, answering 400 for
+// a value it cannot decode and 413 for a body over maxBodyBytes.
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+		writeBodyError(w, err)
 		return false
 	}
 	return true
@@ -138,7 +140,7 @@ func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	var req ScheduleRequest
-	if !decode(w, r, &req) {
+	if !decodeRequest(w, r, &req, nil) {
 		return
 	}
 	resp, err := s.Schedule(r.Context(), req)
@@ -146,46 +148,38 @@ func (s *Service) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeServiceError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeReply(w, http.StatusOK, resp)
 }
 
 func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	// One endpoint, two shapes: "dag" simulates a single application,
-	// "dags" serves the whole array as a batch that shares one registry
-	// resolution and one network. DAGs is a pointer so a
-	// present-but-empty "dags" key still selects the batch shape (and is
-	// rejected as an empty batch) instead of silently degrading to the
-	// single path.
-	var wire struct {
-		ScheduleRequest
-		DAGs *[]*dag.Graph `json:"dags"`
-	}
-	if !decode(w, r, &wire) {
+	var req ScheduleRequest
+	var dags *[]*dag.Graph
+	if !decodeRequest(w, r, &req, &dags) {
 		return
 	}
-	if wire.DAGs != nil {
-		if wire.DAG != nil {
+	if dags != nil {
+		if req.DAG != nil {
 			writeError(w, http.StatusBadRequest,
 				errors.New(`service: request has both "dag" and "dags"; send one`))
 			return
 		}
 		resp, err := s.SimulateBatch(r.Context(), SimulateBatchRequest{
-			DAGs: *wire.DAGs, Algorithm: wire.Algorithm, Model: wire.Model,
-			Environment: wire.Environment, Seed: wire.Seed,
+			DAGs: *dags, Algorithm: req.Algorithm, Model: req.Model,
+			Environment: req.Environment, Seed: req.Seed,
 		})
 		if err != nil {
 			writeServiceError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		writeReply(w, http.StatusOK, resp)
 		return
 	}
-	resp, err := s.Simulate(r.Context(), wire.ScheduleRequest)
+	resp, err := s.Simulate(r.Context(), req)
 	if err != nil {
 		writeServiceError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeReply(w, http.StatusOK, resp)
 }
 
 // jobRoute is one noun under /v1/ with the submit / list / poll triple:
