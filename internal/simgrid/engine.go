@@ -3,7 +3,10 @@ package simgrid
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+
+	"repro/internal/obs"
 )
 
 // timeEps is the relative tolerance used when comparing event times, so that
@@ -61,10 +64,9 @@ type Action struct {
 	state      ActionState
 	remaining  float64 // remaining work
 	delayLeft  float64 // remaining delay
-	rate       float64
 	startedAt  float64
 	finishedAt float64
-	v          maxminVar
+	v          maxminVar // the action's solver variable; v.rate is its progress rate
 }
 
 // Use is one entry of an action's sparse consumption vector: Amount units of
@@ -84,7 +86,7 @@ func (a *Action) StartedAt() float64 { return a.startedAt }
 func (a *Action) FinishedAt() float64 { return a.finishedAt }
 
 // Rate returns the most recently computed progress rate.
-func (a *Action) Rate() float64 { return a.rate }
+func (a *Action) Rate() float64 { return a.v.rate }
 
 // Reset re-arms an action so it can be added again — the companion of
 // Engine.Reset for replaying one scenario through a recycled engine. The
@@ -97,7 +99,7 @@ func (a *Action) Reset() {
 	a.state = StatePending
 	a.remaining = 0
 	a.delayLeft = 0
-	a.rate = 0
+	a.v.rate = 0
 	a.startedAt = 0
 	a.finishedAt = 0
 }
@@ -121,9 +123,16 @@ type Engine struct {
 
 	sol      solver       // reusable bottleneck solver
 	vars     []*maxminVar // scratch: runnable variables of the current solve
+	sharing  []*maxminVar // scratch: those of them that share a resource
+	lone     []float64    // scratch: the lone variables' rates, for the tie check
+	marks    []resMark    // scratch: per resource, who the last split saw on it
+	stamp    uint32       // the current split's stamp
 	nextLive []*Action    // scratch: double buffer for the live list
 	finished []*Action    // scratch: actions retiring in the current event
 	fresh    bool         // rates are current for the present live set
+	// globalSolves counts the solves of the current Run that fell back to
+	// one solve over every running action; Run publishes it once at the end.
+	globalSolves int
 }
 
 // NewEngine creates an engine with the given resource capacities.
@@ -142,22 +151,22 @@ func (e *Engine) Reset(capacity []float64) {
 		e.capacity = append(e.capacity[:0], capacity...)
 	}
 	e.now = 0
-	e.live = clearActions(e.live)
-	e.done = clearActions(e.done)
-	e.nextLive = clearActions(e.nextLive)
-	e.finished = clearActions(e.finished)
-	vars := e.vars[:cap(e.vars)]
-	clear(vars)
-	e.vars = vars[:0]
+	e.live = clearAll(e.live)
+	e.done = clearAll(e.done)
+	e.nextLive = clearAll(e.nextLive)
+	e.finished = clearAll(e.finished)
+	e.vars = clearAll(e.vars)
+	e.sharing = clearAll(e.sharing)
 	e.sol.reset()
 	e.fresh = false
 }
 
-// clearActions nils out a slice's entire backing array — not just its
-// current length, which is typically zero by the time Reset runs — so
-// recycled engines do not pin previous runs' actions (and the state their
-// OnComplete closures capture) against the garbage collector.
-func clearActions(s []*Action) []*Action {
+// clearAll nils out a slice's entire backing array — not just its current
+// length, which is typically zero by the time Reset runs — so recycled
+// engines do not pin previous runs' actions (and the state their OnComplete
+// closures capture) against the garbage collector. A *maxminVar points into
+// its Action, so variable lists need it too.
+func clearAll[T any](s []*T) []*T {
 	s = s[:cap(s)]
 	clear(s)
 	return s[:0]
@@ -210,9 +219,24 @@ func (e *Engine) Add(a *Action) {
 	e.fresh = false
 }
 
+// globalSolvesTotal counts the rate solves that fell back to one solve over
+// every running action (see solveRates). Engines tally their own and add
+// the tally once per Run, so the solve loop touches no shared cache line.
+var globalSolvesTotal = obs.Default.Counter("repro_simgrid_global_solves_total",
+	"Engine rate solves re-solved over every running action because independent actions tied or one was bounded.")
+
 // Run advances the simulation until no live actions remain and returns the
 // final simulated time.
 func (e *Engine) Run() (float64, error) {
+	end, err := e.run()
+	if e.globalSolves > 0 {
+		globalSolvesTotal.Add(uint64(e.globalSolves))
+		e.globalSolves = 0
+	}
+	return end, err
+}
+
+func (e *Engine) run() (float64, error) {
 	maxEvents := e.MaxEvents
 	if maxEvents == 0 {
 		maxEvents = 10_000_000
@@ -243,10 +267,10 @@ func (e *Engine) step() error {
 			t = a.delayLeft
 		case a.remaining <= workEps:
 			t = 0
-		case a.rate <= 0:
+		case a.v.rate <= 0:
 			t = math.Inf(1)
 		default:
-			t = a.remaining / a.rate
+			t = a.remaining / a.v.rate
 		}
 		if t < next {
 			next = t
@@ -285,14 +309,14 @@ func (e *Engine) step() error {
 			continue
 		}
 		a.state = StateRunning
-		if math.IsInf(a.rate, 1) {
+		if math.IsInf(a.v.rate, 1) {
 			// Unconstrained action (uses no shared resource): completes
 			// as soon as its delay is served.
 			a.remaining = 0
 		} else {
-			a.remaining -= a.rate * next
+			a.remaining -= float64(a.v.rate * next)
 		}
-		if a.remaining <= a.Work*timeEps+workEps {
+		if a.remaining <= float64(a.Work*timeEps)+workEps {
 			finished = append(finished, a)
 		} else {
 			still = append(still, a)
@@ -323,26 +347,173 @@ func (e *Engine) step() error {
 // solve is skipped when the live set has not changed since the last one
 // (the fresh flag), so observability calls like UsageOf never pay for a
 // redundant solve.
+//
+// Only the actions that meet another running action on some resource go
+// through the solver. An action alone on all its resources — most of them,
+// in a replay — gets its cached lone rate, which is the very value a solve
+// over everything would give it: its weight on each resource is 0+use and
+// the remaining capacity is still the capacity when its round comes, so the
+// round share is min_r capacity[r]/use[r]. The solver's tie rule is the one
+// coupling: a round fixes every resource within share·(1+1e-12) of its
+// bottleneck, across independent actions. So when a lone rate lies within
+// that tolerance of a different lone rate or of a round share of the
+// sharing solve (coupled), or any action is bounded, everything is solved
+// again in one solve, as before. When no action is lone, the sharing
+// solve is that one solve and no check runs. Either way each rate is bit
+// for bit the one a single solve over every running action gives.
 func (e *Engine) solveRates() {
 	if e.fresh {
 		return
 	}
-	e.vars = e.vars[:0]
-	for _, a := range e.live {
-		if a.delayLeft > 0 || a.remaining <= workEps {
-			a.rate = 0
-			continue
-		}
-		e.vars = append(e.vars, &a.v)
-	}
-	e.sol.solve(e.vars, e.capacity)
-	for _, a := range e.live {
-		if a.delayLeft > 0 || a.remaining <= workEps {
-			continue
-		}
-		a.rate = a.v.rate
-	}
 	e.fresh = true
+	e.sol.grow(len(e.capacity)) // even with no solve to run, so the scratch always spans the resources
+	vars, nShared, bounded := e.split()
+	if nShared < len(vars) {
+		if !bounded && e.solveSharing(vars) {
+			return
+		}
+		e.globalSolves++
+	}
+	e.sol.solve(vars, e.capacity)
+}
+
+// solveSharing gives the lone variables their cached rates and solves the
+// sharing ones. It reports false, having decided nothing for certain, when
+// a lone rate is coupled to another block by solve's tie rule or is
+// negative (a negative capacity, on which solve stalls).
+func (e *Engine) solveSharing(vars []*maxminVar) bool {
+	sharing, lone := e.sharing[:0], e.lone[:0]
+	negative := false
+	for _, v := range vars {
+		if v.shared {
+			sharing = append(sharing, v)
+			continue
+		}
+		v.rate = v.loneRate(e.capacity)
+		if len(v.res) > 0 {
+			lone = append(lone, v.rate)
+			negative = negative || v.rate < 0
+		}
+	}
+	e.sharing, e.lone = sharing, lone
+	if negative {
+		return false
+	}
+	var rounds []float64
+	if len(sharing) > 0 {
+		e.sol.solve(sharing, e.capacity)
+		rounds = e.sol.rounds
+	}
+	return len(lone) == 0 || !coupled(lone, rounds)
+}
+
+// resMark records which split last saw a resource (stamp) and the index,
+// among that split's runnable variables, of the first one it saw there
+// (owner). An index rather than a pointer: the marks outlive runs, and pin
+// nothing.
+type resMark struct {
+	stamp uint32
+	owner int32
+}
+
+// split collects the runnable actions' variables in live order and marks
+// every one that shares a resource with another, in one pass over their
+// resource lists (none when only one runs). It returns the variables, how
+// many share, and whether any is bounded; actions not running get rate
+// zero. The per-resource marks are stamped, so they never need clearing; a
+// resource's owner turns out shared once a second user arrives.
+func (e *Engine) split() (vars []*maxminVar, nShared int, bounded bool) {
+	vars = e.vars[:0]
+	for _, a := range e.live {
+		v := &a.v
+		if a.delayLeft > 0 || a.remaining <= workEps {
+			v.rate = 0
+			continue
+		}
+		vars = append(vars, v)
+		bounded = bounded || v.bound > 0
+		v.shared = false
+	}
+	e.vars = vars
+	if len(vars) < 2 {
+		return vars, 0, bounded
+	}
+
+	if n := len(e.capacity); cap(e.marks) < n {
+		e.marks = make([]resMark, n)
+	} else {
+		e.marks = e.marks[:n]
+	}
+	e.stamp++
+	if e.stamp == 0 { // wrapped: an old mark could equal a new stamp
+		clear(e.marks[:cap(e.marks)])
+		e.stamp = 1
+	}
+	stamp, marks := e.stamp, e.marks
+	for i, v := range vars {
+		for _, r := range v.res {
+			m := &marks[r]
+			if m.stamp != stamp {
+				*m = resMark{stamp, int32(i)}
+				continue
+			}
+			if o := vars[m.owner]; !o.shared {
+				o.shared = true
+				nShared++
+			}
+			if !v.shared {
+				v.shared = true
+				nShared++
+			}
+		}
+	}
+	return vars, nShared, bounded
+}
+
+// loneRate returns the variable's rate when it runs alone on all its
+// resources, computing it on first use after a load: the bottleneck share
+// solve finds for it, from the same quotients.
+func (v *maxminVar) loneRate(capacity []float64) float64 {
+	if !v.loneKnown {
+		share := math.Inf(1)
+		for k, r := range v.res {
+			if sh := capacity[r] / v.use[k]; sh < share {
+				share = sh
+			}
+		}
+		v.lone, v.loneKnown = share, true
+	}
+	return v.lone
+}
+
+// coupled reports whether the solver's tie rule would join independent
+// blocks: whether some lone rate and a different lone rate, or a round share
+// of the sharing solve, lie within share·(1+1e-12) of each other. Equal
+// values do not couple — a round at that share fixes both at the same bits.
+// Both slices are sorted in place.
+func coupled(lone, rounds []float64) bool {
+	slices.Sort(lone)
+	slices.Sort(rounds)
+	j := 0
+	for i, l := range lone {
+		if i > 0 && lone[i-1] < l && l <= lone[i-1]*(1+1e-12) {
+			return true
+		}
+		for j < len(rounds) && rounds[j] < l {
+			j++
+		}
+		if j > 0 && l <= rounds[j-1]*(1+1e-12) {
+			return true
+		}
+		k := j
+		for k < len(rounds) && rounds[k] == l {
+			k++
+		}
+		if k < len(rounds) && rounds[k] <= l*(1+1e-12) {
+			return true
+		}
+	}
+	return false
 }
 
 // UsageOf reports the instantaneous usage of resource r by running actions,
@@ -356,7 +527,7 @@ func (e *Engine) UsageOf(r int) float64 {
 		if a.delayLeft > 0 {
 			continue
 		}
-		total += a.rate * a.v.usageOf(r)
+		total += float64(a.v.rate * a.v.usageOf(r))
 	}
 	return total
 }

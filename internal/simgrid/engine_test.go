@@ -2,6 +2,7 @@ package simgrid
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/platform"
@@ -324,10 +325,11 @@ func TestIntraHostTransferFree(t *testing.T) {
 // reference actions from the previous run, or a parked pooled engine would
 // pin them (and everything their OnComplete closures capture) indefinitely.
 func TestResetUnpinsActions(t *testing.T) {
-	e := NewEngine([]float64{10, 10})
+	e := NewEngine([]float64{10, 10, 10})
 	for i := 0; i < 8; i++ {
 		e.Add(&Action{Name: "a", Work: 1, Usage: []Use{{i % 2, 1}}})
 	}
+	e.Add(&Action{Name: "lone", Work: 2, Usage: []Use{{2, 1}}}) // so the sharing list fills too
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -342,14 +344,27 @@ func TestResetUnpinsActions(t *testing.T) {
 			}
 		}
 	}
-	for i, v := range e.vars[:cap(e.vars)] {
-		if v != nil {
-			t.Errorf("vars[%d] still references a solver variable after Reset", i)
+	for name, buf := range map[string][]*maxminVar{"vars": e.vars, "sharing": e.sharing} {
+		for i, v := range buf[:cap(buf)] {
+			if v != nil {
+				t.Errorf("%s[%d] still references a solver variable after Reset", name, i)
+			}
 		}
 	}
 	for i, v := range e.sol.unfixed[:cap(e.sol.unfixed)] {
 		if v != nil {
 			t.Errorf("sol.unfixed[%d] still references a solver variable after Reset", i)
+		}
+	}
+	// The per-resource split marks outlive Reset, so they may hold no
+	// pointer at all: a resource's owner is a live-list index.
+	if len(e.marks) == 0 {
+		t.Error("the run left no split marks to check")
+	}
+	mark := reflect.TypeOf(resMark{})
+	for i := 0; i < mark.NumField(); i++ {
+		if f := mark.Field(i); f.Type.Kind() != reflect.Int32 && f.Type.Kind() != reflect.Uint32 {
+			t.Errorf("resMark.%s is a %s; marks are kept across Reset and must pin nothing", f.Name, f.Type)
 		}
 	}
 }

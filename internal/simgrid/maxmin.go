@@ -21,6 +21,16 @@ type maxminVar struct {
 	rate float64
 	// fixed marks variables whose rate has been decided.
 	fixed bool
+
+	// shared marks, for the current Engine.solveRates split, a variable
+	// that meets another running variable on some resource.
+	shared bool
+	// lone caches the rate the variable gets when no other running variable
+	// uses any of its resources: min_r capacity[r]/use[r], +Inf with no
+	// resource. loneKnown says whether it has been computed since the
+	// variable was last loaded (setUsage, at Add).
+	lone      float64
+	loneKnown bool
 }
 
 // setUsage rebuilds the sparse form from a usage vector, reusing the backing
@@ -32,6 +42,7 @@ type maxminVar struct {
 // is the caller's job. It reports false when a resource is listed twice.
 func (v *maxminVar) setUsage(usage []Use) bool {
 	v.res, v.use = v.res[:0], v.use[:0]
+	v.loneKnown = false
 	for _, u := range usage {
 		if u.Amount == 0 {
 			continue
@@ -78,17 +89,21 @@ func (v *maxminVar) usageOf(r int) float64 {
 // tighter than every fair share are fixed at their bound first.
 //
 // This is the engine-internal entry point: Engine.solveRates collects the
-// runnable actions' variables and calls solve once per event; there is no
-// public solver API. All scratch state — remaining capacities, per-resource
-// weights, saturation marks and the unfixed-variable list — is hoisted into
-// the solver and reused across calls, so steady-state solving performs no
-// allocation once the scratch has grown to the problem size.
+// variables of the running actions that share a resource (all of them when
+// its tie check fails) and calls solve at most twice per event; there is no
+// public solver API. Each solve records its rounds' bottleneck shares for
+// that tie check. All scratch state — remaining capacities, per-resource
+// weights, saturation marks, the unfixed-variable list and the round shares
+// — is hoisted into the solver and reused across calls, so steady-state
+// solving performs no allocation once the scratch has grown to the problem
+// size.
 type solver struct {
 	remaining []float64    // remaining capacity per resource
 	weight    []float64    // per-round usage weight of unfixed variables
 	saturated []bool       // per-round bottleneck marks
 	touched   []int        // resources carrying weight in the current round
 	unfixed   []*maxminVar // variables whose rate is still undecided
+	rounds    []float64    // the bottleneck share of every saturating round
 }
 
 // reset restores the zeroed-scratch invariant unconditionally and drops the
@@ -126,7 +141,7 @@ func (s *solver) grow(nRes int) {
 // capacities, clamping at zero against floating-point residue.
 func consume(remaining []float64, v *maxminVar) {
 	for k, r := range v.res {
-		remaining[r] -= v.use[k] * v.rate
+		remaining[r] -= float64(v.use[k] * v.rate)
 		if remaining[r] < 0 {
 			remaining[r] = 0
 		}
@@ -142,6 +157,7 @@ func (s *solver) solve(vars []*maxminVar, capacity []float64) {
 	copy(remaining, capacity)
 
 	s.unfixed = s.unfixed[:0]
+	s.rounds = s.rounds[:0]
 	for _, v := range vars {
 		v.rate = 0
 		v.fixed = len(v.res) == 0 // a variable using nothing runs unconstrained
@@ -221,6 +237,7 @@ func (s *solver) solve(vars []*maxminVar, capacity []float64) {
 		}
 
 		// Fix every variable on a saturated bottleneck resource.
+		s.rounds = append(s.rounds, share)
 		for _, r := range touched {
 			if w := weight[r]; w > 0 && remaining[r]/w <= share*(1+1e-12) {
 				saturated[r] = true
