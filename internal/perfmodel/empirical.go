@@ -112,6 +112,6 @@ func fitWith(basis regression.Basis, a, b float64) regression.Fit {
 	// Construct via FitBasis on two exact points so the internal basis is
 	// set; exact recovery is guaranteed for two distinct points.
 	xs := []float64{1, 2}
-	ys := []float64{a*basis(1) + b, a*basis(2) + b}
+	ys := []float64{float64(a*basis(1)) + b, float64(a*basis(2)) + b}
 	return regression.MustFit(xs, ys, basis)
 }

@@ -3,6 +3,8 @@ package perfmodel
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/dag"
 )
@@ -52,19 +54,37 @@ func (p Perturbation) IsIdentity() bool {
 // clamped at zero (a perturbed overhead can shrink to nothing but never
 // become a time machine), so any perturbed model is still a valid Model for
 // both the scheduling algorithms and the simulator.
+//
+// Each error-surface point is drawn once: the first prediction at a point
+// stores its factor in a private table, and every later prediction there
+// reads the stored bits. The table is safe for concurrent readers, so one
+// model can serve every worker of a robustness trial. A Perturbed must not
+// be copied after first use.
 type Perturbed struct {
 	// Base is the fitted model being perturbed.
 	Base Model
 	// P is the fixed draw applied to every prediction.
 	P Perturbation
+
+	mu        sync.Mutex                   // serialises table inserts and growth
+	table     atomic.Pointer[surfaceTable] // nil until the first surface draw
+	overflows atomic.Uint64                // draws that bypassed a full table
 }
 
-// NewPerturbed validates the draw and wraps the base model. Factors must be
-// non-negative (a negative factor would not model "the fit is off by x%",
-// it would invert the prediction's meaning), and so must the shape sigmas.
+// NewPerturbed validates the draw and wraps the base model. Every field must
+// be finite (a NaN or infinite draw would poison every prediction). Factors
+// must be non-negative (a negative factor would not model "the fit is off by
+// x%", it would invert the prediction's meaning), and so must the shape
+// sigmas.
 func NewPerturbed(base Model, p Perturbation) (*Perturbed, error) {
 	if base == nil {
 		return nil, fmt.Errorf("perfmodel: perturbed base model is nil")
+	}
+	for _, v := range [...]float64{p.TaskFactor, p.TaskOffset, p.StartupFactor, p.StartupOffset,
+		p.RedistFactor, p.RedistOffset, p.TaskShape, p.StartupShape, p.RedistShape} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("perfmodel: perturbation fields must be finite, got %+v", p)
+		}
 	}
 	if p.TaskFactor < 0 || p.StartupFactor < 0 || p.RedistFactor < 0 {
 		return nil, fmt.Errorf("perfmodel: perturbation factors must be non-negative, got %+v", p)
@@ -78,37 +98,57 @@ func NewPerturbed(base Model, p Perturbation) (*Perturbed, error) {
 // Name implements Model.
 func (m *Perturbed) Name() string { return m.Base.Name() + "~perturbed" }
 
+// SurfaceOverflows reports how many error-surface draws bypassed the model's
+// table because it was full. A nonzero count changes no prediction, only
+// the cost of computing it.
+func (m *Perturbed) SurfaceOverflows() uint64 { return m.overflows.Load() }
+
 // taskFactor is the full multiplicative factor of one task configuration:
 // the global factor times the configuration's error-surface point.
 func (m *Perturbed) taskFactor(task *dag.Task, p int) float64 {
 	f := m.P.TaskFactor
 	if m.P.TaskShape > 0 {
-		f *= math.Exp(m.P.TaskShape * surfaceNormal(m.P.Salt, 1, uint64(task.Kernel), uint64(task.N), uint64(p)))
+		k, n, q := uint64(task.Kernel), uint64(task.N), uint64(p)
+		var key uint32
+		if k < 1<<3 && n < 1<<16 && q < 1<<11 {
+			key = uint32(1<<30 | k<<27 | n<<11 | q)
+		}
+		f *= m.surfacePoint(key, m.P.TaskShape, 1, k, n, q)
 	}
 	return f
 }
 
 // TaskTime implements Model.
 func (m *Perturbed) TaskTime(task *dag.Task, p int) float64 {
-	return clampNonNeg(m.Base.TaskTime(task, p)*m.taskFactor(task, p) + m.P.TaskOffset)
+	return clampNonNeg(float64(m.Base.TaskTime(task, p)*m.taskFactor(task, p)) + m.P.TaskOffset)
 }
 
 // StartupOverhead implements Model.
 func (m *Perturbed) StartupOverhead(p int) float64 {
 	f := m.P.StartupFactor
 	if m.P.StartupShape > 0 {
-		f *= math.Exp(m.P.StartupShape * surfaceNormal(m.P.Salt, 2, uint64(p)))
+		q := uint64(p)
+		var key uint32
+		if q < 1<<30 {
+			key = uint32(2<<30 | q)
+		}
+		f *= m.surfacePoint(key, m.P.StartupShape, 2, q)
 	}
-	return clampNonNeg(m.Base.StartupOverhead(p)*f + m.P.StartupOffset)
+	return clampNonNeg(float64(m.Base.StartupOverhead(p)*f) + m.P.StartupOffset)
 }
 
 // RedistOverhead implements Model.
 func (m *Perturbed) RedistOverhead(pSrc, pDst int) float64 {
 	f := m.P.RedistFactor
 	if m.P.RedistShape > 0 {
-		f *= math.Exp(m.P.RedistShape * surfaceNormal(m.P.Salt, 3, uint64(pSrc), uint64(pDst)))
+		s, d := uint64(pSrc), uint64(pDst)
+		var key uint32
+		if s < 1<<15 && d < 1<<15 {
+			key = uint32(3<<30 | s<<15 | d)
+		}
+		f *= m.surfacePoint(key, m.P.RedistShape, 3, s, d)
 	}
-	return clampNonNeg(m.Base.RedistOverhead(pSrc, pDst)*f + m.P.RedistOffset)
+	return clampNonNeg(float64(m.Base.RedistOverhead(pSrc, pDst)*f) + m.P.RedistOffset)
 }
 
 // TaskPtask implements Model. A multiplicative-only task perturbation keeps
@@ -149,6 +189,125 @@ func (m *Perturbed) TaskPtaskScale(task *dag.Task, p int) (float64, bool) {
 		return 0, false
 	}
 	return m.taskFactor(task, p), true
+}
+
+// surfacePoint returns the error-surface point exp(shape·surfaceNormal(Salt,
+// keys...)), keyed in the table by its packed coordinates key. The surface
+// id sits in the key's top two bits, so 0 is never a packed key; key 0 means
+// the coordinates do not fit the packing and the point is drawn every time.
+func (m *Perturbed) surfacePoint(key uint32, shape float64, keys ...uint64) float64 {
+	t := m.table.Load()
+	if t != nil && t.draw != m.drawID() {
+		key = 0 // the table belongs to the draw P held before it changed
+	}
+	if key != 0 && t != nil {
+		if v, ok := t.get(key); ok {
+			return v
+		}
+	}
+	v := math.Exp(shape * surfaceNormal(m.P.Salt, keys...))
+	if key != 0 {
+		m.insert(key, v)
+	}
+	return v
+}
+
+// insert stores a freshly drawn point; the caller has checked that the
+// table, if any, was filled under the current draw. The table is allocated
+// on the first draw, records that draw, doubles by copy-on-write up to
+// maxSurfaceSlots and is published atomically; past that, points are drawn
+// directly and counted as overflows.
+func (m *Perturbed) insert(key uint32, v float64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	id := m.drawID()
+	t := m.table.Load()
+	if t == nil {
+		t = newSurfaceTable(id, minSurfaceSlots)
+		m.table.Store(t)
+	}
+	if _, ok := t.get(key); ok {
+		return // another reader drew the same point first
+	}
+	if 4*(t.n+1) > 3*len(t.keys) {
+		if len(t.keys) >= maxSurfaceSlots {
+			m.overflows.Add(1)
+			return
+		}
+		g := newSurfaceTable(id, 2*len(t.keys))
+		for i := range t.keys {
+			if k := t.keys[i].Load(); k != 0 {
+				g.put(k, t.vals[i].Load())
+			}
+		}
+		t = g
+		m.table.Store(t)
+	}
+	t.put(key, math.Float64bits(v))
+}
+
+// drawID is the part of the draw the surface points depend on.
+func (m *Perturbed) drawID() surfaceDraw {
+	return surfaceDraw{m.P.Salt, m.P.TaskShape, m.P.StartupShape, m.P.RedistShape}
+}
+
+// Error-surface table bounds: a table starts small, since a tiny robustness
+// cell draws a handful of points per trial, and stops growing at a size a
+// 32-node trial never fills.
+const (
+	minSurfaceSlots = 32
+	maxSurfaceSlots = 1024
+)
+
+// surfaceDraw identifies the draw a table was filled under.
+type surfaceDraw struct {
+	salt                  uint64
+	task, startup, redist float64
+}
+
+// surfaceTable is an open-addressed, linearly probed map from packed point
+// coordinates to the point's float64 bits. Readers probe it without a lock;
+// inserts run under the owning model's mutex and store a slot's value
+// before its key, so a reader that sees the key also sees the value.
+type surfaceTable struct {
+	draw  surfaceDraw
+	shift uint // 64 - log2(len(keys))
+	n     int  // occupied slots; written under the owner's mutex
+	keys  []atomic.Uint32
+	vals  []atomic.Uint64
+}
+
+func newSurfaceTable(draw surfaceDraw, size int) *surfaceTable {
+	shift := uint(64)
+	for s := size; s > 1; s >>= 1 {
+		shift--
+	}
+	return &surfaceTable{draw: draw, shift: shift, keys: make([]atomic.Uint32, size), vals: make([]atomic.Uint64, size)}
+}
+
+// get returns the point stored under key.
+func (t *surfaceTable) get(key uint32) (float64, bool) {
+	mask := uint64(len(t.keys) - 1)
+	for i := (uint64(key) * 0x9e3779b97f4a7c15) >> t.shift; ; i = (i + 1) & mask {
+		switch t.keys[i].Load() {
+		case key:
+			return math.Float64frombits(t.vals[i].Load()), true
+		case 0:
+			return 0, false
+		}
+	}
+}
+
+// put stores a point known to be absent; the table has a free slot.
+func (t *surfaceTable) put(key uint32, bits uint64) {
+	mask := uint64(len(t.keys) - 1)
+	i := (uint64(key) * 0x9e3779b97f4a7c15) >> t.shift
+	for t.keys[i].Load() != 0 {
+		i = (i + 1) & mask
+	}
+	t.vals[i].Store(bits)
+	t.keys[i].Store(key)
+	t.n++
 }
 
 func clampNonNeg(v float64) float64 {

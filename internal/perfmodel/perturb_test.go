@@ -173,3 +173,33 @@ func TestPerturbedRejectsBadDraws(t *testing.T) {
 		t.Error("negative shape sigma accepted")
 	}
 }
+
+// TestPerturbedRejectsNonFinite checks that a NaN or infinite value in any
+// of the nine float fields is rejected: NaN < 0 is false, so the sign checks
+// alone would let it through to poison every prediction.
+func TestPerturbedRejectsNonFinite(t *testing.T) {
+	base := NewAnalytic(platform.Bayreuth())
+	fields := []struct {
+		name string
+		set  func(*Perturbation, float64)
+	}{
+		{"TaskFactor", func(p *Perturbation, v float64) { p.TaskFactor = v }},
+		{"TaskOffset", func(p *Perturbation, v float64) { p.TaskOffset = v }},
+		{"StartupFactor", func(p *Perturbation, v float64) { p.StartupFactor = v }},
+		{"StartupOffset", func(p *Perturbation, v float64) { p.StartupOffset = v }},
+		{"RedistFactor", func(p *Perturbation, v float64) { p.RedistFactor = v }},
+		{"RedistOffset", func(p *Perturbation, v float64) { p.RedistOffset = v }},
+		{"TaskShape", func(p *Perturbation, v float64) { p.TaskShape = v }},
+		{"StartupShape", func(p *Perturbation, v float64) { p.StartupShape = v }},
+		{"RedistShape", func(p *Perturbation, v float64) { p.RedistShape = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := IdentityPerturbation()
+			f.set(&p, v)
+			if _, err := NewPerturbed(base, p); err == nil {
+				t.Errorf("%s = %v accepted", f.name, v)
+			}
+		}
+	}
+}

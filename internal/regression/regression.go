@@ -39,7 +39,7 @@ type Fit struct {
 }
 
 // Predict evaluates the fitted model.
-func (f Fit) Predict(x float64) float64 { return f.A*f.basis(x) + f.B }
+func (f Fit) Predict(x float64) float64 { return float64(f.A*f.basis(x)) + f.B }
 
 // String formats the fit compactly.
 func (f Fit) String() string { return fmt.Sprintf("a=%.4f b=%.4f (R²=%.4f)", f.A, f.B, f.R2) }
@@ -62,23 +62,23 @@ func FitBasis(xs, ys []float64, basis Basis) (Fit, error) {
 		u := basis(xs[i])
 		su += u
 		sy += ys[i]
-		suu += u * u
-		suy += u * ys[i]
+		suu += float64(u * u)
+		suy += float64(u * ys[i])
 	}
-	den := n*suu - su*su
+	den := float64(n*suu) - float64(su*su)
 	if math.Abs(den) < 1e-300 {
 		return Fit{}, ErrInsufficientData
 	}
-	a := (n*suy - su*sy) / den
-	b := (sy - a*su) / n
+	a := (float64(n*suy) - float64(su*sy)) / den
+	b := (sy - float64(a*su)) / n
 
 	// R² on the fitting data.
 	meanY := sy / n
 	var ssRes, ssTot float64
 	for i := range xs {
-		pred := a*basis(xs[i]) + b
-		ssRes += (ys[i] - pred) * (ys[i] - pred)
-		ssTot += (ys[i] - meanY) * (ys[i] - meanY)
+		pred := float64(a*basis(xs[i])) + b
+		ssRes += float64((ys[i] - pred) * (ys[i] - pred))
+		ssTot += float64((ys[i] - meanY) * (ys[i] - meanY))
 	}
 	r2 := 1.0
 	if ssTot > 0 {

@@ -43,6 +43,8 @@ var (
 		"Pool releases, by pool.", obs.L("pool", "robust_runner"))
 	runnerNews = obs.Default.Counter("repro_pool_news_total",
 		"Pool misses that built a fresh object, by pool.", obs.L("pool", "robust_runner"))
+	surfaceOverflows = obs.Default.Counter("repro_robust_surface_overflows_total",
+		"Perturbed-model error-surface draws that bypassed a full per-trial table.")
 )
 
 // fragileLimit caps the per-pair "most fragile instances" table.
@@ -260,10 +262,13 @@ func (e *Engine) stabilizeCell(ctx context.Context, plan *Plan, cp *campaign.Pla
 	prog.AddTrialBudget(int64(len(suite)) * int64(nL) * int64(nT))
 
 	setups := make([][]trialSetup, nL)
+	// One generator per cell, reseeded per trial: Seed leaves it in exactly
+	// the state a fresh rand.NewSource would have.
+	rng := rand.New(rand.NewSource(0))
 	for li, level := range axis.Levels {
 		setups[li] = make([]trialSetup, nT)
 		for t := 0; t < nT; t++ {
-			rng := rand.New(rand.NewSource(experiments.CellSeed(axis.Seed, study+"/level-"+strconv.Itoa(li), t)))
+			rng.Seed(experiments.CellSeed(axis.Seed, study+"/level-"+strconv.Itoa(li), t))
 			draw := drawPerturbation(rng, axis.Noise, level)
 			pm, err := perfmodel.NewPerturbed(model, draw.model)
 			if err != nil {
@@ -405,6 +410,13 @@ func (e *Engine) stabilizeCell(ctx context.Context, plan *Plan, cp *campaign.Pla
 	if err != nil {
 		return CellStability{}, err
 	}
+	var overflows uint64
+	for li := range setups {
+		for t := range setups[li] {
+			overflows += setups[li][t].model.SurfaceOverflows()
+		}
+	}
+	surfaceOverflows.Add(overflows)
 
 	cell := CellStability{Platform: pt, Workload: wp, Model: kind, Instances: len(suite)}
 	if axis.Sequential {
@@ -596,7 +608,7 @@ func wilsonCI(flips, n int, z float64) (lo, hi float64) {
 	z2 := z * z
 	den := 1 + z2/nf
 	center := ph + z2/(2*nf)
-	half := z * math.Sqrt(ph*(1-ph)/nf+z2/(4*nf*nf))
+	half := float64(z * math.Sqrt(ph*(1-ph)/nf+z2/(4*nf*nf)))
 	return (center - half) / den, (center + half) / den
 }
 

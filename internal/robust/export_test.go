@@ -12,3 +12,6 @@ var (
 	WilsonCI          = wilsonCI
 	SeqDecided        = seqDecided
 )
+
+// SurfaceOverflowsTotal is repro_robust_surface_overflows_total.
+var SurfaceOverflowsTotal = surfaceOverflows
