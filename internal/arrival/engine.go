@@ -138,15 +138,11 @@ func (e *Engine) RunCellIndex(ctx context.Context, p *Prepared, index int) (Cell
 	}
 	study := "arrival/" + env + "/" + algo
 	timing := tgrid.Timing(tgrid.ModelTiming{Model: model})
-	homogeneous := part.Cluster.IsHomogeneous()
 	runner := experiments.Runner{Workers: e.Workers, Seed: plan.Spec.Seed, Em: em, Ctx: ctx}
 	err = runner.Run(study, len(plan.Times), func(j int, sess *cluster.Session) error {
 		class := plan.Classes[j%len(plan.Classes)]
-		var sc *sched.Scratch
-		if homogeneous {
-			sc = sched.AcquireScratch()
-			sc.Bind(class.Graph, part.Cluster.Nodes, cost)
-		}
+		sc := sched.AcquireScratch()
+		sc.Bind(class.Graph, part.Cluster.Nodes, cost)
 		s, err := campaign.BuildScheduleScratch(sc, algo, class.Graph, part.Cluster, cost, comm)
 		if err != nil {
 			return fmt.Errorf("arrival: %s: %s on %s: %w", study, algo, class.Name, err)
@@ -161,11 +157,9 @@ func (e *Engine) RunCellIndex(ctx context.Context, p *Prepared, index int) (Cell
 			return fmt.Errorf("arrival: execute %s: %s on %s: %w", study, algo, class.Name, err)
 		}
 		cell.Pred[j], cell.Service[j] = pred, exp
-		if sc != nil {
-			// Not deferred: a scratch held at an error or a panic is
-			// dropped, never pooled.
-			sched.ReleaseScratch(sc)
-		}
+		// Not deferred: a scratch held at an error or a panic is dropped,
+		// never pooled.
+		sched.ReleaseScratch(sc)
 		return nil
 	})
 	if err != nil {

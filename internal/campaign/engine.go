@@ -197,7 +197,6 @@ func (e *Engine) runCell(ctx context.Context, plan *Plan, pt PlatformPoint, wp W
 		schedules []*sched.Schedule
 	}
 	outs := make([]cellOut, len(suite))
-	homogeneous := truth.Cluster.IsHomogeneous()
 	timing := tgrid.Timing(tgrid.ModelTiming{Model: model})
 	runner := experiments.Runner{Workers: e.Workers, Seed: plan.Spec.Seed, Em: em, Ctx: ctx}
 	err := runner.Run(study, len(suite), func(i int, sess *cluster.Session) error {
@@ -205,11 +204,8 @@ func (e *Engine) runCell(ctx context.Context, plan *Plan, pt PlatformPoint, wp W
 		if e.KeepRaw && e.KeepSchedules {
 			o.schedules = make([]*sched.Schedule, len(algos))
 		}
-		var sc *sched.Scratch
-		if homogeneous {
-			sc = sched.AcquireScratch()
-			sc.Bind(suite[i].Graph, truth.Cluster.Nodes, cost)
-		}
+		sc := sched.AcquireScratch()
+		sc.Bind(suite[i].Graph, truth.Cluster.Nodes, cost)
 		for ai, name := range algos {
 			s, err := BuildScheduleScratch(sc, name, suite[i].Graph, truth.Cluster, cost, comm)
 			if err != nil {
@@ -230,11 +226,9 @@ func (e *Engine) runCell(ctx context.Context, plan *Plan, pt PlatformPoint, wp W
 			}
 		}
 		outs[i] = o
-		if sc != nil {
-			// Not deferred: a scratch held at an error or a panic is
-			// dropped, never pooled.
-			sched.ReleaseScratch(sc)
-		}
+		// Not deferred: a scratch held at an error or a panic is dropped,
+		// never pooled.
+		sched.ReleaseScratch(sc)
 		return nil
 	})
 	if err != nil {
@@ -331,24 +325,18 @@ func deriveHidden(base *cluster.Hidden, pt PlatformPoint) *cluster.Hidden {
 	return &h
 }
 
-// BuildScheduleScratch is BuildSchedule through a reusable scheduling
-// scratch: the caller binds sc to (g, c.Nodes, cost) once and then builds
-// any number of algorithm runs against it without steady-state allocations.
-// The returned schedule aliases the scratch's buffers — it is invalidated by
-// the scratch's next build, so callers retaining it must Clone.
-//
-// A nil scratch — or a heterogeneous platform, which the scratch path does
-// not cover — falls back to BuildSchedule. Either path produces bit-identical
-// schedules.
+// BuildScheduleScratch dispatches one algorithm-axis run on a scheduling
+// scratch the caller has bound to (g, c.Nodes, cost): the caller binds once
+// and then builds any number of algorithm runs against it without
+// steady-state allocations. The scratch maps heterogeneously when the
+// platform is heterogeneous (Scratch.BuildOn). The returned schedule aliases
+// the scratch's buffers — it is invalidated by the scratch's next build, so
+// callers retaining it must Clone.
 func BuildScheduleScratch(sc *sched.Scratch, name string, g *dag.Graph, c platform.Cluster, cost dag.CostFunc, comm dag.CommFunc) (*sched.Schedule, error) {
-	if sc == nil || !c.IsHomogeneous() {
-		return BuildSchedule(name, g, c, cost, comm)
-	}
-	if name == "MHEFT" {
-		return sc.BuildMHEFT(sched.MHEFT{}, comm)
-	}
 	var algo sched.Algorithm
 	switch name {
+	case "MHEFT":
+		algo = sched.MHEFT{}
 	case "CPA":
 		algo = sched.CPA{}
 	case "HCPA":
@@ -362,35 +350,23 @@ func BuildScheduleScratch(sc *sched.Scratch, name string, g *dag.Graph, c platfo
 	default:
 		return nil, fmt.Errorf("campaign: unknown algorithm %q", name)
 	}
-	return sc.Build(algo, comm)
+	return sc.BuildOn(algo, c, comm)
 }
 
-// BuildSchedule dispatches one algorithm-axis run: MHEFT is a one-phase
-// scheduler with its own builder; the CPA family and baselines go through
-// the shared two-phase build, heterogeneous-mapping when the platform is.
+// BuildSchedule is BuildScheduleScratch on a pooled scratch, returning a
+// schedule that is the caller's to keep.
 func BuildSchedule(name string, g *dag.Graph, c platform.Cluster, cost dag.CostFunc, comm dag.CommFunc) (*sched.Schedule, error) {
-	if name == "MHEFT" {
-		return sched.MHEFT{}.Build(g, c.Nodes, cost, comm)
+	sc := sched.AcquireScratch()
+	sc.Bind(g, c.Nodes, cost)
+	s, err := BuildScheduleScratch(sc, name, g, c, cost, comm)
+	if err != nil {
+		return nil, err
 	}
-	var algo sched.Algorithm
-	switch name {
-	case "CPA":
-		algo = sched.CPA{}
-	case "HCPA":
-		algo = sched.HCPA{}
-	case "MCPA":
-		algo = sched.MCPA{}
-	case "SEQ":
-		algo = sched.Sequential{}
-	case "DATAPAR":
-		algo = sched.DataParallel{}
-	default:
-		return nil, fmt.Errorf("campaign: unknown algorithm %q", name)
-	}
-	if c.IsHomogeneous() {
-		return sched.Build(algo, g, c.Nodes, cost, comm)
-	}
-	return sched.BuildHetero(algo, g, c, cost, comm)
+	s = s.Clone()
+	// Not deferred: a scratch held at an error or a panic is dropped, never
+	// pooled.
+	sched.ReleaseScratch(sc)
+	return s, nil
 }
 
 // FilterSizes restricts a suite to the given matrix sizes (nil: keep all).

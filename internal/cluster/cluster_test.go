@@ -291,14 +291,16 @@ func TestMeasureProbesPositive(t *testing.T) {
 	}
 }
 
-// TestMeasureMakespanMatchesExecute pins the pooled replay behind
-// MeasureMakespan to the full executions it replaces: on two identically
-// seeded sessions, the mean over three trials equals the mean of three
-// Execute makespans bit for bit, and the sessions' next noise draws agree —
-// so the replay consumed the same number of draws in the same order. The
-// straggler and two-speed environments make the kernel time depend on which
-// hosts a task got, not just how many; the emulator's shared stream is
-// checked the same way.
+// TestMeasureMakespanMatchesExecute pins MeasureMakespan's trial loop to
+// repeated executions: on two identically seeded sessions, the mean over
+// three trials equals the mean of three Execute makespans bit for bit, and
+// the sessions' next noise draws agree — so the trials consumed the same
+// number of draws in the same order. Both sides bind once quiet and replay
+// noisy on a pooled replayer; tgrid's TestRunMatchesOracle checks that
+// pattern against the closure-based execution it replaced. The straggler and
+// two-speed environments make the kernel time depend on which hosts a task
+// got, not just how many; the emulator's shared stream is checked the same
+// way.
 func TestMeasureMakespanMatchesExecute(t *testing.T) {
 	straggler := Bayreuth()
 	straggler.StragglerHost, straggler.StragglerFactor = 13, 3

@@ -68,34 +68,53 @@ func measureRedistOverhead(h *Hidden, src noiseSource, pSrc, pDst int) float64 {
 	return h.RedistOverheadTime(pSrc, pDst) * src.noise()
 }
 
-func execute(net *simgrid.Net, h *Hidden, src noiseSource, s *sched.Schedule) (*tgrid.Result, error) {
-	return tgrid.Run(net, s, truthTiming{h: h, src: src})
-}
-
 // quiet is the noise source of a perfectly repeatable environment.
 type quiet struct{}
 
 func (quiet) noise() float64 { return 1 }
 
-// measureMakespan averages trials executions' makespans. Only the makespans
-// are read, so the executions go through a pooled replayer instead of
-// execute: bound once against the noiseless truth (binding evaluates the
-// timing, and must not consume noise), then replayed under the noisy one.
-// A replay draws noise exactly as execute's Run does — startup then kernel
-// per task launch, overhead per started edge, in event order — and evaluates
-// the kernel time at launch on the task's real hosts, so every makespan, and
-// the state the noise stream is left in, equal execute's bit for bit.
+// bindTruth validates the schedule and binds it on a pooled replayer against
+// the noiseless truth: binding evaluates the timing, and must not consume
+// noise. Replays under truthTiming{h, src} then draw noise as a task launch
+// and an edge start happen — startup then kernel per task, overhead per
+// edge, in event order — and evaluate each kernel time on the task's real
+// hosts. Release the replayer by a plain call once its results are read: one
+// held at an error or a panic is dropped, never pooled.
+func bindTruth(net *simgrid.Net, h *Hidden, s *sched.Schedule) (*tgrid.Replayer, error) {
+	if err := s.Validate(net.Cluster.Nodes); err != nil {
+		return nil, fmt.Errorf("cluster: invalid schedule: %w", err)
+	}
+	rep := tgrid.AcquireReplayer()
+	if err := rep.Bind(net, s, truthTiming{h: h, src: quiet{}}); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// execute runs the schedule once under the noisy truth and returns the full
+// execution record.
+func execute(net *simgrid.Net, h *Hidden, src noiseSource, s *sched.Schedule) (*tgrid.Result, error) {
+	rep, err := bindTruth(net, h, s)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := rep.Replay(net, tgrid.Unscaled{Timing: truthTiming{h: h, src: src}}); err != nil {
+		return nil, err
+	}
+	res := rep.Result()
+	tgrid.ReleaseReplayer(rep)
+	return res, nil
+}
+
+// measureMakespan averages trials executions' makespans, replaying one
+// binding trials times, so every makespan, and the state the noise stream is
+// left in, equal those of trials calls to execute.
 func measureMakespan(net *simgrid.Net, h *Hidden, src noiseSource, s *sched.Schedule, trials int) (float64, error) {
 	if trials < 1 {
 		trials = 1
 	}
-	if err := s.Validate(net.Cluster.Nodes); err != nil {
-		return 0, fmt.Errorf("cluster: invalid schedule: %w", err)
-	}
-	// Released on success only: a replayer held at an error or a panic is
-	// dropped, never pooled.
-	rep := tgrid.AcquireReplayer()
-	if err := rep.Bind(net, s, truthTiming{h: h, src: quiet{}}); err != nil {
+	rep, err := bindTruth(net, h, s)
+	if err != nil {
 		return 0, err
 	}
 	noisy := tgrid.Unscaled{Timing: truthTiming{h: h, src: src}}

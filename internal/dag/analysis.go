@@ -113,7 +113,7 @@ func (g *Graph) CriticalPath(alloc []int, cost CostFunc, comm CommFunc) []int {
 func (g *Graph) AverageArea(alloc []int, cost CostFunc, clusterSize int) float64 {
 	sum := 0.0
 	for _, t := range g.Tasks {
-		sum += cost(t, alloc[t.ID]) * float64(alloc[t.ID])
+		sum += float64(cost(t, alloc[t.ID]) * float64(alloc[t.ID]))
 	}
 	return sum / float64(clusterSize)
 }

@@ -51,7 +51,9 @@ func SuiteParams(baseSeed int64) []GenParams {
 // splitmix64 round per component, which avoids collisions across the grid.
 func suiteSeed(base int64, n, w int, r float64, sample int) int64 {
 	h := uint64(base)
-	for _, v := range []uint64{uint64(n), uint64(w), uint64(r * 1000), uint64(sample)} {
+	// The product is rounded explicitly: some targets would otherwise fuse it
+	// into the float-to-unsigned conversion's subtraction of 2^63.
+	for _, v := range []uint64{uint64(n), uint64(w), uint64(float64(r * 1000)), uint64(sample)} {
 		h += v + 0x9e3779b97f4a7c15
 		h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
 		h = (h ^ (h >> 27)) * 0x94d049bb133111eb

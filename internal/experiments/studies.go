@@ -31,30 +31,19 @@ import (
 // deterministic noise sessions and stable-order aggregation.
 
 // cellBuilder builds one cell's schedules: every compared algorithm for one
-// DAG under one model. Homogeneous clusters build in a pooled sched.Scratch,
-// bound once per cell so the algorithms share its cost memo and per-graph
-// analyses; the heterogeneous mapping has no scratch form and goes through
-// sched.BuildHetero.
+// DAG under one model, in a pooled sched.Scratch bound once per cell so the
+// algorithms share its cost memo and per-graph analyses. The scratch maps
+// heterogeneously when the cluster is heterogeneous.
 type cellBuilder struct {
 	cluster platform.Cluster
 	cost    dag.CostFunc
 	comm    dag.CommFunc
-	hetero  bool
-	g       *dag.Graph     // the bound cell's DAG
-	sc      *sched.Scratch // its pooled scratch; nil on the heterogeneous path
+	sc      *sched.Scratch // the bound cell's pooled scratch
 }
 
-// buildWith returns the homogeneous-mapping builder of a model on a cluster.
+// buildWith returns the builder of a model on a cluster.
 func buildWith(model perfmodel.Model, c platform.Cluster) cellBuilder {
 	return cellBuilder{cluster: c, cost: perfmodel.CostFunc(model), comm: perfmodel.CommFunc(model, c)}
-}
-
-// buildHeteroWith returns the heterogeneous-mapping builder (allocation on
-// the reference cluster, speed-vs-availability mapping).
-func buildHeteroWith(model perfmodel.Model, c platform.Cluster) cellBuilder {
-	b := buildWith(model, c)
-	b.hetero = true
-	return b
 }
 
 // bind returns the builder readied for one cell's DAG; release it when the
@@ -62,27 +51,17 @@ func buildHeteroWith(model perfmodel.Model, c platform.Cluster) cellBuilder {
 // cell, not a defer: a scratch held at an error or a panic is dropped, never
 // pooled.
 func (b cellBuilder) bind(g *dag.Graph) cellBuilder {
-	b.g = g
-	if !b.hetero {
-		b.sc = sched.AcquireScratch()
-		b.sc.Bind(g, b.cluster.Nodes, b.cost)
-	}
+	b.sc = sched.AcquireScratch()
+	b.sc.Bind(g, b.cluster.Nodes, b.cost)
 	return b
 }
 
-func (b cellBuilder) release() {
-	if b.sc != nil {
-		sched.ReleaseScratch(b.sc)
-	}
-}
+func (b cellBuilder) release() { sched.ReleaseScratch(b.sc) }
 
-// build schedules the bound DAG with one algorithm. On the scratch path the
-// schedule is valid until the next build.
+// build schedules the bound DAG with one algorithm. The schedule is valid
+// until the next build.
 func (b cellBuilder) build(algo sched.Algorithm) (*sched.Schedule, error) {
-	if b.hetero {
-		return sched.BuildHetero(algo, b.g, b.cluster, b.cost, b.comm)
-	}
-	return b.sc.Build(algo, b.comm)
+	return b.sc.BuildOn(algo, b.cluster, b.comm)
 }
 
 // pairStudy is one (model, environment) scoring pass over a suite: each
@@ -353,7 +332,7 @@ func HeterogeneityStudyCtx(ctx context.Context, cfg Config) ([]HeteroRow, error)
 			net:    net,
 			model:  model,
 			trials: cfg.ExpTrials,
-			build:  buildHeteroWith(model, hc),
+			build:  buildWith(model, hc),
 		}.execute()
 		if err != nil {
 			return nil, fmt.Errorf("experiments: hetero %s: %w", model.Name(), err)

@@ -313,7 +313,6 @@ func (e *Engine) stabilizeCell(ctx context.Context, plan *Plan, cp *campaign.Pla
 	if replayAll && raw.Schedules == nil {
 		return CellStability{}, fmt.Errorf("robust: %s: base campaign retained no schedules", study)
 	}
-	homogeneous := truth.Cluster.IsHomogeneous()
 	baseTiming := tgrid.Timing(tgrid.ModelTiming{Model: model})
 	err := experiments.ForEachCellCtx(ctx, e.Workers, len(suite), func(i int) error {
 		g := suite[i].Graph
@@ -336,7 +335,7 @@ func (e *Engine) stabilizeCell(ctx context.Context, plan *Plan, cp *campaign.Pla
 		for li := range setups {
 			for t := range setups[li] {
 				setup := &setups[li][t]
-				if !replayAll && homogeneous {
+				if !replayAll {
 					run.sc.Bind(g, setup.cluster.Nodes, setup.cost)
 				}
 				for ai, name := range algos {
@@ -348,11 +347,7 @@ func (e *Engine) stabilizeCell(ctx context.Context, plan *Plan, cp *campaign.Pla
 						}
 						ms = r
 					} else {
-						var sc *sched.Scratch
-						if homogeneous {
-							sc = run.sc
-						}
-						s, err := campaign.BuildScheduleScratch(sc, name, g, setup.cluster, setup.cost, setup.comm)
+						s, err := campaign.BuildScheduleScratch(run.sc, name, g, setup.cluster, setup.cost, setup.comm)
 						if err != nil {
 							return fmt.Errorf("robust: %s: %s on %s: %w", study, name, suite[i].Name(), err)
 						}

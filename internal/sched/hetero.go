@@ -1,8 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/dag"
 	"repro/internal/platform"
@@ -16,36 +17,90 @@ import (
 // 1-D kernel on a mixed processor set runs at its slowest node's pace, so
 // the mapping must trade earlier availability against faster nodes.
 
-// MapScheduleHetero is the heterogeneous mapping phase: list scheduling in
+// BuildHetero runs a CPA-family allocation phase against the reference
+// cluster and maps the result onto the platform with the heterogeneous
+// mapping phase, whether or not the platform is heterogeneous.
+func BuildHetero(algo Algorithm, g *dag.Graph, c platform.Cluster, cost dag.CostFunc, comm dag.CommFunc) (*Schedule, error) {
+	return pooled(g, c.Nodes, cost, func(sc *Scratch) (*Schedule, error) {
+		return sc.buildHetero(algo, c, comm)
+	})
+}
+
+// BuildOn builds algo for the cluster the scratch was bound to (Bind with
+// c.Nodes): the shared mapping phase when c is homogeneous, the
+// heterogeneous one otherwise. An MHEFT, a homogeneous-platform scheduler,
+// always runs as BuildMHEFT. Same aliasing rules as Build.
+func (sc *Scratch) BuildOn(algo Algorithm, c platform.Cluster, comm dag.CommFunc) (*Schedule, error) {
+	if sc.g != nil && sc.p != c.Nodes {
+		return nil, fmt.Errorf("sched %s: scratch bound to %d processors, cluster has %d", algo.Name(), sc.p, c.Nodes)
+	}
+	if m, ok := algo.(MHEFT); ok {
+		return sc.BuildMHEFT(m, comm)
+	}
+	if c.IsHomogeneous() {
+		return sc.Build(algo, comm)
+	}
+	return sc.buildHetero(algo, c, comm)
+}
+
+// buildHetero is Build with the heterogeneous mapping phase.
+func (sc *Scratch) buildHetero(algo Algorithm, c platform.Cluster, comm dag.CommFunc) (*Schedule, error) {
+	if err := sc.check(algo.Name()); err != nil {
+		return nil, err
+	}
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	alloc, err := sc.allocate(algo)
+	if err != nil {
+		return nil, err
+	}
+	s := sc.mapHetero(alloc, c, comm)
+	s.Algorithm = algo.Name()
+	if err := s.Validate(c.Nodes); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// mapHetero is the heterogeneous mapping phase: list scheduling in
 // decreasing bottom-level order, where each task evaluates two candidate
 // processor sets — the earliest-available nodes and the fastest of the
-// soon-available nodes — and keeps the earlier estimated finish. cost gives
-// reference-speed execution times; real durations scale by
+// soon-available nodes — and keeps the earlier estimated finish. The bound
+// cost gives reference-speed execution times; real durations scale by
 // reference/min-power of the chosen set.
-func MapScheduleHetero(g *dag.Graph, alloc []int, c platform.Cluster, cost dag.CostFunc, comm dag.CommFunc) *Schedule {
+func (sc *Scratch) mapHetero(alloc []int, c platform.Cluster, comm dag.CommFunc) *Schedule {
+	g, cost := sc.g, sc.memoCost
 	n := g.Len()
-	s := &Schedule{
-		Graph:     g,
-		Alloc:     append([]int(nil), alloc...),
-		Hosts:     make([][]int, n),
-		EstStart:  make([]float64, n),
-		EstFinish: make([]float64, n),
-	}
-	bl := g.BottomLevels(alloc, cost, comm)
-	avail := make([]float64, c.Nodes)
-	nPredsLeft := make([]int, n)
+	s := sc.prepareOut(n)
+	s.Alloc = append(s.Alloc[:0], alloc...)
+	alloc = s.Alloc
+	bl := sc.bottomLevels(alloc, comm)
+	nPredsLeft := sc.resizeNPreds(n)
 	for _, t := range g.Tasks {
 		nPredsLeft[t.ID] = t.InDegree()
 	}
-	var ready []int
-	ready = append(ready, g.Entries()...)
+	ready := append(sc.ready[:0], sc.entries...)
 
-	type cand struct {
-		hosts  []int
-		start  float64
-		finish float64
+	sc.avail = grow(sc.avail, c.Nodes)
+	avail := sc.avail
+	clear(avail)
+	sc.order = grow(sc.order, c.Nodes)
+	order := sc.order
+	for h := range order {
+		order[h] = h
 	}
-	evaluate := func(task *dag.Task, hosts []int, k int) cand {
+	total := 0
+	for _, k := range alloc {
+		total += k
+	}
+	// Chosen host sets are windows of flat; the tail holds candidate B.
+	sc.hostsFlat = grow(sc.hostsFlat, total+c.Nodes)
+	flat, spare := sc.hostsFlat[:total], sc.hostsFlat[total:]
+	next := 0
+
+	// evaluate returns a candidate set's estimated start and finish.
+	evaluate := func(task *dag.Task, hosts []int, k int) (start, finish float64) {
 		procReady := 0.0
 		for _, h := range hosts {
 			if avail[h] > procReady {
@@ -62,12 +117,30 @@ func MapScheduleHetero(g *dag.Graph, alloc []int, c platform.Cluster, cost dag.C
 				dataReady = t
 			}
 		}
-		start := procReady
+		start = procReady
 		if dataReady > start {
 			start = dataReady
 		}
 		slowdown := c.NodePower / c.MinPowerOf(hosts)
-		return cand{hosts: hosts, start: start, finish: start + cost(task, k)*slowdown}
+		return start, start + float64(cost(task, k)*slowdown)
+	}
+	byAvail := func(a, b int) int {
+		if avail[a] != avail[b] {
+			return cmp.Compare(avail[a], avail[b])
+		}
+		if pa, pb := c.PowerOf(a), c.PowerOf(b); pa != pb {
+			return cmp.Compare(pb, pa)
+		}
+		return a - b
+	}
+	byPower := func(a, b int) int {
+		if pa, pb := c.PowerOf(a), c.PowerOf(b); pa != pb {
+			return cmp.Compare(pb, pa)
+		}
+		if avail[a] != avail[b] {
+			return cmp.Compare(avail[a], avail[b])
+		}
+		return a - b
 	}
 
 	for count := 0; count < n; count++ {
@@ -89,39 +162,30 @@ func MapScheduleHetero(g *dag.Graph, alloc []int, c platform.Cluster, cost dag.C
 		task := g.Task(best)
 		k := alloc[best]
 
-		// Candidate A: earliest-available nodes (speed as tie-break).
-		byAvail := hostOrder(c.Nodes, func(a, b int) bool {
-			if avail[a] != avail[b] {
-				return avail[a] < avail[b]
-			}
-			if c.PowerOf(a) != c.PowerOf(b) {
-				return c.PowerOf(a) > c.PowerOf(b)
-			}
-			return a < b
-		})
-		candA := evaluate(task, sortedCopy(byAvail[:k]), k)
+		// Candidate A: earliest-available nodes (speed as tie-break). Both
+		// orders are strict, so sorting the previous permutation gives the
+		// one sorting the identity would.
+		slices.SortFunc(order, byAvail)
+		chosen := flat[next : next+k : next+k]
+		next += k
+		copy(chosen, order[:k])
+		slices.Sort(chosen)
+		start, finish := evaluate(task, chosen, k)
 
 		// Candidate B: fastest nodes (availability as tie-break).
-		byPower := hostOrder(c.Nodes, func(a, b int) bool {
-			if c.PowerOf(a) != c.PowerOf(b) {
-				return c.PowerOf(a) > c.PowerOf(b)
-			}
-			if avail[a] != avail[b] {
-				return avail[a] < avail[b]
-			}
-			return a < b
-		})
-		candB := evaluate(task, sortedCopy(byPower[:k]), k)
-
-		chosen := candA
-		if candB.finish < candA.finish-1e-12 {
-			chosen = candB
+		slices.SortFunc(order, byPower)
+		candB := spare[:k]
+		copy(candB, order[:k])
+		slices.Sort(candB)
+		if startB, finishB := evaluate(task, candB, k); finishB < finish-1e-12 {
+			copy(chosen, candB)
+			start, finish = startB, finishB
 		}
-		s.Hosts[best] = chosen.hosts
-		s.EstStart[best] = chosen.start
-		s.EstFinish[best] = chosen.finish
-		for _, h := range chosen.hosts {
-			avail[h] = chosen.finish
+		s.Hosts[best] = chosen
+		s.EstStart[best] = start
+		s.EstFinish[best] = finish
+		for _, h := range chosen {
+			avail[h] = finish
 		}
 		for _, succ := range task.Succs() {
 			nPredsLeft[succ]--
@@ -130,42 +194,6 @@ func MapScheduleHetero(g *dag.Graph, alloc []int, c platform.Cluster, cost dag.C
 			}
 		}
 	}
+	sc.ready = ready[:0]
 	return s
-}
-
-func hostOrder(n int, less func(a, b int) bool) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return less(order[a], order[b]) })
-	return order
-}
-
-func sortedCopy(hosts []int) []int {
-	out := append([]int(nil), hosts...)
-	sort.Ints(out)
-	return out
-}
-
-// BuildHetero runs a CPA-family allocation phase against the reference
-// cluster and maps the result onto the heterogeneous platform.
-func BuildHetero(algo Algorithm, g *dag.Graph, c platform.Cluster, cost dag.CostFunc, comm dag.CommFunc) (*Schedule, error) {
-	if g.Len() == 0 {
-		return nil, fmt.Errorf("sched %s: empty application", algo.Name())
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	alloc := algo.Allocate(g, c.Nodes, cost)
-	if len(alloc) != g.Len() {
-		return nil, fmt.Errorf("sched %s: allocation has %d entries for %d tasks",
-			algo.Name(), len(alloc), g.Len())
-	}
-	s := MapScheduleHetero(g, alloc, c, cost, comm)
-	s.Algorithm = algo.Name()
-	if err := s.Validate(c.Nodes); err != nil {
-		return nil, err
-	}
-	return s, nil
 }

@@ -41,7 +41,7 @@ func TestHeteroMappingPrefersFastNodesWhenFree(t *testing.T) {
 	c := twoSpeedCluster(8)
 	g := dag.New("one")
 	g.AddTask(dag.KernelMul, 500)
-	s := MapScheduleHetero(g, []int{2}, c, perfect, nil)
+	s := mapAllocHetero(g, []int{2}, c, perfect, nil)
 	for _, h := range s.Hosts[0] {
 		if c.PowerOf(h) != 500e6 {
 			t.Errorf("task placed on slow host %d while fast hosts idle", h)
@@ -56,7 +56,7 @@ func TestHeteroMappingSlowsDownOnSlowNodes(t *testing.T) {
 	g := dag.New("pair")
 	g.AddTask(dag.KernelMul, 500)
 	g.AddTask(dag.KernelMul, 500)
-	s := MapScheduleHetero(g, []int{2, 2}, c, perfect, nil)
+	s := mapAllocHetero(g, []int{2, 2}, c, perfect, nil)
 	var fast, slow float64
 	for id := 0; id < 2; id++ {
 		dur := s.EstFinish[id] - s.EstStart[id]
@@ -79,9 +79,9 @@ func TestHeteroReducesToHomogeneous(t *testing.T) {
 	// of the same quality as the standard one.
 	c := platform.Bayreuth()
 	g := dag.MustGenerate(dag.GenParams{Tasks: 10, InputMatrices: 8, AddRatio: 0.5, N: 2000, Seed: 7})
-	alloc := HCPA{}.Allocate(g, c.Nodes, amdahl)
-	std := MapSchedule(g, alloc, c.Nodes, amdahl, nil)
-	het := MapScheduleHetero(g, alloc, c, amdahl, nil)
+	alloc := allocation(HCPA{}, g, c.Nodes, amdahl)
+	std := mapAlloc(g, alloc, c.Nodes, amdahl, nil)
+	het := mapAllocHetero(g, alloc, c, amdahl, nil)
 	if het.EstMakespan() > std.EstMakespan()*1.01 {
 		t.Errorf("hetero mapping on homogeneous cluster worse: %g vs %g",
 			het.EstMakespan(), std.EstMakespan())

@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -173,4 +174,81 @@ func TestHeteroSchedulerInvariantsQuick(t *testing.T) {
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestBuildHeteroMatchesOracle is the differential guard of the
+// heterogeneous path: on two-speed clusters of 8 to 32 nodes and random DAGs
+// from quickParams, BuildHetero and a bound scratch's BuildOn reproduce the
+// allocating BuildHetero they replaced bit for bit.
+func TestBuildHeteroMatchesOracle(t *testing.T) {
+	base := platform.Bayreuth()
+	sc := sched.NewScratch()
+	prop := func(seed int64, rawTasks, rawWidth, rawRatio, rawSize, rawNodes uint8) bool {
+		nodes := 8 << (rawNodes % 3)
+		powers := make([]float64, nodes)
+		for i := range powers {
+			powers[i] = base.NodePower
+			if i%3 == 1 {
+				powers[i] = base.NodePower * (1.5 + float64(rawNodes%4)/2)
+			}
+		}
+		c := platform.NewHeterogeneous("quick-hetero", powers, base.LinkBandwidth, base.LinkLatency)
+		model := perfmodel.NewAnalytic(c)
+		cost, comm := perfmodel.CostFunc(model), perfmodel.CommFunc(model, c)
+		p := quickParams(seed, rawTasks, rawWidth, rawRatio, rawSize)
+		g, err := dag.Generate(p)
+		if err != nil {
+			t.Logf("Generate(%+v): %v", p, err)
+			return false
+		}
+		sc.Bind(g, c.Nodes, cost)
+		for _, algo := range []sched.Algorithm{sched.CPA{}, sched.HCPA{}, sched.MCPA{}, sched.Sequential{}} {
+			want, err := sched.BuildHeteroOracle(algo, g, c, cost, comm)
+			if err != nil {
+				t.Logf("oracle %s on %s: %v", algo.Name(), p.Name(), err)
+				return false
+			}
+			pooled, err := sched.BuildHetero(algo, g, c, cost, comm)
+			if err != nil {
+				t.Logf("%s on %s: %v", algo.Name(), p.Name(), err)
+				return false
+			}
+			bound, err := sc.BuildOn(algo, c, comm)
+			if err != nil {
+				t.Logf("BuildOn %s on %s: %v", algo.Name(), p.Name(), err)
+				return false
+			}
+			for _, got := range []*sched.Schedule{pooled, bound} {
+				if !sameBits(got, want) {
+					t.Logf("%s on %s, %d nodes: schedule differs from the oracle's", algo.Name(), p.Name(), nodes)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 60}
+	if testing.Short() {
+		cfg.MaxCount = 15
+	}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameBits reports whether two schedules agree field for field, floats to
+// the bit.
+func sameBits(a, b *sched.Schedule) bool {
+	if a.Algorithm != b.Algorithm || !slices.Equal(a.Alloc, b.Alloc) || len(a.Hosts) != len(b.Hosts) ||
+		len(a.EstStart) != len(b.EstStart) || len(a.EstFinish) != len(b.EstFinish) {
+		return false
+	}
+	for i := range a.Hosts {
+		if !slices.Equal(a.Hosts[i], b.Hosts[i]) ||
+			math.Float64bits(a.EstStart[i]) != math.Float64bits(b.EstStart[i]) ||
+			math.Float64bits(a.EstFinish[i]) != math.Float64bits(b.EstFinish[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -25,6 +25,31 @@ func perfect(t *dag.Task, p int) float64 {
 	return t.Flops() / 250e6 / float64(p)
 }
 
+// allocation runs an algorithm's allocation phase on a fresh scratch.
+func allocation(algo Algorithm, g *dag.Graph, clusterSize int, cost dag.CostFunc) []int {
+	sc := NewScratch()
+	sc.Bind(g, clusterSize, cost)
+	alloc, err := sc.allocate(algo)
+	if err != nil {
+		panic(err)
+	}
+	return append([]int(nil), alloc...)
+}
+
+// mapAlloc runs the shared mapping phase on a given allocation.
+func mapAlloc(g *dag.Graph, alloc []int, clusterSize int, cost dag.CostFunc, comm dag.CommFunc) *Schedule {
+	sc := NewScratch()
+	sc.Bind(g, clusterSize, cost)
+	return sc.mapInto(alloc, comm).Clone()
+}
+
+// mapAllocHetero runs the heterogeneous mapping phase on a given allocation.
+func mapAllocHetero(g *dag.Graph, alloc []int, c platform.Cluster, cost dag.CostFunc, comm dag.CommFunc) *Schedule {
+	sc := NewScratch()
+	sc.Bind(g, c.Nodes, cost)
+	return sc.mapHetero(alloc, c, comm).Clone()
+}
+
 func chain(k int) *dag.Graph {
 	g := dag.New("chain")
 	prev := -1
@@ -55,7 +80,7 @@ func TestCPAAllocatesChainWide(t *testing.T) {
 	// T_CP ≤ T_A. With perfect speedup T_A is constant while T_CP shrinks,
 	// so tasks end up with substantial allocations.
 	g := chain(4)
-	alloc := CPA{}.Allocate(g, 32, perfect)
+	alloc := allocation(CPA{}, g, 32, perfect)
 	for i, a := range alloc {
 		if a < 2 {
 			t.Errorf("chain task %d allocated %d, want ≥ 2", i, a)
@@ -65,7 +90,7 @@ func TestCPAAllocatesChainWide(t *testing.T) {
 
 func TestCPAAllocationBounds(t *testing.T) {
 	g := fork(6)
-	alloc := CPA{}.Allocate(g, 8, amdahl)
+	alloc := allocation(CPA{}, g, 8, amdahl)
 	for i, a := range alloc {
 		if a < 1 || a > 8 {
 			t.Errorf("task %d allocated %d, outside [1,8]", i, a)
@@ -75,7 +100,7 @@ func TestCPAAllocationBounds(t *testing.T) {
 
 func TestCPAStopsAtAreaBalance(t *testing.T) {
 	g := fork(6)
-	alloc := CPA{}.Allocate(g, 32, amdahl)
+	alloc := allocation(CPA{}, g, 32, amdahl)
 	tcp := g.CriticalPathLength(alloc, amdahl, nil)
 	ta := g.AverageArea(alloc, amdahl, 32)
 	// Either balance was reached or no task could grow further.
@@ -104,7 +129,7 @@ func TestCPAStopsAtAreaBalance(t *testing.T) {
 
 func TestHCPAEfficiencyFloor(t *testing.T) {
 	g := fork(4)
-	alloc := HCPA{}.Allocate(g, 32, amdahl)
+	alloc := allocation(HCPA{}, g, 32, amdahl)
 	for i, a := range alloc {
 		if a == 1 {
 			continue
@@ -119,8 +144,8 @@ func TestHCPAEfficiencyFloor(t *testing.T) {
 
 func TestHCPAAllocatesNoMoreThanCPA(t *testing.T) {
 	g := fork(6)
-	cpa := CPA{}.Allocate(g, 32, amdahl)
-	hcpa := HCPA{}.Allocate(g, 32, amdahl)
+	cpa := allocation(CPA{}, g, 32, amdahl)
+	hcpa := allocation(HCPA{}, g, 32, amdahl)
 	totalCPA, totalHCPA := 0, 0
 	for i := range cpa {
 		totalCPA += cpa[i]
@@ -133,7 +158,7 @@ func TestHCPAAllocatesNoMoreThanCPA(t *testing.T) {
 
 func TestMCPALevelBound(t *testing.T) {
 	g := fork(6)
-	alloc := MCPA{}.Allocate(g, 8, perfect)
+	alloc := allocation(MCPA{}, g, 8, perfect)
 	levels, nLevels := g.Levels()
 	sums := make([]int, nLevels)
 	widths := make([]int, nLevels)
@@ -158,9 +183,9 @@ func TestAlgorithmsDiffer(t *testing.T) {
 	differs := false
 	for seed := int64(0); seed < 10 && !differs; seed++ {
 		g := dag.MustGenerate(dag.GenParams{Tasks: 10, InputMatrices: 8, AddRatio: 0.5, N: 2000, Seed: seed})
-		cpa := CPA{}.Allocate(g, 16, amdahl)
-		hcpa := HCPA{}.Allocate(g, 16, amdahl)
-		mcpa := MCPA{}.Allocate(g, 16, amdahl)
+		cpa := allocation(CPA{}, g, 16, amdahl)
+		hcpa := allocation(HCPA{}, g, 16, amdahl)
+		mcpa := allocation(MCPA{}, g, 16, amdahl)
 		if !equalInts(cpa, hcpa) || !equalInts(cpa, mcpa) {
 			differs = true
 		}
@@ -184,25 +209,25 @@ func equalInts(a, b []int) bool {
 
 func TestBaselines(t *testing.T) {
 	g := fork(3)
-	seq := Sequential{}.Allocate(g, 16, perfect)
+	seq := allocation(Sequential{}, g, 16, perfect)
 	for _, a := range seq {
 		if a != 1 {
 			t.Errorf("SEQ allocated %d, want 1", a)
 		}
 	}
-	dp := DataParallel{}.Allocate(g, 16, perfect)
+	dp := allocation(DataParallel{}, g, 16, perfect)
 	for _, a := range dp {
 		if a != 16 {
 			t.Errorf("DATAPAR allocated %d, want 16", a)
 		}
 	}
-	fx := Fixed{P: 64}.Allocate(g, 16, perfect)
+	fx := allocation(Fixed{P: 64}, g, 16, perfect)
 	for _, a := range fx {
 		if a != 16 {
 			t.Errorf("FIXED{64} allocated %d on a 16-node cluster, want 16", a)
 		}
 	}
-	fx0 := Fixed{P: 0}.Allocate(g, 16, perfect)
+	fx0 := allocation(Fixed{P: 0}, g, 16, perfect)
 	if fx0[0] != 1 {
 		t.Errorf("FIXED{0} allocated %d, want 1", fx0[0])
 	}
@@ -211,7 +236,7 @@ func TestBaselines(t *testing.T) {
 func TestMappingChainIsSequential(t *testing.T) {
 	g := chain(3)
 	alloc := []int{1, 1, 1}
-	s := MapSchedule(g, alloc, 4, perfect, nil)
+	s := mapAlloc(g, alloc, 4, perfect, nil)
 	// Each chain task starts when its predecessor finishes.
 	for i := 1; i < 3; i++ {
 		if math.Abs(s.EstStart[i]-s.EstFinish[i-1]) > 1e-9 {
@@ -224,7 +249,7 @@ func TestMappingIndependentTasksRunInParallel(t *testing.T) {
 	g := dag.New("indep")
 	g.AddTask(dag.KernelMul, 500)
 	g.AddTask(dag.KernelMul, 500)
-	s := MapSchedule(g, []int{1, 1}, 4, perfect, nil)
+	s := mapAlloc(g, []int{1, 1}, 4, perfect, nil)
 	if s.EstStart[0] != 0 || s.EstStart[1] != 0 {
 		t.Errorf("independent tasks start at %g and %g, want both 0",
 			s.EstStart[0], s.EstStart[1])
@@ -238,7 +263,7 @@ func TestMappingSerializesOnScarceProcessors(t *testing.T) {
 	g := dag.New("scarce")
 	g.AddTask(dag.KernelMul, 500)
 	g.AddTask(dag.KernelMul, 500)
-	s := MapSchedule(g, []int{2, 2}, 2, perfect, nil)
+	s := mapAlloc(g, []int{2, 2}, 2, perfect, nil)
 	// Only 2 processors: tasks must serialize.
 	first, second := 0, 1
 	if s.EstStart[1] < s.EstStart[0] {
@@ -252,7 +277,7 @@ func TestMappingSerializesOnScarceProcessors(t *testing.T) {
 func TestMappingCommDelaysStart(t *testing.T) {
 	g := chain(2)
 	comm := func(src, dst *dag.Task, ps, pd int) float64 { return 1.5 }
-	s := MapSchedule(g, []int{1, 1}, 4, perfect, comm)
+	s := mapAlloc(g, []int{1, 1}, 4, perfect, comm)
 	want := s.EstFinish[0] + 1.5
 	if math.Abs(s.EstStart[1]-want) > 1e-9 {
 		t.Errorf("successor starts at %g, want %g", s.EstStart[1], want)
@@ -285,6 +310,26 @@ func TestBuildRejectsEmptyGraph(t *testing.T) {
 	}
 }
 
+// unknownAlgo is an Algorithm no scheduler implements.
+type unknownAlgo struct{}
+
+func (unknownAlgo) Name() string { return "UNKNOWN" }
+
+// TestBuildRejectsUnknownInputs: an algorithm the scratch does not
+// implement, and a cluster other than the one the scratch was bound to, are
+// errors.
+func TestBuildRejectsUnknownInputs(t *testing.T) {
+	g := chain(3)
+	if _, err := Build(unknownAlgo{}, g, 4, perfect, nil); err == nil {
+		t.Error("unknown algorithm accepted")
+	}
+	sc := NewScratch()
+	sc.Bind(g, 4, perfect)
+	if _, err := sc.BuildOn(HCPA{}, twoSpeedCluster(8), nil); err == nil {
+		t.Error("cluster of 8 accepted by a scratch bound to 4 processors")
+	}
+}
+
 // TestOrderSortsByStart checks Order against the stable sort it replaced —
 // start, then ID, on schedules full of equal starts — and that the result
 // slice is its only allocation.
@@ -307,8 +352,8 @@ func TestOrderSortsByStart(t *testing.T) {
 	model := perfmodel.NewAnalytic(c)
 	wide := dag.MustGenerate(dag.GenParams{Tasks: 60, InputMatrices: 16, AddRatio: 0.5, N: 2000, Seed: 4})
 	scheds := []*Schedule{
-		MapSchedule(chain(3), []int{1, 1, 1}, 4, perfect, nil),
-		MapSchedule(fork(12), []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 4, perfect, nil),
+		mapAlloc(chain(3), []int{1, 1, 1}, 4, perfect, nil),
+		mapAlloc(fork(12), []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 4, perfect, nil),
 	}
 	for _, algo := range []Algorithm{Sequential{}, HCPA{}} {
 		s, err := Build(algo, wide, c.Nodes, perfmodel.CostFunc(model), perfmodel.CommFunc(model, c))

@@ -242,33 +242,42 @@ func (s *Schedule) Clone() *Schedule {
 	return c
 }
 
-// Algorithm is the allocation phase of a two-phase scheduler.
+// Algorithm names a scheduler: the CPA family and the baselines, two-phase
+// schedulers whose allocation phase Scratch.Build runs before the shared
+// mapping phase, or the one-phase MHEFT, which Scratch.BuildOn runs.
 type Algorithm interface {
 	// Name identifies the algorithm ("CPA", "HCPA", "MCPA", ...).
 	Name() string
-	// Allocate returns the per-task processor counts for a cluster of
-	// clusterSize processors under the given cost model.
-	Allocate(g *dag.Graph, clusterSize int, cost dag.CostFunc) []int
 }
 
-// Build runs the full two-phase scheduler: the algorithm's allocation phase
-// followed by the shared list-scheduling mapping phase.
+// Build runs the full two-phase scheduler on a pooled scratch: the
+// algorithm's allocation phase followed by the shared list-scheduling
+// mapping phase. The schedule is the caller's to keep.
 func Build(algo Algorithm, g *dag.Graph, clusterSize int, cost dag.CostFunc, comm dag.CommFunc) (*Schedule, error) {
-	if g.Len() == 0 {
-		return nil, fmt.Errorf("sched %s: empty application", algo.Name())
-	}
-	if clusterSize < 1 {
-		return nil, fmt.Errorf("sched %s: cluster size %d", algo.Name(), clusterSize)
-	}
-	alloc := algo.Allocate(g, clusterSize, cost)
-	if len(alloc) != g.Len() {
-		return nil, fmt.Errorf("sched %s: allocation has %d entries for %d tasks",
-			algo.Name(), len(alloc), g.Len())
-	}
-	s := MapSchedule(g, alloc, clusterSize, cost, comm)
-	s.Algorithm = algo.Name()
-	if err := s.Validate(clusterSize); err != nil {
+	return pooled(g, clusterSize, cost, func(sc *Scratch) (*Schedule, error) {
+		return sc.Build(algo, comm)
+	})
+}
+
+// Build runs the one-phase scheduler on a pooled scratch and returns a
+// validated schedule that is the caller's to keep.
+func (m MHEFT) Build(g *dag.Graph, clusterSize int, cost dag.CostFunc, comm dag.CommFunc) (*Schedule, error) {
+	return pooled(g, clusterSize, cost, func(sc *Scratch) (*Schedule, error) {
+		return sc.BuildMHEFT(m, comm)
+	})
+}
+
+// pooled binds a pooled scratch to (g, clusterSize, cost), builds with it and
+// returns a Clone of the result. The scratch goes back to the pool by a plain
+// call: one held at an error or a panic is dropped, never pooled.
+func pooled(g *dag.Graph, clusterSize int, cost dag.CostFunc, build func(*Scratch) (*Schedule, error)) (*Schedule, error) {
+	sc := AcquireScratch()
+	sc.Bind(g, clusterSize, cost)
+	s, err := build(sc)
+	if err != nil {
 		return nil, err
 	}
+	s = s.Clone()
+	ReleaseScratch(sc)
 	return s, nil
 }

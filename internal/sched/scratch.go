@@ -10,19 +10,19 @@ import (
 	"repro/internal/obs"
 )
 
-// Scratch is the allocation-free scheduling path: it owns every buffer the
-// CPA-family allocation loops, the M-HEFT one-phase scheduler and the shared
-// mapping phase need, so repeated builds — the robustness engine's Monte
-// Carlo trials, study, campaign and arrival cells, service requests — reuse
-// storage instead of allocating it per schedule (the internal/simgrid solver
-// pattern, one layer up).
+// Scratch is the scheduler: it runs the CPA-family allocation loops, the
+// baselines, the M-HEFT one-phase scheduler and both mapping phases, and
+// owns every buffer they need, so repeated builds — the robustness engine's
+// Monte Carlo trials, study, campaign and arrival cells, service requests —
+// reuse storage instead of allocating it per schedule (the internal/simgrid
+// solver pattern, one layer up). Build, MHEFT.Build and BuildHetero run on a
+// pooled one.
 //
 // A Scratch additionally memoizes the bound cost function per (task, p):
 // CPA-family allocation loops evaluate the same configurations thousands of
 // times per build, and perturbed-model costs (exp/log/cos per call) dominate
 // the trial loop's profile. Memoization is transparent because cost models
-// are pure functions; every schedule a Scratch builds is bit-identical to
-// the one the allocating Build/MHEFT.Build path produces.
+// are pure functions.
 //
 // Usage: Bind once per (graph, cluster size, cost model) context, then Build
 // any number of algorithms against it — the memo persists across builds of
@@ -62,6 +62,8 @@ type Scratch struct {
 	ready      []int
 	hostsAt    []hostAvail // the host queue, kept in cmpHostAvail order
 	hostsFlat  []int
+	avail      []float64 // heterogeneous mapping: per-host next-free time
+	order      []int     // heterogeneous mapping: hosts in candidate order
 
 	// output schedule, reused across builds
 	out Schedule
@@ -79,7 +81,7 @@ func NewScratch() *Scratch {
 	return sc
 }
 
-// Scratch-pool telemetry, alongside the engine pool's (internal/simgrid).
+// Scratch-pool telemetry, alongside the replayer pool's (internal/tgrid).
 var (
 	scratchAcquires = obs.Default.Counter("repro_pool_acquires_total",
 		"Pool acquisitions, by pool.", obs.L("pool", "scratch"))
@@ -117,7 +119,7 @@ func ReleaseScratch(sc *Scratch) {
 func (sc *Scratch) Bind(g *dag.Graph, clusterSize int, cost dag.CostFunc) {
 	sc.g, sc.p, sc.cost = g, clusterSize, cost
 	sc.epoch++
-	need := g.Len() * clusterSize
+	need := g.Len() * max(clusterSize, 0) // builds refuse clusterSize < 1
 	if cap(sc.memoVal) < need {
 		sc.memoVal = make([]float64, need)
 		sc.memoEp = make([]uint64, need)
@@ -171,21 +173,14 @@ func (sc *Scratch) Cost() dag.CostFunc { return sc.memoCost }
 // Build runs a CPA-family (or baseline) allocation phase plus the shared
 // mapping phase against the bound context, entirely in scratch storage. The
 // returned schedule aliases the scratch and is invalidated by the next
-// Build/BuildMHEFT; Clone it to retain it.
+// build; Clone it to retain it.
 func (sc *Scratch) Build(algo Algorithm, comm dag.CommFunc) (*Schedule, error) {
-	if sc.g == nil {
-		return nil, fmt.Errorf("sched: scratch build before Bind")
+	if err := sc.check(algo.Name()); err != nil {
+		return nil, err
 	}
-	if sc.g.Len() == 0 {
-		return nil, fmt.Errorf("sched %s: empty application", algo.Name())
-	}
-	if sc.p < 1 {
-		return nil, fmt.Errorf("sched %s: cluster size %d", algo.Name(), sc.p)
-	}
-	alloc := sc.allocate(algo)
-	if len(alloc) != sc.g.Len() {
-		return nil, fmt.Errorf("sched %s: allocation has %d entries for %d tasks",
-			algo.Name(), len(alloc), sc.g.Len())
+	alloc, err := sc.allocate(algo)
+	if err != nil {
+		return nil, err
 	}
 	s := sc.mapInto(alloc, comm)
 	s.Algorithm = algo.Name()
@@ -195,51 +190,53 @@ func (sc *Scratch) Build(algo Algorithm, comm dag.CommFunc) (*Schedule, error) {
 	return s, nil
 }
 
-// allocate dispatches the allocation phase. The CPA family and the baselines
-// run scratch-native (no closures, no fresh slices); unknown algorithms fall
-// back to their own Allocate with the memoized cost.
-func (sc *Scratch) allocate(algo Algorithm) []int {
+// check refuses a build the bound context cannot serve.
+func (sc *Scratch) check(name string) error {
+	if sc.g == nil {
+		return fmt.Errorf("sched: scratch build before Bind")
+	}
+	if sc.g.Len() == 0 {
+		return fmt.Errorf("sched %s: empty application", name)
+	}
+	if sc.p < 1 {
+		return fmt.Errorf("sched %s: cluster size %d", name, sc.p)
+	}
+	return nil
+}
+
+// allocate runs the allocation phase of a two-phase algorithm in scratch
+// storage (no closures, no fresh slices).
+func (sc *Scratch) allocate(algo Algorithm) ([]int, error) {
 	n := sc.g.Len()
 	if cap(sc.alloc) < n {
 		sc.alloc = make([]int, n)
 	}
 	alloc := sc.alloc[:n]
+	p := 0 // the baselines' one processor count
 	switch a := algo.(type) {
 	case CPA:
-		return sc.cpaLoop(growNone, 0)
+		return sc.cpaLoop(growNone, 0), nil
 	case HCPA:
 		floor := a.MinEfficiency
 		if floor <= 0 {
 			floor = DefaultMinEfficiency
 		}
-		return sc.cpaLoop(growHCPA, floor)
+		return sc.cpaLoop(growHCPA, floor), nil
 	case MCPA:
-		return sc.cpaLoop(growMCPA, 0)
+		return sc.cpaLoop(growMCPA, 0), nil
 	case Sequential:
-		for i := range alloc {
-			alloc[i] = 1
-		}
-		return alloc
+		p = 1
 	case DataParallel:
-		for i := range alloc {
-			alloc[i] = sc.p
-		}
-		return alloc
+		p = sc.p
 	case Fixed:
-		p := a.P
-		if p < 1 {
-			p = 1
-		}
-		if p > sc.p {
-			p = sc.p
-		}
-		for i := range alloc {
-			alloc[i] = p
-		}
-		return alloc
+		p = min(max(a.P, 1), sc.p)
 	default:
-		return algo.Allocate(sc.g, sc.p, sc.memoCost)
+		return nil, fmt.Errorf("sched: unknown algorithm %q", algo.Name())
 	}
+	for i := range alloc {
+		alloc[i] = p
+	}
+	return alloc, nil
 }
 
 // growMode selects the CPA-family growth constraint without a per-build
@@ -252,15 +249,16 @@ const (
 	growMCPA
 )
 
-// cpaLoop is cpaLoop (cpa.go) in scratch storage, paying per iteration for
-// what the iteration changed: one task's allocation. The bottom levels are
+// cpaLoop is the CPA-family allocation loop, paying per iteration for what
+// the iteration changed: one task's allocation. The bottom levels are
 // computed once and then updated for the grown task and the ancestors it
 // moves (updateBottomLevels); T_A's per-task terms are kept and only the
 // grown task's is recomputed, then summed in task order; MCPA's per-level
 // total is not recounted per candidate (its veto is implied by the cap).
-// Every value comes from the same operations on the same operands as in the
-// reference — CriticalPathLength, AverageArea and CriticalPath over a
-// freshly computed vector — so the allocations are bit-identical.
+// Every value comes from the same operations on the same operands as
+// dag's CriticalPathLength, AverageArea and CriticalPath over a freshly
+// computed vector would use, so the allocations are those of the textbook
+// loop that recomputes all three per iteration.
 func (sc *Scratch) cpaLoop(mode growMode, floor float64) []int {
 	g, clusterSize, cost := sc.g, sc.p, sc.memoCost
 	n := g.Len()
@@ -446,11 +444,14 @@ func (sc *Scratch) criticalPath(bl []float64) []int {
 	return path
 }
 
-// mapInto is MapSchedule (mapping.go) in scratch storage: identical pick
-// order, identical host choice, identical arithmetic — only the allocations
-// (there are none) and the host queue differ: MapSchedule re-sorts every
-// host by availability per task, mapInto keeps that order across tasks
-// (assignHosts).
+// mapInto is the mapping phase shared by the two-phase algorithms: list
+// scheduling in decreasing bottom-level order. Ready tasks (all predecessors
+// mapped) are mapped one at a time; the chosen task receives the alloc[t]
+// processors that become available earliest (ties by host ID), and starts
+// once both its processors are free and its input data has arrived
+// (predecessor finish plus redistribution estimate from the comm model, when
+// provided). The host queue stays in availability order across tasks
+// (assignHosts) instead of being re-sorted per task.
 func (sc *Scratch) mapInto(alloc []int, comm dag.CommFunc) *Schedule {
 	g, clusterSize := sc.g, sc.p
 	cost := sc.memoCost
@@ -539,9 +540,9 @@ func (sc *Scratch) mapInto(alloc []int, comm dag.CommFunc) *Schedule {
 	return s
 }
 
-// cmpHostAvail is MapSchedule's host comparator: availability, then host ID —
-// a strict total order (hosts are distinct), so a queue kept sorted by it is
-// the permutation sort.Slice produces from the availability array.
+// cmpHostAvail is the host comparator: availability, then host ID — a strict
+// total order (hosts are distinct), so a queue kept sorted by it is the
+// permutation any sort of the availability array produces.
 func cmpHostAvail(a, b hostAvail) int {
 	if a.at != b.at {
 		if a.at < b.at {
@@ -554,10 +555,10 @@ func cmpHostAvail(a, b hostAvail) int {
 
 // assignHosts hands the len(chosen) earliest-free hosts — the front of the
 // queue hs, kept in cmpHostAvail order — to a task that holds them until
-// `until`. It writes their IDs into chosen in ascending order (MapSchedule's
-// sort.Ints) and merges them back into the untouched rest of the queue: all
-// of them become free at `until` and are in host order, so one O(P) merge
-// leaves hs as MapSchedule's per-task sort of the availability array would.
+// `until`. It writes their IDs into chosen in ascending order and merges them
+// back into the untouched rest of the queue: all of them become free at
+// `until` and are in host order, so one O(P) merge leaves hs as a per-task
+// sort of the availability array would.
 // The merge runs in place from the front: the write position never passes
 // the read position, because the k vacated slots are filled first.
 func assignHosts(hs []hostAvail, chosen []int, until float64) {
@@ -579,21 +580,18 @@ func assignHosts(hs []hostAvail, chosen []int, until float64) {
 	}
 }
 
-// BuildMHEFT runs the one-phase M-HEFT scheduler (mheft.go) against the
-// bound context in scratch storage. Same aliasing rules as Build.
+// BuildMHEFT runs the one-phase M-HEFT scheduler against the bound context
+// in scratch storage: tasks in decreasing bottom-level order (at unit
+// allocation), each trying every allocation size on the earliest-available
+// hosts and keeping the earliest finish, ties to fewer processors. Same
+// aliasing rules as Build.
 func (sc *Scratch) BuildMHEFT(m MHEFT, comm dag.CommFunc) (*Schedule, error) {
-	if sc.g == nil {
-		return nil, fmt.Errorf("sched: scratch build before Bind")
+	if err := sc.check(m.Name()); err != nil {
+		return nil, err
 	}
 	g, clusterSize := sc.g, sc.p
 	cost := sc.memoCost
 	n := g.Len()
-	if n == 0 {
-		return nil, fmt.Errorf("sched %s: empty application", m.Name())
-	}
-	if clusterSize < 1 {
-		return nil, fmt.Errorf("sched %s: cluster size %d", m.Name(), clusterSize)
-	}
 	s := sc.prepareOut(n)
 	s.Algorithm = m.Name()
 	if cap(s.Alloc) < n {
@@ -727,7 +725,7 @@ func (sc *Scratch) resizeNPreds(n int) []int {
 
 // resetHostQueue returns the host queue for clusterSize idle processors: all
 // free at 0, hence in host order. Its capacity is its length, so a task asking
-// for more hosts than exist panics as MapSchedule does.
+// for more hosts than exist panics.
 func (sc *Scratch) resetHostQueue(clusterSize int) []hostAvail {
 	sc.hostsAt = grow(sc.hostsAt, clusterSize)
 	hs := sc.hostsAt[:clusterSize:clusterSize]

@@ -41,8 +41,9 @@ func sameSchedule(t *testing.T, ctx string, got, want *Schedule) {
 
 // TestScratchBuildMatchesBuild is the differential guard for the scratch
 // scheduling path: across a spread of random DAGs, cluster sizes and cost
-// models, Scratch.Build must reproduce Build bit-for-bit — same allocations,
-// same host sets, same estimated timeline.
+// models, Scratch.Build must reproduce the allocating two-phase Build it
+// replaced (buildOracle) bit-for-bit — same allocations, same host sets, same
+// estimated timeline.
 func TestScratchBuildMatchesBuild(t *testing.T) {
 	c := platform.Bayreuth()
 	model := perfmodel.NewAnalytic(c)
@@ -74,7 +75,7 @@ func TestScratchBuildMatchesBuild(t *testing.T) {
 					cost dag.CostFunc
 					comm dag.CommFunc
 				}{{"analytic", cost, comm}, {"perturbed", pcost, pcomm}} {
-					want, errW := Build(algo, g, size, m.cost, m.comm)
+					want, errW := buildOracle(algo, g, size, m.cost, m.comm)
 					sc.Bind(g, size, m.cost)
 					got, errG := sc.Build(algo, m.comm)
 					if (errW == nil) != (errG == nil) {
@@ -145,7 +146,7 @@ func matchesBuildLarge(t *testing.T) {
 				sc.Bind(g, size, cost)
 				for _, algo := range algos {
 					ctx := fmt.Sprintf("%s/%d/%s/%s", g.Name, size, m.Name(), algo.Name())
-					want, err := Build(algo, g, size, cost, comm)
+					want, err := buildOracle(algo, g, size, cost, comm)
 					if err != nil {
 						t.Fatalf("%s: %v", ctx, err)
 					}
@@ -156,7 +157,7 @@ func matchesBuildLarge(t *testing.T) {
 					sameSchedule(t, ctx, got, want)
 				}
 				ctx := fmt.Sprintf("%s/%d/%s/MHEFT", g.Name, size, m.Name())
-				want, err := MHEFT{}.Build(g, size, cost, comm)
+				want, err := mheftOracle(MHEFT{}, g, size, cost, comm)
 				if err != nil {
 					t.Fatalf("%s: %v", ctx, err)
 				}
@@ -170,8 +171,8 @@ func matchesBuildLarge(t *testing.T) {
 	}
 }
 
-// TestScratchBuildMHEFTMatchesMHEFT does the same for the heterogeneous
-// list scheduler.
+// TestScratchBuildMHEFTMatchesMHEFT does the same for the one-phase M-HEFT
+// scheduler against its allocating body (mheftOracle).
 func TestScratchBuildMHEFTMatchesMHEFT(t *testing.T) {
 	c := platform.Bayreuth()
 	model := perfmodel.NewAnalytic(c)
@@ -184,7 +185,7 @@ func TestScratchBuildMHEFTMatchesMHEFT(t *testing.T) {
 			Tasks: 8 + int(seed)*6, InputMatrices: 4, AddRatio: 0.5, N: 2000, Seed: 100 + seed,
 		})
 		for _, m := range []MHEFT{{}, {AllocCap: 4}} {
-			want, errW := m.Build(g, c.Nodes, cost, comm)
+			want, errW := mheftOracle(m, g, c.Nodes, cost, comm)
 			sc.Bind(g, c.Nodes, cost)
 			got, errG := sc.BuildMHEFT(m, comm)
 			if (errW == nil) != (errG == nil) {
@@ -214,7 +215,7 @@ func TestScratchRebind(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for _, g := range []*dag.Graph{g1, g2} {
 			for _, cf := range []dag.CostFunc{cost, double} {
-				want, err := Build(HCPA{}, g, c.Nodes, cf, comm)
+				want, err := buildOracle(HCPA{}, g, c.Nodes, cf, comm)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -244,7 +245,7 @@ func TestScheduleClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	clone := first.Clone()
-	ref, err := Build(HCPA{}, g, c.Nodes, cost, comm)
+	ref, err := buildOracle(HCPA{}, g, c.Nodes, cost, comm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -443,28 +443,21 @@ func (s *Service) build(req *ScheduleRequest) (*sched.Schedule, perfmodel.Model,
 	return schedule, model, net, hit, nil
 }
 
-// buildSchedule runs one scheduling pass — homogeneous or heterogeneous,
-// per the cluster — under the given model. Shared by the single and batched
-// paths so their schedules agree by construction. Homogeneous builds go
-// through a pooled scheduling scratch (bit-identical to sched.Build) and are
-// detached with Clone before the scratch returns to the pool, so concurrent
-// requests reuse buffers without aliasing each other's responses.
+// buildSchedule runs one scheduling pass under the given model, mapping
+// heterogeneously when the cluster is. Shared by the single and batched
+// paths so their schedules agree by construction. Builds go through a pooled
+// scheduling scratch and are detached with Clone before the scratch returns
+// to the pool, so concurrent requests reuse buffers without aliasing each
+// other's responses.
 func (s *Service) buildSchedule(algo sched.Algorithm, g *dag.Graph, c platform.Cluster, model perfmodel.Model, kind string) (*sched.Schedule, error) {
 	cost := perfmodel.CostFunc(model)
-	comm := perfmodel.CommFunc(model, c)
-	var schedule *sched.Schedule
-	var err error
-	if c.IsHomogeneous() {
-		sc := sched.AcquireScratch()
-		sc.Bind(g, c.Nodes, cost)
-		schedule, err = sc.Build(algo, comm)
-		if err == nil {
-			schedule = schedule.Clone()
-		}
-		sched.ReleaseScratch(sc)
-	} else {
-		schedule, err = sched.BuildHetero(algo, g, c, cost, comm)
+	sc := sched.AcquireScratch()
+	sc.Bind(g, c.Nodes, cost)
+	schedule, err := sc.BuildOn(algo, c, perfmodel.CommFunc(model, c))
+	if err == nil {
+		schedule = schedule.Clone()
 	}
+	sched.ReleaseScratch(sc)
 	if err != nil {
 		return nil, err
 	}

@@ -110,9 +110,8 @@ func (a *Action) Reset() {
 // Engines are reusable: Reset returns a finished (or abandoned) engine to
 // its initial state while keeping every piece of internal storage — the
 // live/done lists, the solver scratch, the event-loop buffers — so one
-// engine can serve many Runs without allocating in steady state. Net's
-// AcquireEngine/ReleaseEngine recycle engines through a pool on top of this
-// lifecycle.
+// engine can serve many Runs without allocating in steady state; a
+// tgrid.Replayer keeps one across its replays.
 type Engine struct {
 	now      float64
 	capacity []float64

@@ -2,33 +2,13 @@ package simgrid
 
 import (
 	"fmt"
-	"sync"
 
-	"repro/internal/obs"
 	"repro/internal/platform"
-)
-
-// Engine-pool telemetry: how often simulations draw a warm engine versus
-// paying for a fresh one. Registered once per process; the counters are
-// plain atomics, so the acquire/release fast path stays allocation-free.
-var (
-	enginePoolAcquires = obs.Default.Counter("repro_pool_acquires_total",
-		"Pool acquisitions, by pool.", obs.L("pool", "engine"))
-	enginePoolReleases = obs.Default.Counter("repro_pool_releases_total",
-		"Pool releases, by pool.", obs.L("pool", "engine"))
-	enginePoolNews = obs.Default.Counter("repro_pool_news_total",
-		"Pool misses that built a fresh object, by pool.", obs.L("pool", "engine"))
 )
 
 // Net maps a platform.Cluster onto engine resources, implementing the star
 // topology of the paper's platform specification: per-node CPU, per-node
 // private uplink and downlink, and an optional switch backplane.
-//
-// A Net also owns a pool of reusable engines for its cluster
-// (AcquireEngine/ReleaseEngine): callers that replay many executions — the
-// simulators, the emulated cluster, campaign cells — recycle engines and
-// their solver scratch instead of allocating one per run. The pool is safe
-// for concurrent use; each worker effectively keeps a warm engine.
 type Net struct {
 	Cluster platform.Cluster
 	// resource index layout:
@@ -38,7 +18,6 @@ type Net struct {
 	//   3N        backplane (only if Cluster.BackplaneBandwidth > 0)
 	nHosts int
 	caps   []float64 // capacity vector, computed once
-	pool   sync.Pool // of *Engine
 }
 
 // NewNet validates the cluster and returns its resource mapping.
@@ -60,47 +39,20 @@ func NewNet(c platform.Cluster) (*Net, error) {
 	if c.BackplaneBandwidth > 0 {
 		n.caps[n.Backplane()] = c.BackplaneBandwidth
 	}
-	n.pool.New = func() any {
-		enginePoolNews.Inc()
-		return NewEngine(n.caps)
-	}
 	return n, nil
 }
 
 // Capacities returns a copy of the engine capacity vector for the cluster.
 func (n *Net) Capacities() []float64 { return append([]float64(nil), n.caps...) }
 
-// NewEngine builds a fresh engine with the cluster's resources. Callers that
-// execute many runs should prefer AcquireEngine/ReleaseEngine, which recycle
-// engines (and their warmed-up solver scratch) through the net's pool.
+// NewEngine builds a fresh engine with the cluster's resources.
 func (n *Net) NewEngine() *Engine { return NewEngine(n.caps) }
 
-// AcquireEngine returns an empty engine for the cluster at time zero,
-// recycled from the net's pool when one is available. Every engine in the
-// pool is already reset — ReleaseEngine is the only Put path and resets
-// eagerly, and pool-created engines are pristine — so acquisition is just
-// the pool lookup. Pair every acquire with a ReleaseEngine once the run's
-// results have been read off.
-func (n *Net) AcquireEngine() *Engine {
-	enginePoolAcquires.Inc()
-	return n.pool.Get().(*Engine)
-}
-
-// ResetEngine resets an engine (not necessarily from this net's pool) to
-// this net's capacities at time zero, without the capacity-vector copy
-// Capacities would make — the allocation-free way to point a privately owned
-// engine at a re-parameterised net of the same shape.
+// ResetEngine resets an engine to this net's capacities at time zero,
+// without the capacity-vector copy Capacities would make — the
+// allocation-free way to point a privately owned engine at a
+// re-parameterised net of the same shape.
 func (n *Net) ResetEngine(e *Engine) { e.Reset(n.caps) }
-
-// ReleaseEngine returns an engine obtained from AcquireEngine to the pool.
-// The engine — including any Completed() slice read from it — must not be
-// used after release. The engine is reset eagerly so recycled engines do
-// not pin finished actions in memory while parked.
-func (n *Net) ReleaseEngine(e *Engine) {
-	enginePoolReleases.Inc()
-	e.Reset(nil)
-	n.pool.Put(e)
-}
 
 // CPU returns the resource index of host h's processor.
 func (n *Net) CPU(h int) int { n.check(h); return h }

@@ -1,7 +1,11 @@
 package tgrid_test
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -78,13 +82,153 @@ func buildAll(t *testing.T, g *dag.Graph, nodes int, m perfmodel.Model, c platfo
 	return append(out, s)
 }
 
+// sameResult asserts bitwise equality of two execution records.
+func sameResult(t *testing.T, ctx string, got, want *tgrid.Result) {
+	t.Helper()
+	same := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	switch {
+	case math.Float64bits(got.Makespan) != math.Float64bits(want.Makespan):
+		t.Fatalf("%s: makespan %v != oracle %v", ctx, got.Makespan, want.Makespan)
+	case !same(got.TaskStart, want.TaskStart) || !same(got.TaskFinish, want.TaskFinish) ||
+		!same(got.TaskStartupDur, want.TaskStartupDur):
+		t.Fatalf("%s: task windows differ from the oracle's", ctx)
+	case !slices.Equal(got.Edges, want.Edges):
+		t.Fatalf("%s: edges %v != oracle %v", ctx, got.Edges, want.Edges)
+	case !same(got.RedistStart, want.RedistStart) || !same(got.RedistFinish, want.RedistFinish) ||
+		!same(got.RedistOverheadDur, want.RedistOverheadDur):
+		t.Fatalf("%s: redistribution windows differ from the oracle's", ctx)
+	}
+}
+
+// TestRunMatchesOracle pins Run, now a replay on a pooled replayer, to the
+// closure-and-map body it replaced: the whole Result — every task window,
+// edge window, edge overhead and the makespan — bit for bit, over the Table I
+// suite × {CPA, HCPA, MCPA, MHEFT} × {analytic, profile, empirical} on three
+// net layouts.
+func TestRunMatchesOracle(t *testing.T) {
+	suite, err := dag.GenerateSuite(2011)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if testing.Short() {
+		suite = suite[:6]
+	}
+	c := platform.Bayreuth()
+	nets := testNets(t)
+	for _, m := range fittedModels(t) {
+		timing := tgrid.ModelTiming{Model: m}
+		for _, inst := range suite {
+			for _, s := range buildAll(t, inst.Graph, c.Nodes, m, c) {
+				for name, net := range nets {
+					ctx := fmt.Sprintf("%s %s %s on %s", m.Name(), s.Algorithm, inst.Params.Name(), name)
+					want, err := tgrid.RunOracle(net, s, timing)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := tgrid.Run(net, s, timing)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResult(t, ctx, got, want)
+				}
+			}
+		}
+	}
+	t.Run("noisy", runMatchesOracleNoisy)
+}
+
+// noisyTiming is a seeded, stateful timing in the emulated cluster's
+// pattern: a model's startups, fixed kernel durations and redistribution
+// overheads, each times a lognormal draw from a private stream. Parallel-task
+// descriptions pass through and draw nothing, as Timing's contract requires.
+// With a nil stream it is the noiseless twin a replayer binds against.
+type noisyTiming struct {
+	base tgrid.Timing
+	rng  *rand.Rand
+}
+
+func (n noisyTiming) noise() float64 {
+	if n.rng == nil {
+		return 1
+	}
+	return math.Exp(0.05 * n.rng.NormFloat64())
+}
+
+func (n noisyTiming) TaskStartup(task *dag.Task, p int) float64 {
+	return n.base.TaskStartup(task, p) * n.noise()
+}
+
+func (n noisyTiming) TaskWork(task *dag.Task, hosts []int) (float64, []float64, [][]float64) {
+	fixed, comp, bytes := n.base.TaskWork(task, hosts)
+	if comp == nil && bytes == nil {
+		fixed *= n.noise()
+	}
+	return fixed, comp, bytes
+}
+
+func (n noisyTiming) RedistOverhead(pSrc, pDst int) float64 {
+	return n.base.RedistOverhead(pSrc, pDst) * n.noise()
+}
+
+// runMatchesOracleNoisy binds each schedule against the noiseless twin and
+// replays it under the noisy timing, the way the emulated cluster executes:
+// the Result equals the oracle's under an identically seeded stream, and
+// both streams are left at the same position.
+func runMatchesOracleNoisy(t *testing.T) {
+	suite, err := dag.GenerateSuite(2011)
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite = suite[:12]
+	c := platform.Bayreuth()
+	nets := testNets(t)
+	rep := tgrid.NewReplayer()
+	for mi, m := range fittedModels(t) {
+		base := tgrid.ModelTiming{Model: m}
+		for i, inst := range suite {
+			for _, s := range buildAll(t, inst.Graph, c.Nodes, m, c) {
+				for name, net := range nets {
+					ctx := fmt.Sprintf("noisy %s %s %s on %s", m.Name(), s.Algorithm, inst.Params.Name(), name)
+					seed := int64(100*mi + i)
+					oracle := noisyTiming{base: base, rng: rand.New(rand.NewSource(seed))}
+					want, err := tgrid.RunOracle(net, s, oracle)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := rep.Bind(net, s, noisyTiming{base: base}); err != nil {
+						t.Fatal(err)
+					}
+					noisy := noisyTiming{base: base, rng: rand.New(rand.NewSource(seed))}
+					if _, err := rep.Replay(net, tgrid.Unscaled{Timing: noisy}); err != nil {
+						t.Fatal(err)
+					}
+					sameResult(t, ctx, rep.Result(), want)
+					if a, b := noisy.rng.Int63(), oracle.rng.Int63(); a != b {
+						t.Fatalf("%s: noise streams left at different positions (%d vs %d)", ctx, a, b)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestMakespanAndTaskWindowMatchRun is the differential guard of the pooled
-// path every makespan-only caller now takes: over the whole Table I suite ×
+// path every makespan-only caller takes: over the whole Table I suite ×
 // {CPA, HCPA, MCPA, MHEFT} × {analytic, profile, empirical} on three net
-// layouts, Makespan equals Run's makespan and a pooled replayer's TaskWindow
-// equals Run's per-task start, finish and startup — all bit for bit. The
-// loop alternates models, nets and schedule shapes on the same pooled
-// replayers, so stale state from an earlier bind would show.
+// layouts, Makespan equals the oracle Run's makespan and a pooled replayer's
+// TaskWindow equals the oracle's per-task start, finish and startup — all
+// bit for bit. The loop alternates models, nets and schedule shapes on the
+// same pooled replayers, so stale state from an earlier bind would show.
 func TestMakespanAndTaskWindowMatchRun(t *testing.T) {
 	suite, err := dag.GenerateSuite(2011)
 	if err != nil {
@@ -100,7 +244,7 @@ func TestMakespanAndTaskWindowMatchRun(t *testing.T) {
 		for _, inst := range suite {
 			for _, s := range buildAll(t, inst.Graph, c.Nodes, m, c) {
 				for name, net := range nets {
-					want, err := tgrid.Run(net, s, timing)
+					want, err := tgrid.RunOracle(net, s, timing)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -189,7 +333,7 @@ func TestRebindAcrossNetsAndTimingKinds(t *testing.T) {
 			{bigNet, wide, tgrid.ModelTiming{Model: analytic}},
 			{smallNet, narrow, tgrid.ModelTiming{Model: fixed}},
 		} {
-			want, err := tgrid.Run(c.net, c.s, c.timing)
+			want, err := tgrid.RunOracle(c.net, c.s, c.timing)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,14 +3,17 @@ package tgrid
 import (
 	"fmt"
 
-	"repro/internal/dag"
 	"repro/internal/redist"
 	"repro/internal/sched"
 	"repro/internal/simgrid"
 )
 
-// Run executes the schedule in virtual time on the given network, with all
-// durations and overheads supplied by the Timing source.
+// RunOracle is Run as it was before Run replayed on a pooled Replayer: a
+// fresh engine, closures and maps per execution, and every TaskWork call made
+// at launch. It is kept verbatim as the differential oracle of the replay
+// path, except that it takes a fresh engine (the net's engine pool is gone)
+// and copies its per-edge maps into Result's slices in Edges order at the
+// end. Exported for the external test package.
 //
 // Execution semantics follow TGrid: a task starts once (a) the output data
 // of every predecessor has been redistributed to the task's processor set
@@ -20,7 +23,7 @@ import (
 // producing task completes: the subnet-manager overhead followed by the
 // point-to-point transfers of the 1-D block overlap plan, which contend on
 // the network with everything else in flight.
-func Run(net *simgrid.Net, s *sched.Schedule, timing Timing) (*Result, error) {
+func RunOracle(net *simgrid.Net, s *sched.Schedule, timing Timing) (*Result, error) {
 	g := s.Graph
 	n := g.Len()
 	clusterSize := net.Cluster.Nodes
@@ -28,19 +31,15 @@ func Run(net *simgrid.Net, s *sched.Schedule, timing Timing) (*Result, error) {
 		return nil, fmt.Errorf("tgrid: invalid schedule: %w", err)
 	}
 
-	// Engines are recycled through the net's pool: every study cell, campaign
-	// run and service request replays schedules against a warm engine instead
-	// of allocating a fresh one (and fresh solver scratch) per execution.
-	engine := net.AcquireEngine()
-	defer net.ReleaseEngine(engine)
+	engine := net.NewEngine()
 	res := &Result{
-		TaskStart:         make([]float64, n),
-		TaskFinish:        make([]float64, n),
-		TaskStartupDur:    make([]float64, n),
-		RedistStart:       make(map[[2]int]float64),
-		RedistFinish:      make(map[[2]int]float64),
-		RedistOverheadDur: make(map[[2]int]float64),
+		TaskStart:      make([]float64, n),
+		TaskFinish:     make([]float64, n),
+		TaskStartupDur: make([]float64, n),
 	}
+	redistStart := make(map[[2]int]float64)
+	redistFinish := make(map[[2]int]float64)
+	redistOverheadDur := make(map[[2]int]float64)
 
 	// Host-occupancy chains: for each task, the set of distinct tasks that
 	// must release one of its processors first (the schedule's previous
@@ -128,10 +127,10 @@ func Run(net *simgrid.Net, s *sched.Schedule, timing Timing) (*Result, error) {
 		} else {
 			action = simgrid.Fixed(fmt.Sprintf("redist-%d-%d", src, dst), overhead)
 		}
-		res.RedistStart[key] = engine.Now()
-		res.RedistOverheadDur[key] = overhead
+		redistStart[key] = engine.Now()
+		redistOverheadDur[key] = overhead
 		action.OnComplete = func(e *simgrid.Engine, _ *simgrid.Action) {
-			res.RedistFinish[key] = e.Now()
+			redistFinish[key] = e.Now()
 			arrive(dst)
 		}
 		engine.Add(action)
@@ -185,40 +184,14 @@ func Run(net *simgrid.Net, s *sched.Schedule, timing Timing) (*Result, error) {
 		}
 	}
 	res.Makespan = makespan
+	for _, t := range g.Tasks {
+		for _, succ := range t.Succs() {
+			key := [2]int{t.ID, succ}
+			res.Edges = append(res.Edges, key)
+			res.RedistStart = append(res.RedistStart, redistStart[key])
+			res.RedistFinish = append(res.RedistFinish, redistFinish[key])
+			res.RedistOverheadDur = append(res.RedistOverheadDur, redistOverheadDur[key])
+		}
+	}
 	return res, nil
-}
-
-// ModelTiming adapts a performance model to the Timing interface, turning
-// Run into one of the paper's simulators. TaskModel is any perfmodel.Model;
-// the indirection through this struct keeps tgrid free of a perfmodel
-// dependency cycle.
-type ModelTiming struct {
-	Model interface {
-		TaskTime(task *dag.Task, p int) float64
-		StartupOverhead(p int) float64
-		RedistOverhead(pSrc, pDst int) float64
-		TaskPtask(task *dag.Task, p int) (comp []float64, bytes [][]float64)
-	}
-}
-
-// TaskStartup implements Timing.
-func (m ModelTiming) TaskStartup(task *dag.Task, p int) float64 {
-	return m.Model.StartupOverhead(p)
-}
-
-// TaskWork implements Timing: analytic models yield parallel-task
-// descriptions, measured models yield fixed durations. Performance models
-// describe homogeneous platforms, so only the processor count matters here.
-func (m ModelTiming) TaskWork(task *dag.Task, hosts []int) (float64, []float64, [][]float64) {
-	p := len(hosts)
-	comp, bytes := m.Model.TaskPtask(task, p)
-	if comp != nil || bytes != nil {
-		return 0, comp, bytes
-	}
-	return m.Model.TaskTime(task, p), nil, nil
-}
-
-// RedistOverhead implements Timing.
-func (m ModelTiming) RedistOverhead(pSrc, pDst int) float64 {
-	return m.Model.RedistOverhead(pSrc, pDst)
 }

@@ -40,16 +40,17 @@ func TestRunInvariantsQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		// Precedence: a task starts only after all its redistributions.
-		for _, task := range g.Tasks {
-			for _, p := range task.Preds() {
-				key := [2]int{p, task.ID}
-				if res.TaskStart[task.ID] < res.RedistFinish[key]-1e-9 {
-					return false
-				}
-				if res.RedistStart[key] < res.TaskFinish[p]-1e-9 {
-					return false
-				}
+		// Precedence: a task starts only after all its redistributions,
+		// and every edge is redistributed once.
+		if len(res.Edges) != g.EdgeCount() {
+			return false
+		}
+		for i, e := range res.Edges {
+			if res.TaskStart[e[1]] < res.RedistFinish[i]-1e-9 {
+				return false
+			}
+			if res.RedistStart[i] < res.TaskFinish[e[0]]-1e-9 {
+				return false
 			}
 		}
 		// Host exclusivity: per-host task intervals must not overlap.
@@ -75,9 +76,9 @@ func TestRunInvariantsQuick(t *testing.T) {
 				last = res.TaskFinish[id]
 			}
 		}
-		for k := range res.RedistFinish {
-			if res.RedistFinish[k] > last {
-				last = res.RedistFinish[k]
+		for _, f := range res.RedistFinish {
+			if f > last {
+				last = f
 			}
 		}
 		return last <= res.Makespan+1e-9 && last >= res.Makespan-1e-9

@@ -29,7 +29,7 @@ type TimingScaler interface {
 }
 
 // Unscaled adapts the bound base Timing itself to TimingScaler: replaying
-// with Unscaled{base} reproduces Run(net, s, base) exactly.
+// with Unscaled{base} executes the schedule under base itself.
 type Unscaled struct{ Timing }
 
 // TaskScale implements TimingScaler with the identity factor.
@@ -96,6 +96,7 @@ type replayEdge struct {
 	pSrc, pDst int
 	hasBytes   bool
 	cross      bool
+	overhead   float64 // redistribution overhead paid in the latest replay
 }
 
 type ptaskKey struct {
@@ -138,28 +139,26 @@ const (
 // (actions, usage shapes, dependency counts) against a base Timing; each
 // Replay then re-arms the recorded actions under a TimingScaler and a
 // (possibly re-parameterised) net of the same shape, and returns the
-// makespan. Replay(net, Unscaled{base}) equals Run(net, s, base) bit for
-// bit, and Replay with ScaledTiming{perturbed} equals Run under the
-// perturbed model.
+// makespan. Replay with ScaledTiming{perturbed} equals Run under the
+// perturbed model bit for bit. Result materialises the latest replay's full
+// execution record; Run and Makespan are Simulate on a pooled replayer.
 //
 // A Replayer may be re-Bound to different schedules of the same or different
 // graphs, nets and base timings; its internal caches (parallel-task
 // descriptions keyed by base timing and configuration, redistribution
 // transfer lists) persist across binds, so binding per trial in a reschedule
 // loop — or per request from a pool — is cheap. The parallel-task cache
-// assumes that whether TaskWork yields a parallel task, and which one,
-// depends only on (task.Kernel, task.N, len(hosts)), which holds for
-// ModelTiming (performance models describe homogeneous platforms); fixed
-// durations are not cached but evaluated at every launch with the real host
-// set. A Replayer is not safe for concurrent use.
+// relies on Timing's contract: descriptions depend only on (task.Kernel,
+// task.N, len(hosts)). A Replayer is not safe for concurrent use.
 type Replayer struct {
 	net  *simgrid.Net // layout reference from the last Bind
 	g    *dag.Graph
 	base Timing
 
-	eng  *simgrid.Engine
-	rnet *simgrid.Net // net of the Replay in progress
-	cur  TimingScaler
+	eng      *simgrid.Engine
+	rnet     *simgrid.Net // net of the Replay in progress
+	cur      TimingScaler
+	makespan float64 // of the latest replay
 
 	hostsFlat []int
 	hosts     [][]int
@@ -272,7 +271,7 @@ func (r *Replayer) Bind(net *simgrid.Net, s *sched.Schedule, base Timing) error 
 	}
 
 	// releasedBy[p] lists the tasks waiting on a host p releases, in
-	// ascending waiter ID — the order Run's construction produces.
+	// ascending waiter ID.
 	r.relOff = resizeInts(r.relOff, n)
 	r.relEnd = resizeInts(r.relEnd, n)
 	clear(r.relOff)
@@ -337,8 +336,8 @@ func (r *Replayer) Bind(net *simgrid.Net, s *sched.Schedule, base Timing) error 
 		}
 	}
 
-	// Edge records, in (source ID, successor order) — the order Run starts
-	// them relative to each source's completion.
+	// Edge records, in (source ID, successor order) — the order a source's
+	// completion starts them in.
 	nEdges := g.EdgeCount()
 	if cap(r.edges) < nEdges {
 		edges := make([]replayEdge, nEdges)
@@ -427,13 +426,13 @@ func (r *Replayer) Replay(net *simgrid.Net, timing TimingScaler) (float64, error
 			return 0, fmt.Errorf("tgrid: task %d never became ready (deadlocked schedule)", id)
 		}
 	}
+	r.makespan = makespan
 	return makespan, nil
 }
 
 // Simulate validates the schedule, binds it against the timing and replays it
-// once under that same timing: Run(net, s, timing).Makespan bit for bit,
-// without Run's per-execution allocations. The per-task windows of the
-// execution stay readable through TaskWindow until the next Bind or Replay.
+// once under that same timing, returning the makespan. The execution stays
+// readable through TaskWindow and Result until the next Bind or Replay.
 func (r *Replayer) Simulate(net *simgrid.Net, s *sched.Schedule, timing Timing) (float64, error) {
 	if err := s.Validate(net.Cluster.Nodes); err != nil {
 		return 0, fmt.Errorf("tgrid: invalid schedule: %w", err)
@@ -446,13 +445,41 @@ func (r *Replayer) Simulate(net *simgrid.Net, s *sched.Schedule, timing Timing) 
 }
 
 // TaskWindow returns the execution window of a task in the latest replay —
-// Result.TaskStart, TaskFinish and TaskStartupDur of the equivalent Run.
+// Result's TaskStart, TaskFinish and TaskStartupDur without building it.
 func (r *Replayer) TaskWindow(id int) (start, finish, startup float64) {
 	rec := &r.tasks[id]
 	return rec.act.StartedAt(), rec.act.FinishedAt(), rec.startup
 }
 
-// Replayer-pool telemetry, alongside the engine pool's (internal/simgrid).
+// Result materialises the latest replay: the makespan, every task's window
+// and every edge's redistribution window and overhead, edges in the
+// replayer's order (source ID, then successor order). An action's start is
+// the engine time it was added at, its finish the time it completed.
+func (r *Replayer) Result() *Result {
+	n, m := len(r.tasks), len(r.edges)
+	res := &Result{
+		Makespan:          r.makespan,
+		TaskStart:         make([]float64, n),
+		TaskFinish:        make([]float64, n),
+		TaskStartupDur:    make([]float64, n),
+		Edges:             make([][2]int, m),
+		RedistStart:       make([]float64, m),
+		RedistFinish:      make([]float64, m),
+		RedistOverheadDur: make([]float64, m),
+	}
+	for id := range r.tasks {
+		res.TaskStart[id], res.TaskFinish[id], res.TaskStartupDur[id] = r.TaskWindow(id)
+	}
+	for i := range r.edges {
+		e := &r.edges[i]
+		res.Edges[i] = [2]int{e.src, e.dst}
+		res.RedistStart[i], res.RedistFinish[i] = e.act.StartedAt(), e.act.FinishedAt()
+		res.RedistOverheadDur[i] = e.overhead
+	}
+	return res
+}
+
+// Replayer-pool telemetry, alongside the scratch pool's (internal/sched).
 var (
 	replayerAcquires = obs.Default.Counter("repro_pool_acquires_total",
 		"Pool acquisitions, by pool.", obs.L("pool", "replayer"))
@@ -486,10 +513,9 @@ func ReleaseReplayer(r *Replayer) {
 }
 
 // Makespan simulates the schedule under the timing on a pooled replayer and
-// returns the makespan: Run(net, s, timing).Makespan bit for bit. It is the
-// entry point for every caller that reads nothing else off the execution;
-// Run remains the producer of the full Result (per-edge windows, breakdown,
-// traces) and accepts timings the replayer's description cache does not.
+// returns the makespan: Run(net, s, timing).Makespan without building the
+// Result. It is the entry point for every caller that reads nothing else off
+// the execution.
 func Makespan(net *simgrid.Net, s *sched.Schedule, timing Timing) (float64, error) {
 	r := AcquireReplayer()
 	makespan, err := r.Simulate(net, s, timing)
@@ -499,6 +525,29 @@ func Makespan(net *simgrid.Net, s *sched.Schedule, timing Timing) (float64, erro
 		ReleaseReplayer(r)
 	}
 	return makespan, err
+}
+
+// Run executes the schedule in virtual time on the given network, with all
+// durations and overheads supplied by the Timing source, and returns the full
+// execution record.
+//
+// Execution semantics follow TGrid: a task starts once (a) the output data
+// of every predecessor has been redistributed to the task's processor set
+// and (b) its processors have been released by the previous tasks the
+// schedule placed on them. Each task pays its startup overhead, then runs
+// its kernel. Each DAG edge triggers a redistribution as soon as the
+// producing task completes: the subnet-manager overhead followed by the
+// point-to-point transfers of the 1-D block overlap plan, which contend on
+// the network with everything else in flight.
+func Run(net *simgrid.Net, s *sched.Schedule, timing Timing) (*Result, error) {
+	r := AcquireReplayer()
+	if _, err := r.Simulate(net, s, timing); err != nil {
+		return nil, err
+	}
+	res := r.Result()
+	// Not deferred, as in Makespan.
+	ReleaseReplayer(r)
+	return res, nil
 }
 
 func (r *Replayer) launch(id int) {
@@ -521,8 +570,8 @@ func (r *Replayer) launch(id int) {
 			if rec.cross {
 				lat = 2 * r.rnet.Cluster.LinkLatency
 			}
-			// Mirrors Run's Delay = latency + (startup + fixed); fixed
-			// is 0 on the parallel-task path, so this is bit-identical.
+			// A parallel task's Delay is latency + (startup + fixed), and
+			// fixed is 0 on this path.
 			a.Delay = lat + startup
 			scaled = true
 		}
@@ -541,6 +590,7 @@ func (r *Replayer) launch(id int) {
 func (r *Replayer) startEdge(ei int) {
 	rec := &r.edges[ei]
 	overhead := r.cur.RedistOverhead(rec.pSrc, rec.pDst)
+	rec.overhead = overhead
 	a := &rec.act
 	if rec.hasBytes {
 		lat := 0.0

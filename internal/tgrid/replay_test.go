@@ -14,7 +14,7 @@ import (
 // TestReplayMatchesRun is the differential guard for the replay path: over a
 // spread of DAGs, algorithms and perturbation draws — including platform
 // (bandwidth/latency) noise, which re-parameterises the net — Replayer must
-// reproduce Run's makespan bit for bit.
+// reproduce the oracle Run's makespan bit for bit.
 func TestReplayMatchesRun(t *testing.T) {
 	c := platform.Bayreuth()
 	base := perfmodel.NewAnalytic(c)
@@ -58,7 +58,7 @@ func TestReplayMatchesRun(t *testing.T) {
 						t.Fatal(err)
 					}
 					pm := &perfmodel.Perturbed{Base: base, P: draw}
-					want, err := Run(net, s, ModelTiming{Model: pm})
+					want, err := RunOracle(net, s, ModelTiming{Model: pm})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -78,7 +78,7 @@ func TestReplayMatchesRun(t *testing.T) {
 }
 
 // TestReplayUnscaledMatchesRun checks the Unscaled adapter: replaying the
-// bound base timing itself reproduces Run with that timing.
+// bound base timing itself reproduces the oracle Run with that timing.
 func TestReplayUnscaledMatchesRun(t *testing.T) {
 	c := platform.Bayreuth()
 	base := perfmodel.NewAnalytic(c)
@@ -93,7 +93,7 @@ func TestReplayUnscaledMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(net, s, ModelTiming{Model: base})
+	want, err := RunOracle(net, s, ModelTiming{Model: base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestReplayRebind(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := Run(net, s, ModelTiming{Model: pm})
+				want, err := RunOracle(net, s, ModelTiming{Model: pm})
 				if err != nil {
 					t.Fatal(err)
 				}

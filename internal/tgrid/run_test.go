@@ -2,6 +2,7 @@ package tgrid
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dag"
@@ -52,16 +53,18 @@ func chainSchedule(t *testing.T, k int) *sched.Schedule {
 		}
 		prev = task.ID
 	}
-	cost := func(task *dag.Task, p int) float64 { return 1 }
-	return sched.MapSchedule(g, ones(k), 32, cost, nil)
+	return build(t, sched.Sequential{}, g, 32)
 }
 
-func ones(k int) []int {
-	out := make([]int, k)
-	for i := range out {
-		out[i] = 1
+// build schedules g on a cluster of the given size under a unit cost model.
+func build(t *testing.T, algo sched.Algorithm, g *dag.Graph, clusterSize int) *sched.Schedule {
+	t.Helper()
+	cost := func(task *dag.Task, p int) float64 { return 1 }
+	s, err := sched.Build(algo, g, clusterSize, cost, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return s
 }
 
 func TestRunChainTiming(t *testing.T) {
@@ -89,15 +92,12 @@ func TestRunChainTiming(t *testing.T) {
 				i, res.TaskStart[i], res.TaskFinish[i-1])
 		}
 	}
-	// Redistributions recorded per edge.
-	if len(res.RedistStart) != 2 {
-		t.Errorf("recorded %d redistributions, want 2", len(res.RedistStart))
+	// Redistributions recorded per edge, in edge order.
+	if want := [][2]int{{0, 1}, {1, 2}}; !slices.Equal(res.Edges, want) {
+		t.Errorf("recorded edges %v, want %v", res.Edges, want)
 	}
-	if d := res.RedistDuration(0, 1); d < 0.1-1e-9 {
+	if d := res.RedistFinish[0] - res.RedistStart[0]; d < 0.1-1e-9 {
 		t.Errorf("redist(0,1) = %g, want ≥ 0.1", d)
-	}
-	if d := res.RedistDuration(5, 6); d != 0 {
-		t.Errorf("redist of absent edge = %g, want 0", d)
 	}
 }
 
@@ -126,8 +126,7 @@ func TestRunIndependentTasksOverlap(t *testing.T) {
 	g := dag.New("par")
 	g.AddTask(dag.KernelMul, 64)
 	g.AddTask(dag.KernelMul, 64)
-	cost := func(task *dag.Task, p int) float64 { return 1 }
-	s := sched.MapSchedule(g, []int{1, 1}, 32, cost, nil)
+	s := build(t, sched.Sequential{}, g, 32)
 	res, err := Run(net, s, flatTiming{kernel: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -141,8 +140,7 @@ func TestRunHostExclusivitySerializes(t *testing.T) {
 	g.AddTask(dag.KernelMul, 64)
 	g.AddTask(dag.KernelMul, 64)
 	// Both tasks on all 32 hosts: they must serialize.
-	cost := func(task *dag.Task, p int) float64 { return 1 }
-	s := sched.MapSchedule(g, []int{32, 32}, 32, cost, nil)
+	s := build(t, sched.DataParallel{}, g, 32)
 	res, err := Run(net, s, flatTiming{kernel: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +155,10 @@ func TestRunWithAnalyticModelMatchesLoneEstimates(t *testing.T) {
 	g := dag.New("single")
 	g.AddTask(dag.KernelMul, 2000)
 	cost := perfmodel.CostFunc(model)
-	s := sched.MapSchedule(g, []int{4}, 32, cost, nil)
+	s, err := sched.Build(sched.Fixed{P: 4}, g, 32, cost, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := Run(net, s, ModelTiming{Model: model})
 	if err != nil {
 		t.Fatal(err)
@@ -196,8 +197,7 @@ func TestRunDiamondRedistributionsContend(t *testing.T) {
 	g.AddEdge(a.ID, c.ID)
 	g.AddEdge(b.ID, d.ID)
 	g.AddEdge(c.ID, d.ID)
-	cost := func(task *dag.Task, p int) float64 { return 1 }
-	s := sched.MapSchedule(g, []int{1, 1, 1, 1}, 4, cost, nil)
+	s := build(t, sched.Sequential{}, g, 4)
 	res, err := Run(net, s, flatTiming{kernel: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -205,8 +205,8 @@ func TestRunDiamondRedistributionsContend(t *testing.T) {
 	if res.Makespan <= 3 {
 		t.Errorf("makespan = %g, expected > 3 (kernel chain) due to transfers", res.Makespan)
 	}
-	for e := range res.RedistStart {
-		if res.RedistFinish[e] <= res.RedistStart[e] {
+	for i, e := range res.Edges {
+		if res.RedistFinish[i] <= res.RedistStart[i] {
 			t.Errorf("edge %v redistribution has non-positive duration", e)
 		}
 	}
@@ -237,4 +237,35 @@ func TestModelTimingAdaptsEmpirical(t *testing.T) {
 		t.Fatal("empirical model should produce fixed durations")
 	}
 	almost(t, fixed, model.TaskTime(task, 4), 1e-12, "empirical fixed duration")
+}
+
+// TestBreakdownDeterministic: Breakdown sums the edges in Edges order, so
+// repeated calls on one Result agree to the bit, and equal that in-order sum.
+func TestBreakdownDeterministic(t *testing.T) {
+	c := platform.Bayreuth()
+	model := perfmodel.PaperEmpirical() // non-zero redistribution overheads
+	g := dag.MustGenerate(dag.GenParams{Tasks: 40, InputMatrices: 8, AddRatio: 0.5, N: 2000, Seed: 12})
+	s, err := sched.Build(sched.HCPA{}, g, c.Nodes, perfmodel.CostFunc(model), perfmodel.CommFunc(model, c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(testNet(t), s, ModelTiming{Model: model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var overhead, transfer float64
+	for i := range res.Edges {
+		overhead += res.RedistOverheadDur[i]
+		transfer += res.RedistFinish[i] - res.RedistStart[i] - res.RedistOverheadDur[i]
+	}
+	if len(res.Edges) < 20 {
+		t.Fatalf("only %d edges; the sum order would hardly matter", len(res.Edges))
+	}
+	for i := 0; i < 100; i++ {
+		b := res.Breakdown()
+		if math.Float64bits(b.RedistOverhead) != math.Float64bits(overhead) ||
+			math.Float64bits(b.RedistTransfer) != math.Float64bits(transfer) {
+			t.Fatalf("call %d: (%v, %v) != in-order sums (%v, %v)", i, b.RedistOverhead, b.RedistTransfer, overhead, transfer)
+		}
+	}
 }

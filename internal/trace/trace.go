@@ -56,7 +56,7 @@ func FromResult(s *sched.Schedule, r *tgrid.Result) *Trace {
 			}
 		}
 	}
-	for edge, start := range r.RedistStart {
+	for i, edge := range r.Edges {
 		hosts := map[int]bool{}
 		for _, h := range s.Hosts[edge[0]] {
 			hosts[h] = true
@@ -73,8 +73,8 @@ func FromResult(s *sched.Schedule, r *tgrid.Result) *Trace {
 			Name:   fmt.Sprintf("redist %d->%d", edge[0], edge[1]),
 			Kind:   "redist",
 			Hosts:  hs,
-			Start:  start,
-			Finish: r.RedistFinish[edge],
+			Start:  r.RedistStart[i],
+			Finish: r.RedistFinish[i],
 		})
 	}
 	sort.Slice(t.Spans, func(a, b int) bool {
