@@ -313,7 +313,7 @@ func jain(xs []float64) float64 {
 	sum, sq := 0.0, 0.0
 	for _, x := range xs {
 		sum += x
-		sq += x * x
+		sq += float64(x * x)
 	}
 	if sq == 0 {
 		return 1

@@ -169,7 +169,7 @@ func (h *Hidden) wiggle(keys ...uint64) float64 {
 		x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 		x ^= x >> 31
 	}
-	return 2*float64(x>>11)/float64(1<<53) - 1
+	return float64(2*float64(x>>11)/float64(1<<53)) - 1
 }
 
 // Inefficiency returns the hidden slowdown factor (≥ 1) of a kernel at the
@@ -186,7 +186,8 @@ func (h *Hidden) Inefficiency(kernel dag.Kernel, n, p int) float64 {
 		base = 1
 	}
 	frac := float64(p-1) / 31
-	eta := base + ramp*frac + amp*(0.5+0.5*h.wiggle(kind, uint64(n), uint64(p)))*minF(1, frac*4+0.1)
+	eta := base + float64(ramp*frac) +
+		float64(amp*(0.5+float64(0.5*h.wiggle(kind, uint64(n), uint64(p))))*minF(1, float64(frac*4)+0.1))
 	if kernel == dag.KernelMul {
 		if p == 8 {
 			eta *= h.OutlierP8
@@ -240,7 +241,7 @@ func maxBlock(n, p int) int {
 // an allocation of p processors: the linear trend plus the non-monotonic
 // texture of Figure 3.
 func (h *Hidden) StartupTime(p int) float64 {
-	t := h.StartupBase + h.StartupSlope*float64(p) + h.StartupWiggleAmp*h.wiggle(3, uint64(p))
+	t := h.StartupBase + float64(h.StartupSlope*float64(p)) + float64(h.StartupWiggleAmp*h.wiggle(3, uint64(p)))
 	if t < 0.1 {
 		t = 0.1
 	}
@@ -250,8 +251,8 @@ func (h *Hidden) StartupTime(p int) float64 {
 // RedistOverheadTime returns the noiseless ground-truth subnet-manager
 // overhead for a redistribution from pSrc to pDst processors.
 func (h *Hidden) RedistOverheadTime(pSrc, pDst int) float64 {
-	t := h.RedistBase + h.RedistDstSlope*float64(pDst) + h.RedistSrcSlope*float64(pSrc) +
-		h.RedistWiggleAmp*h.wiggle(4, uint64(pSrc), uint64(pDst))
+	t := h.RedistBase + float64(h.RedistDstSlope*float64(pDst)) + float64(h.RedistSrcSlope*float64(pSrc)) +
+		float64(h.RedistWiggleAmp*h.wiggle(4, uint64(pSrc), uint64(pDst)))
 	if t < 1e-3 {
 		t = 1e-3
 	}

@@ -30,7 +30,7 @@ func SeqMatMulBlocked(a, b *Matrix, tile int) *Matrix {
 						}
 						ak := a.Col(kx)
 						for i := ii; i < imax; i++ {
-							cj[i] += ak[i] * f
+							cj[i] += float64(ak[i] * f)
 						}
 					}
 				}

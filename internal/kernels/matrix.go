@@ -34,7 +34,7 @@ func RandomMatrix(n int, seed int64) *Matrix {
 	m := NewMatrix(n, n)
 	rng := rand.New(rand.NewSource(seed))
 	for i := range m.Data {
-		m.Data[i] = rng.Float64()*2 - 1
+		m.Data[i] = float64(2*float64(rng.Float64())) - 1
 	}
 	return m
 }
@@ -90,7 +90,7 @@ func (m *Matrix) Equal(o *Matrix, tol float64) bool {
 func (m *Matrix) FrobeniusNorm() float64 {
 	s := 0.0
 	for _, v := range m.Data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }
@@ -111,7 +111,7 @@ func SeqMatMul(a, b *Matrix) *Matrix {
 				continue
 			}
 			for i := 0; i < a.Rows; i++ {
-				cj[i] += ak[i] * f
+				cj[i] += float64(ak[i] * f)
 			}
 		}
 	}

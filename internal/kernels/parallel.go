@@ -74,7 +74,7 @@ func ParMatMul(c *mpi.Comm, aBlock, bBlock *Matrix, dist redist.Dist) *Matrix {
 				}
 				ak := cur.Col(k - alo)
 				for i := 0; i < n; i++ {
-					cj[i] += ak[i] * f
+					cj[i] += float64(ak[i] * f)
 				}
 			}
 		}

@@ -20,13 +20,17 @@ import (
 var cellsDone = obs.Default.Counter("repro_jobs_cells_done_total",
 	"Sharded job cells executed to completion by this replica.")
 
-// renewEvery is the lease-renewal cadence for a held job.
+// renewEvery is the cadence at which a held lease is renewed, carrying the
+// holder's progress snapshot to the store, and at which a coordinator folds
+// its cells' snapshots into the job's: a third of the lease. A lease on a
+// pool without a log cannot run out, but there a renewal is only a map write
+// and still the one way a cell's progress reaches its job, so it comes as
+// often as a watcher looks.
 func (m *JobManager) renewEvery() time.Duration {
-	d := m.ttl / 3
-	if d < 20*time.Millisecond {
-		d = 20 * time.Millisecond
+	if !m.Durable() {
+		return watchPoll
 	}
-	return d
+	return max(m.ttl/3, 20*time.Millisecond)
 }
 
 // leaseKeeper keeps whatever one worker holds — a job, or the current cell
@@ -115,11 +119,13 @@ func (k *leaseKeeper) stop() {
 // byte-identical to an in-process run, regardless of which replicas executed
 // which cells or how many times a cell was reclaimed.
 func (m *JobManager) runSharded(ctx context.Context, rec store.JobRecord, plan Plan, prog *obs.Progress) (string, error) {
+	// Counted before the plan is written: writing it wakes the job's
+	// watchers, who should find the total there.
 	n := plan.NumCells()
+	prog.AddCellsTotal(int64(n))
 	if err := m.st.PlanCells(rec.ID, n); err != nil {
 		return "", err
 	}
-	prog.AddCellsTotal(int64(n))
 
 	// The coordinator's job progress is the fold of every cell's stored
 	// snapshot. A background goroutine keeps it fresh at renew cadence even
@@ -213,10 +219,7 @@ func (m *JobManager) runCells(ctx context.Context, onlyJob string) bool {
 				_ = m.st.ReleaseCell(cell.Job, cell.Index, m.replica)
 				break
 			}
-			if plan, planErr = m.dispatch.Plan(job.Kind, job.Payload); planErr == nil && plan == nil {
-				// A cell of a family this replica's table lacks.
-				planErr = fmt.Errorf("service: kind %q is not shardable", job.Kind)
-			}
+			plan, planErr = m.dispatch.Plan(job.Kind, job.Payload)
 		}
 		cell, more = m.runClaimedCell(ctx, cctx, keeper, plan, planErr, cell, onlyJob)
 	}

@@ -52,7 +52,7 @@ func TestDurableManagerRunsPayload(t *testing.T) {
 		prog.AddCellsDone(2)
 		return "ran " + kind + " with " + string(payload), nil
 	}
-	m := NewJobManager(2, 64, 8, st, "alpha", time.Second, Dispatch{Run: runner})
+	m := NewJobManager(2, 64, 8, st, "alpha", time.Second, runWhole(runner))
 	defer m.Shutdown(context.Background())
 
 	if !m.Durable() || m.Replica() != "alpha" {
@@ -86,7 +86,7 @@ func TestDurableManagerFailedJob(t *testing.T) {
 	runner := func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
 		return "", errors.New("deliberate failure")
 	}
-	m := NewJobManager(1, 64, 8, st, "alpha", time.Second, Dispatch{Run: runner})
+	m := NewJobManager(1, 64, 8, st, "alpha", time.Second, runWhole(runner))
 	defer m.Shutdown(context.Background())
 
 	status, err := m.SubmitPayload("bad", nil)
@@ -110,9 +110,9 @@ func TestDurableManagerTwoReplicasShareThePool(t *testing.T) {
 		time.Sleep(10 * time.Millisecond) // let the pool interleave
 		return "out:" + kind, nil
 	}
-	a := NewJobManager(2, 64, 32, stA, "alpha", time.Second, Dispatch{Run: runner})
+	a := NewJobManager(2, 64, 32, stA, "alpha", time.Second, runWhole(runner))
 	defer a.Shutdown(context.Background())
-	b := NewJobManager(2, 64, 32, stB, "beta", time.Second, Dispatch{Run: runner})
+	b := NewJobManager(2, 64, 32, stB, "beta", time.Second, runWhole(runner))
 	defer b.Shutdown(context.Background())
 
 	const jobs = 12
@@ -162,9 +162,9 @@ func TestDurableManagerReclaimsExpiredLease(t *testing.T) {
 
 	stLive := openServiceStore(t, dir)
 	m := NewJobManager(1, 64, 8, stLive, "live", time.Second,
-		Dispatch{Run: func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
+		runWhole(func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
 			return "rescued", nil
-		}})
+		}))
 	defer m.Shutdown(context.Background())
 
 	final := waitJobState(t, m, rec.ID, JobDone)
@@ -188,7 +188,7 @@ func TestDurableShutdownReleasesRunningJobs(t *testing.T) {
 		<-ctx.Done() // runs until shutdown cancels it
 		return "should not complete", ctx.Err()
 	}
-	a := NewJobManager(1, 64, 8, stA, "alpha", time.Second, Dispatch{Run: blockingRunner})
+	a := NewJobManager(1, 64, 8, stA, "alpha", time.Second, runWhole(blockingRunner))
 
 	status, err := a.SubmitPayload("long", nil)
 	if err != nil {
@@ -210,9 +210,9 @@ func TestDurableShutdownReleasesRunningJobs(t *testing.T) {
 
 	stB := openServiceStore(t, dir)
 	b := NewJobManager(1, 64, 8, stB, "beta", time.Second,
-		Dispatch{Run: func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
+		runWhole(func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
 			return "finished elsewhere", nil
-		}})
+		}))
 	defer b.Shutdown(context.Background())
 	final := waitJobState(t, b, status.ID, JobDone)
 	if final.Output != "finished elsewhere" || final.Replica != "beta" {
@@ -231,9 +231,9 @@ func TestDurableRetentionCompactsStore(t *testing.T) {
 	dir := t.TempDir()
 	st := openServiceStore(t, dir)
 	m := NewJobManager(1, 64, 2, st, "alpha", time.Second,
-		Dispatch{Run: func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
+		runWhole(func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
 			return "ok", nil
-		}})
+		}))
 	defer m.Shutdown(context.Background())
 
 	const jobs = 12

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/arrival"
@@ -27,7 +28,11 @@ type Family struct {
 	// Name is the kind prefix: the family's jobs are of kind Name or
 	// Name:<spec name>, and Name is their label on repro_job_duration_seconds.
 	Name string
-	// Route is the family's noun under /v1/ ("campaigns").
+	// Kinds, when set, are the family's job kinds instead: each spec name is
+	// a kind of its own, with no prefix (the studies' "table1", "fig1", …).
+	Kinds []string
+	// Route is the family's noun under /v1/ ("campaigns"). The read side of
+	// the generic "jobs" serves every job, whatever its family.
 	Route string
 	// Noun is what messages call one job of the family ("campaign").
 	Noun string
@@ -41,7 +46,27 @@ type Family struct {
 
 // matches reports whether a job kind belongs to the family.
 func (f *Family) matches(kind string) bool {
+	if f.Kinds != nil {
+		return slices.Contains(f.Kinds, kind)
+	}
 	return kind == f.Name || strings.HasPrefix(kind, f.Name+":")
+}
+
+// kind is the job kind of a plan of the family.
+func (f *Family) kind(p Plan) string {
+	switch label := p.Label(); {
+	case f.Kinds != nil:
+		return label
+	case label == "":
+		return f.Name
+	default:
+		return f.Name + ":" + label
+	}
+}
+
+// exposes reports whether the family's read routes serve a job kind.
+func (f *Family) exposes(kind string) bool {
+	return f.Route == "jobs" || f.matches(kind)
 }
 
 // Defaults are the values a deployment supplies for the spec fields a

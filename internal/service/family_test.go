@@ -171,7 +171,7 @@ func TestToyFamilyOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := map[string]bool{studyFamily: true}
+	table := map[string]bool{}
 	for _, f := range svc.families {
 		table[f.Name] = true
 	}
@@ -259,5 +259,70 @@ func TestFailedPlanResolutionIsNotCached(t *testing.T) {
 	}
 	if done := waitServiceJob(t, svc, status.ID); done.State != JobDone {
 		t.Fatalf("resubmitted job = %+v", done)
+	}
+}
+
+// TestStudyJobOnTwoReplicasMatchesMixedsim: a fig1 job submitted to one
+// replica of a two-replica cluster runs as the study family's one-cell plan,
+// reports its one cell, and renders the bytes cmd/mixedsim writes for fig1
+// (testdata/golden/fig1.txt), read back through the other replica.
+func TestStudyJobOnTwoReplicasMatchesMixedsim(t *testing.T) {
+	want, err := os.ReadFile("../../testdata/golden/fig1.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	a, b := durableService(t, dir, "alpha"), durableService(t, dir, "beta")
+	status, err := a.SubmitStudy(StudyRequest{Study: "fig1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitServiceJob(t, b, status.ID)
+	if final.State != JobDone || final.Kind != "fig1" {
+		t.Fatalf("fig1 job = %+v", final)
+	}
+	if final.Output != string(want) {
+		t.Errorf("fig1 job output differs from mixedsim's:\n--- job\n%s\n--- mixedsim\n%s", final.Output, want)
+	}
+	if final.Progress == nil || *final.Progress != (obs.ProgressSnapshot{CellsDone: 1, CellsTotal: 1}) {
+		t.Errorf("fig1 job progress = %+v, want 1/1 cells", final.Progress)
+	}
+}
+
+// TestParentEraStudyPayloadRuns: a study job as an older replica queued it —
+// payload {"study":"table1"}, with no environment and no seeds, as in
+// internal/store/testdata/parent-format — runs through the study family, on
+// both kinds of handle, to exactly RunStudy's bytes, and is timed as a study.
+func TestParentEraStudyPayloadRuns(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		svc  func(t *testing.T) *Service
+	}{
+		{"log-less", func(t *testing.T) *Service {
+			svc := New(DefaultOptions())
+			t.Cleanup(func() { svc.Close(context.Background()) })
+			return svc
+		}},
+		{"file-backed", func(t *testing.T) *Service { return durableService(t, t.TempDir(), "solo") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := tc.svc(t)
+			timed := jobDuration("study").Count()
+			status, err := svc.Jobs().SubmitPayload("table1", json.RawMessage(`{"study":"table1"}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := waitServiceJob(t, svc, status.ID)
+			want, err := svc.RunStudy(context.Background(), StudyRequest{Study: "table1"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if final.State != JobDone || final.Output != want {
+				t.Errorf("parent-era table1 job = %+v\nwant done with RunStudy's report:\n%s", final, want)
+			}
+			if rose := jobDuration("study").Count() - timed; rose != 1 {
+				t.Errorf(`repro_job_duration_seconds_count{kind="study"} rose by %d, want 1`, rose)
+			}
+		})
 	}
 }

@@ -60,9 +60,9 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 //	                         body with "dags" (an array) instead of "dag" is
 //	                         served as one batch under a single model
 //	                         resolution
-//	POST /v1/jobs            submit an async study run
-//	GET  /v1/jobs            list retained jobs, of every kind
-//	GET  /v1/jobs/{id}       poll one job
+//	POST /v1/jobs            submit a study, one of the paper's artifacts
+//	GET  /v1/jobs            list retained jobs, of every family
+//	GET  /v1/jobs/{id}       poll one job, of any family
 //	POST /v1/<family>        submit a spec of a job family: campaigns (what-if
 //	                         sweeps), robustness (Monte Carlo winner-stability
 //	                         studies), arrivals (online-arrival scenarios)
@@ -91,10 +91,10 @@ func (s *Service) Handler() http.Handler {
 	handleFunc("GET /healthz", s.handleHealth)
 	handleFunc("POST /v1/schedule", s.handleSchedule)
 	handleFunc("POST /v1/simulate", s.handleSimulate)
-	for _, jr := range s.jobRoutes() {
-		handleFunc("POST /v1/"+jr.route, func(w http.ResponseWriter, r *http.Request) { s.handleSubmit(w, r, jr) })
-		handleFunc("GET /v1/"+jr.route, func(w http.ResponseWriter, r *http.Request) { s.handleList(w, jr) })
-		handleFunc("GET /v1/"+jr.route+"/{id}", func(w http.ResponseWriter, r *http.Request) { s.handleGet(w, r, jr) })
+	for _, f := range s.families {
+		handleFunc("POST /v1/"+f.Route, func(w http.ResponseWriter, r *http.Request) { s.handleSubmit(w, r, f) })
+		handleFunc("GET /v1/"+f.Route, func(w http.ResponseWriter, r *http.Request) { s.handleList(w, f) })
+		handleFunc("GET /v1/"+f.Route+"/{id}", func(w http.ResponseWriter, r *http.Request) { s.handleGet(w, r, f) })
 	}
 	handleFunc("GET /v1/models", s.handleModels)
 	handle("GET /metrics", obs.Default.Handler())
@@ -182,44 +182,14 @@ func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	writeReply(w, http.StatusOK, resp)
 }
 
-// jobRoute is one noun under /v1/ with the submit / list / poll triple:
-// "jobs" — study submissions, and every job whatever its kind on the read
-// side — plus one per family in the table.
-type jobRoute struct {
-	route, noun string
-	match       func(kind string) bool
-	submit      func(body []byte) (JobStatus, error)
-}
-
-func (s *Service) jobRoutes() []jobRoute {
-	routes := []jobRoute{{
-		route: "jobs", noun: "job",
-		match: func(string) bool { return true },
-		submit: func(body []byte) (JobStatus, error) {
-			var req StudyRequest
-			if err := json.Unmarshal(body, &req); err != nil {
-				return JobStatus{}, badRequest{err}
-			}
-			return s.SubmitStudy(req)
-		},
-	}}
-	for _, f := range s.families {
-		routes = append(routes, jobRoute{
-			route: f.Route, noun: f.Noun, match: f.matches,
-			submit: func(body []byte) (JobStatus, error) { return s.submit(f, body) },
-		})
-	}
-	return routes
-}
-
 // handleSubmit serves POST /v1/<route>: 202 with the queued job, 400 for a
-// body the route's submit rejects, 429 and 503 when the queue cannot take it.
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request, jr jobRoute) {
+// spec the family rejects, 429 and 503 when the queue cannot take it.
+func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request, f *Family) {
 	var body json.RawMessage
 	if !decode(w, r, &body) {
 		return
 	}
-	status, err := jr.submit(body)
+	status, err := s.submit(f, body)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		writeError(w, http.StatusTooManyRequests, err)
@@ -233,11 +203,11 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request, jr jobRou
 }
 
 // handleList serves GET /v1/<route>: the retained jobs the route exposes.
-func (s *Service) handleList(w http.ResponseWriter, jr jobRoute) {
+func (s *Service) handleList(w http.ResponseWriter, f *Family) {
 	all := s.jobs.List()
 	out := make([]JobStatus, 0, len(all))
 	for _, j := range all {
-		if jr.match(j.Kind) {
+		if f.exposes(j.Kind) {
 			out = append(out, j)
 		}
 	}
@@ -275,16 +245,16 @@ func watchParam(r *http.Request) (time.Duration, bool, error) {
 // handleGet serves GET /v1/<route>/{id}: a plain status read, or — with
 // ?watch — a long-poll that responds as soon as the job's state or progress
 // moves. A job of a kind the route does not expose is not found.
-func (s *Service) handleGet(w http.ResponseWriter, r *http.Request, jr jobRoute) {
+func (s *Service) handleGet(w http.ResponseWriter, r *http.Request, f *Family) {
 	d, watch, err := watchParam(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	notFound := errors.New("service: no such " + jr.noun)
+	notFound := errors.New("service: no such " + f.Noun)
 	id := r.PathValue("id")
 	status, ok := s.jobs.Get(id)
-	if !ok || !jr.match(status.Kind) {
+	if !ok || !f.exposes(status.Kind) {
 		writeError(w, http.StatusNotFound, notFound)
 		return
 	}

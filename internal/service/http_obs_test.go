@@ -323,15 +323,14 @@ func heldService(t *testing.T, gate chan struct{}, workers int, st *store.Store,
 	if err := svc.jobs.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	svc.jobs = NewJobManager(workers, 2, 8, st, replica, ttl, Dispatch{
-		Run: func(ctx context.Context, _ string, _ []byte, _ *obs.Progress) (string, error) {
-			select {
-			case <-gate:
-				return "out", nil
-			case <-ctx.Done():
-				return "", ctx.Err()
-			}
-		}})
+	svc.jobs = NewJobManager(workers, 2, 8, st, replica, ttl, runWhole(func(ctx context.Context, _ string, _ []byte, _ *obs.Progress) (string, error) {
+		select {
+		case <-gate:
+			return "out", nil
+		case <-ctx.Done():
+			return "", ctx.Err()
+		}
+	}))
 	t.Cleanup(func() { svc.Close(context.Background()) })
 	return svc
 }
@@ -431,6 +430,74 @@ func TestQueueFullOverHTTP(t *testing.T) {
 			close(gate)
 			await("every job to finish", func() bool { return states()[JobDone] == 5 })
 			await("the queue-depth gauge to read 0", func() bool { return scrapeGauge(t, last, "repro_jobs_queue_depth") == "0" })
+		})
+	}
+}
+
+// TestShardedProgressRisesBeforeDone pins live progress of a sharded job on
+// both kinds of handle. With one claim loop — the coordinator, which then runs
+// every cell itself — ?watch on a multi-cell robustness job must see
+// cells_done rise above 0 while the job still runs. Without a log, cell
+// progress reaches the job only because renewals and the coordinator's fold
+// come there as often as a watcher looks: at a third of a lease that cannot
+// run out they would never come, and the job would read 0 cells done until it
+// ended.
+func TestShardedProgressRisesBeforeDone(t *testing.T) {
+	old := watchPoll
+	watchPoll = 10 * time.Millisecond
+	defer func() { watchPoll = old }()
+	spec := shardSpec()
+	spec.Name = "rising"
+	spec.Platforms.Nodes = []int{6, 8, 10}
+	spec.Robustness.Trials = 64
+	spec.Robustness.Levels = []float64{0.05, 0.1, 0.2, 0.5}
+	for _, tc := range []struct {
+		name  string
+		store func(t *testing.T) *store.Store
+	}{
+		{"log-less", func(*testing.T) *store.Store { return nil }},
+		{"file-backed", func(t *testing.T) *store.Store { return openServiceStore(t, t.TempDir()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.JobWorkers = 1
+			opts.Store, opts.ReplicaID, opts.LeaseTTL = tc.store(t), "solo", 300*time.Millisecond
+			svc := New(opts)
+			defer svc.Close(context.Background())
+			srv := httptest.NewServer(svc.Handler())
+			defer srv.Close()
+
+			status, err := svc.SubmitRobustness(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var seen []string
+			risen := false
+			for deadline := time.Now().Add(time.Minute); !terminalState(status.State); {
+				if time.Now().After(deadline) {
+					t.Fatalf("job still %s; progress seen %v", status.State, seen)
+				}
+				resp, err := http.Get(srv.URL + "/v1/robustness/" + status.ID + "?watch=2s")
+				if err != nil {
+					t.Fatal(err)
+				}
+				status = JobStatus{}
+				err = json.NewDecoder(resp.Body).Decode(&status)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p := status.Progress; p != nil {
+					seen = append(seen, fmt.Sprintf("%s %d/%d", status.State, p.CellsDone, p.CellsTotal))
+					risen = risen || status.State == JobRunning && p.CellsDone > 0 && p.CellsDone < p.CellsTotal
+				}
+			}
+			if status.State != JobDone {
+				t.Fatalf("job = %+v", status)
+			}
+			if !risen {
+				t.Errorf("cells_done never rose while the job ran; progress seen %v", seen)
+			}
 		})
 	}
 }

@@ -46,49 +46,39 @@ var (
 		"Jobs currently executing.")
 )
 
-// studyFamily is the duration label of every job outside the family table.
-const studyFamily = "study"
-
-// jobDuration returns a job family's duration histogram. Callers pass family
-// names — the table's, or studyFamily — never job kinds, so label
-// cardinality cannot grow with user-chosen names.
+// jobDuration returns a job family's duration histogram. Callers pass the
+// table's family names, never job kinds, so label cardinality cannot grow
+// with user-chosen names.
 func jobDuration(family string) *obs.Histogram {
 	return obs.Default.Histogram("repro_job_duration_seconds",
 		"Job wall-clock duration, by job family.", obs.FitBuckets, obs.L("kind", family))
 }
 
-// PayloadRunner materialises a job from its submission record and runs it
-// whole. The service installs a runner that dispatches on kind: kinds in
-// the family table decode their specs, everything else is a study request.
-type PayloadRunner func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error)
-
 // Dispatch is how a job manager turns (kind, payload) submission records
 // back into work. The service fills it from its family table.
 type Dispatch struct {
-	// Run executes a job whole.
-	Run PayloadRunner
-	// Plan, when non-nil, shards the kinds it resolves to a plan at cell
-	// granularity: the claiming replica becomes the coordinator and every
-	// replica's claim loops execute cells. It returns (nil, nil) for kinds
-	// that run whole, and must be deterministic: every replica resolving the
-	// same (kind, payload) must see the same plan. A nil Plan runs every job
-	// whole through Run.
+	// Plan resolves a job to its plan of cells. A plan of one cell runs in
+	// place on the claim loop that took the job; a larger one is sharded:
+	// the claiming loop becomes the coordinator and every claim loop on the
+	// pool executes cells. Plan must be deterministic: every replica
+	// resolving the same (kind, payload) must see the same plan.
 	Plan func(kind string, payload []byte) (Plan, error)
-	// Family maps a job kind to its duration-histogram label; nil files
-	// every job under studyFamily.
+	// Family maps a job kind to its duration-histogram label; a nil Family,
+	// or a kind it maps to "", files no duration.
 	Family func(kind string) string
 }
 
 // observeDuration files one finished job's wall-clock under its family.
 func (d Dispatch) observeDuration(kind string, elapsed time.Duration) {
-	family := studyFamily
-	if d.Family != nil {
-		family = d.Family(kind)
+	if d.Family == nil {
+		return
 	}
-	jobDuration(family).Observe(elapsed.Seconds())
+	if family := d.Family(kind); family != "" {
+		jobDuration(family).Observe(elapsed.Seconds())
+	}
 }
 
-// JobState is the lifecycle of a queued study run.
+// JobState is the lifecycle of a queued job.
 type JobState string
 
 const (
@@ -131,7 +121,7 @@ type JobStatus struct {
 	Restarts int `json:"restarts,omitempty"`
 }
 
-// guarded runs fn — a whole job, or one cell — and turns a panic in it into
+// guarded runs fn — a job in place, or one cell — and turns a panic in it into
 // an error carrying the panic value and the top of the stack, so that what
 // fails is the job and not the process serving every other job. Whatever fn
 // held at the panic (a pooled scratch, a replayer) is dropped with its
@@ -217,8 +207,8 @@ type JobManager struct {
 // retain finished jobs, both counted across every handle on the pool (all
 // three are clamped to at least 1). The replica name is this manager's lease
 // holder identity; ttl is the lease duration (default 10s, renewed at ttl/3
-// while a job runs). Kinds dispatch.Plan resolves are planned into cell
-// work-units that every claim loop on the pool cooperates on.
+// while a job runs). A job dispatch.Plan resolves to several cells is planned
+// into cell work-units that every claim loop on the pool cooperates on.
 func NewJobManager(workers, queueCap, retain int, st *store.Store, replica string, ttl time.Duration, dispatch Dispatch) *JobManager {
 	return newJobManager(workers, queueCap, retain, st, replica, ttl, dispatch, leaseSweep)
 }
@@ -398,7 +388,7 @@ func (m *JobManager) claimLoop() {
 			m.runJob(rec)
 			continue
 		}
-		if m.dispatch.Plan != nil && m.runCells(m.ctx, "") {
+		if m.runCells(m.ctx, "") {
 			continue
 		}
 		m.heartbeat()
@@ -417,9 +407,11 @@ func (m *JobManager) heartbeat() {
 }
 
 // runJob executes one claimed job under a lease keeper, which keeps the
-// lease (and the stored progress snapshot) fresh while the runner works;
-// losing the lease cancels the run. Terminal transitions are fenced by
-// holder in the store, so a takeover can never be overwritten by the loser.
+// lease (and the stored progress snapshot) fresh while the job runs; losing
+// the lease cancels the run. A plan of one cell runs in place, reporting to
+// the job's own progress; a larger one is sharded (runSharded). Terminal
+// transitions are fenced by holder in the store, so a takeover can never be
+// overwritten by the loser.
 func (m *JobManager) runJob(rec store.JobRecord) {
 	prog := &obs.Progress{}
 	m.mu.Lock()
@@ -437,17 +429,13 @@ func (m *JobManager) runJob(rec store.JobRecord) {
 	jobsRunning.Inc()
 	started := time.Now()
 	var out string
-	var err error
-	var plan Plan
-	if m.dispatch.Plan != nil {
-		plan, err = m.dispatch.Plan(rec.Kind, rec.Payload)
-	}
+	plan, err := m.dispatch.Plan(rec.Kind, rec.Payload)
 	switch {
 	case err != nil:
-	case plan != nil:
+	case plan.NumCells() > 1:
 		out, err = m.runSharded(ctx, rec, plan, prog)
 	default:
-		out, err = guarded(func() (string, error) { return m.dispatch.Run(ctx, rec.Kind, rec.Payload, prog) })
+		out, err = guarded(func() (string, error) { return plan.Run(ctx, prog) })
 	}
 	jobsRunning.Dec()
 	keeper.stop()

@@ -48,18 +48,44 @@ var pools = []struct {
 	{"file-backed", "alpha", time.Minute, func(t *testing.T) *store.Store { return openServiceStore(t, t.TempDir()) }},
 }
 
+// oneCell is a one-cell test plan over a closure: the job runs in place,
+// the closure reporting to the job's own progress.
+type oneCell func(ctx context.Context, prog *obs.Progress) (string, error)
+
+func (oneCell) Label() string { return "" }
+func (oneCell) Spec() []byte  { return nil }
+func (oneCell) NumCells() int { return 1 }
+
+func (c oneCell) Run(ctx context.Context, prog *obs.Progress) (string, error) { return c(ctx, prog) }
+
+func (c oneCell) RunCell(ctx context.Context, _ int, prog *obs.Progress) ([]byte, error) {
+	out, err := c(ctx, prog)
+	return []byte(out), err
+}
+
+func (oneCell) Merge(frames [][]byte) (string, error) { return string(frames[0]), nil }
+
+// runWhole is a Dispatch whose every job is a one-cell plan over run.
+func runWhole(run func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error)) Dispatch {
+	return Dispatch{Plan: func(kind string, payload []byte) (Plan, error) {
+		return oneCell(func(ctx context.Context, prog *obs.Progress) (string, error) {
+			return run(ctx, kind, payload, prog)
+		}), nil
+	}}
+}
+
 // closures is a Dispatch over test closures: a job's payload names the
 // closure that is its work.
 type closures map[string]func(ctx context.Context, prog *obs.Progress) (string, error)
 
 func (c closures) dispatch() Dispatch {
-	return Dispatch{Run: func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
+	return runWhole(func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
 		var name string
 		if err := json.Unmarshal(payload, &name); err != nil {
 			return "", err
 		}
 		return c[name](ctx, prog)
-	}}
+	})
 }
 
 // submitNamed queues the closure called name.

@@ -1,8 +1,11 @@
 package service
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
-// The prepared-plan cache: one replica resolves each family job's plan once
+// The prepared-plan cache: one replica resolves each job's plan once
 // — not once per cell it executes, and not again after validating it at
 // submission.
 
@@ -18,13 +21,12 @@ type planEntry struct {
 // only costs re-resolving a plan.
 const planCacheCap = 8
 
-// plan resolves a family job's (kind, payload) to its prepared plan through
-// the cache; kinds outside the family table have none (nil, nil). It is the
-// Dispatch.Plan of both job managers.
+// plan resolves a job's (kind, payload) to its prepared plan through the
+// cache. It is the service's Dispatch.Plan.
 func (s *Service) plan(kind string, payload []byte) (Plan, error) {
 	f := s.family(kind)
 	if f == nil {
-		return nil, nil
+		return nil, fmt.Errorf("service: no job family runs kind %q", kind)
 	}
 	return s.cachedPlan(kind, payload, func() (Plan, error) { return f.Prepare(payload, s.defaults()) })
 }

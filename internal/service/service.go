@@ -1,12 +1,14 @@
 package service
 
 import (
-	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -34,7 +36,8 @@ type Options struct {
 	// Parallelism bounds each study's cell-engine worker pool (0 = one
 	// worker per CPU).
 	Parallelism int
-	// JobWorkers is the number of concurrent study jobs (default 2).
+	// JobWorkers is the number of claim loops (default 2): how many jobs run
+	// at once, and how many workers a job of several cells spreads over.
 	JobWorkers int
 	// QueueCap bounds the jobs waiting to run (default 16) — with a Store,
 	// across every replica on it.
@@ -165,36 +168,33 @@ func New(opts Options) *Service {
 		nets:     make(map[string]*simgrid.Net),
 		plans:    make(map[string]*planEntry),
 	}
-	s.families = Families(s.registry, opts.Parallelism)
+	s.families = append([]*Family{s.studies()}, Families(s.registry, opts.Parallelism)...)
 	// Every family's duration series exists from the first scrape.
-	jobDuration(studyFamily)
 	for _, f := range s.families {
 		jobDuration(f.Name)
 	}
-	st, replica, ttl, sweep, dispatch := opts.Store, opts.ReplicaID, opts.LeaseTTL, leaseSweep, s.dispatch()
+	st, replica, ttl, sweep := opts.Store, opts.ReplicaID, opts.LeaseTTL, leaseSweep
 	if st != nil {
 		s.registry.SetStore(st)
 		s.registry.Warm()
 	} else {
 		// One process: a pool no other handle can open, held under a lease
 		// that cannot run out — so there is none to sweep for, and an idle
-		// worker sleeps until it is woken — whose jobs have nobody to be
-		// sharded across.
+		// worker sleeps until it is woken.
 		st, replica, ttl, sweep = store.NewMemory(store.Options{}), "", noExpiry, noExpiry
-		dispatch.Plan = nil
 	}
-	s.jobs = newJobManager(opts.JobWorkers, opts.QueueCap, opts.Retain, st, replica, ttl, dispatch, sweep)
+	s.jobs = newJobManager(opts.JobWorkers, opts.QueueCap, opts.Retain, st, replica, ttl, s.dispatch(), sweep)
 	return s
 }
 
-// dispatch is what the job manager runs submissions through: three lookups
-// in the family table.
+// dispatch is what the job manager runs submissions through: two lookups in
+// the family table.
 func (s *Service) dispatch() Dispatch {
-	return Dispatch{Run: s.runPayload, Plan: s.plan, Family: s.familyName}
+	return Dispatch{Plan: s.plan, Family: s.familyName}
 }
 
-// family returns the table entry a job kind belongs to, nil for kinds
-// outside the table (study jobs).
+// family returns the table entry a job kind belongs to, nil for a kind no
+// family claims.
 func (s *Service) family(kind string) *Family {
 	for _, f := range s.families {
 		if f.matches(kind) {
@@ -204,14 +204,24 @@ func (s *Service) family(kind string) *Family {
 	return nil
 }
 
+// named returns the table entry called name.
+func (s *Service) named(name string) *Family {
+	for _, f := range s.families {
+		if f.Name == name {
+			return f
+		}
+	}
+	return nil
+}
+
 // familyName is a job kind's label on the duration histogram: its family's
-// name, or the study family. The table is closed, so label cardinality
-// cannot grow with user-chosen spec names.
+// name. The table is closed, so label cardinality cannot grow with
+// user-chosen spec names.
 func (s *Service) familyName(kind string) string {
 	if f := s.family(kind); f != nil {
 		return f.Name
 	}
-	return studyFamily
+	return ""
 }
 
 // defaults are the seeds family specs inherit from the service options, so
@@ -221,40 +231,18 @@ func (s *Service) defaults() Defaults {
 	return Defaults{Seed: s.opts.Seed, SuiteSeed: s.opts.SuiteSeed}
 }
 
-// runPayload is the job manager's dispatcher: it rematerialises a job from
-// its submission record and runs it whole. Kinds in the family table carry
-// their spec as the payload and run prepare → every cell → merge; every
-// other kind is a study request. Because specs are default-filled at
-// submission, a replayed run resolves the same seeds — and so the same
-// report — as the submitting replica would have.
-func (s *Service) runPayload(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
-	p, err := s.plan(kind, payload)
-	if err != nil {
-		return "", err
-	}
-	if p != nil {
-		return p.Run(ctx, prog)
-	}
-	var req StudyRequest
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return "", fmt.Errorf("service: study payload: %w", err)
-	}
-	return s.RunStudy(ctx, req)
-}
-
 // submit validates a family spec by preparing it — the family's whole
 // rejection surface, so an invalid spec is a bad request here and never a
 // failed job later — seeds the plan cache with the result, and queues the
-// canonical spec as a job of kind "<family>" or "<family>:<spec name>".
+// canonical spec as a job of the family's kind for it. Because specs are
+// default-filled here, every replica that runs the job resolves the same
+// seeds — and so the same report — as the submitting one would have.
 func (s *Service) submit(f *Family, spec []byte) (JobStatus, error) {
 	p, err := f.Prepare(spec, s.defaults())
 	if err != nil {
 		return JobStatus{}, badRequest{err}
 	}
-	kind := f.Name
-	if label := p.Label(); label != "" {
-		kind += ":" + label
-	}
+	kind := f.kind(p)
 	s.cachedPlan(kind, p.Spec(), func() (Plan, error) { return p, nil })
 	return s.jobs.SubmitPayload(kind, p.Spec())
 }
@@ -265,7 +253,7 @@ func (s *Service) submitSpec(family string, spec any) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, badRequest{err}
 	}
-	return s.submit(s.family(family), data)
+	return s.submit(s.named(family), data)
 }
 
 // runSpec executes a typed spec of the named family synchronously, on the
@@ -275,7 +263,7 @@ func (s *Service) runSpec(ctx context.Context, family string, spec any) (string,
 	if err != nil {
 		return "", err
 	}
-	p, err := s.family(family).Prepare(data, s.defaults())
+	p, err := s.named(family).Prepare(data, s.defaults())
 	if err != nil {
 		return "", err
 	}
@@ -705,33 +693,50 @@ type StudyRequest struct {
 // StudyNames lists the studies SubmitStudy accepts.
 func StudyNames() []string { return experiments.StudyNames() }
 
-func validStudy(name string) bool {
-	for _, s := range StudyNames() {
-		if s == name {
-			return true
-		}
-	}
-	return false
-}
-
-// config materialises the experiments.Config of a study request.
-func (s *Service) config(req StudyRequest) experiments.Config {
-	cfg := experiments.DefaultConfig()
-	cfg.NoiseSeed = req.Seed
-	if cfg.NoiseSeed == 0 {
-		cfg.NoiseSeed = s.opts.Seed
-	}
-	cfg.SuiteSeed = req.SuiteSeed
-	if cfg.SuiteSeed == 0 {
-		cfg.SuiteSeed = s.opts.SuiteSeed
-	}
-	if req.Trials > 0 {
-		cfg.ExpTrials = req.Trials
-	}
-	cfg.Parallelism = s.opts.Parallelism
-	cfg.Profile = s.opts.Profile
-	cfg.Empirical = s.opts.Empirical
-	return cfg
+// studies is the study family: a job of kind "table1", "fig1", … runs one
+// of the paper's artifacts as a one-cell plan whose frame is the rendered
+// report. Its read routes are the generic "jobs", which serve every job.
+func (s *Service) studies() *Family {
+	return &Family{Name: "study", Kinds: StudyNames(), Route: "jobs", Noun: "job",
+		Prepare: func(spec []byte, d Defaults) (Plan, error) {
+			var req StudyRequest
+			if err := json.Unmarshal(spec, &req); err != nil {
+				return nil, err
+			}
+			if !slices.Contains(StudyNames(), req.Study) {
+				return nil, fmt.Errorf("service: unknown study %q (want one of %v)", req.Study, StudyNames())
+			}
+			req.Environment = cmp.Or(req.Environment, "bayreuth")
+			if _, err := s.registry.Environment(req.Environment); err != nil {
+				return nil, err
+			}
+			req.Seed, req.SuiteSeed = cmp.Or(req.Seed, d.Seed), cmp.Or(req.SuiteSeed, d.SuiteSeed)
+			if req.Trials == 0 && d.Trials > 1 {
+				req.Trials = d.Trials
+			}
+			canonical, err := json.Marshal(req)
+			if err != nil {
+				return nil, err
+			}
+			cfg := experiments.DefaultConfig()
+			cfg.NoiseSeed, cfg.SuiteSeed = req.Seed, req.SuiteSeed
+			if req.Trials > 0 {
+				cfg.ExpTrials = req.Trials
+			}
+			cfg.Parallelism, cfg.Profile, cfg.Empirical = s.opts.Parallelism, s.opts.Profile, s.opts.Empirical
+			labFn := func() (*experiments.Lab, error) { return s.lab(req.Environment, cfg) }
+			return &cellPlan[string]{
+				label: req.Study, spec: canonical, cells: 1,
+				run: func(ctx context.Context, _ int, _ *obs.Progress) (string, error) {
+					var buf strings.Builder
+					err := experiments.RenderStudy(ctx, req.Study, cfg, labFn, &buf)
+					return buf.String(), err
+				},
+				encode: func(report string) ([]byte, error) { return []byte(report), nil },
+				decode: func(frame []byte) (string, error) { return string(frame), nil },
+				merge:  func(reports []string) (string, error) { return reports[0], nil },
+			}, nil
+		}}
 }
 
 // lab returns the lazily assembled lab for a study request, reusing the
@@ -757,22 +762,11 @@ func (s *Service) lab(env string, cfg experiments.Config) (*experiments.Lab, err
 	return e.lab, e.err
 }
 
-// SubmitStudy queues a study run and returns its job status.
+// SubmitStudy validates a study request — a known study and environment
+// ("bayreuth" when empty) — and queues it as an async job of the study's
+// kind ("table1", "fig1", …).
 func (s *Service) SubmitStudy(req StudyRequest) (JobStatus, error) {
-	if !validStudy(req.Study) {
-		return JobStatus{}, badRequest{fmt.Errorf("service: unknown study %q (want one of %v)", req.Study, StudyNames())}
-	}
-	if req.Environment == "" {
-		req.Environment = "bayreuth"
-	}
-	if _, err := s.registry.Environment(req.Environment); err != nil {
-		return JobStatus{}, badRequest{err}
-	}
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	return s.jobs.SubmitPayload(req.Study, payload)
+	return s.submitSpec("study", req)
 }
 
 // RunStudy executes one study synchronously and returns the rendered
@@ -780,11 +774,5 @@ func (s *Service) SubmitStudy(req StudyRequest) (JobStatus, error) {
 // render through experiments.RenderStudy; only the lab's provenance
 // differs — the service assembles its labs from registry-cached fits).
 func (s *Service) RunStudy(ctx context.Context, req StudyRequest) (string, error) {
-	cfg := s.config(req)
-	labFn := func() (*experiments.Lab, error) { return s.lab(req.Environment, cfg) }
-	var buf bytes.Buffer
-	if err := experiments.RenderStudy(ctx, req.Study, cfg, labFn, &buf); err != nil {
-		return "", err
-	}
-	return buf.String(), nil
+	return s.runSpec(ctx, "study", req)
 }

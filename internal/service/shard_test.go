@@ -186,7 +186,7 @@ type taggedCells struct {
 func (r taggedCells) dispatch() Dispatch {
 	return Dispatch{Plan: func(kind string, payload []byte) (Plan, error) {
 		if kind != "grid" {
-			return nil, nil
+			return nil, fmt.Errorf("no plan for kind %q", kind)
 		}
 		return &cellPlan[string]{
 			cells: r.c.cells,

@@ -20,10 +20,10 @@ const never = 10 * time.Second
 
 // signalRunner runs every job by announcing it on started and returning.
 func signalRunner(started chan<- string) Dispatch {
-	return Dispatch{Run: func(_ context.Context, kind string, _ []byte, _ *obs.Progress) (string, error) {
+	return runWhole(func(_ context.Context, kind string, _ []byte, _ *obs.Progress) (string, error) {
 		started <- kind
 		return "ran " + kind, nil
-	}}
+	})
 }
 
 // fastest is the shortest of a few measurements — what the mechanism costs,
@@ -69,15 +69,14 @@ func TestWakeLatency(t *testing.T) {
 		dir := t.TempDir()
 		stA, stB := openServiceStore(t, dir), openServiceStore(t, dir)
 		busy, release := make(chan string, 1), make(chan struct{})
-		a := newJobManager(1, 64, 64, stA, "alpha", time.Minute, Dispatch{
-			Run: func(ctx context.Context, kind string, _ []byte, _ *obs.Progress) (string, error) {
-				busy <- kind
-				select {
-				case <-release:
-				case <-ctx.Done():
-				}
-				return "", ctx.Err()
-			}}, never)
+		a := newJobManager(1, 64, 64, stA, "alpha", time.Minute, runWhole(func(ctx context.Context, kind string, _ []byte, _ *obs.Progress) (string, error) {
+			busy <- kind
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+			return "", ctx.Err()
+		}), never)
 		defer a.Shutdown(context.Background())
 		defer close(release)
 		if _, err := a.SubmitPayload("hog", nil); err != nil {
@@ -284,14 +283,14 @@ func TestWatchReturnsWithTheTerminalFrame(t *testing.T) {
 		t.Fatalf("watchPoll is %v; the test needs the tick out of the way", watchPoll)
 	}
 	gated := func(release <-chan struct{}) Dispatch {
-		return Dispatch{Run: func(ctx context.Context, kind string, _ []byte, _ *obs.Progress) (string, error) {
+		return runWhole(func(ctx context.Context, kind string, _ []byte, _ *obs.Progress) (string, error) {
 			select {
 			case <-release:
 			case <-ctx.Done():
 				return "", ctx.Err()
 			}
 			return "ran " + kind, nil
-		}}
+		})
 	}
 	// watchAcross starts a watch on watcher, ends the job 10 ms later and
 	// returns how long after that the watch came back.
@@ -448,14 +447,13 @@ func TestPanicFailsTheJobNotTheReplica(t *testing.T) {
 
 	t.Run("whole job on a replica", func(t *testing.T) {
 		st := openServiceStore(t, t.TempDir())
-		m := NewJobManager(1, 64, 8, st, "alpha", time.Second, Dispatch{
-			Run: func(_ context.Context, kind string, _ []byte, _ *obs.Progress) (string, error) {
-				if kind == "bad" {
-					var cells []int
-					return strconv.Itoa(cells[3]), nil
-				}
-				return "fine", nil
-			}})
+		m := NewJobManager(1, 64, 8, st, "alpha", time.Second, runWhole(func(_ context.Context, kind string, _ []byte, _ *obs.Progress) (string, error) {
+			if kind == "bad" {
+				var cells []int
+				return strconv.Itoa(cells[3]), nil
+			}
+			return "fine", nil
+		}))
 		defer m.Shutdown(context.Background())
 		bad, err := m.SubmitPayload("bad", nil)
 		if err != nil {

@@ -49,9 +49,9 @@ func PearsonR(xs, ys []float64) float64 {
 	var sxy, sxx, syy float64
 	for i := 0; i < n; i++ {
 		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy)
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 || syy == 0 {
 		return 0

@@ -31,7 +31,7 @@ func StdDev(xs []float64) float64 {
 	m := Mean(xs)
 	s := 0.0
 	for _, x := range xs {
-		s += (x - m) * (x - m)
+		s += float64((x - m) * (x - m))
 	}
 	return math.Sqrt(s / float64(len(xs)-1))
 }
@@ -44,14 +44,14 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	pos := q * float64(len(s)-1)
+	pos := float64(q * float64(len(s)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return s[lo]
 	}
 	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
 }
 
 // Median returns the 0.5 quantile.

@@ -188,6 +188,24 @@ func (s *Store) cellCandidateLocked(holder, onlyJob string, now time.Time, exJob
 	return best
 }
 
+// nextCellLocked is cellCandidateLocked for a claim: a candidate the claim
+// would take over past MaxRestarts is failed as poisoned, and the next one
+// considered.
+func (s *Store) nextCellLocked(holder, onlyJob string, now time.Time, exJob string, exCell int) (*CellRecord, error) {
+	for {
+		c := s.cellCandidateLocked(holder, onlyJob, now, exJob, exCell)
+		if c == nil || !poisoned(c.Holder, c.Restarts, holder) {
+			return c, nil
+		}
+		if err := s.appendLocked(&record{
+			Type: recCellDone, Job: c.Job, Cell: c.Index, Holder: c.Holder, Error: poisonError,
+		}, unsynced); err != nil {
+			return nil, err
+		}
+		poisonings.Inc()
+	}
+}
+
 // ClaimCell hands the caller at most one claimable cell under a fresh lease
 // (holder, now+ttl). onlyJob != "" restricts the claim to that job's cells —
 // the coordinator's gather loop uses it to drain its own job.
@@ -196,9 +214,9 @@ func (s *Store) ClaimCell(holder string, ttl time.Duration, onlyJob string) (Cel
 	claimed := false
 	err := s.withLock(func() error {
 		now := s.now()
-		best := s.cellCandidateLocked(holder, onlyJob, now, "", -1)
-		if best == nil {
-			return nil
+		best, err := s.nextCellLocked(holder, onlyJob, now, "", -1)
+		if best == nil || err != nil {
+			return err
 		}
 		reclaim := best.Holder != "" && best.Holder != holder
 		if err := s.appendLocked(&record{
@@ -271,7 +289,10 @@ func (s *Store) CompleteCellAndClaim(job string, cell int, holder string, data [
 		var best *CellRecord
 		reclaim := false
 		if claimNext {
-			best = s.cellCandidateLocked(holder, onlyJob, now, job, cell)
+			var err error
+			if best, err = s.nextCellLocked(holder, onlyJob, now, job, cell); err != nil {
+				return err
+			}
 			if best != nil {
 				reclaim = best.Holder != "" && best.Holder != holder
 				recs = append(recs, &record{

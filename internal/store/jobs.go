@@ -181,6 +181,25 @@ func (s *Store) applyLocked(rec *record) {
 // conflict with) the new holder's.
 var ErrLeaseLost = errors.New("store: lease lost")
 
+// MaxRestarts caps lease takeovers. Work that has already been taken over
+// this many times is likelier to be what kills its holders — a runaway cell,
+// an allocation the replica cannot survive — than to be unlucky, so the claim
+// that would take it over once more ends it as failed instead, with
+// poisonError as the reason, and no replica runs it again. Six is the retry
+// limit a Kubernetes Job gets by default (backoffLimit): a store cannot tell
+// a holder the work killed from one that died with the whole cluster, so the
+// cap leaves room for a few outages in the life of one job.
+const MaxRestarts = 6
+
+// poisonError is the reason a job or cell fails with at the restart cap.
+var poisonError = fmt.Sprintf("poisoned: its lease was taken over %d times", MaxRestarts)
+
+// poisoned reports whether holder claiming work that prev held and that was
+// already taken over restarts times would be a takeover past MaxRestarts.
+func poisoned(prev string, restarts int, holder string) bool {
+	return prev != "" && prev != holder && restarts >= MaxRestarts
+}
+
 // ErrQueueFull is returned by SubmitJobBounded when the pool already holds
 // the allowed number of queued jobs.
 var ErrQueueFull = errors.New("store: job queue full")
@@ -243,16 +262,11 @@ func claimable(j *JobRecord, now time.Time) bool {
 	return false
 }
 
-// Claim hands the caller at most one claimable job, writing a lease
-// (holder, now+ttl) for it. The claim order translates the IP-pool
-// allocator's ORDER BY: jobs previously held by this holder first (sticky
-// reassignment), then oldest lease expiry, then submission order. The bool
-// reports whether a job was claimed.
-func (s *Store) Claim(holder string, ttl time.Duration) (JobRecord, bool, error) {
-	var out JobRecord
-	claimed := false
-	err := s.withLock(func() error {
-		now := s.now()
+// nextJobLocked picks the job a claim by holder takes: the first claimable
+// one in claim order, after failing as poisoned every candidate the claim
+// would take over past MaxRestarts.
+func (s *Store) nextJobLocked(holder string, now time.Time) (*JobRecord, error) {
+	for {
 		var best *JobRecord
 		for _, id := range s.st.live {
 			j := s.st.jobs[id]
@@ -263,8 +277,35 @@ func (s *Store) Claim(holder string, ttl time.Duration) (JobRecord, bool, error)
 				best = j
 			}
 		}
-		if best == nil {
-			return nil
+		if best == nil || !poisoned(best.Holder, best.Restarts, holder) {
+			return best, nil
+		}
+		// Written in the lapsed holder's name: the only one the fence lets
+		// end a running job.
+		if err := s.appendLocked(&record{
+			Type: recState, Job: best.ID, Holder: best.Holder,
+			State: StateFailed, Error: poisonError,
+		}, synced); err != nil {
+			return nil, err
+		}
+		poisonings.Inc()
+	}
+}
+
+// Claim hands the caller at most one claimable job, writing a lease
+// (holder, now+ttl) for it. The claim order translates the IP-pool
+// allocator's ORDER BY: jobs previously held by this holder first (sticky
+// reassignment), then oldest lease expiry, then submission order. A job the
+// claim would take over past MaxRestarts is failed as poisoned on the way.
+// The bool reports whether a job was claimed.
+func (s *Store) Claim(holder string, ttl time.Duration) (JobRecord, bool, error) {
+	var out JobRecord
+	claimed := false
+	err := s.withLock(func() error {
+		now := s.now()
+		best, err := s.nextJobLocked(holder, now)
+		if best == nil || err != nil {
+			return err
 		}
 		reclaim := best.Holder != "" && best.Holder != holder
 		if err := s.appendLocked(&record{

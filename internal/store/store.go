@@ -74,6 +74,8 @@ var (
 		"Cell work-units claimed from sharded jobs by this process.")
 	cellReclaims = obs.Default.Counter("repro_store_cell_reclaims_total",
 		"Cell claims that took over another holder's expired lease.")
+	poisonings = obs.Default.Counter("repro_store_poisoned_total",
+		"Jobs and cells this process failed instead of taking them over past the restart cap.")
 	fsyncSeconds = obs.Default.Histogram("repro_store_fsync_seconds",
 		"WAL fsync latency per batched append.", obs.DefBuckets)
 )

@@ -415,3 +415,106 @@ func TestTwoHandlesInterleave(t *testing.T) {
 		t.Fatalf("b sees %+v", j2)
 	}
 }
+
+// TestRestartCapPoisons drives takeovers on a simulated clock: a job and a
+// cell each survive MaxRestarts takeovers, and the claim that would take
+// either over once more fails it as poisoned instead — whether the claim is a
+// plain one or chained onto a cell's completion. The handle without a
+// directory, the file-backed one and a replay of its directory end in the
+// same state.
+func TestRestartCapPoisons(t *testing.T) {
+	const ttl = time.Second
+	poison := func(t *testing.T, s *Store, clock *fakeClock) {
+		// takeOver claims the same work under a new holder after the last
+		// lease lapsed, MaxRestarts times.
+		takeOver := func(claim func(holder string) (bool, error)) {
+			t.Helper()
+			for i := 0; i <= MaxRestarts; i++ {
+				clock.Advance(2 * ttl)
+				if ok, err := claim(quickHolders[i%len(quickHolders)]); err != nil || !ok {
+					t.Fatalf("takeover %d: ok=%v err=%v", i, ok, err)
+				}
+			}
+			clock.Advance(2 * ttl)
+		}
+		next := quickHolders[(MaxRestarts+1)%len(quickHolders)]
+
+		doomed, err := s.SubmitJob("doomed", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		takeOver(func(holder string) (bool, error) {
+			_, ok, err := s.Claim(holder, ttl)
+			return ok, err
+		})
+		if rec, ok, err := s.Claim(next, time.Hour); err != nil || ok {
+			t.Fatalf("claim past the cap = %+v, %v, %v; want none", rec, ok, err)
+		}
+		j, _, _ := s.Job(doomed.ID)
+		if j.State != StateFailed || !strings.HasPrefix(j.Error, "poisoned: ") || j.Restarts != MaxRestarts {
+			t.Fatalf("job past the cap = %+v, want failed as poisoned after %d restarts", j, MaxRestarts)
+		}
+
+		// Two cells of a healthy job: cell 0 stays with its first holder,
+		// cell 1 is taken over until the completion of cell 0 would chain
+		// into one takeover too many.
+		healthy, err := s.SubmitJob("healthy", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := s.Claim(next, time.Hour); err != nil || !ok {
+			t.Fatalf("Claim = %v, %v", ok, err)
+		}
+		if err := s.PlanCells(healthy.ID, 2); err != nil {
+			t.Fatal(err)
+		}
+		if c, ok, err := s.ClaimCell("keeper", time.Hour, ""); err != nil || !ok || c.Index != 0 {
+			t.Fatalf("ClaimCell = %+v, %v, %v; want cell 0", c, ok, err)
+		}
+		takeOver(func(holder string) (bool, error) {
+			c, ok, err := s.ClaimCell(holder, ttl, "")
+			if ok && c.Index != 1 {
+				t.Fatalf("%s claimed cell %d, want 1", holder, c.Index)
+			}
+			return ok, err
+		})
+		if _, ok, err := s.CompleteCellAndClaim(healthy.ID, 0, "keeper", []byte("0"), "", nil, true, "", ttl); err != nil || ok {
+			t.Fatalf("chained claim past the cap: ok=%v err=%v; want no claim", ok, err)
+		}
+		sum, _, _ := s.CellSummary(healthy.ID)
+		if sum.Done != 1 || sum.Failed != 1 || sum.FailedCell != 1 || !strings.HasPrefix(sum.Err, "poisoned: ") {
+			t.Fatalf("cells past the cap = %+v, want cell 1 failed as poisoned", sum)
+		}
+		if cells, _, _ := s.Cells(healthy.ID); cells[1].Restarts != MaxRestarts {
+			t.Errorf("poisoned cell restarts = %d, want %d", cells[1].Restarts, MaxRestarts)
+		}
+	}
+	observe := func(s *Store) string {
+		jobs, err := s.Jobs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, _, err := s.Cells(jobs[len(jobs)-1].ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal([]any{jobs, cells})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+
+	memClock, fileClock := newFakeClock(), newFakeClock()
+	mem, dir := NewMemory(Options{Now: memClock.Now}), t.TempDir()
+	file := openTestStore(t, dir, fileClock)
+	t.Run("log-less", func(t *testing.T) { poison(t, mem, memClock) })
+	t.Run("file-backed", func(t *testing.T) { poison(t, file, fileClock) })
+	want := observe(mem)
+	if got := observe(file); got != want {
+		t.Errorf("file-backed handle ends in\n%s\nthe handle without a directory in\n%s", got, want)
+	}
+	if got := observe(openTestStore(t, dir, fileClock)); got != want {
+		t.Errorf("replayed directory ends in\n%s\nthe handle without a directory in\n%s", got, want)
+	}
+}
