@@ -71,7 +71,7 @@ func main() {
 		seed        = flag.Int64("seed", 42, "default measurement-campaign noise seed")
 		suiteSeed   = flag.Int64("suite-seed", 2011, "default seed for the 54-DAG study suite")
 		parallel    = flag.Int("parallel", 0, "per-study cell-engine worker pool size (0 = one per CPU)")
-		jobWorkers  = flag.Int("job-workers", 2, "claim loops: jobs run at once, and the workers a job's cells spread over")
+		jobWorkers  = flag.Int("job-workers", 2, "claim loops: one-cell jobs and cells of larger jobs run at once")
 		queueCap    = flag.Int("queue", 16, "queued-job capacity (of the whole pool, with -store-dir)")
 		retain      = flag.Int("retain", 64, "finished jobs whose results are retained")
 		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget")

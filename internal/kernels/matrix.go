@@ -34,7 +34,7 @@ func RandomMatrix(n int, seed int64) *Matrix {
 	m := NewMatrix(n, n)
 	rng := rand.New(rand.NewSource(seed))
 	for i := range m.Data {
-		m.Data[i] = float64(2*float64(rng.Float64())) - 1
+		m.Data[i] = float64(2*rng.Float64()) - 1
 	}
 	return m
 }

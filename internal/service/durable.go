@@ -21,11 +21,11 @@ var cellsDone = obs.Default.Counter("repro_jobs_cells_done_total",
 	"Sharded job cells executed to completion by this replica.")
 
 // renewEvery is the cadence at which a held lease is renewed, carrying the
-// holder's progress snapshot to the store, and at which a coordinator folds
-// its cells' snapshots into the job's: a third of the lease. A lease on a
-// pool without a log cannot run out, but there a renewal is only a map write
-// and still the one way a cell's progress reaches its job, so it comes as
-// often as a watcher looks.
+// holder's progress snapshot to the store, and at which a sharded job's
+// gather folds its cells' snapshots into the job's: a third of the lease. A
+// lease on a pool without a log cannot run out, but there a renewal is only a
+// map write and still the one way a cell's progress reaches its job, so it
+// comes as often as a watcher looks.
 func (m *JobManager) renewEvery() time.Duration {
 	if !m.Durable() {
 		return watchPoll
@@ -112,96 +112,57 @@ func (k *leaseKeeper) stop() {
 	<-k.done
 }
 
-// runSharded coordinates one sharded job: plan its cells durably, join the
-// workers executing them (every replica's claim loops pick cells up, this
-// one included), and once all cells are terminal gather the result frames
-// and merge them in plan order. Deterministic cells make the merged report
-// byte-identical to an in-process run, regardless of which replicas executed
-// which cells or how many times a cell was reclaimed.
-func (m *JobManager) runSharded(ctx context.Context, rec store.JobRecord, plan Plan, prog *obs.Progress) (string, error) {
-	// Counted before the plan is written: writing it wakes the job's
-	// watchers, who should find the total there.
-	n := plan.NumCells()
-	prog.AddCellsTotal(int64(n))
-	if err := m.st.PlanCells(rec.ID, n); err != nil {
-		return "", err
-	}
+// planCells writes a sharded job's cells to the pool, where every claim loop
+// on it — this replica's included — picks them up. The total is counted
+// before the write, which wakes the job's watchers, who should find it there.
+func (m *JobManager) planCells(job string, plan Plan, prog *obs.Progress) error {
+	prog.AddCellsTotal(int64(plan.NumCells()))
+	return m.st.PlanCells(job, plan.NumCells())
+}
 
-	// The coordinator's job progress is the fold of every cell's stored
-	// snapshot. A background goroutine keeps it fresh at renew cadence even
-	// while this loop is itself deep inside a cell, so cross-replica trial
-	// counts surface mid-run; the fold applies signed deltas because a
-	// reclaimed cell's restart resets its snapshot backwards.
-	var progMu sync.Mutex
+// gather coordinates a sharded job off the claim loops: it folds every cell's
+// stored snapshot into the job's progress, and once all cells are terminal
+// reads the result frames back and merges them in plan order. Between looks
+// it sleeps until the store announces the result that ends the plan, or for
+// renewEvery, so cross-replica trial counts surface mid-run; the fold applies
+// signed deltas because a reclaimed cell's restart resets its snapshot
+// backwards. Deterministic cells make the merged report byte-identical to an
+// in-process run, regardless of which replicas executed which cells or how
+// many times a cell was reclaimed.
+func (m *JobManager) gather(ctx context.Context, job string, plan Plan, prog *obs.Progress) (string, error) {
 	var prev store.CellSummary
-	fold := func() store.CellSummary {
-		sum, ok, err := m.st.CellSummary(rec.ID)
-		if err != nil || !ok {
-			progMu.Lock()
-			sum = prev
-			progMu.Unlock()
-			return sum
-		}
-		progMu.Lock()
-		prog.AddCellsDone(int64(sum.Done - prev.Done))
-		prog.AddTrialsUsed(sum.TrialsUsed - prev.TrialsUsed)
-		prog.AddTrialBudget(sum.TrialBudget - prev.TrialBudget)
-		prev = sum
-		progMu.Unlock()
-		return sum
-	}
-	fctx, fcancel := context.WithCancel(ctx)
-	foldDone := make(chan struct{})
-	go func() {
-		defer close(foldDone)
-		tick := time.NewTicker(m.renewEvery())
-		defer tick.Stop()
-		for {
-			select {
-			case <-fctx.Done():
-				return
-			case <-tick.C:
-				fold()
-			}
-		}
-	}()
-	defer func() { fcancel(); <-foldDone }()
-
 	for {
-		if err := ctx.Err(); err != nil {
-			return "", err
-		}
 		stamp := m.st.Stamp()
-		ran := m.runCells(ctx, rec.ID)
-		sum := fold()
-		if sum.Total > 0 {
+		if sum, ok, err := m.st.CellSummary(job); err == nil && ok {
+			prog.AddCellsDone(int64(sum.Done - prev.Done))
+			prog.AddTrialsUsed(sum.TrialsUsed - prev.TrialsUsed)
+			prog.AddTrialBudget(sum.TrialBudget - prev.TrialBudget)
+			prev = sum
 			if sum.Failed > 0 {
 				return "", fmt.Errorf("cell %d: %s", sum.FailedCell, sum.Err)
 			}
 			if sum.Done == sum.Total {
-				results, err := m.st.CellResults(rec.ID)
+				results, err := m.st.CellResults(job)
 				if err != nil {
 					return "", err
 				}
 				return plan.Merge(results)
 			}
 		}
-		if !ran {
-			// All remaining cells are leased to other replicas: sleep until
-			// the store announces the result that ends the plan or a cell
-			// given back — or until it is time to look for an expired lease.
-			m.st.WaitChange(ctx, stamp, m.fallback)
+		m.st.WaitChange(ctx, stamp, m.renewEvery())
+		if err := ctx.Err(); err != nil {
+			return "", err
 		}
 	}
 }
 
 // runCells claims and executes cell work-units — of one job when onlyJob is
-// set (the coordinator joining its own workers), of any sharded job
-// otherwise (an idle claim loop helping out). Completing a cell claims the
-// next in the same store write, so a replica streams through a grid with
-// one store call per cell; the whole chain runs under one lease keeper and
-// reads each job it touches, and resolves its plan, once. Reports whether any
-// cell was claimed.
+// set (the coordinator running its own job's cells), of any sharded job
+// otherwise, oldest job first (an idle claim loop helping out). Completing a
+// cell claims the next in the same store write, so a replica streams through
+// a grid with one store call per cell; the whole chain runs under one lease
+// keeper and reads each job it touches, and resolves its plan, once. Reports
+// whether any cell was claimed.
 func (m *JobManager) runCells(ctx context.Context, onlyJob string) bool {
 	cell, more, err := m.st.ClaimCell(m.replica, m.ttl, onlyJob)
 	if err != nil || !more {

@@ -181,7 +181,7 @@ var walCompactBytes = int64(256 << 10)
 type JobManager struct {
 	ctx    context.Context
 	cancel context.CancelFunc
-	wg     sync.WaitGroup // the claim loops, and submissions in flight
+	wg     sync.WaitGroup // the claim loops, sharded jobs' gathers, and submissions in flight
 
 	st       *store.Store
 	replica  string
@@ -375,9 +375,10 @@ func (m *JobManager) Watch(ctx context.Context, id string, d time.Duration) (Job
 }
 
 // claimLoop is one worker's life: claim a job when one is available, run
-// it; failing that, claim cells of other replicas' sharded jobs; failing
-// that, heartbeat and sleep until the store announces work. A worker woken
-// for work another worker took finds nothing, writes nothing and sleeps again.
+// it; failing that, claim cells of sharded jobs other loops coordinate;
+// failing that, heartbeat and sleep until the store announces work. A worker
+// woken for work another worker took finds nothing, writes nothing and sleeps
+// again.
 func (m *JobManager) claimLoop() {
 	defer m.wg.Done()
 	for m.ctx.Err() == nil {
@@ -409,54 +410,66 @@ func (m *JobManager) heartbeat() {
 // runJob executes one claimed job under a lease keeper, which keeps the
 // lease (and the stored progress snapshot) fresh while the job runs; losing
 // the lease cancels the run. A plan of one cell runs in place, reporting to
-// the job's own progress; a larger one is sharded (runSharded). Terminal
-// transitions are fenced by holder in the store, so a takeover can never be
-// overwritten by the loser.
+// the job's own progress. A larger one is sharded: the loop plans its cells
+// and hands the job to a gather goroutine, which holds no claim loop, folds
+// the cells' progress, merges them and ends the job; the loop runs the cells,
+// helped by claim loops with no job to claim, until none is left to claim,
+// and goes back to claiming. Terminal transitions are fenced by holder in the
+// store, so a takeover can never be overwritten by the loser.
 func (m *JobManager) runJob(rec store.JobRecord) {
 	prog := &obs.Progress{}
 	m.mu.Lock()
 	m.local[rec.ID] = prog
 	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		delete(m.local, rec.ID)
-		m.mu.Unlock()
-	}()
 
 	keeper, ctx := m.keepLease(m.ctx)
 	keeper.hold(rec.ID, -1, prog)
 
 	jobsRunning.Inc()
 	started := time.Now()
-	var out string
+	end := func(out string, err error) {
+		jobsRunning.Dec()
+		keeper.stop()
+		m.dispatch.observeDuration(rec.Kind, time.Since(started))
+		switch {
+		case keeper.leaseLost():
+			// Another replica owns the job now; any store write would be
+			// rejected as a stale holder's.
+		case err == nil:
+			m.finish(rec.ID, JobDone, out, snapPtr(prog.Snapshot()))
+		case m.ctx.Err() == nil:
+			m.finish(rec.ID, JobFailed, err.Error(), nil)
+		case m.Durable():
+			// Graceful shutdown: hand the job back so another replica
+			// restarts it promptly instead of waiting out the lease.
+			_ = m.st.Release(rec.ID, m.replica)
+		default:
+			m.finish(rec.ID, JobCancelled, err.Error(), nil)
+		}
+		_ = m.st.CompactPast(walCompactBytes, m.retain)
+		m.mu.Lock()
+		delete(m.local, rec.ID)
+		m.mu.Unlock()
+	}
+
 	plan, err := m.dispatch.Plan(rec.Kind, rec.Payload)
 	switch {
 	case err != nil:
-	case plan.NumCells() > 1:
-		out, err = m.runSharded(ctx, rec, plan, prog)
+		end("", err)
+	case plan.NumCells() <= 1:
+		end(guarded(func() (string, error) { return plan.Run(ctx, prog) }))
 	default:
-		out, err = guarded(func() (string, error) { return plan.Run(ctx, prog) })
+		if err := m.planCells(rec.ID, plan, prog); err != nil {
+			end("", err)
+			return
+		}
+		m.wg.Add(1) // Shutdown waits for the gather like for a claim loop
+		go func() {
+			defer m.wg.Done()
+			end(m.gather(ctx, rec.ID, plan, prog))
+		}()
+		m.runCells(ctx, rec.ID)
 	}
-	jobsRunning.Dec()
-	keeper.stop()
-	m.dispatch.observeDuration(rec.Kind, time.Since(started))
-
-	switch {
-	case keeper.leaseLost():
-		// Another replica owns the job now; any store write would be
-		// rejected as a stale holder's.
-	case err == nil:
-		m.finish(rec.ID, JobDone, out, snapPtr(prog.Snapshot()))
-	case m.ctx.Err() == nil:
-		m.finish(rec.ID, JobFailed, err.Error(), nil)
-	case m.Durable():
-		// Graceful shutdown: hand the job back so another replica restarts
-		// it promptly instead of waiting out the lease.
-		_ = m.st.Release(rec.ID, m.replica)
-	default:
-		m.finish(rec.ID, JobCancelled, err.Error(), nil)
-	}
-	_ = m.st.CompactPast(walCompactBytes, m.retain)
 }
 
 // finish writes a job's terminal state — with its output when done, its

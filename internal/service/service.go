@@ -36,8 +36,8 @@ type Options struct {
 	// Parallelism bounds each study's cell-engine worker pool (0 = one
 	// worker per CPU).
 	Parallelism int
-	// JobWorkers is the number of claim loops (default 2): how many jobs run
-	// at once, and how many workers a job of several cells spreads over.
+	// JobWorkers is the number of claim loops (default 2): how many one-cell
+	// jobs and cells of larger jobs run at once.
 	JobWorkers int
 	// QueueCap bounds the jobs waiting to run (default 16) — with a Store,
 	// across every replica on it.
@@ -711,9 +711,6 @@ func (s *Service) studies() *Family {
 				return nil, err
 			}
 			req.Seed, req.SuiteSeed = cmp.Or(req.Seed, d.Seed), cmp.Or(req.SuiteSeed, d.SuiteSeed)
-			if req.Trials == 0 && d.Trials > 1 {
-				req.Trials = d.Trials
-			}
 			canonical, err := json.Marshal(req)
 			if err != nil {
 				return nil, err

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -384,5 +385,82 @@ func TestShardedMergePermutation(t *testing.T) {
 		if got != want {
 			t.Errorf("trial %d: shuffled merge differs from serial report", trial)
 		}
+	}
+}
+
+// TestGatherHoldsNoClaimLoop: a sharded job whose remaining cells other
+// loops hold waits for them off the claim loops. With two loops each running
+// one of a grid's two gated cells, the loop whose cell finishes first runs a
+// job submitted meanwhile while the other cell is still held, on both kinds
+// of handle.
+func TestGatherHoldsNoClaimLoop(t *testing.T) {
+	for _, pool := range pools {
+		t.Run(pool.name, func(t *testing.T) {
+			gates := []chan struct{}{make(chan struct{}), make(chan struct{})}
+			dispatch := Dispatch{Plan: func(kind string, _ []byte) (Plan, error) {
+				if kind == "quick" {
+					return oneCell(func(context.Context, *obs.Progress) (string, error) { return "quick", nil }), nil
+				}
+				return &cellPlan[string]{
+					cells: len(gates),
+					run: func(ctx context.Context, i int, _ *obs.Progress) (string, error) {
+						select {
+						case <-gates[i]:
+						case <-ctx.Done():
+							return "", ctx.Err()
+						}
+						return fmt.Sprintf("cell-%d", i), nil
+					},
+					encode: func(cell string) ([]byte, error) { return []byte(cell), nil },
+					decode: func(frame []byte) (string, error) { return string(frame), nil },
+					merge:  func(cells []string) (string, error) { return strings.Join(cells, "\n") + "\n", nil },
+				}, nil
+			}}
+			st := pool.open(t)
+			m := NewJobManager(2, 8, 8, st, pool.replica, pool.ttl, dispatch)
+			defer m.Shutdown(context.Background())
+
+			grid, err := m.SubmitPayload("grid", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cellStates := func() []string {
+				cells, _, err := st.Cells(grid.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var states []string
+				for _, c := range cells {
+					states = append(states, c.State)
+				}
+				return states
+			}
+			waitCells := func(want ...string) {
+				t.Helper()
+				for deadline := time.Now().Add(10 * time.Second); !slices.Equal(cellStates(), want); time.Sleep(2 * time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("cells = %v, want %v", cellStates(), want)
+					}
+				}
+			}
+			waitCells(store.StateRunning, store.StateRunning)
+			close(gates[0])
+			waitCells(store.StateDone, store.StateRunning)
+
+			quick, err := m.SubmitPayload("quick", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := waitJobState(t, m, quick.ID, JobDone, JobFailed); got.Output != "quick" {
+				t.Fatalf("quick job = %+v", got)
+			}
+			if got, _ := m.Get(grid.ID); got.State != JobRunning || !slices.Equal(cellStates(), []string{store.StateDone, store.StateRunning}) {
+				t.Fatalf("grid = %+v with cells %v, want running with cell 1 held", got, cellStates())
+			}
+			close(gates[1])
+			if got := waitJobState(t, m, grid.ID, JobDone, JobFailed); got.Output != "cell-0\ncell-1\n" {
+				t.Fatalf("grid job = %+v", got)
+			}
+		})
 	}
 }

@@ -38,7 +38,8 @@ type CellRecord struct {
 	// Progress is the holder's last renewed snapshot while running, and the
 	// final snapshot once done; it feeds cross-replica job progress.
 	Progress *obs.ProgressSnapshot `json:"progress,omitempty"`
-	// Restarts counts lease takeovers of this cell.
+	// Restarts counts lease takeovers of this cell; a claim after a graceful
+	// ReleaseCell is none.
 	Restarts int `json:"restarts,omitempty"`
 }
 
@@ -71,7 +72,7 @@ func (s *Store) applyCellLocked(rec *record) {
 		if terminal(c.State) {
 			return
 		}
-		if c.Holder != "" && c.Holder != rec.Holder {
+		if takeover(c.State, c.Holder, rec.Holder) {
 			c.Restarts++
 			c.Progress = nil // the takeover restarts the cell from scratch
 		}
@@ -194,7 +195,7 @@ func (s *Store) cellCandidateLocked(holder, onlyJob string, now time.Time, exJob
 func (s *Store) nextCellLocked(holder, onlyJob string, now time.Time, exJob string, exCell int) (*CellRecord, error) {
 	for {
 		c := s.cellCandidateLocked(holder, onlyJob, now, exJob, exCell)
-		if c == nil || !poisoned(c.Holder, c.Restarts, holder) {
+		if c == nil || !poisoned(c.State, c.Holder, c.Restarts, holder) {
 			return c, nil
 		}
 		if err := s.appendLocked(&record{
@@ -218,7 +219,7 @@ func (s *Store) ClaimCell(holder string, ttl time.Duration, onlyJob string) (Cel
 		if best == nil || err != nil {
 			return err
 		}
-		reclaim := best.Holder != "" && best.Holder != holder
+		reclaim := takeover(best.State, best.Holder, holder)
 		if err := s.appendLocked(&record{
 			Type: recCellClaim, Job: best.Job, Cell: best.Index,
 			Holder: holder, Expiry: now.Add(ttl).UnixNano(),
@@ -294,7 +295,7 @@ func (s *Store) CompleteCellAndClaim(job string, cell int, holder string, data [
 				return err
 			}
 			if best != nil {
-				reclaim = best.Holder != "" && best.Holder != holder
+				reclaim = takeover(best.State, best.Holder, holder)
 				recs = append(recs, &record{
 					Type: recCellClaim, Job: best.Job, Cell: best.Index,
 					Holder: holder, Expiry: now.Add(ttl).UnixNano(),

@@ -45,7 +45,8 @@ type JobRecord struct {
 	Holder      string    `json:"holder,omitempty"`
 	LeaseExpiry time.Time `json:"lease_expiry,omitempty"`
 	// Restarts counts lease takeovers: how many times the job was reclaimed
-	// from an expired holder and restarted elsewhere.
+	// from an expired holder and restarted elsewhere. A claim after a graceful
+	// Release is no takeover.
 	Restarts int `json:"restarts,omitempty"`
 }
 
@@ -119,7 +120,7 @@ func (s *Store) applyLocked(rec *record) {
 		if !ok || terminal(j.State) {
 			return
 		}
-		if j.Holder != "" && j.Holder != rec.Holder {
+		if takeover(j.State, j.Holder, rec.Holder) {
 			j.Restarts++
 		}
 		j.Holder = rec.Holder
@@ -194,10 +195,18 @@ const MaxRestarts = 6
 // poisonError is the reason a job or cell fails with at the restart cap.
 var poisonError = fmt.Sprintf("poisoned: its lease was taken over %d times", MaxRestarts)
 
-// poisoned reports whether holder claiming work that prev held and that was
-// already taken over restarts times would be a takeover past MaxRestarts.
-func poisoned(prev string, restarts int, holder string) bool {
-	return prev != "" && prev != holder && restarts >= MaxRestarts
+// takeover reports whether holder claiming work in state, last held by prev,
+// takes over a lease that lapsed while the work ran: a restart. Work handed
+// back by Release is queued again, so claiming it is no takeover, although
+// prev stays on record for sticky claim ordering.
+func takeover(state, prev, holder string) bool {
+	return state == StateRunning && prev != "" && prev != holder
+}
+
+// poisoned reports whether holder claiming work in state, last held by prev
+// and already taken over restarts times, would take it over past MaxRestarts.
+func poisoned(state, prev string, restarts int, holder string) bool {
+	return restarts >= MaxRestarts && takeover(state, prev, holder)
 }
 
 // ErrQueueFull is returned by SubmitJobBounded when the pool already holds
@@ -277,7 +286,7 @@ func (s *Store) nextJobLocked(holder string, now time.Time) (*JobRecord, error) 
 				best = j
 			}
 		}
-		if best == nil || !poisoned(best.Holder, best.Restarts, holder) {
+		if best == nil || !poisoned(best.State, best.Holder, best.Restarts, holder) {
 			return best, nil
 		}
 		// Written in the lapsed holder's name: the only one the fence lets
@@ -307,7 +316,7 @@ func (s *Store) Claim(holder string, ttl time.Duration) (JobRecord, bool, error)
 		if best == nil || err != nil {
 			return err
 		}
-		reclaim := best.Holder != "" && best.Holder != holder
+		reclaim := takeover(best.State, best.Holder, holder)
 		if err := s.appendLocked(&record{
 			Type: recClaim, Job: best.ID, Holder: holder,
 			Expiry: now.Add(ttl).UnixNano(),

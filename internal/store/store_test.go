@@ -189,9 +189,52 @@ func TestReleaseRequeuesImmediately(t *testing.T) {
 		t.Fatalf("claim after release: ok=%v id=%v", ok, got.ID)
 	}
 	// The release keeps the old holder on record (for sticky preference),
-	// so a different replica picking the job up counts as a restart.
-	if got.Restarts != 1 || got.Holder != "r2" {
-		t.Fatalf("claim after release: restarts=%d holder=%s, want 1/r2", got.Restarts, got.Holder)
+	// but a different replica picking the job up is no takeover.
+	if got.Restarts != 0 || got.Holder != "r2" {
+		t.Fatalf("claim after release: restarts=%d holder=%s, want 0/r2", got.Restarts, got.Holder)
+	}
+}
+
+// TestHandBacksAreNoTakeovers passes a job and a cell between three holders
+// by graceful release, more often than the restart cap allows takeovers: a
+// release is no takeover, so neither is poisoned and neither counts a restart.
+func TestHandBacksAreNoTakeovers(t *testing.T) {
+	clock := newFakeClock()
+	s := openTestStore(t, t.TempDir(), clock)
+	rec, _ := s.SubmitJob("a", nil)
+	for i := 0; i <= MaxRestarts+1; i++ {
+		holder := quickHolders[i%len(quickHolders)]
+		if got, ok, err := s.Claim(holder, time.Hour); err != nil || !ok || got.ID != rec.ID {
+			t.Fatalf("round %d: claim by %s = %+v, %v, %v", i, holder, got, ok, err)
+		}
+		if err := s.Release(rec.ID, holder); err != nil {
+			t.Fatalf("round %d: Release: %v", i, err)
+		}
+	}
+	if _, ok, err := s.Claim("r1", time.Hour); err != nil || !ok {
+		t.Fatalf("claim after the hand-backs: ok=%v err=%v", ok, err)
+	}
+	if j, _, _ := s.Job(rec.ID); j.State != StateRunning || j.Restarts != 0 {
+		t.Fatalf("job after the hand-backs = %+v, want running with 0 restarts", j)
+	}
+
+	if err := s.PlanCells(rec.ID, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= MaxRestarts+1; i++ {
+		holder := quickHolders[i%len(quickHolders)]
+		if _, ok, err := s.ClaimCell(holder, time.Hour, ""); err != nil || !ok {
+			t.Fatalf("round %d: cell claim by %s: ok=%v err=%v", i, holder, ok, err)
+		}
+		if err := s.ReleaseCell(rec.ID, 0, holder); err != nil {
+			t.Fatalf("round %d: ReleaseCell: %v", i, err)
+		}
+	}
+	if _, ok, err := s.ClaimCell("r1", time.Hour, ""); err != nil || !ok {
+		t.Fatalf("cell claim after the hand-backs: ok=%v err=%v", ok, err)
+	}
+	if cells, _, _ := s.Cells(rec.ID); cells[0].State != StateRunning || cells[0].Restarts != 0 {
+		t.Fatalf("cell after the hand-backs = %+v, want running with 0 restarts", cells[0])
 	}
 }
 
