@@ -3,6 +3,9 @@ package repro
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -87,14 +90,36 @@ func goldenSharedLab() (*experiments.Lab, error) {
 	return goldenLab.lab, goldenLab.err
 }
 
-// goldenStudies is the paper-artifact half of the corpus.
+// goldenStudies is the study half of the corpus: the paper artifacts, then
+// the studies beyond the paper.
 var goldenStudies = []string{
 	"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table2",
+	"ablation", "scaling", "sensitivity", "breakdown", "shapes", "environments", "hetero", "straggler",
 }
 
-// TestGoldenStudies pins every paper artifact byte-for-byte.
+// benchExpected reads the study digests the bench module checks its
+// repro-cli workload against (bench/testdata/expected.json).
+func benchExpected(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("bench", "testdata", "expected.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Studies map[string]string `json:"studies"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc.Studies
+}
+
+// TestGoldenStudies pins every study byte-for-byte. The studies without a
+// paper figure must also carry the SHA-256 the bench module expects, so the
+// two pins cannot drift apart.
 func TestGoldenStudies(t *testing.T) {
 	cfg := experiments.DefaultConfig()
+	expected := benchExpected(t)
 	for _, name := range goldenStudies {
 		t.Run(name, func(t *testing.T) {
 			var buf bytes.Buffer
@@ -103,6 +128,17 @@ func TestGoldenStudies(t *testing.T) {
 				t.Fatal(err)
 			}
 			goldenCompare(t, name+".txt", buf.Bytes())
+			want, ok := expected[name]
+			if !ok {
+				return // a paper artifact: its golden is the bench module's reference too
+			}
+			golden, err := os.ReadFile(filepath.Join("testdata", "golden", name+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum := sha256.Sum256(golden); hex.EncodeToString(sum[:]) != want {
+				t.Errorf("testdata/golden/%s.txt has SHA-256 %x, bench/testdata/expected.json lists %s", name, sum, want)
+			}
 		})
 	}
 }
