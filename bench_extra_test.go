@@ -1,11 +1,11 @@
-// Supplementary benchmarks: the ablation and scaling studies (the design
-// choices DESIGN.md calls out), plus micro-benchmarks of the substrates.
+// Supplementary benchmarks: the study table's in-process fan-out, the
+// service and job engines, and micro-benchmarks of the substrates.
 package repro
 
 import (
 	"context"
 	"fmt"
-	"os"
+	"io"
 	"runtime"
 	"testing"
 
@@ -23,27 +23,6 @@ import (
 	"repro/internal/simgrid"
 	"repro/internal/tgrid"
 )
-
-// BenchmarkAblationOverheadAttribution regenerates the §V-C error
-// attribution: which of the analytic simulator's omissions (task times,
-// startup overhead, redistribution overhead) causes how much error.
-func BenchmarkAblationOverheadAttribution(b *testing.B) {
-	l := sharedLab(b)
-	rows, err := l.Ablation()
-	if err != nil {
-		b.Fatal(err)
-	}
-	printArtifact("ablation", func() { experiments.WriteAblation(os.Stdout, rows) })
-	for _, r := range rows {
-		b.ReportMetric(r.MedianErrPct, "mederr%/"+r.Model)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Ablation(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkRobustnessTrials measures the Monte Carlo perturbation engine
 // (internal/robust): one full winner-stability study per iteration — the
@@ -161,48 +140,11 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkScalingStudy regenerates the §IX platform-scaling scenario: the
-// empirical simulator on hypothetical 64-node clusters.
-func BenchmarkScalingStudy(b *testing.B) {
-	cfg := experiments.DefaultConfig()
-	rows, err := experiments.ScalingStudyCtx(context.Background(), cfg, []int{32, 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	printArtifact("scaling", func() { experiments.WriteScaling(os.Stdout, rows) })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ScalingStudyCtx(context.Background(), cfg, []int{32, 64}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkNoiseSensitivity regenerates the noise-sensitivity table: how
-// many of the analytic simulator's wrong winners are structural versus
-// caused by run-to-run measurement noise.
-func BenchmarkNoiseSensitivity(b *testing.B) {
-	cfg := experiments.DefaultConfig()
-	sigmas := []float64{0, 0.03, 0.2}
-	rows, err := experiments.NoiseSensitivityCtx(context.Background(), cfg, sigmas)
-	if err != nil {
-		b.Fatal(err)
-	}
-	printArtifact("sensitivity", func() { experiments.WriteSensitivity(os.Stdout, rows) })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.NoiseSensitivityCtx(context.Background(), cfg, sigmas); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStudySerialVsParallel measures the study-execution engine's
-// speedup: the same suite-wide study (the Figure 1 comparison under one
-// noise level) at workers=1 versus one worker per CPU. The two variants
-// produce byte-identical tables; only wall-clock differs.
+// BenchmarkStudySerialVsParallel measures the study table's in-process
+// fan-out: the same standalone study (the environment study, two suite-wide
+// variants) rendered at workers=1 versus one worker per CPU. The two
+// variants produce byte-identical reports; only wall-clock differs.
 func BenchmarkStudySerialVsParallel(b *testing.B) {
-	sigmas := []float64{0.03}
 	variants := []struct {
 		name    string
 		workers int
@@ -215,7 +157,7 @@ func BenchmarkStudySerialVsParallel(b *testing.B) {
 			cfg := experiments.DefaultConfig()
 			cfg.Parallelism = v.workers
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.NoiseSensitivityCtx(context.Background(), cfg, sigmas); err != nil {
+				if err := experiments.RenderStudy(context.Background(), "environments", cfg, nil, io.Discard); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -440,40 +382,5 @@ func BenchmarkSeqMatMulBlocked(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		kernels.SeqMatMulBlocked(a, m, 64)
-	}
-}
-
-// BenchmarkStragglerStudy regenerates the degraded-node study: the profile
-// simulator collapses when one node runs slow, because per-count profiling
-// cannot express host identity.
-func BenchmarkStragglerStudy(b *testing.B) {
-	cfg := experiments.DefaultConfig()
-	rows, err := experiments.StragglerStudyCtx(context.Background(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	printArtifact("straggler", func() { experiments.WriteStraggler(os.Stdout, rows) })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.StragglerStudyCtx(context.Background(), cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHeterogeneityStudy regenerates the two-speed-cluster study
-// porting the case study to HCPA's original heterogeneous setting.
-func BenchmarkHeterogeneityStudy(b *testing.B) {
-	cfg := experiments.DefaultConfig()
-	rows, err := experiments.HeterogeneityStudyCtx(context.Background(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	printArtifact("hetero", func() { experiments.WriteHetero(os.Stdout, rows) })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.HeterogeneityStudyCtx(context.Background(), cfg); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -1,25 +1,21 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation. Each benchmark measures the computation behind its artefact
-// and prints the paper-style rows once, so
+// Benchmark harness: one sub-benchmark per study of the paper's evaluation
+// (BenchmarkStudy/<name>). Each measures the computation behind its
+// artefact and prints the paper-style rows once, so
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench BenchmarkStudy -benchmem
 //
-// regenerates the entire evaluation. Paper-vs-measured values are recorded
-// in EXPERIMENTS.md.
+// regenerates the entire evaluation.
 package repro
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"sync"
 	"testing"
 
-	"repro/internal/dag"
 	"repro/internal/experiments"
-	"repro/internal/perfmodel"
-	"repro/internal/profiler"
-	"repro/internal/sched"
-	"repro/internal/tgrid"
 )
 
 var (
@@ -60,198 +56,32 @@ func printArtifact(name string, f func()) {
 	})
 }
 
-// BenchmarkTable1DAGGeneration regenerates Table I: the 54-instance random
-// DAG suite.
-func BenchmarkTable1DAGGeneration(b *testing.B) {
-	l := sharedLab(b)
-	printArtifact("table1", func() { l.Table1().Write(os.Stdout) })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		suite, err := dag.GenerateSuite(int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(suite) != 54 {
-			b.Fatalf("suite has %d instances", len(suite))
-		}
-	}
-}
-
-// benchComparison is the shared body of the Figure 1/5/7 benchmarks: it
-// measures the per-DAG pipeline (schedule, simulate, execute) under one
-// model and prints the figure.
-func benchComparison(b *testing.B, modelName, figure string) {
-	l := sharedLab(b)
-	for _, n := range []int{2000, 3000} {
-		c, err := l.CompareHCPAMCPA(modelName, n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n := n
-		printArtifact(fmt.Sprintf("%s-%d", figure, n), func() { c.Write(os.Stdout) })
-		b.ReportMetric(float64(c.Mispredicted), fmt.Sprintf("wrong/27@n=%d", n))
-	}
-	model, err := l.Model(modelName)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cost := perfmodel.CostFunc(model)
-	comm := perfmodel.CommFunc(model, l.Cluster())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inst := l.Suite[i%len(l.Suite)]
-		for _, algo := range experiments.ComparedAlgorithms() {
-			s, err := sched.Build(algo, inst.Graph, l.Cluster().Nodes, cost, comm)
-			if err != nil {
-				b.Fatal(err)
+// BenchmarkStudy regenerates every study of the evaluation through
+// RenderStudy, one sub-benchmark per StudyNames entry, and prints each
+// report once. Every iteration renders on a fresh lab assembled around the
+// shared lab's fitted models, so the suite passes behind Figures 1, 5, 7
+// and 8 are scored each time rather than read from a lab's cache; the
+// standalone studies fit their own models every time, as RenderStudy does.
+func BenchmarkStudy(b *testing.B) {
+	shared := sharedLab(b)
+	cfg := experiments.DefaultConfig()
+	for _, name := range experiments.StudyNames() {
+		b.Run(name, func(b *testing.B) {
+			var out bytes.Buffer
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				l, err := experiments.AssembleLab(cfg, shared.Truth, shared.Em, shared.Profile, shared.Empirical)
+				if err != nil {
+					b.Fatal(err)
+				}
+				out.Reset()
+				b.StartTimer()
+				labFn := func() (*experiments.Lab, error) { return l, nil }
+				if err := experiments.RenderStudy(context.Background(), name, cfg, labFn, &out); err != nil {
+					b.Fatal(err)
+				}
 			}
-			if _, err := tgrid.Run(l.Net, s, tgrid.ModelTiming{Model: model}); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := l.Em.Execute(s); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkFigure1AnalyticVsExperiment regenerates Figure 1: HCPA vs MCPA
-// relative makespans under the purely analytic simulator versus the
-// experiment.
-func BenchmarkFigure1AnalyticVsExperiment(b *testing.B) {
-	benchComparison(b, "analytic", "fig1")
-}
-
-// BenchmarkFigure5ProfileVsExperiment regenerates Figure 5: the same
-// comparison with the brute-force profile simulator.
-func BenchmarkFigure5ProfileVsExperiment(b *testing.B) {
-	benchComparison(b, "profile", "fig5")
-}
-
-// BenchmarkFigure7EmpiricalVsExperiment regenerates Figure 7: the same
-// comparison with the empirical (regression) simulator.
-func BenchmarkFigure7EmpiricalVsExperiment(b *testing.B) {
-	benchComparison(b, "empirical", "fig7")
-}
-
-// BenchmarkFigure2AnalyticModelError regenerates Figure 2: the analytic
-// task-model's relative error on the Java/Bayreuth and PDGEMM/Cray
-// environments.
-func BenchmarkFigure2AnalyticModelError(b *testing.B) {
-	l := sharedLab(b)
-	java, err := l.Figure2Java(3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	franklin := experiments.Figure2Franklin()
-	printArtifact("fig2", func() {
-		experiments.WriteErrorSeries(os.Stdout,
-			"Figure 2 (left) — relative error of the analytic model, 1D MM/Java", java)
-		fmt.Println()
-		experiments.WriteErrorSeries(os.Stdout,
-			"Figure 2 (right) — relative error of the analytic model, PDGEMM/Cray XT4", franklin)
-	})
-	maxErr := 0.0
-	for _, s := range java {
-		for _, e := range s.Err {
-			if e > maxErr {
-				maxErr = e
-			}
-		}
-	}
-	b.ReportMetric(100*maxErr, "maxerr%")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Figure2Java(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure3StartupOverhead regenerates Figure 3: the no-op probe
-// measurement of task startup overheads (20 trials per p).
-func BenchmarkFigure3StartupOverhead(b *testing.B) {
-	l := sharedLab(b)
-	s, err := l.Figure3()
-	if err != nil {
-		b.Fatal(err)
-	}
-	printArtifact("fig3", func() { s.Write(os.Stdout) })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := profiler.Campaign{Em: l.Em}
-		_ = c.StartupSeries(l.Cluster().Nodes, 20)
-	}
-}
-
-// BenchmarkFigure4RedistOverhead regenerates Figure 4: the mostly-empty-
-// matrix redistribution probe over the (p(src), p(dst)) grid (3 trials).
-func BenchmarkFigure4RedistOverhead(b *testing.B) {
-	l := sharedLab(b)
-	r, err := l.Figure4()
-	if err != nil {
-		b.Fatal(err)
-	}
-	printArtifact("fig4", func() { r.Write(os.Stdout) })
-	b.ReportMetric(1000*r.ByDst[32], "ms@dst32")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := profiler.Campaign{Em: l.Em}
-		_ = c.RedistSurface(l.Cluster().Nodes, 3)
-	}
-}
-
-// BenchmarkFigure6RegressionFits regenerates Figure 6: the multiplication
-// regression with naive powers-of-two points (p=8/16 outliers) versus the
-// final point set.
-func BenchmarkFigure6RegressionFits(b *testing.B) {
-	l := sharedLab(b)
-	for _, n := range []int{2000, 3000} {
-		study, err := l.Figure6(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n := n
-		printArtifact(fmt.Sprintf("fig6-%d", n), func() { study.Write(os.Stdout) })
-		b.ReportMetric(100*study.FinalMeanErr, fmt.Sprintf("finalerr%%@n=%d", n))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Figure6(3000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure8ErrorBoxplots regenerates Figure 8: the makespan
-// simulation error distributions of the three simulator versions.
-func BenchmarkFigure8ErrorBoxplots(b *testing.B) {
-	l := sharedLab(b)
-	boxes, err := l.Figure8()
-	if err != nil {
-		b.Fatal(err)
-	}
-	printArtifact("fig8", func() { experiments.WriteFigure8(os.Stdout, boxes) })
-	for _, box := range boxes {
-		b.ReportMetric(box.Box.Median, fmt.Sprintf("mederr%%/%s-%s", box.Model, box.Algo))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Figure8(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable2RegressionModels regenerates Table II: the empirical
-// models fitted from sparse measurements.
-func BenchmarkTable2RegressionModels(b *testing.B) {
-	l := sharedLab(b)
-	printArtifact("table2", func() { l.Table2(os.Stdout) })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := profiler.BuildEmpiricalModel(l.Em, l.Cfg.Empirical); err != nil {
-			b.Fatal(err)
-		}
+			printArtifact(name, func() { os.Stdout.Write(out.Bytes()) })
+		})
 	}
 }

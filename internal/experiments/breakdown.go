@@ -4,17 +4,17 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/cluster"
 	"repro/internal/dag"
+	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/tgrid"
 )
 
-// BreakdownRow decomposes one algorithm's emulated executions into the
+// breakdownRow decomposes one algorithm's emulated executions into the
 // paper's §V-C activity classes, averaged over the suite: kernel work,
 // task-startup overhead, redistribution protocol overhead, and transfer
 // time (each as a fraction of the summed activity time).
-type BreakdownRow struct {
+type breakdownRow struct {
 	Algo                                            string
 	Kernel, Startup, RedistOverhead, RedistTransfer float64
 	// OverheadShareOfMakespan is the mean of (startup+redist overhead)
@@ -23,47 +23,45 @@ type BreakdownRow struct {
 	OverheadShareOfMakespan float64
 }
 
-// TimeBreakdown schedules the whole suite with the analytic model (the
-// schedules whose execution the paper analyses in §V-C), executes them on
-// the emulated cluster and reports where the time goes per algorithm.
-func (l *Lab) TimeBreakdown() ([]BreakdownRow, error) {
-	builder := buildWith(l.Analytic, l.Cluster())
-	var rows []BreakdownRow
-	for _, algo := range ComparedAlgorithms() {
-		type cellOut struct {
-			b     tgrid.Breakdown
-			share float64
-		}
-		cells := make([]cellOut, len(l.Suite))
-		err := l.runner().Run("breakdown/"+algo.Name(), len(l.Suite), func(i int, sess *cluster.Session) error {
-			build := builder.bind(l.Suite[i].Graph)
-			s, err := build.build(algo)
-			if err != nil {
-				return err
-			}
-			res, err := sess.Execute(s)
-			if err != nil {
-				return err
-			}
-			b := res.Breakdown()
-			cells[i] = cellOut{b: b, share: (b.Startup + b.RedistOverhead) / res.Makespan}
-			build.release()
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: breakdown %s: %w", algo.Name(), err)
-		}
+// breakdownCell schedules suite instance i%suiteLen with compared algorithm
+// i/suiteLen under the analytic model (the schedules whose execution the
+// paper analyses in §V-C) and executes it once on the emulated cluster. It
+// keeps its own loop rather than the scoring cell's: it runs one algorithm,
+// not both, and it needs the execution's full record (Execute), where
+// scoring needs only mean makespans (MeasureMakespan). Its frame is the
+// record's four activity times and the overhead share of the makespan.
+func (l *Lab) breakdownCell(i, _ int) ([]float64, error) {
+	algo, k := ComparedAlgorithms()[i/suiteLen], i%suiteLen
+	p := l.pass(l.Analytic)
+	sc := p.bind(l.Suite[k].Graph)
+	s, err := p.build(sc, algo)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: breakdown %s: %w", algo.Name(), err)
+	}
+	res, err := l.session("breakdown/"+algo.Name(), k).Execute(s)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: breakdown %s: %w", algo.Name(), err)
+	}
+	b := res.Breakdown()
+	sched.ReleaseScratch(sc)
+	return []float64{b.Kernel, b.Startup, b.RedistOverhead, b.RedistTransfer, (b.Startup + b.RedistOverhead) / res.Makespan}, nil
+}
+
+// breakdownRows reports where the time goes per algorithm, from the cells.
+func breakdownRows(cells [][]float64) []breakdownRow {
+	var rows []breakdownRow
+	for ai, algo := range ComparedAlgorithms() {
 		var total tgrid.Breakdown
 		var shares []float64
-		for _, c := range cells {
-			total.Kernel += c.b.Kernel
-			total.Startup += c.b.Startup
-			total.RedistOverhead += c.b.RedistOverhead
-			total.RedistTransfer += c.b.RedistTransfer
-			shares = append(shares, c.share)
+		for _, c := range cells[ai*suiteLen : (ai+1)*suiteLen] {
+			total.Kernel += c[0]
+			total.Startup += c[1]
+			total.RedistOverhead += c[2]
+			total.RedistTransfer += c[3]
+			shares = append(shares, c[4])
 		}
 		sum := total.Kernel + total.Startup + total.RedistOverhead + total.RedistTransfer
-		rows = append(rows, BreakdownRow{
+		rows = append(rows, breakdownRow{
 			Algo:                    algo.Name(),
 			Kernel:                  total.Kernel / sum,
 			Startup:                 total.Startup / sum,
@@ -72,11 +70,11 @@ func (l *Lab) TimeBreakdown() ([]BreakdownRow, error) {
 			OverheadShareOfMakespan: stats.Mean(shares),
 		})
 	}
-	return rows, nil
+	return rows
 }
 
-// WriteBreakdown prints the activity-time decomposition.
-func WriteBreakdown(w io.Writer, rows []BreakdownRow) {
+// writeBreakdown prints the activity-time decomposition.
+func writeBreakdown(w io.Writer, rows []breakdownRow) {
 	fmt.Fprintln(w, "Time breakdown — where emulated executions spend activity time (§V-C)")
 	fmt.Fprintf(w, "  %-6s %8s %9s %14s %10s %22s\n",
 		"algo", "kernel", "startup", "redist ovhd", "transfer", "overheads/makespan")
@@ -87,8 +85,8 @@ func WriteBreakdown(w io.Writer, rows []BreakdownRow) {
 	}
 }
 
-// ShapeRow is one workflow skeleton of the shape study.
-type ShapeRow struct {
+// shapeRow is one workflow skeleton of the shape study.
+type shapeRow struct {
 	Shape        string
 	Tasks        int
 	Width        int
@@ -97,58 +95,42 @@ type ShapeRow struct {
 	ProfileAgree bool
 }
 
-// ShapeStudy runs the HCPA/MCPA comparison on structured workflow
-// skeletons (chain, fork-join, layered, diamond) instead of the random
-// suite, checking whether the paper's conclusion — profile simulation picks
-// the experimentally better algorithm — transfers to realistic workflow
-// structures (§II notes production workflows are structured).
-func (l *Lab) ShapeStudy() ([]ShapeRow, error) {
-	shapes := []*dag.Graph{
+// shapeGraphs are the shape study's structured workflow skeletons (chain,
+// fork-join, layered, diamond): the HCPA/MCPA comparison runs on them
+// instead of the random suite, checking whether the paper's conclusion —
+// profile simulation picks the experimentally better algorithm — transfers
+// to realistic workflow structures (§II notes production workflows are
+// structured).
+func shapeGraphs() []*dag.Graph {
+	return []*dag.Graph{
 		dag.Chain(10, 2000, dag.KernelMul, dag.KernelAdd),
 		dag.ForkJoin(4, 2, 2000),
 		dag.Layered(3, 3, 2000),
 		dag.Diamond(2000),
 	}
-	rows := make([]ShapeRow, len(shapes))
-	builder := buildWith(l.Profile, l.Cluster())
-	timing := tgrid.Timing(tgrid.ModelTiming{Model: l.Profile})
-	err := l.runner().Run("shapes", len(shapes), func(i int, sess *cluster.Session) error {
-		g := shapes[i]
-		row := ShapeRow{Shape: g.Name, Tasks: g.Len(), Width: g.Width()}
-		build := builder.bind(g)
-		var sim, exp [2]float64
-		for ai, algo := range ComparedAlgorithms() {
-			s, err := build.build(algo)
-			if err != nil {
-				return err
-			}
-			if sim[ai], err = tgrid.Makespan(l.Net, s, timing); err != nil {
-				return err
-			}
-			if exp[ai], err = sess.MeasureMakespan(s, l.Cfg.ExpTrials); err != nil {
-				return err
-			}
-		}
-		row.BestAlgoSim, row.BestAlgoExp = "HCPA", "HCPA"
-		if sim[mcpa] < sim[hcpa] {
+}
+
+// shapeRows compares the winners under the profile simulator and on the
+// emulated cluster, from the scoring cells.
+func shapeRows(cells [][]float64) []shapeRow {
+	rows := make([]shapeRow, len(cells))
+	for i, g := range shapeGraphs() {
+		sc := scoredOf(cells[i])
+		row := shapeRow{Shape: g.Name, Tasks: g.Len(), Width: g.Width(), BestAlgoSim: "HCPA", BestAlgoExp: "HCPA"}
+		if sc.sim[mcpa] < sc.sim[hcpa] {
 			row.BestAlgoSim = "MCPA"
 		}
-		if exp[mcpa] < exp[hcpa] {
+		if sc.exp[mcpa] < sc.exp[hcpa] {
 			row.BestAlgoExp = "MCPA"
 		}
 		row.ProfileAgree = row.BestAlgoSim == row.BestAlgoExp
 		rows[i] = row
-		build.release()
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: shapes: %w", err)
 	}
-	return rows, nil
+	return rows
 }
 
-// WriteShapes prints the shape-study table.
-func WriteShapes(w io.Writer, rows []ShapeRow) {
+// writeShapes prints the shape-study table.
+func writeShapes(w io.Writer, rows []shapeRow) {
 	fmt.Fprintln(w, "Shape study — profile simulation vs experiment on workflow skeletons")
 	fmt.Fprintf(w, "  %-22s %6s %6s %10s %10s %7s\n", "shape", "tasks", "width", "sim best", "exp best", "agree")
 	for _, r := range rows {

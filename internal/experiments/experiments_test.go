@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/profiler"
 )
 
 // lab is shared across tests; building it runs both profiling campaigns.
@@ -20,12 +23,13 @@ func TestMain(m *testing.M) {
 }
 
 func TestTable1MatchesPaper(t *testing.T) {
-	tab := lab.Table1()
-	if tab.Tasks != 10 || tab.Samples != 3 || tab.Instances != 54 {
-		t.Errorf("Table1 = %+v", tab)
-	}
 	var buf bytes.Buffer
-	tab.Write(&buf)
+	lab.writeTableI(&buf)
+	for _, row := range [][2]string{{"number of tasks", "10"}, {"number of samples", "3"}, {"total DAG instances", "54"}} {
+		if want := fmt.Sprintf("  %-42s %s\n", row[0], row[1]); !strings.Contains(buf.String(), want) {
+			t.Errorf("Table1 output missing %q:\n%s", want, buf.String())
+		}
+	}
 	for _, want := range []string{"number of tasks", "54", "[2 4 8]", "[0.5 0.75 1]", "[2000 3000]"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("Table1 output missing %q:\n%s", want, buf.String())
@@ -128,10 +132,11 @@ func TestComparisonWriteFormat(t *testing.T) {
 }
 
 func TestFigure2JavaErrors(t *testing.T) {
-	series, err := lab.Figure2Java(3)
+	cells, err := lab.cells("fig2")
 	if err != nil {
 		t.Fatal(err)
 	}
+	series := figure2Java(cells, lab.Cluster().Nodes)
 	if len(series) != 2 {
 		t.Fatalf("%d series", len(series))
 	}
@@ -155,7 +160,7 @@ func TestFigure2JavaErrors(t *testing.T) {
 }
 
 func TestFigure2FranklinErrors(t *testing.T) {
-	series := Figure2Franklin()
+	series := figure2Franklin()
 	if len(series) != 3 {
 		t.Fatalf("%d series", len(series))
 	}
@@ -169,16 +174,16 @@ func TestFigure2FranklinErrors(t *testing.T) {
 }
 
 func TestFigure3Startup(t *testing.T) {
-	s, err := lab.Figure3()
+	cells, err := lab.cells("fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.P) != 32 {
-		t.Fatalf("%d points", len(s.P))
+	if len(cells) != 32 {
+		t.Fatalf("%d points", len(cells))
 	}
 	monotone := true
-	for i := 1; i < len(s.Seconds); i++ {
-		if s.Seconds[i] < s.Seconds[i-1] {
+	for i := 1; i < len(cells); i++ {
+		if cells[i][0] < cells[i-1][0] {
 			monotone = false
 		}
 	}
@@ -186,25 +191,25 @@ func TestFigure3Startup(t *testing.T) {
 		t.Error("startup series monotone; Figure 3 is not")
 	}
 	var buf bytes.Buffer
-	s.Write(&buf)
+	writeFigure3(&buf, cells)
 	if !strings.Contains(buf.String(), "Figure 3") {
 		t.Error("missing header")
 	}
 }
 
 func TestFigure4Surface(t *testing.T) {
-	r, err := lab.Figure4()
+	rows, err := lab.cells("fig4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Overhead) != 32 {
-		t.Fatalf("surface has %d rows", len(r.Overhead))
+	if len(rows) != 32 {
+		t.Fatalf("surface has %d rows", len(rows))
 	}
-	if r.ByDst[32] <= r.ByDst[1] {
+	if byDst := profiler.RedistByDst(rows); byDst[32] <= byDst[1] {
 		t.Error("overhead not increasing with p(dst)")
 	}
 	var buf bytes.Buffer
-	r.Write(&buf)
+	writeFigure4(&buf, rows)
 	if !strings.Contains(buf.String(), "Figure 4") {
 		t.Error("missing header")
 	}
@@ -212,7 +217,7 @@ func TestFigure4Surface(t *testing.T) {
 
 func TestFigure6FitQuality(t *testing.T) {
 	for _, n := range []int{2000, 3000} {
-		study, err := lab.Figure6(n)
+		study, err := lab.figure6(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +277,7 @@ func TestFigure8Separation(t *testing.T) {
 
 func TestTable2Coefficients(t *testing.T) {
 	var buf bytes.Buffer
-	lab.Table2(&buf)
+	lab.writeTable2(&buf)
 	out := buf.String()
 	for _, want := range []string{"Table II", "multiplication", "addition", "redistribution", "task startup"} {
 		if !strings.Contains(out, want) {

@@ -13,41 +13,18 @@ import (
 )
 
 // newFranklin builds the calibrated Cray XT4 environment of Figure 2.
-func newFranklin() *cluster.FranklinProfile { return cluster.NewFranklinProfile() }
-
 // ---------------------------------------------------------------- Table I
 
-// Table1 reports the DAG-generator parameter grid and the realised suite.
-type Table1 struct {
-	Tasks     int
-	Widths    []int
-	Ratios    []float64
-	Sizes     []int
-	Samples   int
-	Instances int
-}
-
-// Table1 regenerates Table I from the lab's suite.
-func (l *Lab) Table1() Table1 {
-	return Table1{
-		Tasks:     dag.SuiteTasks,
-		Widths:    dag.SuiteWidths,
-		Ratios:    dag.SuiteRatios,
-		Sizes:     dag.SuiteSizes,
-		Samples:   dag.SuiteSamples,
-		Instances: len(l.Suite),
-	}
-}
-
-// Write prints the table in the paper's layout.
-func (t Table1) Write(w io.Writer) {
+// writeTableI prints Table I in the paper's layout: the DAG-generator
+// parameter grid and the realised suite.
+func (l *Lab) writeTableI(w io.Writer) {
 	fmt.Fprintln(w, "Table I — parameters used for generating random DAGs")
-	fmt.Fprintf(w, "  %-42s %v\n", "number of tasks", t.Tasks)
-	fmt.Fprintf(w, "  %-42s %v\n", "number of input matrices (DAG width)", t.Widths)
-	fmt.Fprintf(w, "  %-42s %v\n", "ratio addition / multiplication tasks", t.Ratios)
-	fmt.Fprintf(w, "  %-42s %v\n", "matrix size (# elements per dimension)", t.Sizes)
-	fmt.Fprintf(w, "  %-42s %v\n", "number of samples", t.Samples)
-	fmt.Fprintf(w, "  %-42s %v\n", "total DAG instances", t.Instances)
+	fmt.Fprintf(w, "  %-42s %v\n", "number of tasks", dag.SuiteTasks)
+	fmt.Fprintf(w, "  %-42s %v\n", "number of input matrices (DAG width)", dag.SuiteWidths)
+	fmt.Fprintf(w, "  %-42s %v\n", "ratio addition / multiplication tasks", dag.SuiteRatios)
+	fmt.Fprintf(w, "  %-42s %v\n", "matrix size (# elements per dimension)", dag.SuiteSizes)
+	fmt.Fprintf(w, "  %-42s %v\n", "number of samples", dag.SuiteSamples)
+	fmt.Fprintf(w, "  %-42s %v\n", "total DAG instances", len(l.Suite))
 }
 
 // --------------------------------------------------- Figures 1, 5 and 7
@@ -77,6 +54,11 @@ func (l *Lab) CompareHCPAMCPA(modelName string, n int) (*Comparison, error) {
 	if err != nil {
 		return nil, err
 	}
+	return compare(modelName, n, recs), nil
+}
+
+// compare builds one matrix size's comparison from a model's suite records.
+func compare(modelName string, n int, recs []Record) *Comparison {
 	cmp := &Comparison{Model: modelName, N: n}
 	var simRels, expRels []float64
 	for _, rec := range recs {
@@ -98,7 +80,7 @@ func (l *Lab) CompareHCPAMCPA(modelName string, n int) (*Comparison, error) {
 	}
 	sort.Slice(cmp.Points, func(a, b int) bool { return cmp.Points[a].SimRel < cmp.Points[b].SimRel })
 	cmp.Mispredicted = stats.CountDisagreements(simRels, expRels, 0)
-	return cmp, nil
+	return cmp
 }
 
 // Write prints the figure's series plus the paper's headline count.
@@ -115,52 +97,53 @@ func (c *Comparison) Write(w io.Writer) {
 
 // ----------------------------------------------------------- Figure 2
 
-// ErrorSeries is one curve of Figure 2: the analytic model's relative task
+// errorSeries is one curve of Figure 2: the analytic model's relative task
 // execution time error versus processor count.
-type ErrorSeries struct {
+type errorSeries struct {
 	Label string
 	P     []int
 	Err   []float64
 }
 
-// Figure2Java measures the Java-side series (left plot): the 1-D
-// multiplication on the emulated Bayreuth cluster for n = 2000 and 3000.
-// Each (n, p) probe is one cell of the study engine. Probes cannot fail;
-// the only possible error is a WithContext cancellation.
-func (l *Lab) Figure2Java(trials int) ([]ErrorSeries, error) {
-	sizes := []int{2000, 3000}
-	maxP := l.Cluster().Nodes
-	errs := make([]float64, len(sizes)*maxP)
-	err := l.runner().Run("fig2java", len(errs), func(i int, sess *cluster.Session) error {
-		n, p := sizes[i/maxP], i%maxP+1
-		task := &dag.Task{Kernel: dag.KernelMul, N: n}
-		pred := task.Flops() / float64(p) / l.Cluster().NodePower
-		meas := profiler.Campaign{Em: sess}.MeasureTaskMean(dag.KernelMul, n, p, trials)
-		errs[i] = abs(pred-meas) / meas
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []ErrorSeries
-	for ni, n := range sizes {
-		s := ErrorSeries{Label: fmt.Sprintf("1D MM/Java n=%d", n)}
-		for p := 1; p <= maxP; p++ {
+// Figure 2's Java side probes the 1-D multiplication for these matrix sizes
+// at every processor count, fig2Trials runs per probe.
+var fig2Sizes = []int{2000, 3000}
+
+const fig2Trials = 3
+
+// figure2Cell is one (n, p) probe of Figure 2's Java side: the analytic
+// model's relative error against the mean measured time, on a cluster of
+// nodes nodes.
+func (l *Lab) figure2Cell(i, nodes int) ([]float64, error) {
+	n, p := fig2Sizes[i/nodes], i%nodes+1
+	task := &dag.Task{Kernel: dag.KernelMul, N: n}
+	pred := task.Flops() / float64(p) / l.Cluster().NodePower
+	meas := profiler.Campaign{Em: l.session("fig2java", i)}.MeasureTaskMean(dag.KernelMul, n, p, fig2Trials)
+	return []float64{abs(pred-meas) / meas}, nil
+}
+
+// figure2Java assembles the Java-side series (left plot) from the probes,
+// in cell order.
+func figure2Java(cells [][]float64, nodes int) []errorSeries {
+	var out []errorSeries
+	for ni, n := range fig2Sizes {
+		s := errorSeries{Label: fmt.Sprintf("1D MM/Java n=%d", n)}
+		for p := 1; p <= nodes; p++ {
 			s.P = append(s.P, p)
-			s.Err = append(s.Err, errs[ni*maxP+p-1])
+			s.Err = append(s.Err, cells[ni*nodes+p-1][0])
 		}
 		out = append(out, s)
 	}
-	return out, nil
+	return out
 }
 
-// Figure2Franklin produces the PDGEMM/Cray series (right plot) for
+// figure2Franklin produces the PDGEMM/Cray series (right plot) for
 // n ∈ {1024, 2048, 4096} against the calibrated Franklin environment.
-func Figure2Franklin() []ErrorSeries {
-	f := newFranklin()
-	var out []ErrorSeries
+func figure2Franklin() []errorSeries {
+	f := cluster.NewFranklinProfile()
+	var out []errorSeries
 	for _, n := range []int{1024, 2048, 4096} {
-		s := ErrorSeries{Label: fmt.Sprintf("PDGEMM/C n=%d", n)}
+		s := errorSeries{Label: fmt.Sprintf("PDGEMM/C n=%d", n)}
 		for p := 1; p <= 32; p++ {
 			s.P = append(s.P, p)
 			s.Err = append(s.Err, f.ModelError(n, p))
@@ -170,8 +153,8 @@ func Figure2Franklin() []ErrorSeries {
 	return out
 }
 
-// WriteErrorSeries prints Figure 2 series as aligned columns.
-func WriteErrorSeries(w io.Writer, title string, series []ErrorSeries) {
+// writeErrorSeries prints Figure 2 series as aligned columns.
+func writeErrorSeries(w io.Writer, title string, series []errorSeries) {
 	fmt.Fprintln(w, title)
 	fmt.Fprintf(w, "  %4s", "p")
 	for _, s := range series {
@@ -192,84 +175,44 @@ func WriteErrorSeries(w io.Writer, title string, series []ErrorSeries) {
 
 // ----------------------------------------------------------- Figure 3
 
-// StartupSeries is Figure 3: the measured task startup overhead per
-// allocation size.
-type StartupSeries struct {
-	P       []int
-	Seconds []float64
+// figure3Cell measures the startup overhead on i+1 processors (20 trials,
+// as in the paper).
+func (l *Lab) figure3Cell(i, _ int) ([]float64, error) {
+	return []float64{profiler.Campaign{Em: l.session("fig3", i)}.MeasureStartupMean(i+1, l.Cfg.Profile.StartupTrials)}, nil
 }
 
-// Figure3 measures the startup overheads (20 trials each, as in the paper),
-// one processor count per study cell. Probes cannot fail; the only
-// possible error is a WithContext cancellation.
-func (l *Lab) Figure3() (StartupSeries, error) {
-	maxP := l.Cluster().Nodes
-	seconds := make([]float64, maxP)
-	err := l.runner().Run("fig3", maxP, func(i int, sess *cluster.Session) error {
-		seconds[i] = profiler.Campaign{Em: sess}.MeasureStartupMean(i+1, l.Cfg.Profile.StartupTrials)
-		return nil
-	})
-	if err != nil {
-		return StartupSeries{}, err
-	}
-	out := StartupSeries{}
-	for p, v := range seconds {
-		out.P = append(out.P, p+1)
-		out.Seconds = append(out.Seconds, v)
-	}
-	return out, nil
-}
-
-// Write prints the startup curve.
-func (s StartupSeries) Write(w io.Writer) {
+// writeFigure3 prints the startup curve; cell p-1 holds p's overhead.
+func writeFigure3(w io.Writer, cells [][]float64) {
 	fmt.Fprintln(w, "Figure 3 — task startup overhead [s] for p = 1..32")
-	for i := range s.P {
-		fmt.Fprintf(w, "  p=%-3d %6.3f\n", s.P[i], s.Seconds[i])
+	for i, c := range cells {
+		fmt.Fprintf(w, "  p=%-3d %6.3f\n", i+1, c[0])
 	}
 }
 
 // ----------------------------------------------------------- Figure 4
 
-// RedistSurface is Figure 4: the redistribution overhead versus source and
-// destination processor counts.
-type RedistSurface struct {
-	// Overhead[src−1][dst−1] in seconds.
-	Overhead [][]float64
-	// ByDst is the per-destination average over sources (the reduction
-	// the profile model uses).
-	ByDst map[int]float64
-}
-
-// Figure4 probes the full (p(src), p(dst)) surface (3 trials per point),
-// one source count — a full row of destinations — per study cell. Probes
-// cannot fail; the only possible error is a WithContext cancellation.
-func (l *Lab) Figure4() (RedistSurface, error) {
-	maxP := l.Cluster().Nodes
-	surface := make([][]float64, maxP)
-	err := l.runner().Run("fig4", maxP, func(i int, sess *cluster.Session) error {
-		c := profiler.Campaign{Em: sess}
-		row := make([]float64, maxP)
-		for d := 1; d <= maxP; d++ {
-			row[d-1] = c.MeasureRedistMean(i+1, d, l.Cfg.Profile.RedistTrials)
-		}
-		surface[i] = row
-		return nil
-	})
-	if err != nil {
-		return RedistSurface{}, err
+// figure4Cell probes the surface row of source count i+1: every
+// destination count, 3 trials per point.
+func (l *Lab) figure4Cell(i, nodes int) ([]float64, error) {
+	c := profiler.Campaign{Em: l.session("fig4", i)}
+	row := make([]float64, nodes)
+	for d := 1; d <= nodes; d++ {
+		row[d-1] = c.MeasureRedistMean(i+1, d, l.Cfg.Profile.RedistTrials)
 	}
-	return RedistSurface{Overhead: surface, ByDst: profiler.RedistByDst(surface)}, nil
+	return row, nil
 }
 
-// Write prints a condensed view of the surface: the per-destination average
-// with min/max across sources.
-func (r RedistSurface) Write(w io.Writer) {
+// writeFigure4 prints a condensed view of the surface, whose row src-1
+// holds the overheads [s] from src processors: the per-destination average
+// over sources (the reduction the profile model uses) with min/max.
+func writeFigure4(w io.Writer, surface [][]float64) {
+	byDst := profiler.RedistByDst(surface)
 	fmt.Fprintln(w, "Figure 4 — data redistribution overhead [ms] vs p(src), p(dst)")
 	fmt.Fprintf(w, "  %-8s %10s %10s %10s\n", "p(dst)", "avg(src)", "min(src)", "max(src)")
-	for d := 1; d <= len(r.Overhead); d++ {
-		min, max := r.Overhead[0][d-1], r.Overhead[0][d-1]
-		for s := range r.Overhead {
-			v := r.Overhead[s][d-1]
+	for d := 1; d <= len(surface); d++ {
+		min, max := surface[0][d-1], surface[0][d-1]
+		for s := range surface {
+			v := surface[s][d-1]
 			if v < min {
 				min = v
 			}
@@ -277,15 +220,15 @@ func (r RedistSurface) Write(w io.Writer) {
 				max = v
 			}
 		}
-		fmt.Fprintf(w, "  %-8d %9.1f %9.1f %9.1f\n", d, 1000*r.ByDst[d], 1000*min, 1000*max)
+		fmt.Fprintf(w, "  %-8d %9.1f %9.1f %9.1f\n", d, 1000*byDst[d], 1000*min, 1000*max)
 	}
 }
 
 // ----------------------------------------------------------- Figure 6
 
-// FitStudy is Figure 6: the multiplication regression fit with the naive
+// fitStudy is Figure 6: the multiplication regression fit with the naive
 // powers-of-two points (outliers at p = 8, 16) versus the final point set.
-type FitStudy struct {
+type fitStudy struct {
 	N int
 	// Naive and Final hold measurement points (xs: processor counts).
 	NaiveXs, NaiveYs []float64
@@ -302,14 +245,14 @@ type FitStudy struct {
 	NaiveMeanErr, FinalMeanErr float64
 }
 
-// Figure6 fits both point sets for one matrix size and scores them against
+// figure6 fits both point sets for one matrix size and scores them against
 // the full measured profile. The whole fit study is one cell: its probes
 // interleave with the regression logic, so it runs serially on a private
 // session and stays reproducible regardless of what ran before it.
-func (l *Lab) Figure6(n int) (*FitStudy, error) {
+func (l *Lab) figure6(n int) (*fitStudy, error) {
 	c := profiler.Campaign{Em: l.Em.Session(CellSeed(l.Cfg.NoiseSeed, fmt.Sprintf("fig6/%d", n), 0))}
 	trials := l.Cfg.Empirical.Trials
-	study := &FitStudy{N: n}
+	study := &fitStudy{N: n}
 
 	study.NaiveXs, study.NaiveYs = c.MeasureSeries(dag.KernelMul, n, profiler.NaiveMulPoints, trials)
 	finalPoints := []int{2, 4, 7, 15, 24, 31}
@@ -373,7 +316,7 @@ func (l *Lab) Figure6(n int) (*FitStudy, error) {
 }
 
 // Write prints both fits and their quality.
-func (f *FitStudy) Write(w io.Writer) {
+func (f *fitStudy) Write(w io.Writer) {
 	fmt.Fprintf(w, "Figure 6 — regression fits for multiplication, n=%d\n", f.N)
 	fmt.Fprintf(w, "  naive points p=%v\n", ints(f.NaiveXs))
 	fmt.Fprintf(w, "    low fit:  %v   high fit: %v\n", f.NaiveFit.Low, f.NaiveFit.High)
@@ -399,15 +342,24 @@ type ErrorBox struct {
 // Figure8 computes the simulation-error distributions for the three models
 // and both algorithms.
 func (l *Lab) Figure8() ([]ErrorBox, error) {
-	var out []ErrorBox
-	for _, modelName := range ModelNames() {
-		recs, err := l.RunSuite(modelName)
-		if err != nil {
+	suites := make([][]Record, len(ModelNames()))
+	for i, modelName := range ModelNames() {
+		var err error
+		if suites[i], err = l.RunSuite(modelName); err != nil {
 			return nil, err
 		}
+	}
+	return figure8(suites), nil
+}
+
+// figure8 computes the boxes from each model's suite records, in ModelNames
+// order.
+func figure8(suites [][]Record) []ErrorBox {
+	var out []ErrorBox
+	for mi, modelName := range ModelNames() {
 		for _, algo := range ComparedAlgorithms() {
 			box := ErrorBox{Model: modelName, Algo: algo.Name()}
-			for _, rec := range recs {
+			for _, rec := range suites[mi] {
 				box.Errors = append(box.Errors,
 					stats.SimErrPct(rec.Sim[algo.Name()], rec.Exp[algo.Name()]))
 			}
@@ -415,11 +367,11 @@ func (l *Lab) Figure8() ([]ErrorBox, error) {
 			out = append(out, box)
 		}
 	}
-	return out, nil
+	return out
 }
 
-// WriteFigure8 prints the boxplot summaries.
-func WriteFigure8(w io.Writer, boxes []ErrorBox) {
+// writeFigure8 prints the boxplot summaries.
+func writeFigure8(w io.Writer, boxes []ErrorBox) {
 	fmt.Fprintln(w, "Figure 8 — makespan simulation error [%] per model and algorithm")
 	for _, b := range boxes {
 		fmt.Fprintf(w, "  %-10s %-5s %s\n", b.Model, b.Algo, b.Box)
@@ -428,8 +380,8 @@ func WriteFigure8(w io.Writer, boxes []ErrorBox) {
 
 // ----------------------------------------------------------- Table II
 
-// Table2 prints the lab's fitted empirical models in the paper's layout.
-func (l *Lab) Table2(w io.Writer) {
+// writeTable2 prints the lab's fitted empirical models in the paper's layout.
+func (l *Lab) writeTable2(w io.Writer) {
 	e := l.Empirical
 	fmt.Fprintln(w, "Table II — regression models (fitted from sparse measurements)")
 	for _, n := range []int{2000, 3000} {

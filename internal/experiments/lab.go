@@ -17,7 +17,6 @@ import (
 	"repro/internal/profiler"
 	"repro/internal/sched"
 	"repro/internal/simgrid"
-	"repro/internal/tgrid"
 )
 
 // Config selects the workload seeds and measurement effort.
@@ -99,9 +98,10 @@ func (l *Lab) context() context.Context {
 	return l.ctx
 }
 
-// runner returns the lab's study-execution engine.
-func (l *Lab) runner() Runner {
-	return Runner{Workers: l.Cfg.Parallelism, Seed: l.Cfg.NoiseSeed, Em: l.Em, Ctx: l.ctx}
+// session is the private measurement stream of cell i of the named study,
+// the one the lab's runner hands that cell.
+func (l *Lab) session(study string, i int) *cluster.Session {
+	return l.Em.Session(CellSeed(l.Cfg.NoiseSeed, study, i))
 }
 
 // NewLab builds the full setup, including both profiling campaigns.
@@ -236,50 +236,43 @@ func (l *Lab) RunSuite(modelName string) ([]Record, error) {
 	return recs, err
 }
 
+// pass is the scoring pass of one of the lab's models on its environment.
+func (l *Lab) pass(model perfmodel.Model) pass {
+	return newPass(l.Em, l.Net, model, l.Cfg.NoiseSeed, l.Cfg.ExpTrials)
+}
+
 // runSuite computes the suite records of one model (the cache-miss path).
 func (l *Lab) runSuite(modelName string) ([]Record, error) {
 	model, err := l.Model(modelName)
 	if err != nil {
 		return nil, err
 	}
-	builder := buildWith(model, l.Cluster())
-	timing := tgrid.Timing(tgrid.ModelTiming{Model: model})
-	algos := ComparedAlgorithms()
-
+	p := l.pass(model)
 	recs := make([]Record, len(l.Suite))
-	err = l.runner().Run("suite/"+modelName, len(l.Suite), func(i int, sess *cluster.Session) error {
-		inst := l.Suite[i]
-		rec := Record{
-			Instance: inst,
-			Sim:      make(map[string]float64, len(algos)),
-			Exp:      make(map[string]float64, len(algos)),
+	err = ForEachCellCtx(l.context(), l.Cfg.Parallelism, len(l.Suite), func(i int) error {
+		sc, err := p.score(l.Suite[i].Graph, p.session("suite/"+modelName, i))
+		if err != nil {
+			return err
 		}
-		build := builder.bind(inst.Graph)
-		for _, algo := range algos {
-			s, err := build.build(algo)
-			if err != nil {
-				return fmt.Errorf("experiments: %s/%s on %s: %w",
-					modelName, algo.Name(), inst.Params.Name(), err)
-			}
-			sim, err := tgrid.Makespan(l.Net, s, timing)
-			if err != nil {
-				return fmt.Errorf("experiments: simulate %s/%s on %s: %w",
-					modelName, algo.Name(), inst.Params.Name(), err)
-			}
-			exp, err := sess.MeasureMakespan(s, l.Cfg.ExpTrials)
-			if err != nil {
-				return fmt.Errorf("experiments: execute %s/%s on %s: %w",
-					modelName, algo.Name(), inst.Params.Name(), err)
-			}
-			rec.Sim[algo.Name()] = sim
-			rec.Exp[algo.Name()] = exp
-		}
-		recs[i] = rec
-		build.release()
+		recs[i] = sc.record(l.Suite[i])
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return recs, nil
+}
+
+// record is a scored suite instance as a Record.
+func (s scored) record(inst dag.SuiteInstance) Record {
+	rec := Record{Instance: inst, Sim: make(map[string]float64, 2), Exp: make(map[string]float64, 2)}
+	for ai, algo := range ComparedAlgorithms() {
+		rec.Sim[algo.Name()], rec.Exp[algo.Name()] = s.sim[ai], s.exp[ai]
+	}
+	return rec
+}
+
+// floats is a Record as its scoring cell's float64s.
+func (r Record) floats() []float64 {
+	return []float64{r.Sim["HCPA"], r.Sim["MCPA"], r.Exp["HCPA"], r.Exp["MCPA"]}
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"encoding/json"
 	"io"
+
+	"repro/internal/profiler"
 )
 
 // Report is the machine-readable record of the whole evaluation — the data
@@ -22,7 +24,7 @@ type Report struct {
 	// TableII holds the fitted empirical coefficients.
 	TableII TableIIReport `json:"table2"`
 	// Ablation holds the overhead-attribution rows.
-	Ablation []AblationRow `json:"ablation"`
+	Ablation []Summary `json:"ablation"`
 }
 
 // ComparisonReport is the JSON shape of one Figure 1/5/7 panel.
@@ -85,17 +87,20 @@ func (l *Lab) BuildReport() (*Report, error) {
 			Min: b.Box.Min, Q1: b.Box.Q1, Median: b.Box.Median, Q3: b.Box.Q3, Max: b.Box.Max,
 		})
 	}
-	fig3, err := l.Figure3()
+	fig3, err := l.cells("fig3")
 	if err != nil {
 		return nil, err
 	}
-	r.Startup = fig3.Seconds
-	fig4, err := l.Figure4()
+	for _, c := range fig3 {
+		r.Startup = append(r.Startup, c[0])
+	}
+	fig4, err := l.cells("fig4")
 	if err != nil {
 		return nil, err
 	}
-	for d := 1; d <= len(fig4.Overhead); d++ {
-		r.RedistByDst = append(r.RedistByDst, fig4.ByDst[d])
+	byDst := profiler.RedistByDst(fig4)
+	for d := 1; d <= len(fig4); d++ {
+		r.RedistByDst = append(r.RedistByDst, byDst[d])
 	}
 	r.TableII = TableIIReport{
 		Mul:       map[int][4]float64{},
@@ -111,11 +116,11 @@ func (l *Lab) BuildReport() (*Report, error) {
 	for n, f := range l.Empirical.AddFits {
 		r.TableII.Add[n] = [2]float64{f.A, f.B}
 	}
-	ablation, err := l.Ablation()
+	ablationCells, err := l.cells("ablation")
 	if err != nil {
 		return nil, err
 	}
-	r.Ablation = ablation
+	r.Ablation = ablation().summaries(ablationCells)
 	return r, nil
 }
 

@@ -156,44 +156,18 @@ func TestRunnerCtxCancelsLabStudies(t *testing.T) {
 	}
 }
 
-// studyTranscript writes a representative batch of studies — suite cells,
-// breakdown cells, shape cells and campaign-figure cells — to one buffer.
+// studyTranscript renders a representative batch of studies — a serial
+// cell, suite cells, probe cells, breakdown cells and shape cells — to one
+// buffer.
 func studyTranscript(t *testing.T, l *Lab) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	l.Table1().Write(&buf)
-	for _, n := range []int{2000, 3000} {
-		c, err := l.CompareHCPAMCPA("analytic", n)
-		if err != nil {
+	labFn := func() (*Lab, error) { return l, nil }
+	for _, name := range []string{"table1", "fig1", "fig2", "fig3", "fig4", "breakdown", "shapes"} {
+		if err := RenderStudy(context.Background(), name, l.Cfg, labFn, &buf); err != nil {
 			t.Fatal(err)
 		}
-		c.Write(&buf)
 	}
-	fig2, err := l.Figure2Java(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	WriteErrorSeries(&buf, "fig2", fig2)
-	fig3, err := l.Figure3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig3.Write(&buf)
-	fig4, err := l.Figure4()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fig4.Write(&buf)
-	breakdown, err := l.TimeBreakdown()
-	if err != nil {
-		t.Fatal(err)
-	}
-	WriteBreakdown(&buf, breakdown)
-	shapes, err := l.ShapeStudy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	WriteShapes(&buf, shapes)
 	return buf.Bytes()
 }
 
@@ -226,16 +200,11 @@ func TestStandaloneStudyDeterminism(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Parallelism = workers
 		var buf bytes.Buffer
-		sens, err := NoiseSensitivityCtx(context.Background(), cfg, []float64{0, 0.03})
-		if err != nil {
-			t.Fatal(err)
+		for _, name := range []string{"sensitivity", "environments"} {
+			if err := RenderStudy(context.Background(), name, cfg, nil, &buf); err != nil {
+				t.Fatal(err)
+			}
 		}
-		WriteSensitivity(&buf, sens)
-		envs, err := EnvironmentStudyCtx(context.Background(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		WriteEnvironments(&buf, envs)
 		transcripts[i] = buf.Bytes()
 	}
 	if !bytes.Equal(transcripts[0], transcripts[1]) {

@@ -8,19 +8,39 @@ import (
 	"testing"
 )
 
-func TestAblationMonotonicity(t *testing.T) {
-	rows, err := lab.Ablation()
+// variantRows runs a variant study in process, on the shared lab for the
+// ablation, and returns its summaries and its report.
+func variantRows(t *testing.T, name string, cfg Config) ([]Summary, string) {
+	t.Helper()
+	p, err := PlanStudy(name, cfg, lab.Cluster().Nodes, func() (*Lab, error) { return lab, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
+	frames, err := p.frames(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := p.decode(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := p.Merge(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.s.variants.summaries(cells), out
+}
+
+func TestAblationMonotonicity(t *testing.T) {
+	rows, out := variantRows(t, "ablation", DefaultConfig())
 	if len(rows) != 6 {
 		t.Fatalf("%d ablation rows", len(rows))
 	}
-	byName := map[string]AblationRow{}
+	byName := map[string]Summary{}
 	for _, r := range rows {
-		byName[r.Model] = r
+		byName[r.Label] = r
 		if r.Total != 54 {
-			t.Errorf("%s scored over %d DAGs, want 54", r.Model, r.Total)
+			t.Errorf("%s scored over %d DAGs, want 54", r.Label, r.Total)
 		}
 	}
 	// Error attribution: replacing the analytic task times with profiled
@@ -50,18 +70,13 @@ func TestAblationMonotonicity(t *testing.T) {
 	if full.KendallTau <= analytic.KendallTau {
 		t.Errorf("full profile tau %g not above analytic %g", full.KendallTau, analytic.KendallTau)
 	}
-	var buf bytes.Buffer
-	WriteAblation(&buf, rows)
-	if !strings.Contains(buf.String(), "Ablation") {
+	if !strings.Contains(out, "Ablation") {
 		t.Error("ablation table missing header")
 	}
 }
 
 func TestStragglerStudyExposesLimit(t *testing.T) {
-	rows, err := StragglerStudyCtx(context.Background(), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, out := variantRows(t, "straggler", DefaultConfig())
 	if len(rows) != 2 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -79,23 +94,18 @@ func TestStragglerStudyExposesLimit(t *testing.T) {
 		t.Errorf("straggler flips (%d) not above healthy (%d)",
 			degraded.Mispredicted, healthy.Mispredicted)
 	}
-	var buf bytes.Buffer
-	WriteStraggler(&buf, rows)
-	if !strings.Contains(buf.String(), "Straggler study") {
+	if !strings.Contains(out, "Straggler study") {
 		t.Error("straggler table missing header")
 	}
 }
 
 func TestHeterogeneityStudy(t *testing.T) {
-	rows, err := HeterogeneityStudyCtx(context.Background(), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, out := variantRows(t, "hetero", DefaultConfig())
 	if len(rows) != 2 {
 		t.Fatalf("%d rows", len(rows))
 	}
 	analytic, profile := rows[0], rows[1]
-	if analytic.Model != "analytic" || profile.Model != "profile" {
+	if analytic.Label != "analytic" || profile.Label != "profile" {
 		t.Fatalf("unexpected row order: %v", rows)
 	}
 	// The paper's conclusion must port to the heterogeneous setting:
@@ -110,18 +120,13 @@ func TestHeterogeneityStudy(t *testing.T) {
 		t.Errorf("profile flips more winners (%d) than analytic (%d)",
 			profile.Mispredicted, analytic.Mispredicted)
 	}
-	var buf bytes.Buffer
-	WriteHetero(&buf, rows)
-	if !strings.Contains(buf.String(), "Heterogeneity study") {
+	if !strings.Contains(out, "Heterogeneity study") {
 		t.Error("hetero table missing header")
 	}
 }
 
 func TestEnvironmentStudy(t *testing.T) {
-	rows, err := EnvironmentStudyCtx(context.Background(), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, out := variantRows(t, "environments", DefaultConfig())
 	if len(rows) != 2 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -134,21 +139,15 @@ func TestEnvironmentStudy(t *testing.T) {
 		t.Errorf("modern environment flips more winners (%d) than Bayreuth (%d)",
 			modern.Mispredicted, bayreuth.Mispredicted)
 	}
-	var buf bytes.Buffer
-	WriteEnvironments(&buf, rows)
-	if !strings.Contains(buf.String(), "Environment study") {
+	if !strings.Contains(out, "Environment study") {
 		t.Error("environment table missing header")
 	}
 }
 
 func TestNoiseSensitivity(t *testing.T) {
-	cfg := DefaultConfig()
-	rows, err := NoiseSensitivityCtx(context.Background(), cfg, []float64{0, 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
+	rows, out := variantRows(t, "sensitivity", DefaultConfig())
+	if len(rows) != 5 || rows[0].Label != "0" || rows[4].Label != "0.2" {
+		t.Fatalf("rows = %+v, want sigma 0 … 0.2", rows)
 	}
 	// Even a noise-free environment leaves structural mispredictions —
 	// the analytic model's missing overheads, not measurement noise, are
@@ -157,12 +156,10 @@ func TestNoiseSensitivity(t *testing.T) {
 		t.Error("noise-free environment shows no analytic mispredictions; structure lost")
 	}
 	// More noise cannot make the ordering more faithful.
-	if rows[1].KendallTau > rows[0].KendallTau {
-		t.Errorf("tau rose with noise: %g -> %g", rows[0].KendallTau, rows[1].KendallTau)
+	if rows[4].KendallTau > rows[0].KendallTau {
+		t.Errorf("tau rose with noise: %g -> %g", rows[0].KendallTau, rows[4].KendallTau)
 	}
-	var buf bytes.Buffer
-	WriteSensitivity(&buf, rows)
-	if !strings.Contains(buf.String(), "Noise sensitivity") {
+	if !strings.Contains(out, "Noise sensitivity") {
 		t.Error("sensitivity table missing header")
 	}
 }
@@ -198,10 +195,11 @@ func TestBuildReportJSON(t *testing.T) {
 }
 
 func TestTimeBreakdown(t *testing.T) {
-	rows, err := lab.TimeBreakdown()
+	cells, err := lab.cells("breakdown")
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := breakdownRows(cells)
 	if len(rows) != 2 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -221,17 +219,18 @@ func TestTimeBreakdown(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	WriteBreakdown(&buf, rows)
+	writeBreakdown(&buf, rows)
 	if !strings.Contains(buf.String(), "Time breakdown") {
 		t.Error("breakdown table missing header")
 	}
 }
 
 func TestShapeStudy(t *testing.T) {
-	rows, err := lab.ShapeStudy()
+	cells, err := lab.cells("shapes")
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := shapeRows(cells)
 	if len(rows) != 4 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -247,34 +246,28 @@ func TestShapeStudy(t *testing.T) {
 		t.Errorf("profile simulation agrees on only %d/4 skeletons", agree)
 	}
 	var buf bytes.Buffer
-	WriteShapes(&buf, rows)
+	writeShapes(&buf, rows)
 	if !strings.Contains(buf.String(), "Shape study") {
 		t.Error("shape table missing header")
 	}
 }
 
 func TestScalingStudy(t *testing.T) {
-	cfg := DefaultConfig()
-	rows, err := ScalingStudyCtx(context.Background(), cfg, []int{32, 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
+	rows, out := variantRows(t, "scaling", DefaultConfig())
+	if len(rows) != 3 {
 		t.Fatalf("%d scaling rows", len(rows))
 	}
 	for _, r := range rows {
 		if r.Total != 54 {
-			t.Errorf("nodes=%d: %d DAGs", r.Nodes, r.Total)
+			t.Errorf("nodes=%s: %d DAGs", r.Label, r.Total)
 		}
 		// The empirical simulator must stay usable on the scaled platform:
 		// median error well below the analytic regime (~200%).
 		if r.MedianErrPct > 60 {
-			t.Errorf("nodes=%d: median error %g%% too large", r.Nodes, r.MedianErrPct)
+			t.Errorf("nodes=%s: median error %g%% too large", r.Label, r.MedianErrPct)
 		}
 	}
-	var buf bytes.Buffer
-	WriteScaling(&buf, rows)
-	if !strings.Contains(buf.String(), "Scaling study") {
+	if !strings.Contains(out, "Scaling study") {
 		t.Error("scaling table missing header")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -49,19 +50,29 @@ func toyFamily() *Family {
 	}}
 }
 
-// addFamily appends an entry to a service's family table. A durable
-// service's claim loops already consult the table, so they are parked while
-// it changes and restarted on the same dispatch New builds.
+// addFamily appends an entry to a service's family table, or replaces the
+// entry of the same name. A durable service's claim loops already consult
+// the table, so they are parked while it changes and restarted on the same
+// dispatch New builds.
 func addFamily(t *testing.T, svc *Service, f *Family) {
 	t.Helper()
-	if !svc.jobs.Durable() {
+	set := func() {
+		for i, g := range svc.families {
+			if g.Name == f.Name {
+				svc.families[i] = f
+				return
+			}
+		}
 		svc.families = append(svc.families, f)
+	}
+	if !svc.jobs.Durable() {
+		set()
 		return
 	}
 	if err := svc.jobs.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	svc.families = append(svc.families, f)
+	set()
 	svc.jobs = NewJobManager(svc.opts.JobWorkers, svc.opts.QueueCap, svc.opts.Retain,
 		svc.opts.Store, svc.opts.ReplicaID, svc.opts.LeaseTTL, svc.dispatch())
 }
@@ -262,10 +273,26 @@ func TestFailedPlanResolutionIsNotCached(t *testing.T) {
 	}
 }
 
+// gatedPlan holds each cell at enter before running it.
+type gatedPlan struct {
+	Plan
+	enter func(ctx context.Context) error
+}
+
+func (g gatedPlan) RunCell(ctx context.Context, i int, prog *obs.Progress) ([]byte, error) {
+	if err := g.enter(ctx); err != nil {
+		return nil, err
+	}
+	return g.Plan.RunCell(ctx, i, prog)
+}
+
 // TestStudyJobOnTwoReplicasMatchesMixedsim: a fig1 job submitted to one
-// replica of a two-replica cluster runs as the study family's one-cell plan,
-// reports its one cell, and renders the bytes cmd/mixedsim writes for fig1
-// (testdata/golden/fig1.txt), read back through the other replica.
+// replica of a two-replica cluster runs as the study table's plan of one
+// scoring cell per suite instance, splits its cells across both replicas,
+// reports n/n cells, and renders the bytes cmd/mixedsim writes for fig1
+// (testdata/golden/fig1.txt), read back through the other replica. A gate
+// holds each replica's first cell until the other replica has entered one,
+// so the split does not depend on timing.
 func TestStudyJobOnTwoReplicasMatchesMixedsim(t *testing.T) {
 	want, err := os.ReadFile("../../testdata/golden/fig1.txt")
 	if err != nil {
@@ -273,7 +300,50 @@ func TestStudyJobOnTwoReplicasMatchesMixedsim(t *testing.T) {
 	}
 	dir := t.TempDir()
 	a, b := durableService(t, dir, "alpha"), durableService(t, dir, "beta")
-	status, err := a.SubmitStudy(StudyRequest{Study: "fig1"})
+	ref, err := a.planStudy(StudyRequest{Study: "fig1"}, a.defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(ref.NumCells())
+	if n < 2 {
+		t.Fatalf("fig1 plans %d cells, want one per suite instance", n)
+	}
+
+	var mu sync.Mutex
+	ran := map[string]int{}
+	both := make(chan struct{})
+	var open sync.Once
+	for _, svc := range []*Service{a, b} {
+		replica, study := svc.opts.ReplicaID, svc.named("study")
+		gated := *study
+		gated.Prepare = func(spec []byte, d Defaults) (Plan, error) {
+			p, err := study.Prepare(spec, d)
+			if err != nil {
+				return nil, err
+			}
+			return gatedPlan{p, func(ctx context.Context) error {
+				mu.Lock()
+				ran[replica]++
+				first := ran[replica] == 1
+				if len(ran) == 2 {
+					open.Do(func() { close(both) })
+				}
+				mu.Unlock()
+				if !first {
+					return nil
+				}
+				select {
+				case <-both:
+					return nil
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			}}, nil
+		}
+		addFamily(t, svc, &gated)
+	}
+
+	status, err := a.submit(a.named("study"), []byte(`{"study":"fig1"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,8 +354,13 @@ func TestStudyJobOnTwoReplicasMatchesMixedsim(t *testing.T) {
 	if final.Output != string(want) {
 		t.Errorf("fig1 job output differs from mixedsim's:\n--- job\n%s\n--- mixedsim\n%s", final.Output, want)
 	}
-	if final.Progress == nil || *final.Progress != (obs.ProgressSnapshot{CellsDone: 1, CellsTotal: 1}) {
-		t.Errorf("fig1 job progress = %+v, want 1/1 cells", final.Progress)
+	if final.Progress == nil || *final.Progress != (obs.ProgressSnapshot{CellsDone: n, CellsTotal: n}) {
+		t.Errorf("fig1 job progress = %+v, want %d/%d cells", final.Progress, n, n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if ran["alpha"] == 0 || ran["beta"] == 0 || int64(ran["alpha"]+ran["beta"]) < n {
+		t.Errorf("cells run per replica = %v, want all %d split across alpha and beta", ran, n)
 	}
 }
 
@@ -324,5 +399,34 @@ func TestParentEraStudyPayloadRuns(t *testing.T) {
 				t.Errorf(`repro_job_duration_seconds_count{kind="study"} rose by %d, want 1`, rose)
 			}
 		})
+	}
+}
+
+// BenchmarkSubmitStudy prices submitting a study job on a log-less service:
+// validating the request, planning it and queueing its canonical payload.
+// Submitting builds no lab, fits nothing and scores nothing. The queued
+// table1 jobs run on a lab warmed before the timer starts, and every eighth
+// submission waits, untimed, for its job to end, so the queue stays short.
+func BenchmarkSubmitStudy(b *testing.B) {
+	svc := New(DefaultOptions())
+	defer svc.Close(context.Background())
+	req := StudyRequest{Study: "table1", Environment: "bayreuth", SuiteSeed: 2011}
+	if _, err := svc.RunStudy(context.Background(), req); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		status, err := svc.SubmitStudy(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i%8 == 7 {
+			b.StopTimer()
+			for !terminalState(status.State) {
+				status, _ = svc.Jobs().Watch(context.Background(), status.ID, time.Second)
+			}
+			b.StartTimer()
+		}
 	}
 }

@@ -9,10 +9,10 @@ import (
 // — not once per cell it executes, and not again after validating it at
 // submission.
 
-// planEntry is one cached plan resolution.
-type planEntry struct {
+// resolved is one cached resolution — of a plan, or of a study's lab.
+type resolved[T any] struct {
 	once sync.Once
-	plan Plan
+	v    T
 	err  error
 }
 
@@ -40,7 +40,7 @@ func (s *Service) cachedPlan(kind string, payload []byte, resolve func() (Plan, 
 	s.planMu.Lock()
 	e, ok := s.plans[key]
 	if !ok {
-		e = &planEntry{}
+		e = &resolved[Plan]{}
 		s.plans[key] = e
 		s.planOrder = append(s.planOrder, key)
 		for len(s.planOrder) > planCacheCap {
@@ -49,7 +49,7 @@ func (s *Service) cachedPlan(kind string, payload []byte, resolve func() (Plan, 
 		}
 	}
 	s.planMu.Unlock()
-	e.once.Do(func() { e.plan, e.err = resolve() })
+	e.once.Do(func() { e.v, e.err = resolve() })
 	if e.err != nil {
 		s.planMu.Lock()
 		if s.plans[key] == e {
@@ -63,5 +63,5 @@ func (s *Service) cachedPlan(kind string, payload []byte, resolve func() (Plan, 
 		}
 		s.planMu.Unlock()
 	}
-	return e.plan, e.err
+	return e.v, e.err
 }

@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -16,7 +14,6 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/experiments"
-	"repro/internal/obs"
 	"repro/internal/perfmodel"
 	"repro/internal/platform"
 	"repro/internal/profiler"
@@ -101,7 +98,7 @@ type Service struct {
 	families []*Family
 
 	labMu sync.Mutex
-	labs  map[labKey]*labEntry
+	labs  map[labKey]*resolved[*experiments.Lab]
 
 	// nets caches one simgrid.Net per environment so schedule, simulate and
 	// batch requests share it instead of building a network per request.
@@ -110,7 +107,7 @@ type Service struct {
 
 	// The prepared-plan cache behind plan (plans.go).
 	planMu    sync.Mutex
-	plans     map[string]*planEntry
+	plans     map[string]*resolved[Plan]
 	planOrder []string
 }
 
@@ -120,12 +117,6 @@ type labKey struct {
 	seed      int64
 	suiteSeed int64
 	trials    int
-}
-
-type labEntry struct {
-	once sync.Once
-	lab  *experiments.Lab
-	err  error
 }
 
 // New assembles a service; fields of opts left zero fall back to defaults.
@@ -164,9 +155,9 @@ func New(opts Options) *Service {
 		registry: NewModelRegistry(opts.Profile, opts.Empirical),
 		logger:   logger,
 		start:    time.Now(),
-		labs:     make(map[labKey]*labEntry),
+		labs:     make(map[labKey]*resolved[*experiments.Lab]),
 		nets:     make(map[string]*simgrid.Net),
-		plans:    make(map[string]*planEntry),
+		plans:    make(map[string]*resolved[Plan]),
 	}
 	s.families = append([]*Family{s.studies()}, Families(s.registry, opts.Parallelism)...)
 	// Every family's duration series exists from the first scrape.
@@ -239,6 +230,12 @@ func (s *Service) defaults() Defaults {
 // seeds — and so the same report — as the submitting one would have.
 func (s *Service) submit(f *Family, spec []byte) (JobStatus, error) {
 	p, err := f.Prepare(spec, s.defaults())
+	return s.enqueue(f, p, err)
+}
+
+// enqueue is submit's second half, for a plan already prepared (or its
+// rejection).
+func (s *Service) enqueue(f *Family, p Plan, err error) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, badRequest{err}
 	}
@@ -673,14 +670,11 @@ func (s *Service) SimulateBatch(ctx context.Context, req SimulateBatchRequest) (
 
 // StudyRequest submits one of the evaluation's studies as an async job.
 type StudyRequest struct {
-	// Study names the artifact, as in cmd/mixedsim: table1, fig1..fig8,
-	// table2, ablation, breakdown, shapes, scaling, sensitivity, straggler,
-	// hetero, environments.
+	// Study names the study, one of experiments.StudyNames, as in
+	// cmd/mixedsim -experiment.
 	Study string `json:"study"`
-	// Environment selects the lab's ground truth for lab-based studies
-	// (default "bayreuth"). Standalone studies (scaling, sensitivity,
-	// straggler, hetero, environments) assemble their own environments and
-	// ignore it.
+	// Environment selects the lab's ground truth (default "bayreuth");
+	// the standalone studies, which assemble their own, ignore it.
 	Environment string `json:"environment,omitempty"`
 	// Seed overrides the noise seed (0 = service default).
 	Seed int64 `json:"seed,omitempty"`
@@ -690,51 +684,53 @@ type StudyRequest struct {
 	Trials int `json:"trials,omitempty"`
 }
 
-// StudyNames lists the studies SubmitStudy accepts.
-func StudyNames() []string { return experiments.StudyNames() }
-
 // studies is the study family: a job of kind "table1", "fig1", … runs one
-// of the paper's artifacts as a one-cell plan whose frame is the rendered
-// report. Its read routes are the generic "jobs", which serve every job.
+// of the evaluation's studies as a plan over the study table's cells, so a
+// multi-cell study shards over claim loops and replicas like any other job.
+// Its read routes are the generic "jobs", which serve every job.
 func (s *Service) studies() *Family {
-	return &Family{Name: "study", Kinds: StudyNames(), Route: "jobs", Noun: "job",
+	return &Family{Name: "study", Kinds: experiments.StudyNames(), Route: "jobs", Noun: "job",
 		Prepare: func(spec []byte, d Defaults) (Plan, error) {
 			var req StudyRequest
 			if err := json.Unmarshal(spec, &req); err != nil {
 				return nil, err
 			}
-			if !slices.Contains(StudyNames(), req.Study) {
-				return nil, fmt.Errorf("service: unknown study %q (want one of %v)", req.Study, StudyNames())
-			}
-			req.Environment = cmp.Or(req.Environment, "bayreuth")
-			if _, err := s.registry.Environment(req.Environment); err != nil {
-				return nil, err
-			}
-			req.Seed, req.SuiteSeed = cmp.Or(req.Seed, d.Seed), cmp.Or(req.SuiteSeed, d.SuiteSeed)
-			canonical, err := json.Marshal(req)
-			if err != nil {
-				return nil, err
-			}
-			cfg := experiments.DefaultConfig()
-			cfg.NoiseSeed, cfg.SuiteSeed = req.Seed, req.SuiteSeed
-			if req.Trials > 0 {
-				cfg.ExpTrials = req.Trials
-			}
-			cfg.Parallelism, cfg.Profile, cfg.Empirical = s.opts.Parallelism, s.opts.Profile, s.opts.Empirical
-			labFn := func() (*experiments.Lab, error) { return s.lab(req.Environment, cfg) }
-			return &cellPlan[string]{
-				label: req.Study, spec: canonical, cells: 1,
-				run: func(ctx context.Context, _ int, _ *obs.Progress) (string, error) {
-					var buf strings.Builder
-					err := experiments.RenderStudy(ctx, req.Study, cfg, labFn, &buf)
-					return buf.String(), err
-				},
-				encode: func(report string) ([]byte, error) { return []byte(report), nil },
-				decode: func(frame []byte) (string, error) { return string(frame), nil },
-				merge:  func(reports []string) (string, error) { return reports[0], nil },
-			}, nil
+			return s.planStudy(req, d)
 		}}
 }
+
+// planStudy validates a study request — a known study and environment
+// ("bayreuth" when empty) — fills its zero seeds from d and resolves it
+// against the study table. It builds no lab and fits nothing: the plan does
+// that when its first cell runs.
+func (s *Service) planStudy(req StudyRequest, d Defaults) (Plan, error) {
+	req.Environment = cmp.Or(req.Environment, "bayreuth")
+	truth, err := s.registry.Environment(req.Environment)
+	if err != nil {
+		return nil, err
+	}
+	req.Seed, req.SuiteSeed = cmp.Or(req.Seed, d.Seed), cmp.Or(req.SuiteSeed, d.SuiteSeed)
+	cfg := experiments.DefaultConfig()
+	cfg.NoiseSeed, cfg.SuiteSeed, cfg.ExpTrials = req.Seed, req.SuiteSeed, max(req.Trials, 1)
+	cfg.Parallelism, cfg.Profile, cfg.Empirical = s.opts.Parallelism, s.opts.Profile, s.opts.Empirical
+	p, err := experiments.PlanStudy(req.Study, cfg, truth.Cluster.Nodes,
+		func() (*experiments.Lab, error) { return s.lab(req.Environment, cfg) })
+	if err != nil {
+		return nil, err
+	}
+	canonical, err := json.Marshal(req)
+	return studyPlan{p, canonical}, err
+}
+
+// studyPlan is a study job's plan: the study table's plan and the
+// canonical request it was resolved from.
+type studyPlan struct {
+	*experiments.Plan
+	spec []byte
+}
+
+func (p studyPlan) Label() string { return p.Study() }
+func (p studyPlan) Spec() []byte  { return p.spec }
 
 // lab returns the lazily assembled lab for a study request, reusing the
 // registry's fitted models: the campaigns run once per (environment, seed)
@@ -744,32 +740,35 @@ func (s *Service) lab(env string, cfg experiments.Config) (*experiments.Lab, err
 	s.labMu.Lock()
 	e, ok := s.labs[key]
 	if !ok {
-		e = &labEntry{}
+		e = &resolved[*experiments.Lab]{}
 		s.labs[key] = e
 	}
 	s.labMu.Unlock()
 	e.once.Do(func() {
 		truth, em, prof, emp, err := s.registry.Campaign(env, cfg.NoiseSeed)
-		if err != nil {
-			e.err = err
-			return
+		if e.err = err; err == nil {
+			e.v, e.err = experiments.AssembleLab(cfg, truth, em, prof, emp)
 		}
-		e.lab, e.err = experiments.AssembleLab(cfg, truth, em, prof, emp)
 	})
-	return e.lab, e.err
+	return e.v, e.err
 }
 
 // SubmitStudy validates a study request — a known study and environment
 // ("bayreuth" when empty) — and queues it as an async job of the study's
 // kind ("table1", "fig1", …).
 func (s *Service) SubmitStudy(req StudyRequest) (JobStatus, error) {
-	return s.submitSpec("study", req)
+	p, err := s.planStudy(req, s.defaults())
+	return s.enqueue(s.named("study"), p, err)
 }
 
 // RunStudy executes one study synchronously and returns the rendered
 // report, byte-identical to cmd/mixedsim's output for the same seeds (both
-// render through experiments.RenderStudy; only the lab's provenance
+// render through the experiments study table; only the lab's provenance
 // differs — the service assembles its labs from registry-cached fits).
 func (s *Service) RunStudy(ctx context.Context, req StudyRequest) (string, error) {
-	return s.runSpec(ctx, "study", req)
+	p, err := s.planStudy(req, s.defaults())
+	if err != nil {
+		return "", err
+	}
+	return p.Run(ctx, nil)
 }

@@ -154,12 +154,12 @@ func TestStudyJobMatchesNewLab(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig3, err := lab.Figure3()
+	var want bytes.Buffer
+	err = experiments.RenderStudy(context.Background(), "fig3", experiments.DefaultConfig(),
+		func() (*experiments.Lab, error) { return lab, nil }, &want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want bytes.Buffer
-	fig3.Write(&want)
 
 	if got != want.String() {
 		t.Errorf("service study output differs from NewLab's:\n--- service ---\n%s\n--- NewLab ---\n%s", got, want.String())

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
 	"slices"
 	"strings"
 	"sync"
@@ -318,7 +319,8 @@ func TestCoordinatorRestartMidGather(t *testing.T) {
 // TestShardedMergePermutation is the merge-determinism pin: cells completed
 // in a shuffled order, with a duplicate frame from a reclaimed-then-revived
 // holder racing the reclaimer, still gather in plan order and merge
-// byte-identically to the serial in-process report.
+// byte-identically to the serial in-process report — for a robustness grid,
+// and for a study of each cell kind against its golden report.
 func TestShardedMergePermutation(t *testing.T) {
 	spec := shardSpec()
 	payload, err := json.Marshal(spec)
@@ -331,26 +333,51 @@ func TestShardedMergePermutation(t *testing.T) {
 	svc := New(DefaultOptions())
 	defer svc.Close(context.Background())
 	kind := "robust:" + spec.Spec.Name
+	plan, frames := planFrames(t, svc, kind, payload)
+	want, err := plan.Merge(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkShuffledMerges(t, plan, kind, payload, frames, want, 5)
+
+	// A serial cell, suite scoring cells, probe cells, variant cells,
+	// breakdown cells and shape cells.
+	for _, study := range []string{"table1", "fig1", "fig3", "sensitivity", "breakdown", "shapes"} {
+		t.Run(study, func(t *testing.T) {
+			golden, err := os.ReadFile("../../testdata/golden/" + study + ".txt")
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload := []byte(`{"study":"` + study + `"}`)
+			plan, frames := planFrames(t, svc, study, payload)
+			checkShuffledMerges(t, plan, study, payload, frames, string(golden), 2)
+		})
+	}
+}
+
+// planFrames resolves a job's plan and runs every cell of it in order.
+func planFrames(t *testing.T, svc *Service, kind string, payload []byte) (Plan, [][]byte) {
+	t.Helper()
 	plan, err := svc.plan(kind, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := plan.NumCells()
-	if n < 2 {
-		t.Fatalf("spec has %d cells; the permutation needs at least 2", n)
-	}
-	frames := make([][]byte, n)
+	frames := make([][]byte, plan.NumCells())
 	for i := range frames {
 		if frames[i], err = plan.RunCell(context.Background(), i, nil); err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
 	}
-	want, err := plan.Merge(frames)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return plan, frames
+}
 
-	for trial := 0; trial < 5; trial++ {
+// checkShuffledMerges completes a job's cells in a store in trials shuffled
+// orders, each with cell 0's frame delivered twice, and holds each merge of
+// the stored results to want.
+func checkShuffledMerges(t *testing.T, plan Plan, kind string, payload []byte, frames [][]byte, want string, trials int) {
+	t.Helper()
+	n := len(frames)
+	for trial := 0; trial < trials; trial++ {
 		st := openServiceStore(t, t.TempDir())
 		rec, err := st.SubmitJob(kind, payload)
 		if err != nil {
@@ -383,7 +410,7 @@ func TestShardedMergePermutation(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Errorf("trial %d: shuffled merge differs from serial report", trial)
+			t.Errorf("trial %d: shuffled merge differs from the serial report", trial)
 		}
 	}
 }
