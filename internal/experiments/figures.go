@@ -12,7 +12,6 @@ import (
 	"repro/internal/stats"
 )
 
-// newFranklin builds the calibrated Cray XT4 environment of Figure 2.
 // ---------------------------------------------------------------- Table I
 
 // writeTableI prints Table I in the paper's layout: the DAG-generator

@@ -1,8 +1,8 @@
 // Package experiments orchestrates the paper's evaluation (§V–§VII): it
 // assembles the platform, the ground-truth environment, the three simulator
 // models and the 54-DAG workload, and regenerates every table and figure.
-// Each experiment returns a typed result with a Write method that prints
-// the same rows/series the paper reports.
+// Every study is an entry of the study table (table.go): independent cells
+// whose merge prints the same rows/series the paper reports.
 package experiments
 
 import (
