@@ -70,7 +70,7 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		seed        = flag.Int64("seed", 42, "default measurement-campaign noise seed")
 		suiteSeed   = flag.Int64("suite-seed", 2011, "default seed for the 54-DAG study suite")
-		parallel    = flag.Int("parallel", 0, "per-study cell-engine worker pool size (0 = one per CPU)")
+		parallel    = flag.Int("parallel", 0, "cell-engine workers of a batch or study run in process; a job's cells run on the claim loops (0 = one per CPU)")
 		jobWorkers  = flag.Int("job-workers", 2, "claim loops: one-cell jobs and cells of larger jobs run at once")
 		queueCap    = flag.Int("queue", 16, "queued-job capacity (of the whole pool, with -store-dir)")
 		retain      = flag.Int("retain", 64, "finished jobs whose results are retained")

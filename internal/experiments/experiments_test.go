@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -63,6 +65,78 @@ func TestRunSuiteCachedAndComplete(t *testing.T) {
 	}
 	if &again[0] != &recs[0] {
 		t.Error("RunSuite results not cached")
+	}
+}
+
+// TestSuitePassesShareTheRecordCache: a suite study's merge leaves the
+// passes it folded in the lab its cells ran on, and a plan's cells answer
+// from the passes a lab holds; a plan none of whose cells ran — a
+// coordinator that only gathers — merges without a lab.
+func TestSuitePassesShareTheRecordCache(t *testing.T) {
+	golden, err := os.ReadFile("../../testdata/golden/fig1.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func() *Lab {
+		l, err := AssembleLab(lab.Cfg, lab.Truth, lab.Em, lab.Profile, lab.Empirical)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	l := fresh()
+	p, err := PlanStudy("fig1", l.Cfg, l.Cluster().Nodes, func() (*Lab, error) { return l, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := make([][]byte, p.NumCells())
+	for i := range frames {
+		if frames[i], err = p.RunCell(context.Background(), i, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if out, err := p.Merge(frames); err != nil || out != string(golden) {
+		t.Fatalf("fig1 merge = %v, want the golden report:\n%s", err, out)
+	}
+	kept, ok := l.cachedSuite("analytic")
+	want, err := lab.RunSuite("analytic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass := func(recs []Record) string {
+		var b strings.Builder
+		for _, rec := range recs {
+			fmt.Fprintln(&b, rec.Instance.Params, rec.floats())
+		}
+		return b.String()
+	}
+	if !ok || pass(kept) != pass(want) {
+		t.Fatalf("merge left %d records (ok=%v) in the lab's cache, not RunSuite's", len(kept), ok)
+	}
+
+	sentinel := fresh()
+	recs := make([]Record, len(want))
+	for i := range recs {
+		recs[i] = Record{Sim: map[string]float64{"HCPA": 1, "MCPA": 2}, Exp: map[string]float64{"HCPA": 3, "MCPA": 4}}
+	}
+	sentinel.keepSuite("analytic", recs)
+	p, err = PlanStudy("fig1", l.Cfg, l.Cluster().Nodes, func() (*Lab, error) { return sentinel, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame, err := p.RunCell(context.Background(), 5, nil); err != nil || fmt.Sprint(decodeFloats(frame, 4)) != "[1 2 3 4] <nil>" {
+		t.Errorf("cell 5 on a lab holding the pass = %v, %v; want the cached record", frame, err)
+	}
+
+	p, err = PlanStudy("fig1", l.Cfg, l.Cluster().Nodes, func() (*Lab, error) {
+		t.Error("merging built a lab")
+		return nil, errors.New("no lab")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := p.Merge(frames); err != nil || out != string(golden) {
+		t.Errorf("gather-only merge = %v, want the golden report:\n%s", err, out)
 	}
 }
 

@@ -236,6 +236,24 @@ func (l *Lab) RunSuite(modelName string) ([]Record, error) {
 	return recs, err
 }
 
+// cachedSuite returns the model's suite records if the lab holds them.
+func (l *Lab) cachedSuite(modelName string) ([]Record, bool) {
+	l.cache.mu.Lock()
+	defer l.cache.mu.Unlock()
+	recs, ok := l.cache.records[modelName]
+	return recs, ok
+}
+
+// keepSuite caches a model's suite records computed elsewhere — by a study's
+// cells — unless the lab holds them already.
+func (l *Lab) keepSuite(modelName string, recs []Record) {
+	l.cache.mu.Lock()
+	defer l.cache.mu.Unlock()
+	if _, ok := l.cache.records[modelName]; !ok {
+		l.cache.records[modelName] = recs
+	}
+}
+
 // pass is the scoring pass of one of the lab's models on its environment.
 func (l *Lab) pass(model perfmodel.Model) pass {
 	return newPass(l.Em, l.Net, model, l.Cfg.NoiseSeed, l.Cfg.ExpTrials)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/dag"
@@ -39,11 +40,7 @@ type study struct {
 	cells, width func(nodes int) int
 	cell         func(p *Plan, i int) ([]float64, error)
 	merge        func(p *Plan, cells [][]float64, w io.Writer) error
-	// cached, when set, supplies an in-process run's cells in place of
-	// running them: the lab's cached per-model suite passes, so a process
-	// rendering fig1, fig5, fig7 and fig8 scores each model's suite once.
-	cached   func(l *Lab) ([][]byte, error)
-	variants *variantStudy
+	variants     *variantStudy
 }
 
 // studies is the table, in cmd/mixedsim's "all" order.
@@ -126,38 +123,38 @@ func comparison(name, model string) *study {
 
 // suitePasses is a study over the lab's suite pass of each named model: one
 // scoring cell per (model, suite instance), seeded as Lab.RunSuite seeds it.
+// The passes go through the lab's record cache both ways: a cell whose lab
+// holds its model's pass answers from it, and the merge leaves the passes it
+// folded in the lab a cell of the plan ran on, if any, so a repeated study,
+// or fig8 after fig1, fig5 and fig7, scores no suite instance again.
 func suitePasses(name string, models []string, write func([][]Record, io.Writer)) *study {
 	s := probes(name, func(int) int { return len(models) * suiteLen }, func(int) int { return 4 },
 		func(l *Lab, i, _ int) ([]float64, error) {
-			model, err := l.Model(models[i/suiteLen])
+			m, k := models[i/suiteLen], i%suiteLen
+			if recs, ok := l.cachedSuite(m); ok {
+				return recs[k].floats(), nil
+			}
+			model, err := l.Model(m)
 			if err != nil {
 				return nil, err
 			}
-			p, k := l.pass(model), i%suiteLen
-			sc, err := p.score(l.Suite[k].Graph, p.session("suite/"+models[i/suiteLen], k))
+			p := l.pass(model)
+			sc, err := p.score(l.Suite[k].Graph, p.session("suite/"+m, k))
 			return sc.floats(), err
 		}, nil)
-	s.cached = func(l *Lab) ([][]byte, error) {
-		var frames [][]byte
-		for _, model := range models {
-			recs, err := l.RunSuite(model)
-			if err != nil {
-				return nil, err
-			}
-			for _, rec := range recs {
-				frames = append(frames, encodeFloats(rec.floats()))
-			}
-		}
-		return frames, nil
-	}
 	s.merge = func(p *Plan, cells [][]float64, w io.Writer) error {
-		l, err := p.lab()
+		suite, err := p.suite()
 		if err != nil {
 			return err
 		}
 		suites := make([][]Record, len(models))
 		for i, xs := range cells {
-			suites[i/suiteLen] = append(suites[i/suiteLen], scoredOf(xs).record(l.Suite[i%suiteLen]))
+			suites[i/suiteLen] = append(suites[i/suiteLen], scoredOf(xs).record(suite[i%suiteLen]))
+		}
+		if l := p.built.Load(); l != nil {
+			for m, model := range models {
+				l.keepSuite(model, suites[m])
+			}
 		}
 		write(suites, w)
 		return nil
@@ -211,7 +208,11 @@ type Plan struct {
 	labFn LabFunc
 
 	variants []func() (variantPass, error)
-	suite    func() ([]dag.SuiteInstance, error)
+	// suite is the Table I suite of cfg: the lab's, if a cell built the lab
+	// first, so a merge that runs on the lab generates no second copy.
+	suite func() ([]dag.SuiteInstance, error)
+	// built is the lab labFn last returned, nil until a cell needed it.
+	built atomic.Pointer[Lab]
 }
 
 // variantPass is a resolved variant: its pass and the suite it scores.
@@ -228,7 +229,12 @@ func PlanStudy(name string, cfg Config, nodes int, labFn LabFunc) (*Plan, error)
 			continue
 		}
 		p := &Plan{s: s, cfg: cfg, nodes: nodes, labFn: labFn}
-		p.suite = sync.OnceValues(func() ([]dag.SuiteInstance, error) { return dag.GenerateSuite(cfg.SuiteSeed) })
+		p.suite = sync.OnceValues(func() ([]dag.SuiteInstance, error) {
+			if l := p.built.Load(); l != nil {
+				return l.Suite, nil
+			}
+			return dag.GenerateSuite(cfg.SuiteSeed)
+		})
 		if s.variants != nil {
 			for v := range s.variants.variants {
 				p.variants = append(p.variants, sync.OnceValues(func() (variantPass, error) { return p.variant(v) }))
@@ -328,13 +334,6 @@ func (p *Plan) Run(ctx context.Context, prog *obs.Progress) (string, error) {
 
 // frames runs every cell in process.
 func (p *Plan) frames(ctx context.Context) ([][]byte, error) {
-	if p.s.cached != nil {
-		l, err := p.lab()
-		if err != nil {
-			return nil, err
-		}
-		return p.s.cached(l.WithContext(ctx))
-	}
 	frames := make([][]byte, p.NumCells())
 	err := ForEachCellCtx(ctx, p.cfg.Parallelism, len(frames), func(i int) (err error) {
 		frames[i], err = p.RunCell(ctx, i, nil)
@@ -347,7 +346,11 @@ func (p *Plan) lab() (*Lab, error) {
 	if p.labFn == nil {
 		return nil, fmt.Errorf("experiments: %s needs a lab", p.s.name)
 	}
-	return p.labFn()
+	l, err := p.labFn()
+	if err == nil {
+		p.built.Store(l)
+	}
+	return l, err
 }
 
 // variant resolves variant v: its model on the lab's environment, or on its
@@ -382,7 +385,7 @@ func (p *Plan) variant(v int) (variantPass, error) {
 
 // RenderStudy writes one study's report to w, aborting between cells once
 // ctx is done. cfg drives the standalone studies; labFn supplies the lab
-// for the rest.
+// for the rest, which run under the lab's own config.
 func RenderStudy(ctx context.Context, name string, cfg Config, labFn LabFunc, w io.Writer) error {
 	p, err := PlanStudy(name, cfg, 0, labFn)
 	if err != nil {
@@ -393,7 +396,8 @@ func RenderStudy(ctx context.Context, name string, cfg Config, labFn LabFunc, w 
 		if err != nil {
 			return err
 		}
-		p.nodes, p.labFn = l.Cluster().Nodes, func() (*Lab, error) { return l, nil }
+		// A lab study runs under the lab's config, on the lab's cluster.
+		p, _ = PlanStudy(name, l.Cfg, l.Cluster().Nodes, func() (*Lab, error) { return l, nil })
 	}
 	out, err := p.Run(ctx, nil)
 	if err != nil {

@@ -30,8 +30,9 @@ type Options struct {
 	Seed int64
 	// SuiteSeed is the default Table I suite seed for study jobs.
 	SuiteSeed int64
-	// Parallelism bounds each study's cell-engine worker pool (0 = one
-	// worker per CPU).
+	// Parallelism bounds the cell-engine worker pool of what runs in
+	// process — a simulate batch's DAGs, a RunStudy's cells (0 = one worker
+	// per CPU). A job's cells run on the claim loops instead.
 	Parallelism int
 	// JobWorkers is the number of claim loops (default 2): how many one-cell
 	// jobs and cells of larger jobs run at once.
