@@ -98,7 +98,7 @@ func TestSuitePassesShareTheRecordCache(t *testing.T) {
 	if out, err := p.Merge(frames); err != nil || out != string(golden) {
 		t.Fatalf("fig1 merge = %v, want the golden report:\n%s", err, out)
 	}
-	kept, ok := l.cachedSuite("analytic")
+	kept := l.suiteRecords("analytic", nil)
 	want, err := lab.RunSuite("analytic")
 	if err != nil {
 		t.Fatal(err)
@@ -110,8 +110,8 @@ func TestSuitePassesShareTheRecordCache(t *testing.T) {
 		}
 		return b.String()
 	}
-	if !ok || pass(kept) != pass(want) {
-		t.Fatalf("merge left %d records (ok=%v) in the lab's cache, not RunSuite's", len(kept), ok)
+	if pass(kept) != pass(want) {
+		t.Fatalf("merge left %d records in the lab's cache, not RunSuite's", len(kept))
 	}
 
 	sentinel := fresh()
@@ -119,7 +119,7 @@ func TestSuitePassesShareTheRecordCache(t *testing.T) {
 	for i := range recs {
 		recs[i] = Record{Sim: map[string]float64{"HCPA": 1, "MCPA": 2}, Exp: map[string]float64{"HCPA": 3, "MCPA": 4}}
 	}
-	sentinel.keepSuite("analytic", recs)
+	sentinel.suiteRecords("analytic", recs)
 	p, err = PlanStudy("fig1", l.Cfg, l.Cluster().Nodes, func() (*Lab, error) { return sentinel, nil })
 	if err != nil {
 		t.Fatal(err)

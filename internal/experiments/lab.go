@@ -70,13 +70,10 @@ type Lab struct {
 	cache *recordCache
 }
 
-// recordCache holds the cached pipeline runs per model name, plus the
-// in-flight markers that let concurrent RunSuite callers coalesce on one
-// computation instead of racing to duplicate it.
+// recordCache holds the cached suite passes per model name.
 type recordCache struct {
-	mu       sync.Mutex
-	records  map[string][]Record
-	inflight map[string]chan struct{} // closed when the winner finishes
+	mu      sync.Mutex
+	records map[string][]Record
 }
 
 // WithContext returns a lab view whose studies abort once ctx is done:
@@ -149,10 +146,7 @@ func AssembleLab(cfg Config, truth *cluster.Hidden, em *cluster.Emulator,
 		Analytic:  perfmodel.NewAnalytic(truth.Cluster),
 		Profile:   prof,
 		Empirical: emp,
-		cache: &recordCache{
-			records:  make(map[string][]Record),
-			inflight: make(map[string]chan struct{}),
-		},
+		cache:     &recordCache{records: make(map[string][]Record)},
 	}, nil
 }
 
@@ -196,89 +190,56 @@ const hcpa, mcpa = 0, 1
 // RunSuite pushes the whole 54-DAG suite through the pipeline with the
 // given model: schedule (per algorithm) → simulate → execute on the
 // emulated cluster. Instances run as independent cells on the study engine;
-// results are cached per model name, and concurrent callers for the same
-// model coalesce on a single computation.
+// results are cached per model name.
 func (l *Lab) RunSuite(modelName string) ([]Record, error) {
 	ctx := l.context()
-	c := l.cache
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err // honour WithContext even when the cache could answer
-		}
-		c.mu.Lock()
-		if recs, ok := c.records[modelName]; ok {
-			c.mu.Unlock()
-			return recs, nil
-		}
-		wait, running := c.inflight[modelName]
-		if !running {
-			c.inflight[modelName] = make(chan struct{})
-			c.mu.Unlock()
-			break // this caller computes
-		}
-		c.mu.Unlock()
-		select {
-		case <-wait:
-			// The winner finished (or failed — then the next lap retries).
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	if err := ctx.Err(); err != nil {
+		return nil, err // honour WithContext even when the cache could answer
 	}
-	recs, err := l.runSuite(modelName)
-	c.mu.Lock()
-	if err == nil {
-		c.records[modelName] = recs
+	if recs := l.suiteRecords(modelName, nil); recs != nil {
+		return recs, nil
 	}
-	wait := c.inflight[modelName]
-	delete(c.inflight, modelName)
-	c.mu.Unlock()
-	close(wait)
-	return recs, err
+	recs := make([]Record, len(l.Suite))
+	err := ForEachCellCtx(ctx, l.Cfg.Parallelism, len(l.Suite), func(i int) error {
+		sc, err := l.suiteCell(modelName, i)
+		recs[i] = sc.record(l.Suite[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return l.suiteRecords(modelName, recs), nil
 }
 
-// cachedSuite returns the model's suite records if the lab holds them.
-func (l *Lab) cachedSuite(modelName string) ([]Record, bool) {
+// suiteRecords returns the model's cached suite pass, nil if the lab holds
+// none, caching recs first when it holds none and recs is not nil.
+func (l *Lab) suiteRecords(modelName string, recs []Record) []Record {
 	l.cache.mu.Lock()
 	defer l.cache.mu.Unlock()
-	recs, ok := l.cache.records[modelName]
-	return recs, ok
+	if kept, ok := l.cache.records[modelName]; ok || recs == nil {
+		return kept
+	}
+	l.cache.records[modelName] = recs
+	return recs
 }
 
-// keepSuite caches a model's suite records computed elsewhere — by a study's
-// cells — unless the lab holds them already.
-func (l *Lab) keepSuite(modelName string, recs []Record) {
-	l.cache.mu.Lock()
-	defer l.cache.mu.Unlock()
-	if _, ok := l.cache.records[modelName]; !ok {
-		l.cache.records[modelName] = recs
+// suiteCell is the scoring cell of suite instance k under the named model,
+// answered from the model's cached pass when the lab holds one.
+func (l *Lab) suiteCell(modelName string, k int) (scored, error) {
+	if recs := l.suiteRecords(modelName, nil); recs != nil {
+		return scoredOf(recs[k].floats()), nil
 	}
+	model, err := l.Model(modelName)
+	if err != nil {
+		return scored{}, err
+	}
+	p := l.pass(model)
+	return p.score(l.Suite[k].Graph, p.session("suite/"+modelName, k))
 }
 
 // pass is the scoring pass of one of the lab's models on its environment.
 func (l *Lab) pass(model perfmodel.Model) pass {
 	return newPass(l.Em, l.Net, model, l.Cfg.NoiseSeed, l.Cfg.ExpTrials)
-}
-
-// runSuite computes the suite records of one model (the cache-miss path).
-func (l *Lab) runSuite(modelName string) ([]Record, error) {
-	model, err := l.Model(modelName)
-	if err != nil {
-		return nil, err
-	}
-	p := l.pass(model)
-	recs := make([]Record, len(l.Suite))
-	err = ForEachCellCtx(l.context(), l.Cfg.Parallelism, len(l.Suite), func(i int) error {
-		sc, err := p.score(l.Suite[i].Graph, p.session("suite/"+modelName, i))
-		if err != nil {
-			return err
-		}
-		recs[i] = sc.record(l.Suite[i])
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return recs, nil
 }
 
 // record is a scored suite instance as a Record.

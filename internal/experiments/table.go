@@ -130,16 +130,7 @@ func comparison(name, model string) *study {
 func suitePasses(name string, models []string, write func([][]Record, io.Writer)) *study {
 	s := probes(name, func(int) int { return len(models) * suiteLen }, func(int) int { return 4 },
 		func(l *Lab, i, _ int) ([]float64, error) {
-			m, k := models[i/suiteLen], i%suiteLen
-			if recs, ok := l.cachedSuite(m); ok {
-				return recs[k].floats(), nil
-			}
-			model, err := l.Model(m)
-			if err != nil {
-				return nil, err
-			}
-			p := l.pass(model)
-			sc, err := p.score(l.Suite[k].Graph, p.session("suite/"+m, k))
+			sc, err := l.suiteCell(models[i/suiteLen], i%suiteLen)
 			return sc.floats(), err
 		}, nil)
 	s.merge = func(p *Plan, cells [][]float64, w io.Writer) error {
@@ -153,7 +144,7 @@ func suitePasses(name string, models []string, write func([][]Record, io.Writer)
 		}
 		if l := p.built.Load(); l != nil {
 			for m, model := range models {
-				l.keepSuite(model, suites[m])
+				l.suiteRecords(model, suites[m])
 			}
 		}
 		write(suites, w)
