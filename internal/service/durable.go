@@ -68,12 +68,7 @@ func (m *JobManager) keepLease(parent context.Context) (*leaseKeeper, context.Co
 			if job == "" {
 				continue
 			}
-			var err error
-			if cell < 0 {
-				err = m.st.Renew(job, m.replica, m.ttl, snapPtr(prog.Snapshot()))
-			} else {
-				err = m.st.RenewCell(job, cell, m.replica, m.ttl, snapPtr(prog.Snapshot()))
-			}
+			err := m.st.RenewLease(job, cell, m.replica, m.ttl, snapPtr(prog.Snapshot()))
 			if !errors.Is(err, store.ErrLeaseLost) {
 				continue
 			}
@@ -99,25 +94,28 @@ func (k *leaseKeeper) hold(job string, cell int, prog *obs.Progress) {
 	k.mu.Unlock()
 }
 
-// leaseLost reports whether the lease held now was taken over.
-func (k *leaseKeeper) leaseLost() bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.lost
-}
-
 // stop ends the renewals and waits for the one in flight.
 func (k *leaseKeeper) stop() {
 	k.cancel()
 	<-k.done
 }
 
-// planCells writes a sharded job's cells to the pool, where every claim loop
-// on it — this replica's included — picks them up. The total is counted
-// before the write, which wakes the job's watchers, who should find it there.
-func (m *JobManager) planCells(job string, plan Plan, prog *obs.Progress) error {
-	prog.AddCellsTotal(int64(plan.NumCells()))
-	return m.st.PlanCells(job, plan.NumCells())
+// settle is what a worker does with the work it ran under keeper — the job,
+// or the cell, last named with hold — once the run returned err, the same for
+// a job and a cell. Work whose lease was lost is walked away from: the store
+// would fence any write. Work a shutdown of the worker's ctx cut off is handed
+// back, so another claim loop restarts it promptly instead of waiting out the
+// lease. Otherwise the caller ends the work — done when err is nil, failed
+// when not — and settle reports that it should.
+func (m *JobManager) settle(ctx context.Context, keeper *leaseKeeper, err error) bool {
+	keeper.mu.Lock()
+	job, cell, lost := keeper.job, keeper.cell, keeper.lost
+	keeper.mu.Unlock()
+	shutdown := err != nil && ctx.Err() != nil
+	if shutdown && !lost {
+		_ = m.st.ReleaseLease(job, cell, m.replica)
+	}
+	return !lost && !shutdown
 }
 
 // gather coordinates a sharded job off the claim loops: it folds every cell's
@@ -177,7 +175,7 @@ func (m *JobManager) runCells(ctx context.Context, onlyJob string) bool {
 		if cell.Job != job.ID {
 			var ok bool
 			if job, ok, err = m.st.Job(cell.Job); err != nil || !ok {
-				_ = m.st.ReleaseCell(cell.Job, cell.Index, m.replica)
+				_ = m.st.ReleaseLease(cell.Job, cell.Index, m.replica)
 				break
 			}
 			plan, planErr = m.dispatch.Plan(job.Kind, job.Payload)
@@ -189,10 +187,12 @@ func (m *JobManager) runCells(ctx context.Context, onlyJob string) bool {
 
 // runClaimedCell executes one claimed cell of a chain — cctx is the chain's
 // context, which its keeper cancels with the lease; ctx the worker's — and
-// writes its terminal record, chaining to a follow-up claim when one is
-// batched in. Cell completion is first-write-wins in the store: if this
-// holder was reclaimed mid-run and both finish, the duplicate
-// (byte-identical) result is simply ignored.
+// settles it, writing its result unless the cell was lost or handed back.
+// A success chains to a follow-up claim batched into the same write; a
+// deterministic failure is recorded so the coordinator fails the job, and
+// chains into no more doomed cells of its grid. Cell completion is
+// first-write-wins in the store: if this holder was reclaimed mid-run and
+// both finish, the duplicate (byte-identical) result is simply ignored.
 func (m *JobManager) runClaimedCell(ctx, cctx context.Context, keeper *leaseKeeper, plan Plan, err error,
 	cell store.CellRecord, onlyJob string) (store.CellRecord, bool) {
 	prog := &obs.Progress{}
@@ -201,27 +201,18 @@ func (m *JobManager) runClaimedCell(ctx, cctx context.Context, keeper *leaseKeep
 	if err == nil {
 		data, err = guarded(func() ([]byte, error) { return plan.RunCell(cctx, cell.Index, prog) })
 	}
-	snap := prog.Snapshot()
-	switch {
-	case keeper.leaseLost():
-		// Another replica reclaimed the cell (or the job finished without
-		// us); the store would fence any write, so just walk away.
-	case err == nil:
-		next, ok, werr := m.st.CompleteCellAndClaim(
-			cell.Job, cell.Index, m.replica, data, "", snapPtr(snap), true, onlyJob, m.ttl)
-		if werr != nil {
-			return store.CellRecord{}, false
-		}
-		cellsDone.Inc()
-		return next, ok
-	case ctx.Err() != nil:
-		// Graceful shutdown: hand the cell back for prompt pickup.
-		_ = m.st.ReleaseCell(cell.Job, cell.Index, m.replica)
-	default:
-		// A deterministic cell failure: record it so the coordinator fails
-		// the job; don't chain into more doomed cells of the same grid.
-		_, _, _ = m.st.CompleteCellAndClaim(
-			cell.Job, cell.Index, m.replica, nil, err.Error(), snapPtr(snap), false, onlyJob, 0)
+	if !m.settle(ctx, keeper, err) {
+		return store.CellRecord{}, false
 	}
-	return store.CellRecord{}, false
+	errMsg := ""
+	if err != nil {
+		data, errMsg = nil, err.Error()
+	}
+	next, ok, werr := m.st.CompleteCellAndClaim(
+		cell.Job, cell.Index, m.replica, data, errMsg, snapPtr(prog.Snapshot()), err == nil, onlyJob, m.ttl)
+	if werr != nil || err != nil {
+		return store.CellRecord{}, false
+	}
+	cellsDone.Inc()
+	return next, ok
 }

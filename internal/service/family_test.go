@@ -402,6 +402,37 @@ func TestParentEraStudyPayloadRuns(t *testing.T) {
 	}
 }
 
+// TestParentStoreFinishesPartWayJob: a store directory written before jobs
+// and cells shared one lease — testdata/parent-store: a fig1 study job whose
+// replica died part-way through its cells, with five cells done in the
+// snapshot, four more in the log and the tenth still leased — opens on a
+// replica that takes the job and the held cell over, runs the remaining
+// cells and merges mixedsim's bytes.
+func TestParentStoreFinishesPartWayJob(t *testing.T) {
+	want, err := os.ReadFile("../../testdata/golden/fig1.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, name := range []string{"MANIFEST", "snapshot-1.json", "wal-1.log"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "parent-store", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc := durableService(t, dir, "heir")
+	final := waitServiceJob(t, svc, "job-1")
+	if final.State != JobDone || final.Kind != "fig1" || final.Replica != "heir" || final.Restarts != 1 {
+		t.Fatalf("parent-era fig1 job = %+v, want done by heir after one takeover", final)
+	}
+	if final.Output != string(want) {
+		t.Errorf("fig1 job output differs from mixedsim's:\n--- job\n%s\n--- mixedsim\n%s", final.Output, want)
+	}
+}
+
 // BenchmarkSubmitStudy prices submitting a study job on a log-less service:
 // validating the request, planning it and queueing its canonical payload.
 // Submitting builds no lab, fits nothing and scores nothing. The queued
@@ -429,4 +460,28 @@ func BenchmarkSubmitStudy(b *testing.B) {
 			b.StartTimer()
 		}
 	}
+}
+
+// BenchmarkSubmitStudyDeepQueue is BenchmarkSubmitStudy with the queue bound
+// raised to b.N and nothing waited for, so the queue deepens as it runs: at
+// -benchtime 20000x it times submissions into a pool holding thousands of
+// queued jobs, what a deep -queue makes every submission and claim pay for.
+func BenchmarkSubmitStudyDeepQueue(b *testing.B) {
+	opts := DefaultOptions()
+	opts.QueueCap = max(b.N, 16)
+	svc := New(opts)
+	req := StudyRequest{Study: "table1", Environment: "bayreuth", SuiteSeed: 2011}
+	if _, err := svc.RunStudy(context.Background(), req); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := svc.SubmitStudy(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(svc.Jobs().st.Queued()), "queued")
+	svc.Close(context.Background())
 }

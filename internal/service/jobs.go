@@ -431,20 +431,8 @@ func (m *JobManager) runJob(rec store.JobRecord) {
 		jobsRunning.Dec()
 		keeper.stop()
 		m.dispatch.observeDuration(rec.Kind, time.Since(started))
-		switch {
-		case keeper.leaseLost():
-			// Another replica owns the job now; any store write would be
-			// rejected as a stale holder's.
-		case err == nil:
-			m.finish(rec.ID, JobDone, out, snapPtr(prog.Snapshot()))
-		case m.ctx.Err() == nil:
-			m.finish(rec.ID, JobFailed, err.Error(), nil)
-		case m.Durable():
-			// Graceful shutdown: hand the job back so another replica
-			// restarts it promptly instead of waiting out the lease.
-			_ = m.st.Release(rec.ID, m.replica)
-		default:
-			m.finish(rec.ID, JobCancelled, err.Error(), nil)
+		if m.settle(m.ctx, keeper, err) {
+			m.finish(rec.ID, out, err, prog)
 		}
 		_ = m.st.CompactPast(walCompactBytes, m.retain)
 		m.mu.Lock()
@@ -459,7 +447,11 @@ func (m *JobManager) runJob(rec store.JobRecord) {
 	case plan.NumCells() <= 1:
 		end(guarded(func() (string, error) { return plan.Run(ctx, prog) }))
 	default:
-		if err := m.planCells(rec.ID, plan, prog); err != nil {
+		// The cells go to the pool, where every claim loop on it — this
+		// replica's included — picks them up. The total is counted before
+		// the write, which wakes the job's watchers, who should find it there.
+		prog.AddCellsTotal(int64(plan.NumCells()))
+		if err := m.st.PlanCells(rec.ID, plan.NumCells()); err != nil {
 			end("", err)
 			return
 		}
@@ -472,28 +464,25 @@ func (m *JobManager) runJob(rec store.JobRecord) {
 	}
 }
 
-// finish writes a job's terminal state — with its output when done, its
-// error otherwise — and counts it, unless the store fences the write.
-func (m *JobManager) finish(id string, state JobState, text string, prog *obs.ProgressSnapshot) {
-	var err error
-	count := jobsDone
-	switch state {
-	case JobDone:
-		err = m.st.Complete(id, m.replica, text, prog)
-	case JobFailed:
-		err, count = m.st.Fail(id, m.replica, text), jobsFailed
-	default:
-		err, count = m.st.Cancel(id, m.replica, text), jobsCancelled
-	}
+// finish writes the end of a job its worker settled — done with its output
+// when err is nil, failed with err otherwise — and counts it, unless the
+// store fences the write.
+func (m *JobManager) finish(id, out string, err error, prog *obs.Progress) {
+	count, werr := jobsFailed, error(nil)
 	if err == nil {
+		count, werr = jobsDone, m.st.Complete(id, m.replica, out, snapPtr(prog.Snapshot()))
+	} else {
+		werr = m.st.Fail(id, m.replica, err.Error())
+	}
+	if werr == nil {
 		count.Inc()
 	}
 }
 
 // Shutdown stops the claim loops — cancelling their shared context, which
 // aborts running jobs at their next cancellation point — and waits for them
-// to let go of what they hold, or for ctx to expire. On a store directory
-// that is a release: running jobs go back to the queue and queued jobs stay
+// to let go of what they hold, or for ctx to expire. Letting go is a release:
+// running jobs go back to the queue. On a store directory queued jobs stay
 // there, durable state other replicas (or the next start) will claim. A pool
 // no other handle can open has nobody to leave them to, so they end
 // cancelled.
@@ -514,8 +503,8 @@ func (m *JobManager) Shutdown(ctx context.Context) error {
 			return
 		}
 		for _, j := range m.List() {
-			if j.State == JobQueued {
-				m.finish(j.ID, JobCancelled, context.Canceled.Error(), nil)
+			if j.State == JobQueued && m.st.Cancel(j.ID, m.replica, context.Canceled.Error()) == nil {
+				jobsCancelled.Inc()
 			}
 		}
 		jobsQueueDepth.Set(0)

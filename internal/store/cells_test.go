@@ -49,7 +49,7 @@ func TestCellLifecycle(t *testing.T) {
 		t.Fatalf("ClaimCell = %+v, %v, %v", cell, ok, err)
 	}
 	snap := &obs.ProgressSnapshot{TrialsUsed: 7, TrialBudget: 10}
-	if err := s.RenewCell(job.ID, 0, "alpha", time.Minute, snap); err != nil {
+	if err := s.RenewLease(job.ID, 0, "alpha", time.Minute, snap); err != nil {
 		t.Fatalf("RenewCell: %v", err)
 	}
 	sum, ok, err := s.CellSummary(job.ID)
@@ -111,7 +111,7 @@ func TestCellReclaimAfterExpiry(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("ClaimCell = %v, %v", ok, err)
 	}
-	if err := s.RenewCell(job.ID, 0, "alpha", time.Minute, &obs.ProgressSnapshot{TrialsUsed: 3}); err != nil {
+	if err := s.RenewLease(job.ID, 0, "alpha", time.Minute, &obs.ProgressSnapshot{TrialsUsed: 3}); err != nil {
 		t.Fatalf("RenewCell: %v", err)
 	}
 	// While the lease is live, no other replica can take the cell.
@@ -132,7 +132,7 @@ func TestCellReclaimAfterExpiry(t *testing.T) {
 		t.Fatalf("progress survived reclaim: %+v", cells[0].Progress)
 	}
 	// The loser's renewal is fenced off.
-	if err := s.RenewCell(job.ID, 0, "alpha", time.Minute, nil); err != ErrLeaseLost {
+	if err := s.RenewLease(job.ID, 0, "alpha", time.Minute, nil); err != ErrLeaseLost {
 		t.Fatalf("stale renew = %v, want ErrLeaseLost", err)
 	}
 }
@@ -173,7 +173,7 @@ func TestCellReleaseRequeuesImmediately(t *testing.T) {
 	if _, ok, _ := s.ClaimCell("alpha", time.Hour, ""); !ok {
 		t.Fatal("claim failed")
 	}
-	if err := s.ReleaseCell(job.ID, 0, "alpha"); err != nil {
+	if err := s.ReleaseLease(job.ID, 0, "alpha"); err != nil {
 		t.Fatalf("ReleaseCell: %v", err)
 	}
 	// No expiry wait: the released cell is claimable right now.
@@ -199,7 +199,7 @@ func TestTerminalJobDropsCells(t *testing.T) {
 	}
 	// A worker still executing one of the dropped cells is fenced off at its
 	// next renewal, which is how it learns the job is over.
-	if err := s.RenewCell(job.ID, 0, "beta", time.Minute, nil); err != ErrLeaseLost {
+	if err := s.RenewLease(job.ID, 0, "beta", time.Minute, nil); err != ErrLeaseLost {
 		t.Fatalf("renew after job completion = %v, want ErrLeaseLost", err)
 	}
 }
@@ -272,5 +272,81 @@ func TestChangeStampMovesOnAppend(t *testing.T) {
 	s.WaitChange(context.Background(), submitted, 20*time.Millisecond)
 	if waited := time.Since(start); waited < 20*time.Millisecond {
 		t.Fatalf("WaitChange returned after %v with nothing to announce", waited)
+	}
+}
+
+// TestLeaseKindDifferences holds, on one pool, what the one lease does
+// differently for a job and for a cell: a job claim stamps Started and a job
+// release clears it; a job keeps its progress through a takeover and a
+// release, a cell drops it; each kind's claims and takeovers move its own
+// counters. (Sync policy: TestCommitPointsSync. Ends: a job's is fenced by
+// holder in TestExpiredLeaseReclaimAndFencing, a cell's result is
+// first-write-wins in TestCellResultFirstWriteWins. Claim orders:
+// TestStickyClaimOrdering and TestLeaseStateMachineProperties.)
+func TestLeaseKindDifferences(t *testing.T) {
+	clock := newFakeClock()
+	s := openTestStore(t, t.TempDir(), clock)
+	counters := func() [4]uint64 {
+		return [4]uint64{leaseClaims.Value(), leaseReclaims.Value(), cellClaims.Value(), cellReclaims.Value()}
+	}
+	moved := func(what string, before [4]uint64, want [4]uint64) {
+		t.Helper()
+		after := counters()
+		for i := range after {
+			if after[i]-before[i] != want[i] {
+				t.Errorf("%s moved the job claim, job reclaim, cell claim, cell reclaim counters by %v, want %v",
+					what, [4]uint64{after[0] - before[0], after[1] - before[1], after[2] - before[2], after[3] - before[3]}, want)
+				return
+			}
+		}
+	}
+	prog := &obs.ProgressSnapshot{TrialsUsed: 5}
+	const ttl = time.Minute
+
+	before := counters()
+	job := planShardedJob(t, s, "alpha", 1)
+	moved("a job claim", before, [4]uint64{1, 0, 0, 0})
+	if job.Started == nil {
+		t.Fatal("a job claim stamped no Started")
+	}
+	before = counters()
+	if _, ok, _ := s.ClaimCell("alpha", ttl, ""); !ok {
+		t.Fatal("cell claim failed")
+	}
+	moved("a cell claim", before, [4]uint64{0, 0, 1, 0})
+	for cell := -1; cell <= 0; cell++ {
+		if err := s.RenewLease(job.ID, cell, "alpha", ttl, prog); err != nil {
+			t.Fatalf("RenewLease(%d): %v", cell, err)
+		}
+	}
+
+	// Both leases lapse and beta takes both over.
+	clock.Advance(ttl + time.Second)
+	before = counters()
+	if rec, ok, _ := s.Claim("beta", ttl); !ok || rec.Progress == nil || *rec.Progress != *prog {
+		t.Fatalf("job after takeover = %+v (%v); its progress should survive", rec, ok)
+	}
+	moved("a job takeover", before, [4]uint64{1, 1, 0, 0})
+	before = counters()
+	if c, ok, _ := s.ClaimCell("beta", ttl, ""); !ok || c.Progress != nil {
+		t.Fatalf("cell after takeover = %+v (%v); its progress should be dropped", c, ok)
+	}
+	moved("a cell takeover", before, [4]uint64{0, 0, 1, 1})
+
+	// Released, the job is no longer started and keeps its progress; the
+	// cell drops the progress it was renewed with.
+	for cell := -1; cell <= 0; cell++ {
+		if err := s.RenewLease(job.ID, cell, "beta", ttl, prog); err != nil {
+			t.Fatalf("RenewLease(%d): %v", cell, err)
+		}
+		if err := s.ReleaseLease(job.ID, cell, "beta"); err != nil {
+			t.Fatalf("ReleaseLease(%d): %v", cell, err)
+		}
+	}
+	if j, _, _ := s.Job(job.ID); j.State != StateQueued || j.Started != nil || j.Progress == nil {
+		t.Fatalf("released job = %+v, want queued, not started, with its progress", j)
+	}
+	if cells, _, _ := s.Cells(job.ID); cells[0].State != StateQueued || cells[0].Progress != nil {
+		t.Fatalf("released cell = %+v, want queued without progress", cells[0])
 	}
 }

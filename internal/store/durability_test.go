@@ -297,13 +297,13 @@ func TestCommitPointsSync(t *testing.T) {
 	}
 	unsynced("ClaimCell", at)
 	mark := s.walOff
-	if err := s.RenewCell(rec.ID, 0, "alpha", time.Minute, nil); err != nil {
+	if err := s.RenewLease(rec.ID, 0, "alpha", time.Minute, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.CompleteCellAndClaim(rec.ID, 0, "alpha", []byte("f0"), "", nil, true, "", time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ReleaseCell(rec.ID, 1, "alpha"); err != nil {
+	if err := s.ReleaseLease(rec.ID, 1, "alpha"); err != nil {
 		t.Fatal(err)
 	}
 	if s.walOff == mark {
@@ -311,7 +311,7 @@ func TestCommitPointsSync(t *testing.T) {
 	}
 	unsynced("RenewCell, CompleteCellAndClaim, ReleaseCell", at)
 
-	if err := s.Release(rec.ID, "alpha"); err != nil {
+	if err := s.ReleaseLease(rec.ID, -1, "alpha"); err != nil {
 		t.Fatal(err)
 	}
 	synced("Release") // and with it every cell frame before it

@@ -14,19 +14,24 @@ import (
 
 // Property tests over the lease state machine, driven by testing/quick
 // against a simulated clock: random scripts of submit / claim / renew /
-// complete / release / clock-advance operations, with the IP-pool lease
-// invariants checked after every step.
+// complete / release / clock-advance operations on jobs, and of plan / claim
+// / renew / complete-and-claim / release operations on their cells, with the
+// IP-pool lease invariants checked after every step, for both kinds of work.
 //
 // Invariants:
 //
 //  1. No double live leases — a successful claim only ever displaces a
 //     holder whose lease had expired at claim time, so at no instant do two
-//     replicas both believe they hold an unexpired lease on one job.
+//     replicas both believe they hold an unexpired lease on one job or cell.
 //  2. Sticky preference — when a claiming replica has an expired lease of
-//     its own up for grabs, the claim returns one of its own jobs.
+//     its own up for grabs, the claim returns one of its own jobs (cells).
 //  3. Expired leases are eventually reclaimed — once submissions stop and
 //     the clock passes every expiry, repeated claims drain the pool: every
-//     non-terminal job ends up running under a live lease.
+//     non-terminal job, and every non-terminal cell of a live plan, ends up
+//     running under a live lease.
+//
+// After every step the count of queued jobs the store keeps must also equal
+// a scan of the jobs.
 
 // leaseScript is a randomly generated operation script. Implementing
 // quick.Generator keeps the op encoding in one place.
@@ -43,6 +48,50 @@ func (leaseScript) Generate(r *rand.Rand, size int) reflect.Value {
 
 var quickHolders = []string{"r1", "r2", "r3"}
 
+// work names a job (cell -1) or one of its cells.
+type work struct {
+	job  string
+	cell int
+}
+
+// leaseView is what a claim looked at: the lease of every job and every cell
+// of a live plan.
+func leaseView(t *testing.T, s *Store) map[work]lease {
+	t.Helper()
+	out := make(map[work]lease)
+	for id, j := range snapshotJobs(t, s) {
+		out[work{id, -1}] = j.lease
+		cells, _, err := s.Cells(id)
+		if err != nil {
+			t.Fatalf("Cells: %v", err)
+		}
+		for _, c := range cells {
+			out[work{id, c.Index}] = c.lease
+		}
+	}
+	return out
+}
+
+// checkClaim holds one successful claim of w by holder at now to invariants
+// 1 and 2 against prev, the leases before it; candidate says which work the
+// claim chose among.
+func checkClaim(t *testing.T, op int, prev map[work]lease, w work, holder string, now time.Time, candidate func(work) bool) {
+	t.Helper()
+	before := prev[w]
+	// Invariant 1: displacing a different holder requires that holder's
+	// lease to have expired.
+	if before.Holder != "" && before.Holder != holder && before.LeaseExpiry.After(now) {
+		t.Fatalf("op %d: %s stole %v from %s with a live lease (expiry %v, now %v)",
+			op, holder, w, before.Holder, before.LeaseExpiry, now)
+	}
+	// Invariant 2: sticky preference for the claimant's own expired work.
+	for other, l := range prev {
+		if candidate(other) && l.Holder == holder && claimable(&l, now) && before.Holder != holder {
+			t.Fatalf("op %d: %s claimed %v while its own %v was claimable", op, holder, w, other)
+		}
+	}
+}
+
 func TestLeaseStateMachineProperties(t *testing.T) {
 	run := func(script leaseScript) bool {
 		clock := newFakeClock()
@@ -54,79 +103,134 @@ func TestLeaseStateMachineProperties(t *testing.T) {
 		defer s.Close()
 
 		const ttl = 10 * time.Second
-		running := make(map[string]string) // job -> holder, this script's belief
+		running := make(map[work]string) // job or cell -> holder, this script's belief
+		isJob := func(w work) bool { return w.cell < 0 }
+		// cellClaimed records a cell claim and checks it; onlyJob is the job it
+		// was restricted to, "" for any, and except the cell it completed.
+		cellClaimed := func(i int, prev map[work]lease, c CellRecord, holder, onlyJob string, except work) {
+			w := work{c.Job, c.Index}
+			checkClaim(t, i, prev, w, holder, clock.Now(), func(o work) bool {
+				return o.cell >= 0 && (onlyJob == "" || o.job == onlyJob) && o != except
+			})
+			running[w] = holder
+		}
+		// believed returns some work of the wanted kind holder believes it
+		// holds.
+		believed := func(holder string, cells bool) (work, bool) {
+			for w, h := range running {
+				if h == holder && (w.cell >= 0) == cells {
+					return w, true
+				}
+			}
+			return work{}, false
+		}
 		for i, op := range script.ops {
 			holder := quickHolders[int(op>>4)%len(quickHolders)]
-			switch op % 5 {
+			switch op % 9 {
 			case 0: // submit
 				if _, err := s.SubmitJob(fmt.Sprintf("kind-%d", i), nil); err != nil {
 					t.Fatalf("op %d: SubmitJob: %v", i, err)
 				}
-			case 1: // claim
-				prev := snapshotJobs(t, s)
+			case 1: // claim a job
+				prev := leaseView(t, s)
 				rec, ok, err := s.Claim(holder, ttl)
 				if err != nil {
 					t.Fatalf("op %d: Claim: %v", i, err)
 				}
+				if ok {
+					checkClaim(t, i, prev, work{rec.ID, -1}, holder, clock.Now(), isJob)
+					running[work{rec.ID, -1}] = holder
+				}
+			case 2, 6: // renew by the believed holder
+				w, ok := believed(holder, op%9 == 6)
 				if !ok {
 					break
 				}
-				now := clock.Now()
-				before := prev[rec.ID]
-				// Invariant 1: displacing a different holder requires that
-				// holder's lease to have expired.
-				if before.Holder != "" && before.Holder != holder && before.LeaseExpiry.After(now) {
-					t.Fatalf("op %d: %s stole %s from %s with a live lease (expiry %v, now %v)",
-						i, holder, rec.ID, before.Holder, before.LeaseExpiry, now)
+				err := s.RenewLease(w.job, w.cell, holder, ttl, nil)
+				if err == ErrLeaseLost {
+					delete(running, w) // someone reclaimed it; belief corrected
+				} else if err != nil {
+					t.Fatalf("op %d: RenewLease(%v): %v", i, w, err)
 				}
-				// Invariant 2: sticky preference for the claimant's own
-				// expired jobs.
-				for id, j := range prev {
-					if j.Holder == holder && claimable(&j, now) && before.Holder != holder {
-						t.Fatalf("op %d: %s claimed %s while its own job %s was claimable",
-							i, holder, rec.ID, id)
-					}
-				}
-				running[rec.ID] = holder
-			case 2: // renew by the believed holder
-				for id, h := range running {
-					if h != holder {
-						continue
-					}
-					err := s.Renew(id, holder, ttl, nil)
-					if err == ErrLeaseLost {
-						delete(running, id) // someone reclaimed it; belief corrected
-					} else if err != nil {
-						t.Fatalf("op %d: Renew: %v", i, err)
-					}
+			case 3: // complete or release a job by the believed holder
+				w, ok := believed(holder, false)
+				if !ok {
 					break
 				}
-			case 3: // complete or release by the believed holder
-				for id, h := range running {
-					if h != holder {
-						continue
-					}
-					var err error
-					if op&0x08 != 0 {
-						err = s.Release(id, holder)
-					} else {
-						err = s.Complete(id, holder, "out", nil)
-					}
-					if err != nil && err != ErrLeaseLost {
-						t.Fatalf("op %d: finish: %v", i, err)
-					}
-					delete(running, id)
-					break
+				if op&0x08 != 0 {
+					err = s.ReleaseLease(w.job, -1, holder)
+				} else {
+					err = s.Complete(w.job, holder, "out", nil)
 				}
+				if err != nil && err != ErrLeaseLost {
+					t.Fatalf("op %d: finish: %v", i, err)
+				}
+				delete(running, w)
 			case 4: // advance the clock, sometimes past the TTL
 				step := time.Duration(op) * time.Second / 8
 				clock.Advance(step)
+			case 5: // plan three cells for a live job
+				for id, j := range snapshotJobs(t, s) {
+					if !terminal(j.State) {
+						if err := s.PlanCells(id, 3); err != nil {
+							t.Fatalf("op %d: PlanCells(%s): %v", i, id, err)
+						}
+						break
+					}
+				}
+			case 7: // claim a cell, of one job's plan when op says so
+				onlyJob := ""
+				if op&0x08 != 0 {
+					for w := range leaseView(t, s) {
+						if w.cell >= 0 {
+							onlyJob = w.job
+							break
+						}
+					}
+				}
+				prev := leaseView(t, s)
+				c, ok, err := s.ClaimCell(holder, ttl, onlyJob)
+				if err != nil {
+					t.Fatalf("op %d: ClaimCell: %v", i, err)
+				}
+				if ok {
+					cellClaimed(i, prev, c, holder, onlyJob, work{})
+				}
+			case 8: // complete (maybe claiming the next) or release a cell
+				w, ok := believed(holder, true)
+				if !ok {
+					break
+				}
+				delete(running, w)
+				if op&0x08 != 0 {
+					if err := s.ReleaseLease(w.job, w.cell, holder); err != nil && err != ErrLeaseLost {
+						t.Fatalf("op %d: ReleaseLease(%v): %v", i, w, err)
+					}
+					break
+				}
+				prev := leaseView(t, s)
+				c, ok, err := s.CompleteCellAndClaim(w.job, w.cell, holder, []byte("frame"), "", nil, op&0x04 != 0, "", ttl)
+				if err != nil {
+					break // the job finished and dropped its plan
+				}
+				if ok {
+					cellClaimed(i, prev, c, holder, "", w)
+				}
+			}
+			queued := 0
+			for _, j := range snapshotJobs(t, s) {
+				if j.State == StateQueued {
+					queued++
+				}
+			}
+			if got := s.Queued(); got != queued {
+				t.Fatalf("op %d: %d jobs counted queued, %d are", i, got, queued)
 			}
 		}
 
 		// Invariant 3: quiesce — push every lease past expiry, then let one
-		// replica drain the pool. Every non-terminal job must be claimable
-		// and get claimed.
+		// replica drain the pool, jobs first, then cells. Every non-terminal
+		// job and cell must be claimable and get claimed.
 		clock.Advance(ttl + time.Second)
 		for {
 			_, ok, err := s.Claim("r1", ttl)
@@ -137,13 +241,22 @@ func TestLeaseStateMachineProperties(t *testing.T) {
 				break
 			}
 		}
+		for {
+			_, ok, err := s.ClaimCell("r1", ttl, "")
+			if err != nil {
+				t.Fatalf("drain ClaimCell: %v", err)
+			}
+			if !ok {
+				break
+			}
+		}
 		now := clock.Now()
-		for id, j := range snapshotJobs(t, s) {
-			if terminal(j.State) {
+		for w, l := range leaseView(t, s) {
+			if terminal(l.State) {
 				continue
 			}
-			if j.State != StateRunning || j.Holder != "r1" || !j.LeaseExpiry.After(now) {
-				t.Fatalf("after drain, job %s not reclaimed: %+v", id, j)
+			if l.State != StateRunning || l.Holder != "r1" || !l.LeaseExpiry.After(now) {
+				t.Fatalf("after drain, %v not reclaimed: %+v", w, l)
 			}
 		}
 		return true
@@ -241,14 +354,14 @@ func TestLogLessHandleIsTheSameStateMachine(t *testing.T) {
 					case 7:
 						return render(s.Cancel(job, holder, "stop"))
 					case 8:
-						return render(s.Release(job, holder))
+						return render(s.ReleaseLease(job, -1, holder))
 					case 9:
 						return render(s.PlanCells(job, n+1))
 					case 10, 11:
 						rec, ok, err := s.ClaimCell(holder, ttl, onlyJob)
 						return render(err, rec, ok)
 					case 12:
-						return render(s.RenewCell(job, cell, holder, ttl, prog))
+						return render(s.RenewLease(job, cell, holder, ttl, prog))
 					case 13:
 						errMsg := ""
 						if n == 0 {
@@ -257,7 +370,7 @@ func TestLogLessHandleIsTheSameStateMachine(t *testing.T) {
 						rec, ok, err := s.CompleteCellAndClaim(job, cell, holder, []byte{byte(step)}, errMsg, prog, flag, onlyJob, ttl)
 						return render(err, rec, ok)
 					case 14:
-						return render(s.ReleaseCell(job, cell, holder))
+						return render(s.ReleaseLease(job, cell, holder))
 					case 15:
 						// Not CompactPast: when a log is due for folding is the
 						// one thing the handles are meant to disagree on.

@@ -202,10 +202,17 @@ func (st *state) setPlan(job string, cells []*CellRecord) {
 }
 
 // check reports whether a decoded state is one replay could have produced:
-// distinct jobs, and plans only for live jobs, each cell in its place.
+// distinct jobs, and plans only for live jobs, each cell in its place. It
+// counts the queued jobs, which no snapshot records.
 func (st *state) check() error {
 	if len(st.jobs) != len(st.order) {
 		return errors.New("duplicate job id")
+	}
+	st.queued = 0
+	for _, j := range st.jobs {
+		if j.State == StateQueued {
+			st.queued++
+		}
 	}
 	for job, cells := range st.cells {
 		if j, ok := st.jobs[job]; !ok || terminal(j.State) {
@@ -294,8 +301,8 @@ func (s *Store) followCompactionLocked(gen uint64) bool {
 
 // pruneLocked drops finished jobs beyond the retention window, oldest first
 // — so neither the table nor, under it, the WAL and snapshots can grow
-// without bound — and the cell plans of jobs that are gone or finished, so
-// snapshots don't accrete results.
+// without bound. A finished job holds no cell plan to drop: its terminal
+// record took the plan with it (state.endJob).
 func (s *Store) pruneLocked(retain int) {
 	finished := 0
 	for _, id := range s.st.order {
@@ -314,12 +321,6 @@ func (s *Store) pruneLocked(retain int) {
 		keep = append(keep, id)
 	}
 	s.st.order = keep
-	for job := range s.st.cells {
-		if j, ok := s.st.jobs[job]; !ok || terminal(j.State) {
-			delete(s.st.cells, job)
-			delete(s.st.cellsLeft, job)
-		}
-	}
 }
 
 // writeFileSynced writes a file via a temp file, an fsync and a rename, so

@@ -406,12 +406,12 @@ func FuzzSnapshot(f *testing.F) {
 	st.seq = 9
 	st.replicas["r1"] = 42
 	started := time.Unix(5, 0).UTC()
-	st.addJob(&JobRecord{ID: "job-1", Kind: "k", State: StateDone, Output: "out", Holder: "r1", Started: &started, Ended: &started})
-	st.addJob(&JobRecord{ID: "job-3", Kind: "toy:x", State: StateRunning, Holder: "r1", Payload: json.RawMessage(`{"cells":2}`)})
-	st.addJob(&JobRecord{ID: "job-8", Kind: "k", State: StateQueued})
+	st.addJob(&JobRecord{ID: "job-1", Kind: "k", lease: lease{State: StateDone, Holder: "r1"}, Output: "out", Started: &started, Ended: &started})
+	st.addJob(&JobRecord{ID: "job-3", Kind: "toy:x", lease: lease{State: StateRunning, Holder: "r1"}, Payload: json.RawMessage(`{"cells":2}`)})
+	st.addJob(&JobRecord{ID: "job-8", Kind: "k", lease: lease{State: StateQueued}})
 	st.setPlan("job-3", []*CellRecord{
-		{Job: "job-3", Index: 0, State: StateDone, Holder: "r2", Result: []byte("frame")},
-		{Job: "job-3", Index: 1, State: StateQueued},
+		{Job: "job-3", Index: 0, lease: lease{State: StateDone, Holder: "r2"}, Result: []byte("frame")},
+		{Job: "job-3", Index: 1, lease: lease{State: StateQueued}},
 	})
 	var valid bytes.Buffer
 	if _, err := writeSnapshot(&valid, &st, snapHeader{Gen: 4, PrevWAL: 100, Retain: 8}); err != nil {

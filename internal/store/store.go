@@ -36,12 +36,13 @@
 // process. Snapshots and MANIFEST are synced, and the directory after them,
 // before a compaction removes the generation they replace.
 //
-// The lease discipline over the job pool translates the classic SQL IP-pool
-// allocator (SELECT ... FOR UPDATE SKIP LOCKED with an expiry_time and
-// sticky reassignment to the previous holder) into Go: replicas claim
-// queued jobs by writing a lease record (holder, expiry), renew it while
-// running, and any replica may reclaim a job whose lease expired — with
-// claim ordering that hands a replica its own previous jobs first.
+// The lease discipline translates the classic SQL IP-pool allocator
+// (SELECT ... FOR UPDATE SKIP LOCKED with an expiry_time and sticky
+// reassignment to the previous holder) into Go: replicas claim queued work —
+// a job, or one cell of a sharded job — by writing a lease record (holder,
+// expiry), renew it while running, and any replica may reclaim work whose
+// lease expired, with claim ordering that hands a replica its own previous
+// work first. Jobs and cells share that lease, written once (lease.go).
 package store
 
 import (
@@ -150,7 +151,11 @@ type state struct {
 	order []string
 	// live is order without the terminal jobs: what a claim has to look at,
 	// however many finished jobs retention keeps.
-	live     []string
+	live []string
+	// queued counts the jobs in state queued: what a bounded submission and
+	// the queue-depth gauge read, kept by state.move and recomputed by
+	// state.check.
+	queued   int
 	replicas map[string]int64 // holder -> registration expiry, unix nanos
 	cells    map[string][]*CellRecord
 	// cellsLeft counts each plan's cells that are not yet terminal, so the
@@ -259,6 +264,16 @@ func (s *Store) withLock(fn func() error) error {
 		s.waiters.broadcast()
 	}
 	return err
+}
+
+// locked is withLock for a call that hands back what it found, and whether
+// it found anything.
+func locked[T any](s *Store, fn func() (T, bool, error)) (out T, ok bool, err error) {
+	err = s.withLock(func() (err error) {
+		out, ok, err = fn()
+		return err
+	})
+	return out, ok, err
 }
 
 // flocked is withLock's cross-process half. Callers hold s.mu.

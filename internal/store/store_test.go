@@ -176,7 +176,7 @@ func TestReleaseRequeuesImmediately(t *testing.T) {
 	if _, ok, _ := s.Claim("r1", time.Hour); !ok {
 		t.Fatal("claim failed")
 	}
-	if err := s.Release(rec.ID, "r1"); err != nil {
+	if err := s.ReleaseLease(rec.ID, -1, "r1"); err != nil {
 		t.Fatalf("Release: %v", err)
 	}
 	j, _, _ := s.Job(rec.ID)
@@ -207,7 +207,7 @@ func TestHandBacksAreNoTakeovers(t *testing.T) {
 		if got, ok, err := s.Claim(holder, time.Hour); err != nil || !ok || got.ID != rec.ID {
 			t.Fatalf("round %d: claim by %s = %+v, %v, %v", i, holder, got, ok, err)
 		}
-		if err := s.Release(rec.ID, holder); err != nil {
+		if err := s.ReleaseLease(rec.ID, -1, holder); err != nil {
 			t.Fatalf("round %d: Release: %v", i, err)
 		}
 	}
@@ -226,7 +226,7 @@ func TestHandBacksAreNoTakeovers(t *testing.T) {
 		if _, ok, err := s.ClaimCell(holder, time.Hour, ""); err != nil || !ok {
 			t.Fatalf("round %d: cell claim by %s: ok=%v err=%v", i, holder, ok, err)
 		}
-		if err := s.ReleaseCell(rec.ID, 0, holder); err != nil {
+		if err := s.ReleaseLease(rec.ID, 0, holder); err != nil {
 			t.Fatalf("round %d: ReleaseCell: %v", i, err)
 		}
 	}
