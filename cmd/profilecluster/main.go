@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
@@ -57,22 +58,30 @@ func main() {
 		jsonPath = flag.String("json", "", "write the full profile as JSON to this path")
 	)
 	flag.Parse()
-
-	em, err := cluster.NewEmulator(cluster.Bayreuth(), *seed)
-	if err != nil {
+	if err := report(os.Stdout, *seed, *parallel, *jsonPath); err != nil {
 		log.Fatal(err)
+	}
+}
+
+// report runs the campaigns on a Bayreuth emulator seeded with seed, writes
+// the summary to w and, when jsonPath is not empty, the full profile as JSON
+// to jsonPath. The summary is the same for every parallel value.
+func report(w io.Writer, seed int64, parallel int, jsonPath string) error {
+	em, err := cluster.NewEmulator(cluster.Bayreuth(), seed)
+	if err != nil {
+		return err
 	}
 
 	prof, err := profiler.BuildProfileModel(em, profiler.DefaultProfileOptions())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	emp, err := profiler.BuildEmpiricalModel(em, profiler.DefaultEmpiricalOptions())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("brute-force task profile (mean seconds):")
+	fmt.Fprintln(w, "brute-force task profile (mean seconds):")
 	keys := make([]perfmodel.TaskKey, 0, len(prof.Data.TaskTimes))
 	for k := range prof.Data.TaskTimes {
 		keys = append(keys, k)
@@ -89,32 +98,32 @@ func main() {
 	})
 	for _, k := range keys {
 		if k.P == 1 || k.P%8 == 0 {
-			fmt.Printf("  %-4s n=%d p=%-3d %8.2f\n", k.Kernel, k.N, k.P, prof.Data.TaskTimes[k])
+			fmt.Fprintf(w, "  %-4s n=%d p=%-3d %8.2f\n", k.Kernel, k.N, k.P, prof.Data.TaskTimes[k])
 		}
 	}
-	fmt.Printf("startup overhead: p=1 %.3fs ... p=32 %.3fs\n",
+	fmt.Fprintf(w, "startup overhead: p=1 %.3fs ... p=32 %.3fs\n",
 		prof.Data.Startup[1], prof.Data.Startup[32])
-	fmt.Printf("redistribution overhead: p(dst)=1 %.1fms ... p(dst)=32 %.1fms\n",
+	fmt.Fprintf(w, "redistribution overhead: p(dst)=1 %.1fms ... p(dst)=32 %.1fms\n",
 		1000*prof.Data.RedistByDst[1], 1000*prof.Data.RedistByDst[32])
-	fmt.Println()
-	fmt.Println("empirical fits (Table II form):")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "empirical fits (Table II form):")
 	for _, n := range []int{2000, 3000} {
 		pw := emp.MulFits[n]
-		fmt.Printf("  mul n=%d: low (a,b)=(%.2f, %.2f)  high (c,d)=(%.2f, %.2f)\n",
+		fmt.Fprintf(w, "  mul n=%d: low (a,b)=(%.2f, %.2f)  high (c,d)=(%.2f, %.2f)\n",
 			n, pw.Low.A, pw.Low.B, pw.High.A, pw.High.B)
 		f := emp.AddFits[n]
-		fmt.Printf("  add n=%d: (a,b)=(%.2f, %.2f)\n", n, f.A, f.B)
+		fmt.Fprintf(w, "  add n=%d: (a,b)=(%.2f, %.2f)\n", n, f.A, f.B)
 	}
-	fmt.Printf("  startup: (a,b)=(%.3f, %.3f) s\n", emp.StartupFit.A, emp.StartupFit.B)
-	fmt.Printf("  redistribution: (a,b)=(%.2f, %.2f) ms\n",
+	fmt.Fprintf(w, "  startup: (a,b)=(%.3f, %.3f) s\n", emp.StartupFit.A, emp.StartupFit.B)
+	fmt.Fprintf(w, "  redistribution: (a,b)=(%.2f, %.2f) ms\n",
 		1000*emp.RedistFit.A, 1000*emp.RedistFit.B)
 
 	// Cross-validate the sparse fits against fresh held-out measurements
 	// (draws the campaigns never saw): one (kernel, n) series per cell of
 	// the study engine's worker pool, each on a deterministic private
 	// noise session, so the table is identical for every pool size.
-	fmt.Println()
-	fmt.Println("empirical fits vs held-out measurements (relative error, p=1..32, 3 trials):")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "empirical fits vs held-out measurements (relative error, p=1..32, 3 trials):")
 	type valSeries struct {
 		kernel dag.Kernel
 		n      int
@@ -126,7 +135,7 @@ func main() {
 	type valRow struct{ mean, max float64 }
 	rows := make([]valRow, len(series))
 	maxP := em.Hidden.Cluster.Nodes
-	runner := experiments.Runner{Workers: *parallel, Seed: *seed, Em: em}
+	runner := experiments.Runner{Workers: parallel, Seed: seed, Em: em}
 	if err := runner.Run("validate", len(series), func(i int, sess *cluster.Session) error {
 		s := series[i]
 		c := profiler.Campaign{Em: sess}
@@ -147,15 +156,15 @@ func main() {
 		rows[i] = valRow{mean: sum / float64(maxP), max: max}
 		return nil
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for i, s := range series {
-		fmt.Printf("  %-4s n=%d: mean %5.1f%%  max %5.1f%%\n",
+		fmt.Fprintf(w, "  %-4s n=%d: mean %5.1f%%  max %5.1f%%\n",
 			s.kernel, s.n, 100*rows[i].mean, 100*rows[i].max)
 	}
 
-	if *jsonPath == "" {
-		return
+	if jsonPath == "" {
+		return nil
 	}
 	dump := profileDump{
 		Startup:   map[string]float64{},
@@ -186,15 +195,19 @@ func main() {
 		f := emp.AddFits[n]
 		dump.Fits.Add[fmt.Sprint(n)] = [2]float64{f.A, f.B}
 	}
-	f, err := os.Create(*jsonPath)
+	f, err := os.Create(jsonPath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	defer f.Close()
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(dump); err != nil {
-		log.Fatal(err)
+		f.Close()
+		return err
 	}
-	fmt.Println("wrote", *jsonPath)
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "wrote", jsonPath)
+	return nil
 }

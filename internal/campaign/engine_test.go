@@ -3,10 +3,12 @@ package campaign_test
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/perfmodel"
 	"repro/internal/profiler"
 	"repro/internal/service"
 )
@@ -153,5 +155,84 @@ func TestCampaignCancellation(t *testing.T) {
 	eng := newEngine(2)
 	if _, err := eng.Run(ctx, testSpec()); err == nil {
 		t.Error("cancelled campaign reported success")
+	}
+}
+
+// TestKeptSchedulesMatchFreshBuilds checks the schedules a cell keeps for
+// the robustness engine's replay path: each equals a fresh BuildSchedule of
+// its (instance, algorithm), labelled with the cell's model, and none shares
+// storage with a scheduling scratch — a second run of the cells, on the same
+// pooled scratches, must leave the first run's schedules as they were.
+func TestKeptSchedulesMatchFreshBuilds(t *testing.T) {
+	reg := service.NewModelRegistry(profiler.DefaultProfileOptions(), profiler.DefaultEmpiricalOptions())
+	eng := campaign.Engine{Source: reg, Workers: 2, KeepRaw: true, KeepSchedules: true}
+	p, err := eng.Prepare(campaign.Spec{
+		Platforms:  campaign.PlatformAxis{Base: "bayreuth", Nodes: []int{8}},
+		Workloads:  campaign.WorkloadAxis{Sizes: []int{2000}},
+		Algorithms: []string{"CPA", "HCPA", "MHEFT", "DATAPAR"},
+		Models:     []string{"analytic", "profile"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cells := make([]campaign.CellScore, p.NumCells())
+	for i := range cells {
+		if cells[i], err = eng.RunCellIndex(ctx, p, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range cells {
+		if _, err := eng.RunCellIndex(ctx, p, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := map[*int]string{}
+	for i, cell := range cells {
+		pt, wp, kind := p.CellPoint(i)
+		truth, err := reg.Environment(pt.Env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model, _, err := reg.GetModel(pt.Env, kind, p.Plan.Spec.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost, comm := perfmodel.CostFunc(model), perfmodel.CommFunc(model, truth.Cluster)
+		suite, err := wp.Instances()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cell.Raw == nil || len(cell.Raw.Schedules) != len(suite) {
+			t.Fatalf("cell %d kept no schedule per instance: %+v", i, cell.Raw)
+		}
+		for k, inst := range suite {
+			kept := cell.Raw.Schedules[k]
+			if len(kept) != len(p.Plan.Algorithms) {
+				t.Fatalf("cell %d instance %d kept %d schedules, want %d", i, k, len(kept), len(p.Plan.Algorithms))
+			}
+			for a, name := range p.Plan.Algorithms {
+				fresh, err := campaign.BuildSchedule(name, inst.Graph, truth.Cluster, cost, comm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				where := kind + "/" + name + " on " + inst.Name()
+				if kept[a].Graph.Name != inst.Graph.Name {
+					t.Fatalf("cell %d: kept %s is of DAG %s", i, where, kept[a].Graph.Name)
+				}
+				// The cell regenerated its suite, so the graphs are equal
+				// values at other addresses, whose lazily filled analyses
+				// differ; the rest of the schedule must match exactly.
+				got := *kept[a]
+				fresh.Model, fresh.Graph, got.Graph = kind, nil, nil
+				if !reflect.DeepEqual(&got, fresh) {
+					t.Errorf("cell %d: kept %s differs from a fresh build", i, where)
+				}
+				if other, ok := seen[&kept[a].Alloc[0]]; ok {
+					t.Errorf("cell %d: kept %s shares its allocation with %s", i, where, other)
+				}
+				seen[&kept[a].Alloc[0]] = where
+			}
+		}
 	}
 }
