@@ -135,10 +135,9 @@ func report(w io.Writer, seed int64, parallel int, jsonPath string) error {
 	type valRow struct{ mean, max float64 }
 	rows := make([]valRow, len(series))
 	maxP := em.Hidden.Cluster.Nodes
-	runner := experiments.Runner{Workers: parallel, Seed: seed, Em: em}
-	if err := runner.Run("validate", len(series), func(i int, sess *cluster.Session) error {
+	if err := experiments.ForEachCell(parallel, len(series), func(i int) error {
 		s := series[i]
-		c := profiler.Campaign{Em: sess}
+		c := profiler.Campaign{Em: em.Session(experiments.CellSeed(seed, "validate", i))}
 		task := &dag.Task{Kernel: s.kernel, N: s.n}
 		var sum, max float64
 		for p := 1; p <= maxP; p++ {

@@ -11,11 +11,9 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/perfmodel"
 	"repro/internal/sched"
 	"repro/internal/simgrid"
 	"repro/internal/stats"
-	"repro/internal/tgrid"
 )
 
 // Arrival telemetry: scenario cells completed (one cell = one algorithm's
@@ -128,8 +126,12 @@ func (e *Engine) RunCellIndex(ctx context.Context, p *Prepared, index int) (Cell
 	if err != nil {
 		return CellJobs{}, fmt.Errorf("arrival: fit %s/%s: %w", env, plan.Model, err)
 	}
-	cost := perfmodel.CostFunc(model)
-	comm := perfmodel.CommFunc(model, part.Cluster)
+	scheduler, err := sched.ByName(algo)
+	if err != nil {
+		return CellJobs{}, err
+	}
+	algos := []sched.Algorithm{scheduler}
+	pass := experiments.NewPass(em, net, model, plan.Spec.Seed, plan.Spec.Trials)
 
 	cell := CellJobs{
 		Algorithm: algo,
@@ -137,29 +139,11 @@ func (e *Engine) RunCellIndex(ctx context.Context, p *Prepared, index int) (Cell
 		Service:   make([]float64, len(plan.Times)),
 	}
 	study := "arrival/" + env + "/" + algo
-	timing := tgrid.Timing(tgrid.ModelTiming{Model: model})
-	runner := experiments.Runner{Workers: e.Workers, Seed: plan.Spec.Seed, Em: em, Ctx: ctx}
-	err = runner.Run(study, len(plan.Times), func(j int, sess *cluster.Session) error {
-		class := plan.Classes[j%len(plan.Classes)]
-		sc := sched.AcquireScratch()
-		sc.Bind(class.Graph, part.Cluster.Nodes, cost)
-		s, err := campaign.BuildScheduleScratch(sc, algo, class.Graph, part.Cluster, cost, comm)
-		if err != nil {
-			return fmt.Errorf("arrival: %s: %s on %s: %w", study, algo, class.Name, err)
+	err = experiments.ForEachCellCtx(ctx, e.Workers, len(plan.Times), func(j int) error {
+		g := plan.Classes[j%len(plan.Classes)].Graph
+		if err := pass.Score(g, algos, pass.Session(study, j), cell.Pred[j:j+1], cell.Service[j:j+1], nil); err != nil {
+			return fmt.Errorf("arrival: %s: %w", study, err)
 		}
-		s.Model = plan.Model
-		pred, err := tgrid.Makespan(net, s, timing)
-		if err != nil {
-			return fmt.Errorf("arrival: simulate %s: %s on %s: %w", study, algo, class.Name, err)
-		}
-		exp, err := sess.MeasureMakespan(s, plan.Spec.Trials)
-		if err != nil {
-			return fmt.Errorf("arrival: execute %s: %s on %s: %w", study, algo, class.Name, err)
-		}
-		cell.Pred[j], cell.Service[j] = pred, exp
-		// Not deferred: a scratch held at an error or a panic is dropped,
-		// never pooled.
-		sched.ReleaseScratch(sc)
 		return nil
 	})
 	if err != nil {

@@ -19,6 +19,8 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/dag"
 	"repro/internal/experiments"
+	"repro/internal/perfmodel"
+	"repro/internal/sched"
 )
 
 // Limits: a spec beyond these is rejected at validation time.
@@ -155,7 +157,7 @@ func (s Spec) Plan() (*Plan, error) {
 	for _, a := range s.Algorithms {
 		name, ok := campaign.CanonicalAlgorithm(a)
 		if !ok {
-			return nil, fmt.Errorf("arrival: unknown algorithm %q (want one of %v)", a, campaign.AlgorithmNames())
+			return nil, fmt.Errorf("arrival: unknown algorithm %q (want one of %v)", a, sched.Names())
 		}
 		if seenAlgo[name] {
 			return nil, fmt.Errorf("arrival: duplicate algorithm %q", name)
@@ -165,7 +167,7 @@ func (s Spec) Plan() (*Plan, error) {
 	}
 	kind, ok := campaign.CanonicalModel(s.Model)
 	if !ok {
-		return nil, fmt.Errorf("arrival: unknown model %q (want one of %v, or brute-force for profile)", s.Model, campaign.ModelNames())
+		return nil, fmt.Errorf("arrival: unknown model %q (want one of %v, or brute-force for profile)", s.Model, perfmodel.Kinds())
 	}
 	p.Model = kind
 

@@ -11,9 +11,7 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/platform"
 	"repro/internal/sched"
-	"repro/internal/simgrid"
 	"repro/internal/stats"
-	"repro/internal/tgrid"
 )
 
 // Campaign telemetry: grid cells completed (one cell = one platform ×
@@ -48,17 +46,13 @@ type Engine struct {
 	// Workers bounds the cell-engine worker pool (<= 0: one per CPU).
 	// Reports are byte-identical for every value.
 	Workers int
-	// KeepRaw retains every cell's per-instance makespans on CellScore.Raw.
-	// The rendered report ignores them; the robustness engine
-	// (internal/robust) builds its winner-stability baselines from them
-	// without re-measuring anything.
-	KeepRaw bool
-	// KeepSchedules additionally retains every run's schedule on
-	// CellRaw.Schedules (deep copies, detached from the engine's scratch
-	// buffers). Only meaningful together with KeepRaw; the robustness
-	// engine's replay path re-simulates these base schedules under
-	// perturbed models without rescheduling.
-	KeepSchedules bool
+	// Keep retains every cell's per-instance makespans and schedules on
+	// CellScore.Raw. The rendered report ignores them; the robustness engine
+	// (internal/robust) builds its winner-stability baselines from the
+	// makespans without re-measuring anything, and its replay path
+	// re-simulates the schedules under perturbed models without
+	// rescheduling.
+	Keep bool
 	// Progress, when non-nil, receives live cell counts (total at plan
 	// time, done as each cell finishes) for job-status and CLI progress
 	// reporting. It is write-only: nothing the engine reports through it
@@ -101,14 +95,14 @@ type CellScore struct {
 	Algos     []AlgoScore
 	Pairs     []PairScore
 	// Raw is the cell's per-instance data, retained only under
-	// Engine.KeepRaw; nil otherwise.
+	// Engine.Keep; nil otherwise.
 	Raw *CellRaw
 }
 
-// CellRaw retains a cell's per-instance makespans: Sim[i][a] and Exp[i][a]
-// are the simulated and measured makespans of suite instance i under
-// algorithm a (both in plan order). Schedules[i][a] is the corresponding
-// schedule, retained only under Engine.KeepSchedules; nil otherwise.
+// CellRaw retains a cell's per-instance data: Sim[i][a] and Exp[i][a] are
+// the simulated and measured makespans of suite instance i under algorithm a
+// (both in plan order), and Schedules[i][a] is the schedule they measured,
+// detached from the engine's scratch buffers.
 type CellRaw struct {
 	Sim, Exp  [][]float64
 	Schedules [][]*sched.Schedule
@@ -180,55 +174,31 @@ func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
 	return Merge(p, cells)
 }
 
-// runCell scores one grid cell: every suite instance is one engine cell
-// that schedules all axis algorithms, simulates them under the cell's model
-// and measures them on its private deterministic noise session.
+// runCell scores one grid cell: every suite instance is one engine cell, the
+// scoring cell of the cell's pass run with all axis algorithms on the
+// instance's private deterministic noise session.
 func (e *Engine) runCell(ctx context.Context, plan *Plan, pt PlatformPoint, wp WorkloadPoint,
-	kind string, truth *cluster.Hidden, em *cluster.Emulator, net *simgrid.Net,
-	suite []dag.SuiteInstance, model perfmodel.Model) (CellScore, error) {
+	kind string, suite []dag.SuiteInstance, pass experiments.Pass) (CellScore, error) {
 
-	algos := plan.Algorithms
-	cost := perfmodel.CostFunc(model)
-	comm := perfmodel.CommFunc(model, truth.Cluster)
-	study := "campaign/" + pt.Env + "/" + wp.Key() + "/" + kind
-
-	type cellOut struct {
-		sim, exp  []float64
-		schedules []*sched.Schedule
+	algos, err := plan.Schedulers()
+	if err != nil {
+		return CellScore{}, err
 	}
-	outs := make([]cellOut, len(suite))
-	timing := tgrid.Timing(tgrid.ModelTiming{Model: model})
-	runner := experiments.Runner{Workers: e.Workers, Seed: plan.Spec.Seed, Em: em, Ctx: ctx}
-	err := runner.Run(study, len(suite), func(i int, sess *cluster.Session) error {
-		o := cellOut{sim: make([]float64, len(algos)), exp: make([]float64, len(algos))}
-		if e.KeepRaw && e.KeepSchedules {
-			o.schedules = make([]*sched.Schedule, len(algos))
+	study := "campaign/" + pt.Env + "/" + wp.Key() + "/" + kind
+	raw := &CellRaw{Sim: make([][]float64, len(suite)), Exp: make([][]float64, len(suite))}
+	if e.Keep {
+		raw.Schedules = make([][]*sched.Schedule, len(suite))
+	}
+	err = experiments.ForEachCellCtx(ctx, e.Workers, len(suite), func(i int) error {
+		raw.Sim[i], raw.Exp[i] = make([]float64, len(algos)), make([]float64, len(algos))
+		var keep []*sched.Schedule
+		if e.Keep {
+			keep = make([]*sched.Schedule, len(algos))
+			raw.Schedules[i] = keep
 		}
-		sc := sched.AcquireScratch()
-		sc.Bind(suite[i].Graph, truth.Cluster.Nodes, cost)
-		for ai, name := range algos {
-			s, err := BuildScheduleScratch(sc, name, suite[i].Graph, truth.Cluster, cost, comm)
-			if err != nil {
-				return fmt.Errorf("campaign: %s: %s on %s: %w", study, name, suite[i].Name(), err)
-			}
-			s.Model = kind
-			sim, err := tgrid.Makespan(net, s, timing)
-			if err != nil {
-				return fmt.Errorf("campaign: simulate %s: %s on %s: %w", study, name, suite[i].Name(), err)
-			}
-			exp, err := sess.MeasureMakespan(s, plan.Spec.Trials)
-			if err != nil {
-				return fmt.Errorf("campaign: execute %s: %s on %s: %w", study, name, suite[i].Name(), err)
-			}
-			o.sim[ai], o.exp[ai] = sim, exp
-			if o.schedules != nil {
-				o.schedules[ai] = s.Clone()
-			}
+		if err := pass.Score(suite[i].Graph, algos, pass.Session(study, i), raw.Sim[i], raw.Exp[i], keep); err != nil {
+			return fmt.Errorf("campaign: %s: %w", study, err)
 		}
-		outs[i] = o
-		// Not deferred: a scratch held at an error or a panic is dropped,
-		// never pooled.
-		sched.ReleaseScratch(sc)
 		return nil
 	})
 	if err != nil {
@@ -236,26 +206,15 @@ func (e *Engine) runCell(ctx context.Context, plan *Plan, pt PlatformPoint, wp W
 	}
 
 	cell := CellScore{Platform: pt, Workload: wp, Model: kind, Instances: len(suite)}
-	if e.KeepRaw {
-		raw := &CellRaw{Sim: make([][]float64, len(suite)), Exp: make([][]float64, len(suite))}
-		if e.KeepSchedules {
-			raw.Schedules = make([][]*sched.Schedule, len(suite))
-		}
-		for i, o := range outs {
-			raw.Sim[i] = o.sim
-			raw.Exp[i] = o.exp
-			if raw.Schedules != nil {
-				raw.Schedules[i] = o.schedules
-			}
-		}
+	if e.Keep {
 		cell.Raw = raw
 	}
-	for ai, name := range algos {
+	for ai, name := range plan.Algorithms {
 		exps := make([]float64, len(suite))
 		errs := make([]float64, len(suite))
-		for i, o := range outs {
-			exps[i] = o.exp[ai]
-			errs[i] = stats.SimErrPct(o.sim[ai], o.exp[ai])
+		for i := range suite {
+			exps[i] = raw.Exp[i][ai]
+			errs[i] = stats.SimErrPct(raw.Sim[i][ai], raw.Exp[i][ai])
 		}
 		cell.Algos = append(cell.Algos, AlgoScore{
 			Algorithm:    name,
@@ -271,15 +230,16 @@ func (e *Engine) runCell(ctx context.Context, plan *Plan, pt PlatformPoint, wp W
 			expRels := make([]float64, len(suite))
 			simRatios := make([]float64, len(suite))
 			expRatios := make([]float64, len(suite))
-			for i, o := range outs {
-				simRels[i] = stats.RelDiff(o.sim[ai], o.sim[bi])
-				expRels[i] = stats.RelDiff(o.exp[ai], o.exp[bi])
-				simRatios[i] = o.sim[bi] / o.sim[ai]
-				expRatios[i] = o.exp[bi] / o.exp[ai]
+			for i := range suite {
+				sim, exp := raw.Sim[i], raw.Exp[i]
+				simRels[i] = stats.RelDiff(sim[ai], sim[bi])
+				expRels[i] = stats.RelDiff(exp[ai], exp[bi])
+				simRatios[i] = sim[bi] / sim[ai]
+				expRatios[i] = exp[bi] / exp[ai]
 			}
 			cell.Pairs = append(cell.Pairs, PairScore{
-				A:              algos[ai],
-				B:              algos[bi],
+				A:              plan.Algorithms[ai],
+				B:              plan.Algorithms[bi],
 				Flips:          stats.CountDisagreements(simRels, expRels, 0),
 				Total:          len(suite),
 				KendallTau:     stats.KendallTau(simRels, expRels),
@@ -333,22 +293,9 @@ func deriveHidden(base *cluster.Hidden, pt PlatformPoint) *cluster.Hidden {
 // the scratch's buffers — it is invalidated by the scratch's next build, so
 // callers retaining it must Clone.
 func BuildScheduleScratch(sc *sched.Scratch, name string, g *dag.Graph, c platform.Cluster, cost dag.CostFunc, comm dag.CommFunc) (*sched.Schedule, error) {
-	var algo sched.Algorithm
-	switch name {
-	case "MHEFT":
-		algo = sched.MHEFT{}
-	case "CPA":
-		algo = sched.CPA{}
-	case "HCPA":
-		algo = sched.HCPA{}
-	case "MCPA":
-		algo = sched.MCPA{}
-	case "SEQ":
-		algo = sched.Sequential{}
-	case "DATAPAR":
-		algo = sched.DataParallel{}
-	default:
-		return nil, fmt.Errorf("campaign: unknown algorithm %q", name)
+	algo, err := sched.ByName(name)
+	if err != nil {
+		return nil, err
 	}
 	return sc.BuildOn(algo, c, comm)
 }

@@ -165,7 +165,7 @@ func TestCampaignCancellation(t *testing.T) {
 // pooled scratches, must leave the first run's schedules as they were.
 func TestKeptSchedulesMatchFreshBuilds(t *testing.T) {
 	reg := service.NewModelRegistry(profiler.DefaultProfileOptions(), profiler.DefaultEmpiricalOptions())
-	eng := campaign.Engine{Source: reg, Workers: 2, KeepRaw: true, KeepSchedules: true}
+	eng := campaign.Engine{Source: reg, Workers: 2, Keep: true}
 	p, err := eng.Prepare(campaign.Spec{
 		Platforms:  campaign.PlatformAxis{Base: "bayreuth", Nodes: []int{8}},
 		Workloads:  campaign.WorkloadAxis{Sizes: []int{2000}},

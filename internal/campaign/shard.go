@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/experiments"
 	"repro/internal/simgrid"
 )
 
@@ -82,7 +83,8 @@ func (e *Engine) RunCellIndex(ctx context.Context, p *Prepared, i int) (CellScor
 	if err != nil {
 		return CellScore{}, fmt.Errorf("campaign: fit %s/%s: %w", pt.Env, kind, err)
 	}
-	cell, err := e.runCell(ctx, p.Plan, pt, wp, kind, truth, em, net, suite, model)
+	pass := experiments.NewPass(em, net, model, p.Plan.Spec.Seed, p.Plan.Spec.Trials)
+	cell, err := e.runCell(ctx, p.Plan, pt, wp, kind, suite, pass)
 	if err != nil {
 		return CellScore{}, err
 	}

@@ -17,6 +17,7 @@ package campaign
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,6 +25,8 @@ import (
 	"repro/internal/dag"
 	"repro/internal/dag/shapes"
 	"repro/internal/experiments"
+	"repro/internal/perfmodel"
+	"repro/internal/sched"
 )
 
 // Grid limits: a spec beyond these is rejected at validation time, before
@@ -285,46 +288,43 @@ func (p *Plan) Cells() int { return len(p.Platforms) * len(p.Workloads) * len(p.
 // resolve their model from the registry.
 func (p *Plan) Runs() int { return p.Cells() * len(p.Algorithms) }
 
-// canonicalModels maps accepted model-axis names to registry kinds.
-var canonicalModels = map[string]string{
-	"analytic":    "analytic",
-	"profile":     "profile",
-	"brute-force": "profile",
-	"empirical":   "empirical",
-}
-
-// canonicalAlgorithms maps accepted algorithm-axis names to sched names.
-var canonicalAlgorithms = map[string]string{
-	"CPA":     "CPA",
-	"HCPA":    "HCPA",
-	"MCPA":    "MCPA",
-	"MHEFT":   "MHEFT",
-	"M-HEFT":  "MHEFT",
-	"SEQ":     "SEQ",
-	"DATAPAR": "DATAPAR",
-}
-
-// AlgorithmNames lists the accepted canonical algorithm-axis values.
-func AlgorithmNames() []string {
-	return []string{"CPA", "HCPA", "MCPA", "MHEFT", "SEQ", "DATAPAR"}
-}
+// The axes accept the canonical names — sched.Names() and perfmodel.Kinds()
+// — and these aliases of them.
+var (
+	canonicalAlgorithms = map[string]string{"M-HEFT": "MHEFT"}
+	canonicalModels     = map[string]string{"brute-force": "profile"}
+)
 
 // CanonicalAlgorithm resolves an algorithm-axis name or alias to its sched
 // name; other spec layers (internal/arrival) share the campaign axis
 // vocabulary through it.
 func CanonicalAlgorithm(name string) (string, bool) {
-	c, ok := canonicalAlgorithms[name]
-	return c, ok
+	return canonical(name, canonicalAlgorithms, sched.Names())
 }
 
 // CanonicalModel resolves a model-axis name or alias to its registry kind.
 func CanonicalModel(name string) (string, bool) {
-	c, ok := canonicalModels[name]
-	return c, ok
+	return canonical(name, canonicalModels, perfmodel.Kinds())
 }
 
-// ModelNames lists the accepted canonical model-axis values.
-func ModelNames() []string { return []string{"analytic", "profile", "empirical"} }
+func canonical(name string, aliases map[string]string, names []string) (string, bool) {
+	if alias, ok := aliases[name]; ok {
+		name = alias
+	}
+	return name, slices.Contains(names, name)
+}
+
+// Schedulers resolves the plan's algorithm axis, in plan order.
+func (p *Plan) Schedulers() ([]sched.Algorithm, error) {
+	algos := make([]sched.Algorithm, len(p.Algorithms))
+	for i, name := range p.Algorithms {
+		var err error
+		if algos[i], err = sched.ByName(name); err != nil {
+			return nil, err
+		}
+	}
+	return algos, nil
+}
 
 // normalize fills the spec's defaults in place.
 func (s *Spec) normalize() {
@@ -435,9 +435,9 @@ func (s Spec) Plan() (*Plan, error) {
 	}
 	seenAlgo := map[string]bool{}
 	for _, a := range s.Algorithms {
-		name, ok := canonicalAlgorithms[a]
+		name, ok := CanonicalAlgorithm(a)
 		if !ok {
-			return nil, fmt.Errorf("campaign: unknown algorithm %q (want one of %v)", a, AlgorithmNames())
+			return nil, fmt.Errorf("campaign: unknown algorithm %q (want one of %v)", a, sched.Names())
 		}
 		if seenAlgo[name] {
 			return nil, fmt.Errorf("campaign: duplicate algorithm %q", name)
@@ -450,9 +450,9 @@ func (s Spec) Plan() (*Plan, error) {
 	}
 	seenModel := map[string]bool{}
 	for _, m := range s.Models {
-		kind, ok := canonicalModels[m]
+		kind, ok := CanonicalModel(m)
 		if !ok {
-			return nil, fmt.Errorf("campaign: unknown model %q (want one of %v, or brute-force for profile)", m, ModelNames())
+			return nil, fmt.Errorf("campaign: unknown model %q (want one of %v, or brute-force for profile)", m, perfmodel.Kinds())
 		}
 		if seenModel[kind] {
 			return nil, fmt.Errorf("campaign: duplicate model %q", kind)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/perfmodel"
 	"repro/internal/profiler"
 )
 
@@ -148,7 +149,7 @@ func TestRunSuiteUnknownModel(t *testing.T) {
 
 func TestComparisonHeadlines(t *testing.T) {
 	total := map[string]int{}
-	for _, model := range ModelNames() {
+	for _, model := range perfmodel.Kinds() {
 		for _, n := range []int{2000, 3000} {
 			c, err := lab.CompareHCPAMCPA(model, n)
 			if err != nil {
@@ -376,7 +377,7 @@ func TestTable2Coefficients(t *testing.T) {
 }
 
 func TestModelLookup(t *testing.T) {
-	for _, name := range ModelNames() {
+	for _, name := range perfmodel.Kinds() {
 		m, err := lab.Model(name)
 		if err != nil || m.Name() != name {
 			t.Errorf("Model(%q) = %v, %v", name, m, err)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dag"
+	"repro/internal/perfmodel"
 	"repro/internal/profiler"
 	"repro/internal/regression"
 	"repro/internal/stats"
@@ -341,8 +342,8 @@ type ErrorBox struct {
 // Figure8 computes the simulation-error distributions for the three models
 // and both algorithms.
 func (l *Lab) Figure8() ([]ErrorBox, error) {
-	suites := make([][]Record, len(ModelNames()))
-	for i, modelName := range ModelNames() {
+	suites := make([][]Record, len(perfmodel.Kinds()))
+	for i, modelName := range perfmodel.Kinds() {
 		var err error
 		if suites[i], err = l.RunSuite(modelName); err != nil {
 			return nil, err
@@ -351,11 +352,11 @@ func (l *Lab) Figure8() ([]ErrorBox, error) {
 	return figure8(suites), nil
 }
 
-// figure8 computes the boxes from each model's suite records, in ModelNames
+// figure8 computes the boxes from each model's suite records, in perfmodel.Kinds
 // order.
 func figure8(suites [][]Record) []ErrorBox {
 	var out []ErrorBox
-	for mi, modelName := range ModelNames() {
+	for mi, modelName := range perfmodel.Kinds() {
 		for _, algo := range ComparedAlgorithms() {
 			box := ErrorBox{Model: modelName, Algo: algo.Name()}
 			for _, rec := range suites[mi] {

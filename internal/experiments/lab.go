@@ -168,9 +168,6 @@ func (l *Lab) Model(name string) (perfmodel.Model, error) {
 	}
 }
 
-// ModelNames lists the three simulator variants in paper order.
-func ModelNames() []string { return []string{"analytic", "profile", "empirical"} }
-
 // Record is one suite instance pushed through the pipeline with one model:
 // per-algorithm simulated and experimentally measured makespans.
 type Record struct {
@@ -234,12 +231,12 @@ func (l *Lab) suiteCell(modelName string, k int) (scored, error) {
 		return scored{}, err
 	}
 	p := l.pass(model)
-	return p.score(l.Suite[k].Graph, p.session("suite/"+modelName, k))
+	return p.score(l.Suite[k].Graph, p.Session("suite/"+modelName, k))
 }
 
 // pass is the scoring pass of one of the lab's models on its environment.
-func (l *Lab) pass(model perfmodel.Model) pass {
-	return newPass(l.Em, l.Net, model, l.Cfg.NoiseSeed, l.Cfg.ExpTrials)
+func (l *Lab) pass(model perfmodel.Model) Pass {
+	return NewPass(l.Em, l.Net, model, l.Cfg.NoiseSeed, l.Cfg.ExpTrials)
 }
 
 // record is a scored suite instance as a Record.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 
+	"repro/internal/perfmodel"
 	"repro/internal/profiler"
 )
 
@@ -62,7 +63,7 @@ type TableIIReport struct {
 // BuildReport runs every suite-wide experiment and assembles the record.
 func (l *Lab) BuildReport() (*Report, error) {
 	r := &Report{Config: l.Cfg}
-	for _, model := range ModelNames() {
+	for _, model := range perfmodel.Kinds() {
 		for _, n := range []int{2000, 3000} {
 			c, err := l.CompareHCPAMCPA(model, n)
 			if err != nil {

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cluster"
 	"repro/internal/obs"
 )
 
@@ -170,31 +169,3 @@ type CellPanic struct {
 }
 
 func (p CellPanic) String() string { return fmt.Sprintf("%v\n%s", p.Value, p.Stack) }
-
-// Runner executes the cells of named studies against one emulated
-// environment: a bounded worker pool plus per-cell deterministic noise
-// sessions.
-type Runner struct {
-	// Workers bounds the pool; <= 0 selects DefaultParallelism.
-	Workers int
-	// Seed is the lab-wide noise seed cell seeds derive from.
-	Seed int64
-	// Em is the environment cells measure against.
-	Em *cluster.Emulator
-	// Ctx, when non-nil, cancels the study: cells that have not started are
-	// skipped once it is done and Run returns its error. Results are
-	// unaffected for runs that complete.
-	Ctx context.Context
-}
-
-// Run executes fn for every cell of the named study, handing each cell a
-// private measurement session.
-func (r Runner) Run(study string, n int, fn func(cell int, sess *cluster.Session) error) error {
-	ctx := r.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return ForEachCellCtx(ctx, r.Workers, n, func(i int) error {
-		return fn(i, r.Em.Session(CellSeed(r.Seed, study, i)))
-	})
-}

@@ -193,7 +193,7 @@ func TestStudyDeterminismAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestStandaloneStudyDeterminism covers the studies that assemble their own
-// environments (and thus their own Runner) rather than going through Lab.
+// environments (and thus their own passes) rather than going through Lab.
 func TestStandaloneStudyDeterminism(t *testing.T) {
 	transcripts := make([][]byte, 2)
 	for i, workers := range []int{1, 8} {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dag"
 	"repro/internal/obs"
+	"repro/internal/perfmodel"
 	"repro/internal/simgrid"
 )
 
@@ -72,7 +73,7 @@ var studies = []*study{
 		return nil
 	}},
 	comparison("fig7", "empirical"),
-	suitePasses("fig8", ModelNames(), func(suites [][]Record, w io.Writer) { writeFigure8(w, figure8(suites)) }),
+	suitePasses("fig8", perfmodel.Kinds(), func(suites [][]Record, w io.Writer) { writeFigure8(w, figure8(suites)) }),
 	{name: "table2", lab: true, serial: func(l *Lab, w io.Writer) error { l.writeTable2(w); return nil }},
 	variants("ablation", true, ablation()),
 	variants("scaling", false, scaling()),
@@ -82,7 +83,7 @@ var studies = []*study{
 	probes("shapes", func(int) int { return len(shapeGraphs()) }, func(int) int { return 4 },
 		func(l *Lab, i, _ int) ([]float64, error) {
 			p := l.pass(l.Profile)
-			sc, err := p.score(shapeGraphs()[i], p.session("shapes", i))
+			sc, err := p.score(shapeGraphs()[i], p.Session("shapes", i))
 			return sc.floats(), err
 		},
 		func(cells [][]float64, _ int, w io.Writer) { writeShapes(w, shapeRows(cells)) }),
@@ -165,7 +166,7 @@ func variants(name string, lab bool, vs *variantStudy) *study {
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s: %w", vs.variants[v].seed, err)
 			}
-			sc, err := vp.pass.score(vp.suite[k].Graph, vp.pass.session(vs.variants[v].seed, k))
+			sc, err := vp.pass.score(vp.suite[k].Graph, vp.pass.Session(vs.variants[v].seed, k))
 			return sc.floats(), err
 		},
 		merge: func(_ *Plan, cells [][]float64, w io.Writer) error {
@@ -208,7 +209,7 @@ type Plan struct {
 
 // variantPass is a resolved variant: its pass and the suite it scores.
 type variantPass struct {
-	pass  pass
+	pass  Pass
 	suite []dag.SuiteInstance
 }
 
@@ -371,7 +372,7 @@ func (p *Plan) variant(v int) (variantPass, error) {
 		return variantPass{}, err
 	}
 	model, err := def.model(p, em)
-	return variantPass{newPass(em, net, model, p.cfg.NoiseSeed, p.cfg.ExpTrials), suite}, err
+	return variantPass{NewPass(em, net, model, p.cfg.NoiseSeed, p.cfg.ExpTrials), suite}, err
 }
 
 // RenderStudy writes one study's report to w, aborting between cells once

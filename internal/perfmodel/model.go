@@ -22,6 +22,10 @@ import (
 	"repro/internal/platform"
 )
 
+// Kinds names the three variants in paper order, as Name reports them: the
+// one list every model axis, study and request validates against.
+func Kinds() []string { return []string{"analytic", "profile", "empirical"} }
+
 // Model estimates task execution times and environment overheads.
 type Model interface {
 	// Name identifies the model variant ("analytic", "profile", "empirical").

@@ -256,7 +256,10 @@ func (e *Engine) stabilizeCell(ctx context.Context, plan *Plan, cp *campaign.Pla
 	model perfmodel.Model, baseCell *campaign.CellScore, prog *obs.Progress) (CellStability, error) {
 
 	axis := plan.Spec.Robustness
-	algos := cp.Algorithms
+	algos, err := cp.Schedulers()
+	if err != nil {
+		return CellStability{}, err
+	}
 	study := "robust/" + pt.Env + "/" + wp.Key() + "/" + kind
 	nL, nT := len(axis.Levels), axis.Trials
 	prog.AddTrialBudget(int64(len(suite)) * int64(nL) * int64(nT))
@@ -309,18 +312,15 @@ func (e *Engine) stabilizeCell(ctx context.Context, plan *Plan, cp *campaign.Pla
 	// every scheduler input untouched — declared (prediction_only) or proven
 	// (scheduleInvariant). Then rescheduling is pure waste: replay the base
 	// campaign's schedules through the perturbed simulator instead.
-	replayAll := axis.PredictionOnly || (raw.Schedules != nil && scheduleInvariant(axis.Noise, model, truth.Cluster.Nodes))
-	if replayAll && raw.Schedules == nil {
-		return CellStability{}, fmt.Errorf("robust: %s: base campaign retained no schedules", study)
-	}
+	replayAll := axis.PredictionOnly || scheduleInvariant(axis.Noise, model, truth.Cluster.Nodes)
 	baseTiming := tgrid.Timing(tgrid.ModelTiming{Model: model})
-	err := experiments.ForEachCellCtx(ctx, e.Workers, len(suite), func(i int) error {
+	err = experiments.ForEachCellCtx(ctx, e.Workers, len(suite), func(i int) error {
 		g := suite[i].Graph
 		run := e.acquireRunner(len(algos))
 		if replayAll {
 			for ai := range algos {
 				if err := run.reps[ai].Bind(platNet, raw.Schedules[i][ai], baseTiming); err != nil {
-					return fmt.Errorf("robust: %s: bind %s on %s: %w", study, algos[ai], suite[i].Name(), err)
+					return fmt.Errorf("robust: %s: bind %s on %s: %w", study, algos[ai].Name(), suite[i].Name(), err)
 				}
 			}
 		}
@@ -338,25 +338,24 @@ func (e *Engine) stabilizeCell(ctx context.Context, plan *Plan, cp *campaign.Pla
 				if !replayAll {
 					run.sc.Bind(g, setup.cluster.Nodes, setup.cost)
 				}
-				for ai, name := range algos {
+				for ai, algo := range algos {
 					var ms float64
 					if replayAll {
 						r, err := run.reps[ai].Replay(setup.net, setup.sim)
 						if err != nil {
-							return fmt.Errorf("robust: simulate %s: %s on %s: %w", study, name, suite[i].Name(), err)
+							return fmt.Errorf("robust: simulate %s: %s on %s: %w", study, algo.Name(), suite[i].Name(), err)
 						}
 						ms = r
 					} else {
-						s, err := campaign.BuildScheduleScratch(run.sc, name, g, setup.cluster, setup.cost, setup.comm)
+						s, err := run.sc.BuildOn(algo, setup.cluster, setup.comm)
 						if err != nil {
-							return fmt.Errorf("robust: %s: %s on %s: %w", study, name, suite[i].Name(), err)
+							return fmt.Errorf("robust: %s: %s on %s: %w", study, algo.Name(), suite[i].Name(), err)
 						}
-						s.Model = kind
 						if err := run.rep.Bind(setup.net, s, baseTiming); err != nil {
-							return fmt.Errorf("robust: %s: bind %s on %s: %w", study, name, suite[i].Name(), err)
+							return fmt.Errorf("robust: %s: bind %s on %s: %w", study, algo.Name(), suite[i].Name(), err)
 						}
 						if ms, err = run.rep.Replay(setup.net, setup.sim); err != nil {
-							return fmt.Errorf("robust: simulate %s: %s on %s: %w", study, name, suite[i].Name(), err)
+							return fmt.Errorf("robust: simulate %s: %s on %s: %w", study, algo.Name(), suite[i].Name(), err)
 						}
 					}
 					run.sims[ai] = ms
@@ -426,7 +425,7 @@ func (e *Engine) stabilizeCell(ctx context.Context, plan *Plan, cp *campaign.Pla
 	pi := 0
 	for ai := 0; ai < len(algos); ai++ {
 		for bi := ai + 1; bi < len(algos); bi++ {
-			ps := PairStability{A: algos[ai], B: algos[bi]}
+			ps := PairStability{A: cp.Algorithms[ai], B: cp.Algorithms[bi]}
 			flipProb := make([][]float64, nL) // [level][instance]
 			for li, level := range axis.Levels {
 				probs := make([]float64, len(suite))

@@ -46,7 +46,7 @@ func (e *oracleEngine) Run(ctx context.Context, spec Spec) (*Result, error) {
 		return nil, fmt.Errorf("robust: engine has no model source")
 	}
 	trials := plan.Spec.Robustness.Trials
-	ceng := campaign.Engine{Source: e.Source, Workers: e.Workers, KeepRaw: trials > 0}
+	ceng := campaign.Engine{Source: e.Source, Workers: e.Workers, Keep: trials > 0}
 	base, err := ceng.Run(ctx, plan.Spec.Spec)
 	if err != nil {
 		return nil, err

@@ -47,7 +47,7 @@ func (p *Prepared) NumCells() int { return p.Camp.NumCells() }
 // retains the cell's raw makespans and schedules — stabilisation consumes
 // them in-process — which are stripped before the cell result is returned.
 func (e *Engine) cellEngine(keep bool) *campaign.Engine {
-	return &campaign.Engine{Source: e.Source, Workers: e.Workers, KeepRaw: keep, KeepSchedules: keep}
+	return &campaign.Engine{Source: e.Source, Workers: e.Workers, Keep: keep}
 }
 
 // CellResult is one cell's complete outcome: the base campaign score

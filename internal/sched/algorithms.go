@@ -1,6 +1,32 @@
 package sched
 
+import "fmt"
+
 // The algorithms: each is a value naming one scheduler, which a Scratch runs.
+
+// named is the one table of schedulers reachable by name — the CPA family,
+// the M-HEFT baseline and the two allocation baselines — in the order specs
+// list them.
+var named = []Algorithm{CPA{}, HCPA{}, MCPA{}, MHEFT{}, Sequential{}, DataParallel{}}
+
+// Names lists the names ByName resolves, in table order.
+func Names() []string {
+	names := make([]string, len(named))
+	for i, algo := range named {
+		names[i] = algo.Name()
+	}
+	return names
+}
+
+// ByName returns the scheduler whose Name is name, with default parameters.
+func ByName(name string) (Algorithm, error) {
+	for _, algo := range named {
+		if algo.Name() == name {
+			return algo, nil
+		}
+	}
+	return nil, fmt.Errorf("sched: unknown algorithm %q (want one of %v)", name, Names())
+}
 
 // CPA is the Critical Path and Area-based scheduling algorithm of Radulescu
 // and van Gemund (§II-A, [7]). Its allocation phase starts every task on one

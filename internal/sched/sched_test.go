@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -429,5 +430,36 @@ func TestSchedulesValidQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(8))}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestByNameRoundTrip holds the name table to its schedulers: ByName
+// resolves every listed name to the algorithm of that Name, in the order
+// specs list them, each of which a bound scratch builds, and rejects any
+// other name.
+func TestByNameRoundTrip(t *testing.T) {
+	want := []string{"CPA", "HCPA", "MCPA", "MHEFT", "SEQ", "DATAPAR"}
+	if got := Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
+	}
+	c := platform.Bayreuth()
+	sc := NewScratch()
+	sc.Bind(chain(3), c.Nodes, perfect)
+	for _, name := range want {
+		algo, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if algo.Name() != name {
+			t.Errorf("ByName(%q) is %q", name, algo.Name())
+		}
+		if _, err := sc.BuildOn(algo, c, nil); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	for _, name := range []string{"", "M-HEFT", "FIXED", "hcpa"} {
+		if _, err := ByName(name); err == nil {
+			t.Errorf("ByName(%q) accepted", name)
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/dag"
+	"repro/internal/perfmodel"
 	"repro/internal/testutil"
 )
 
@@ -210,12 +211,12 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 			t.Fatalf("%s: handler bytes differ from json.Encoder's\n got: %.300q\nwant: %.300q", what, handler, want)
 		}
 	}
-	for _, model := range ModelKinds() {
+	for _, model := range perfmodel.Kinds() {
 		// Fit first, so every compared reply is a cache hit on both sides.
 		if _, err := svc.Schedule(ctx, ScheduleRequest{DAG: suite[0].Graph, Model: model}); err != nil {
 			t.Fatal(err)
 		}
-		for _, algo := range []string{"CPA", "HCPA", "MCPA"} {
+		for _, algo := range []string{"CPA", "HCPA", "MCPA", "MHEFT"} {
 			var dags []*dag.Graph
 			for i, inst := range suite {
 				req := ScheduleRequest{DAG: inst.Graph, Algorithm: algo, Model: model}

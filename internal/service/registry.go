@@ -74,9 +74,6 @@ func Environments() map[string]EnvFunc {
 	}
 }
 
-// ModelKinds lists the model kinds in paper order.
-func ModelKinds() []string { return []string{"analytic", "profile", "empirical"} }
-
 // fitCampaign is the measured state of one (environment, seed): the
 // emulator the campaigns probed and both fitted models. Models are built in
 // NewLab order — profile first, then empirical, on a fresh emulator — so
@@ -382,10 +379,10 @@ func (r *ModelRegistry) Models() []ModelInfo {
 }
 
 func kindOrder(kind string) int {
-	for i, k := range ModelKinds() {
+	for i, k := range perfmodel.Kinds() {
 		if k == kind {
 			return i
 		}
 	}
-	return len(ModelKinds())
+	return len(perfmodel.Kinds())
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -369,14 +370,8 @@ func (s *Service) normalizeNames(algorithm, model, environment *string, seed *in
 	if *model == "" {
 		*model = "analytic"
 	}
-	validKind := false
-	for _, k := range ModelKinds() {
-		if *model == k {
-			validKind = true
-		}
-	}
-	if !validKind {
-		return badRequest{fmt.Errorf("service: unknown model kind %q (want one of %v)", *model, ModelKinds())}
+	if !slices.Contains(perfmodel.Kinds(), *model) {
+		return badRequest{fmt.Errorf("service: unknown model kind %q (want one of %v)", *model, perfmodel.Kinds())}
 	}
 	if *environment == "" {
 		*environment = "bayreuth"
@@ -387,25 +382,13 @@ func (s *Service) normalizeNames(algorithm, model, environment *string, seed *in
 	return nil
 }
 
-// algorithmByName resolves a scheduler name.
-func algorithmByName(name string) (sched.Algorithm, error) {
-	for _, algo := range []sched.Algorithm{
-		sched.CPA{}, sched.HCPA{}, sched.MCPA{}, sched.Sequential{}, sched.DataParallel{},
-	} {
-		if algo.Name() == name {
-			return algo, nil
-		}
-	}
-	return nil, fmt.Errorf("service: unknown algorithm %q", name)
-}
-
 // build resolves a request into a schedule, the model it used and the
 // environment's cluster, pulling the fitted model from the registry.
 func (s *Service) build(req *ScheduleRequest) (*sched.Schedule, perfmodel.Model, *simgrid.Net, bool, error) {
 	if err := s.normalize(req); err != nil {
 		return nil, nil, nil, false, err
 	}
-	algo, err := algorithmByName(req.Algorithm)
+	algo, err := sched.ByName(req.Algorithm)
 	if err != nil {
 		return nil, nil, nil, false, badRequest{err}
 	}
@@ -621,7 +604,7 @@ func (s *Service) SimulateBatch(ctx context.Context, req SimulateBatchRequest) (
 	if err := s.normalizeNames(&req.Algorithm, &req.Model, &req.Environment, &req.Seed); err != nil {
 		return nil, err
 	}
-	algo, err := algorithmByName(req.Algorithm)
+	algo, err := sched.ByName(req.Algorithm)
 	if err != nil {
 		return nil, badRequest{err}
 	}
