@@ -15,9 +15,9 @@ import (
 )
 
 // This file holds the system's one measurement (§V–§VII) — schedule a DAG
-// with each compared algorithm under a model, simulate the schedule, execute
-// it on the emulated cluster — and the frame codec every study cell travels
-// in. The studies here, the campaign engine's grid cells and the arrival
+// with each of a list of algorithms under a model, simulate the schedule,
+// execute it on the emulated cluster — and the frame codec every study cell
+// travels in. The studies here, the campaign engine's grid cells and the arrival
 // engine's jobs all score through Pass.Score.
 
 // A Pass is what the scoring cell runs under: the emulated environment its

@@ -300,8 +300,8 @@ func (s *Service) Close(ctx context.Context) error { return s.jobs.Shutdown(ctx)
 type ScheduleRequest struct {
 	// DAG is the application, in the cmd/daggen node/edge-list format.
 	DAG *dag.Graph `json:"dag"`
-	// Algorithm selects the scheduler (default "HCPA"); one of CPA, HCPA,
-	// MCPA, SEQ, DATAPAR.
+	// Algorithm selects the scheduler (default "HCPA"); one of
+	// sched.Names(): CPA, HCPA, MCPA, MHEFT, SEQ, DATAPAR.
 	Algorithm string `json:"algorithm,omitempty"`
 	// Model selects the performance model (default "analytic").
 	Model string `json:"model,omitempty"`
