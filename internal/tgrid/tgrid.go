@@ -3,19 +3,13 @@
 // spawning each multiprocessor task on its assigned processors and
 // performing the transparent data redistributions between dependent tasks.
 //
-// Two backends are provided:
-//
-//   - the virtual backend (Replayer, and Run and Makespan on a pooled one):
-//     a virtual-time replay on top of the internal/simgrid kernel,
-//     parameterised by a Timing source. With a perfmodel-backed Timing it is
-//     exactly one of the paper's simulators; with the hidden ground-truth
-//     Timing of internal/cluster it plays the role of the real 32-node
-//     cluster (the "experiment");
-//   - the real backend (RunReal, real.go): actually executes the parallel
-//     matrix kernels with goroutine ranks and channel-based message passing
-//     (internal/mpi, internal/kernels) and measures wall-clock time, for
-//     laptop-scale demonstrations that the runtime genuinely runs
-//     mixed-parallel programs.
+// It has one backend, the Replayer (and Run and Makespan on a pooled one): a
+// virtual-time replay on top of the internal/simgrid kernel, parameterised
+// by a Timing source. With a perfmodel-backed Timing it is exactly one of the
+// paper's simulators; with the hidden ground-truth Timing of
+// internal/cluster it plays the role of the real 32-node cluster (the
+// "experiment"). docs/PAPER_MAP.md says why that emulator, and not a
+// wall-clock execution on this host, is the only ground truth.
 package tgrid
 
 import (

@@ -18,9 +18,8 @@
 //     empirical regression (internal/perfmodel, internal/profiler,
 //     internal/regression);
 //   - a calibrated ground-truth environment standing in for the paper's
-//     Bayreuth cluster + TGrid runtime (internal/cluster), plus a real
-//     execution backend with goroutine ranks and message passing
-//     (internal/tgrid, internal/mpi, internal/kernels);
+//     Bayreuth cluster + TGrid runtime (internal/cluster), replayed in
+//     virtual time by the same runtime the simulators use (internal/tgrid);
 //   - the full evaluation pipeline regenerating every table and figure
 //     (internal/experiments), also exposed through cmd/mixedsim. Studies
 //     decompose into independent (instance × algorithm × model/variant)
