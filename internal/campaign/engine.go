@@ -11,6 +11,7 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/platform"
 	"repro/internal/sched"
+	"repro/internal/simgrid"
 	"repro/internal/stats"
 )
 
@@ -106,7 +107,24 @@ type CellScore struct {
 type CellRaw struct {
 	Sim, Exp  [][]float64
 	Schedules [][]*sched.Schedule
+	// in is unexported so that gob, which describes every exported field's
+	// type in a frame even when Raw is nil, writes the same frames.
+	in CellInputs
 }
+
+// CellInputs are the resolved inputs a cell was scored on, kept so that a
+// later stage (robustness stabilisation) reads them instead of resolving
+// them again. Treat them as read-only: the suite's graphs and the model are
+// shared with the retained schedules.
+type CellInputs struct {
+	Truth *cluster.Hidden
+	Net   *simgrid.Net
+	Suite []dag.SuiteInstance
+	Model perfmodel.Model
+}
+
+// Inputs returns the inputs the cell was scored on.
+func (r *CellRaw) Inputs() CellInputs { return r.in }
 
 // Result is a completed campaign: the expanded plan plus every cell's
 // scores. Write renders the deterministic report.

@@ -88,6 +88,9 @@ func (e *Engine) RunCellIndex(ctx context.Context, p *Prepared, i int) (CellScor
 	if err != nil {
 		return CellScore{}, err
 	}
+	if cell.Raw != nil {
+		cell.Raw.in = CellInputs{Truth: truth, Net: net, Suite: suite, Model: model}
+	}
 	cellsCompleted.Inc()
 	return cell, nil
 }

@@ -75,6 +75,26 @@ func TestTrialsZeroReducesToCampaign(t *testing.T) {
 	}
 }
 
+// TestStabilisationReusesBaseCellInputs pins that a cell's model is looked
+// up once, by the base campaign cell: stabilisation reads the inputs the base
+// cell was scored on, so a first run over a fresh registry hits it never.
+func TestStabilisationReusesBaseCellInputs(t *testing.T) {
+	reg := service.NewModelRegistry(profiler.DefaultProfileOptions(), profiler.DefaultEmpiricalOptions())
+	eng := robust.Engine{Source: reg, Workers: 2}
+	res, err := eng.Run(context.Background(), testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Cells) == 0 {
+		t.Fatal("no stability cells ran")
+	}
+	for _, m := range reg.Models() {
+		if m.Hits != 0 {
+			t.Errorf("%s/%s: %d registry hits, want 0: one lookup per cell", m.Environment, m.Kind, m.Hits)
+		}
+	}
+}
+
 // TestRobustDeterministicAcrossWorkerCounts pins the acceptance criterion:
 // the full robustness report is byte-identical at workers=1 and workers=8,
 // each on a fresh registry — and attaching a live Progress record (as the

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/obs"
-	"repro/internal/simgrid"
 )
 
 // Prepared is a resolved robustness plan ready for per-cell execution.
@@ -73,23 +72,8 @@ func (e *Engine) RunCellIndex(ctx context.Context, p *Prepared, i int, prog *obs
 	}
 	cp := p.Camp.Plan
 	pt, wp, kind := p.Camp.CellPoint(i)
-	truth, err := e.Source.Environment(pt.Env)
-	if err != nil {
-		return CellResult{}, err
-	}
-	platNet, err := simgrid.NewNet(truth.Cluster)
-	if err != nil {
-		return CellResult{}, fmt.Errorf("robust: platform %s: %w", pt.Env, err)
-	}
-	suite, err := wp.Instances()
-	if err != nil {
-		return CellResult{}, err
-	}
-	model, _, err := e.Source.GetModel(pt.Env, kind, cp.Spec.Seed)
-	if err != nil {
-		return CellResult{}, fmt.Errorf("robust: fit %s/%s: %w", pt.Env, kind, err)
-	}
-	stab, err := e.stabilizeCell(ctx, p.Plan, cp, pt, wp, kind, truth, platNet, suite, model, &score, prog)
+	in := score.Raw.Inputs()
+	stab, err := e.stabilizeCell(ctx, p.Plan, cp, pt, wp, kind, in.Truth, in.Net, in.Suite, in.Model, &score, prog)
 	if err != nil {
 		return CellResult{}, err
 	}
