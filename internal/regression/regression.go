@@ -169,6 +169,27 @@ func MeanAbsPctError(pred, actual []float64) float64 {
 // order. With fewer than four points nothing is flagged; at most a third of
 // the points can be dropped, so the fit always retains a majority.
 func DetectOutliers(xs, ys []float64, basis Basis, k float64) []int {
+	return detectOutliers(xs, ys, basis, k, func(y, pred float64) float64 {
+		return math.Abs(y - pred)
+	})
+}
+
+// DetectRelativeOutliers is DetectOutliers with residuals measured relative
+// to the fitted prediction, (y − ŷ)/ŷ. Multiplicative spikes — a kernel
+// suddenly running 35% slower at one processor count, as at the paper's
+// p = 8 — stand out on this scale even where the fitted curve is small.
+func DetectRelativeOutliers(xs, ys []float64, basis Basis, k float64) []int {
+	return detectOutliers(xs, ys, basis, k, func(y, pred float64) float64 {
+		if pred == 0 {
+			return 0
+		}
+		return math.Abs((y - pred) / pred)
+	})
+}
+
+// detectOutliers is the loop both detectors share; residual maps a point
+// and its prediction to a non-negative residual.
+func detectOutliers(xs, ys []float64, basis Basis, k float64, residual func(y, pred float64) float64) []int {
 	if len(xs) < 4 {
 		return nil
 	}
@@ -192,7 +213,7 @@ func DetectOutliers(xs, ys []float64, basis Basis, k float64) []int {
 		worst, worstRes := -1, 0.0
 		abs := make([]float64, 0, len(kept))
 		for i, idx := range kept {
-			r := math.Abs(ys[idx] - fit.Predict(xs[idx]))
+			r := residual(ys[idx], fit.Predict(xs[idx]))
 			abs = append(abs, r)
 			if r > worstRes {
 				worst, worstRes = i, r
@@ -203,61 +224,6 @@ func DetectOutliers(xs, ys []float64, basis Basis, k float64) []int {
 		}
 		// Scale estimate excludes the candidate itself so one huge spike
 		// cannot mask itself.
-		rest := append([]float64(nil), abs[:worst]...)
-		rest = append(rest, abs[worst+1:]...)
-		mad := median(rest)
-		if mad <= 0 || worstRes <= k*mad {
-			break
-		}
-		dropped = append(dropped, kept[worst])
-		kept = append(kept[:worst], kept[worst+1:]...)
-	}
-	sort.Ints(dropped)
-	return dropped
-}
-
-// DetectRelativeOutliers is DetectOutliers with residuals measured relative
-// to the fitted prediction, (y − ŷ)/ŷ. Multiplicative spikes — a kernel
-// suddenly running 35% slower at one processor count, as at the paper's
-// p = 8 — stand out on this scale even where the fitted curve is small.
-func DetectRelativeOutliers(xs, ys []float64, basis Basis, k float64) []int {
-	if len(xs) < 4 {
-		return nil
-	}
-	kept := make([]int, len(xs))
-	for i := range kept {
-		kept[i] = i
-	}
-	var dropped []int
-	maxDrop := len(xs) / 3
-	for len(dropped) < maxDrop {
-		kx := make([]float64, len(kept))
-		ky := make([]float64, len(kept))
-		for i, idx := range kept {
-			kx[i] = xs[idx]
-			ky[i] = ys[idx]
-		}
-		fit, err := FitBasis(kx, ky, basis)
-		if err != nil {
-			break
-		}
-		worst, worstRes := -1, 0.0
-		abs := make([]float64, 0, len(kept))
-		for i, idx := range kept {
-			pred := fit.Predict(xs[idx])
-			if pred == 0 {
-				abs = append(abs, 0)
-				continue
-			}
-			r := math.Abs((ys[idx] - pred) / pred)
-			abs = append(abs, r)
-			if r > worstRes {
-				worst, worstRes = i, r
-			}
-		}
-		if worst < 0 {
-			break
-		}
 		rest := append([]float64(nil), abs[:worst]...)
 		rest = append(rest, abs[worst+1:]...)
 		mad := median(rest)
