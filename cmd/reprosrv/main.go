@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	reprosrv -addr :8080 -log-format json -pprof
+//	reprosrv -addr :8080 -log-format json -metrics-addr 127.0.0.1:9090
 //	curl localhost:8080/healthz
 //	curl localhost:8080/metrics
 //	curl -X POST localhost:8080/v1/schedule -d @request.json
@@ -77,7 +77,6 @@ func main() {
 		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget")
 		logFormat   = flag.String("log-format", "text", "request log format: text or json")
 		metricsAddr = flag.String("metrics-addr", "", "optional separate listener for /metrics and /debug/pprof/ (e.g. a private port)")
-		enablePprof = flag.Bool("pprof", false, "mount /debug/pprof/ on the API handler")
 		storeDir    = flag.String("store-dir", "", "durable store directory: jobs and fitted models persist here and are shared with every replica on the same directory")
 		replicaID   = flag.String("replica-id", "", "this replica's lease-holder identity (default hostname-pid; requires -store-dir)")
 		leaseTTL    = flag.Duration("lease-ttl", 10*time.Second, "job lease duration; a replica silent this long loses its jobs to the reclaimer (requires -store-dir)")
@@ -102,7 +101,6 @@ func main() {
 	opts.QueueCap = *queueCap
 	opts.Retain = *retain
 	opts.Logger = slog.New(handler)
-	opts.EnablePprof = *enablePprof
 	if *storeDir == "" && (*replicaID != "" || flagSet("lease-ttl")) {
 		log.Fatal("-replica-id and -lease-ttl require -store-dir")
 	}
@@ -124,8 +122,8 @@ func main() {
 	srv := newServer(*addr, svc.Handler())
 
 	if *metricsAddr != "" {
-		// The private listener always exposes pprof: it is the operator's
-		// port, not the API surface -pprof gates.
+		// pprof lives only here: it is the operator's port, not the API
+		// surface.
 		mmux := http.NewServeMux()
 		mmux.Handle("GET /metrics", obs.Default.Handler())
 		mmux.HandleFunc("/debug/pprof/", pprof.Index)

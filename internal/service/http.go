@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -70,7 +69,6 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 //	GET  /v1/<family>/{id}   poll one job of the family
 //	GET  /v1/models          fitted-model registry contents and build cost
 //	GET  /metrics            Prometheus text exposition
-//	     /debug/pprof/*      runtime profiles (only with Options.EnablePprof)
 //
 // Every poll endpoint accepts ?watch=<duration> to long-poll: the response
 // is deferred until the job's state or progress changes, or the duration
@@ -98,13 +96,6 @@ func (s *Service) Handler() http.Handler {
 	}
 	handleFunc("GET /v1/models", s.handleModels)
 	handle("GET /metrics", obs.Default.Handler())
-	if s.opts.EnablePprof {
-		handleFunc("/debug/pprof/", pprof.Index)
-		handleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		handleFunc("/debug/pprof/profile", pprof.Profile)
-		handleFunc("/debug/pprof/symbol", pprof.Symbol)
-		handleFunc("/debug/pprof/trace", pprof.Trace)
-	}
 	return s.withObs(routes, mux)
 }
 

@@ -153,8 +153,8 @@ func TestMetricsRoute(t *testing.T) {
 	}
 }
 
-// TestPprofGating pins that /debug/pprof/ is absent by default and mounted
-// with Options.EnablePprof.
+// TestPprofGating pins that /debug/pprof/ is absent from the API handler:
+// pprof lives only on reprosrv's private -metrics-addr listener.
 func TestPprofGating(t *testing.T) {
 	svc := New(DefaultOptions())
 	defer svc.Close(context.Background())
@@ -166,22 +166,7 @@ func TestPprofGating(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("pprof without EnablePprof: status %d, want 404", resp.StatusCode)
-	}
-
-	opts := DefaultOptions()
-	opts.EnablePprof = true
-	svc2 := New(opts)
-	defer svc2.Close(context.Background())
-	srv2 := httptest.NewServer(svc2.Handler())
-	defer srv2.Close()
-	resp2, err := http.Get(srv2.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Errorf("pprof with EnablePprof: status %d, want 200", resp2.StatusCode)
+		t.Errorf("pprof on the API handler: status %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -50,9 +50,6 @@ type Options struct {
 	// Logger receives one structured line per HTTP request; nil disables
 	// request logging (metrics are always on).
 	Logger *slog.Logger
-	// EnablePprof mounts net/http/pprof under /debug/pprof/ on Handler().
-	// Off by default: profiles expose internals and cost CPU to capture.
-	EnablePprof bool
 	// Store, when non-nil, makes the service a replica of a durable cluster:
 	// jobs live in the shared WAL'd pool (claimed by lease, reclaimed on
 	// crash) and fitted models persist under the store directory, so both
