@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"repro/internal/campaign"
-	"repro/internal/cluster"
 	"repro/internal/dag"
 	"repro/internal/experiments"
 	"repro/internal/obs"
@@ -248,12 +247,12 @@ func drawPerturbation(rng *rand.Rand, n Noise, level float64) perturbationDraw {
 // sequential stopping enabled, each (instance, level) stops drawing trials
 // once every pair's flip probability is decided against the flip threshold
 // by its Wilson interval (after MinTrials, within the Trials budget).
-// Trial counts flow through prog — the engine's own Progress under Run, a
-// per-cell record when a cluster runs the cell.
+// The ground truth, net, suite and model are the ones the base cell was
+// scored on. Trial counts flow through prog — the engine's own Progress under
+// Run, a per-cell record when a cluster runs the cell.
 func (e *Engine) stabilizeCell(ctx context.Context, plan *Plan, cp *campaign.Plan,
 	pt campaign.PlatformPoint, wp campaign.WorkloadPoint, kind string,
-	truth *cluster.Hidden, platNet *simgrid.Net, suite []dag.SuiteInstance,
-	model perfmodel.Model, baseCell *campaign.CellScore, prog *obs.Progress) (CellStability, error) {
+	baseCell *campaign.CellScore, prog *obs.Progress) (CellStability, error) {
 
 	axis := plan.Spec.Robustness
 	algos, err := cp.Schedulers()
@@ -261,6 +260,12 @@ func (e *Engine) stabilizeCell(ctx context.Context, plan *Plan, cp *campaign.Pla
 		return CellStability{}, err
 	}
 	study := "robust/" + pt.Env + "/" + wp.Key() + "/" + kind
+	raw := baseCell.Raw
+	if raw == nil {
+		return CellStability{}, fmt.Errorf("robust: %s: base campaign retained no per-instance data", study)
+	}
+	in := raw.Inputs()
+	truth, platNet, suite, model := in.Truth, in.Net, in.Suite, in.Model
 	nL, nT := len(axis.Levels), axis.Trials
 	prog.AddTrialBudget(int64(len(suite)) * int64(nL) * int64(nT))
 
@@ -304,10 +309,6 @@ func (e *Engine) stabilizeCell(ctx context.Context, plan *Plan, cp *campaign.Pla
 	npairs := len(algos) * (len(algos) - 1) / 2
 	outs := make([][][]levelOut, len(suite)) // [instance][pair][level]
 	useds := make([][]int, len(suite))       // [instance][level] trials drawn
-	raw := baseCell.Raw
-	if raw == nil {
-		return CellStability{}, fmt.Errorf("robust: %s: base campaign retained no per-instance data", study)
-	}
 	// A perturbed schedule equals the base schedule whenever the draw leaves
 	// every scheduler input untouched — declared (prediction_only) or proven
 	// (scheduleInvariant). Then rescheduling is pure waste: replay the base

@@ -72,8 +72,7 @@ func (e *Engine) RunCellIndex(ctx context.Context, p *Prepared, i int, prog *obs
 	}
 	cp := p.Camp.Plan
 	pt, wp, kind := p.Camp.CellPoint(i)
-	in := score.Raw.Inputs()
-	stab, err := e.stabilizeCell(ctx, p.Plan, cp, pt, wp, kind, in.Truth, in.Net, in.Suite, in.Model, &score, prog)
+	stab, err := e.stabilizeCell(ctx, p.Plan, cp, pt, wp, kind, &score, prog)
 	if err != nil {
 		return CellResult{}, err
 	}
