@@ -77,7 +77,7 @@ func TestTrialsZeroReducesToCampaign(t *testing.T) {
 
 // TestStabilisationReusesBaseCellInputs pins that a cell's model is looked
 // up once, by the base campaign cell: stabilisation reads the inputs the base
-// cell was scored on, so a first run over a fresh registry hits it never.
+// cell was scored on, so a first run over a fresh registry never hits it.
 func TestStabilisationReusesBaseCellInputs(t *testing.T) {
 	reg := service.NewModelRegistry(profiler.DefaultProfileOptions(), profiler.DefaultEmpiricalOptions())
 	eng := robust.Engine{Source: reg, Workers: 2}

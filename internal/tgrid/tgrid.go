@@ -9,7 +9,7 @@
 // paper's simulators; with the hidden ground-truth Timing of
 // internal/cluster it plays the role of the real 32-node cluster (the
 // "experiment"). docs/PAPER_MAP.md says why that emulator, and not a
-// wall-clock execution on this host, is the only ground truth.
+// wall-clock execution on a small host, is the only ground truth.
 package tgrid
 
 import (
